@@ -22,23 +22,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import energy_density as ed
 from . import state_families as sf
 from . import verification
-from .fock_oracle import DegenerateSuperpositionError, TruncationError
-from .optimizer import (
-    AscentFailure,
-    SearchConfig,
-    SearchSpace,
-    coherent_pair_space,
-    multi_start,
-    vacuum_squeezed_space,
-)
+from .optimizer import AscentFailure, SearchConfig, multi_start, search_space
 
 __all__ = ["main", "parse_real", "FAMILY_NAMES", "SEARCH_FAMILY_NAMES"]
 
@@ -68,132 +59,8 @@ def parse_real(text: str) -> float:
         raise UsageError(f"cannot parse number {text!r}") from None
 
 
-# --------------------------------------------------------------------------
-# Family registry: parameter keys, defaults, and moment builders.
-# --------------------------------------------------------------------------
-
-Moments = "sf.OneModeMoments | sf.TwoModeMoments | float"
-
-
-@dataclass(frozen=True)
-class _Family:
-    keys: tuple[str, ...]
-    defaults: Mapping[str, float]
-    kind: str  # "one" | "two" | "scalar"
-    build: Callable[[Mapping[str, float]], object]
-
-
-def _phased(mag: float, phase: float) -> complex:
-    return mag * complex(math.cos(phase), math.sin(phase))
-
-
-_FAMILIES: dict[str, _Family] = {
-    "coherent-pair": _Family(
-        keys=("alpha", "delta1", "beta", "delta2", "eta", "delta"),
-        defaults={
-            "alpha": 0.8,
-            "delta1": 0.0,
-            "beta": 0.8,
-            "delta2": math.pi,
-            "eta": 1.0,
-            "delta": 0.0,
-        },
-        kind="one",
-        build=lambda p: sf.coherent_superposition_moments(
-            sf.CoherentPair(
-                alpha=_phased(p["alpha"], p["delta1"]),
-                beta=_phased(p["beta"], p["delta2"]),
-                eta=_phased(p["eta"], p["delta"]),
-            )
-        ),
-    ),
-    "squeezed-vacuum": _Family(
-        keys=("r", "delta"),
-        defaults={"r": 1.0, "delta": 0.0},
-        kind="one",
-        build=lambda p: sf.squeezed_vacuum_moments(p["r"], p["delta"]),
-    ),
-    "superposed-squeezed": _Family(
-        keys=("r", "eta", "eta_phase"),
-        defaults={"r": 1.0, "eta": 0.0, "eta_phase": 0.0},
-        kind="one",
-        build=lambda p: sf.superposed_squeezed_moments(
-            sf.SqueezedPair(r=p["r"], eta=_phased(p["eta"], p["eta_phase"]))
-        ),
-    ),
-    "coherent-squeezed": _Family(
-        keys=("r", "delta", "alpha", "alpha_phase", "eta", "eta_phase"),
-        defaults={
-            "r": 1.0,
-            "delta": 0.0,
-            "alpha": 0.6,
-            "alpha_phase": 0.0,
-            "eta": 1.0,
-            "eta_phase": 0.0,
-        },
-        kind="one",
-        build=lambda p: sf.coherent_plus_squeezed_moments(
-            sf.CoherentSqueezed(
-                r=p["r"],
-                delta=p["delta"],
-                alpha=_phased(p["alpha"], p["alpha_phase"]),
-                eta=_phased(p["eta"], p["eta_phase"]),
-            )
-        ),
-    ),
-    "vacuum-squeezed": _Family(
-        keys=("r", "eta", "eta_phase"),
-        defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
-        kind="one",
-        build=lambda p: sf.vacuum_plus_squeezed_moments(
-            sf.VacuumSqueezed(r=p["r"], eta=_phased(p["eta"], p["eta_phase"]))
-        ),
-    ),
-    "barnett-radmore": _Family(
-        keys=("r", "delta"),
-        defaults={"r": 1.0, "delta": 0.0},
-        kind="two",
-        build=lambda p: sf.barnett_radmore_moments(sf.BarnettRadmore(r=p["r"], delta=p["delta"])),
-    ),
-    "zhang": _Family(
-        keys=("r", "theta"),
-        defaults={"r": 0.007, "theta": 0.99 * math.pi},
-        kind="two",
-        build=lambda p: sf.zhang_moments(sf.ZhangReal(r=p["r"], theta=p["theta"])),
-    ),
-    "entangled-coherent": _Family(
-        keys=("sigma", "theta", "delta1", "delta2"),
-        defaults={"sigma": 0.7, "theta": 0.0, "delta1": 0.0, "delta2": 0.0},
-        kind="two",
-        build=lambda p: sf.entangled_coherent_moments(
-            sf.EntangledCoherent(
-                sigma=p["sigma"], theta=p["theta"], delta1=p["delta1"], delta2=p["delta2"]
-            )
-        ),
-    ),
-    "ecs-f": _Family(
-        keys=("sigma",),
-        defaults={"sigma": 0.7},
-        kind="scalar",
-        build=lambda p: sf.f_sigma(p["sigma"]),
-    ),
-    "vacuum": _Family(
-        keys=(),
-        defaults={},
-        kind="two",
-        build=lambda p: sf.TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    ),
-}
-
-FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
-
-_SEARCH_SPACES: dict[str, Callable[[], SearchSpace]] = {
-    "coherent-pair": coherent_pair_space,
-    "coherent-pair-free": lambda: coherent_pair_space(free_delta1=True),
-    "vacuum-squeezed": vacuum_squeezed_space,
-}
-
-SEARCH_FAMILY_NAMES: tuple[str, ...] = tuple(_SEARCH_SPACES)
+FAMILY_NAMES: tuple[str, ...] = tuple(sf.REGISTRY)
+SEARCH_FAMILY_NAMES: tuple[str, ...] = tuple(sf.SEARCHES)
 
 
 # --------------------------------------------------------------------------
@@ -201,26 +68,37 @@ SEARCH_FAMILY_NAMES: tuple[str, ...] = tuple(_SEARCH_SPACES)
 # --------------------------------------------------------------------------
 
 
-def _parse_assignments(family: _Family, pairs: Sequence[str]) -> dict[str, float]:
+def _check_domain(family: sf.Family, key: str, values: Sequence[float]) -> None:
+    low = family.domain.get(key)
+    for v in values if low is not None else ():
+        if not v >= low:
+            raise UsageError(f"parameter {key} must be >= {low:g}, got {v:g}")
+
+
+def _check_key(family: sf.Family, key: str, what: str) -> str:
+    key = key.strip()
+    if key not in family.defaults:
+        raise UsageError(f"unknown {what} {key!r}; valid keys: {', '.join(family.defaults) or '(none)'}")
+    return key
+
+
+def _parse_assignments(family: sf.Family, pairs: Sequence[str]) -> dict[str, float]:
     params = dict(family.defaults)
     for item in pairs:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        key = key.strip()
-        if key not in family.keys:
-            raise UsageError(f"unknown parameter {key!r}; valid keys: {', '.join(family.keys) or '(none)'}")
+        key = _check_key(family, key, "parameter")
         params[key] = parse_real(value)
+        _check_domain(family, key, [params[key]])
     return params
 
 
-def _parse_sweep(family: _Family, text: str) -> tuple[str, list[float]]:
+def _parse_sweep(family: sf.Family, text: str) -> tuple[str, list[float]]:
     key, sep, rng = text.partition("=")
     if not sep:
         raise UsageError(f"--sweep expects key=lo:hi:steps, got {text!r}")
-    key = key.strip()
-    if key not in family.keys:
-        raise UsageError(f"unknown sweep parameter {key!r}; valid keys: {', '.join(family.keys) or '(none)'}")
+    key = _check_key(family, key, "sweep parameter")
     parts = rng.split(":")
     if len(parts) != 3:
         raise UsageError(f"--sweep range must be lo:hi:steps, got {rng!r}")
@@ -232,6 +110,7 @@ def _parse_sweep(family: _Family, text: str) -> tuple[str, list[float]]:
     if steps < 1:
         raise UsageError("sweep steps must be >= 1")
     values = [float(v) for v in np.linspace(lo, hi, steps + 1)]
+    _check_domain(family, key, values)
     return key, values
 
 
@@ -288,8 +167,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[dict[str, object]]:
-    return [dict(zip(header, row)) for row in rows]
+def _write(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence[object]],
+           seed: int | None, config: Mapping[str, object], **body: object) -> None:
+    """Emit the rows as CSV, or one JSON document (``body`` defaults to the rows)."""
+    if args.format == "csv":
+        _emit(_render_csv(header, rows), args.out)
+    else:
+        body = body or {"rows": [dict(zip(header, row)) for row in rows]}
+        _emit(_render_json({"command": args.command, "seed": seed, "config": config, **body}), args.out)
 
 
 # --------------------------------------------------------------------------
@@ -298,52 +183,35 @@ def _json_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    family = _FAMILIES[args.family]
+    family = sf.REGISTRY[args.family]
     params = _parse_assignments(family, args.set or [])
     key, values = _parse_sweep(family, args.sweep)
+    header = [key, *family.layout.columns]
+    record, moments, cells = family.record, family.moments, family.layout.cells
 
-    if family.kind == "one":
-        header = [key, "n", "R", "F"]
-    elif family.kind == "two":
-        header = [key, "n1", "n2", "R1", "R2", "R3", "R4", "F"]
-    else:
-        header = [key, "f"]
-
-    rows: list[list[object]] = []
+    rows: list[Sequence[object]] = []
     for v in values:
         point = dict(params)
         point[key] = v
         try:
-            m = family.build(point)
+            m = moments(record(point))
         except sf.DegenerateStateError:
             rows.append([v] + [None] * (len(header) - 1))
             continue
-        if family.kind == "one":
-            rows.append([v, m.n, m.pair_mag, m.pair_mag - m.n])
-        elif family.kind == "two":
-            rows.append([v, m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.R1 - m.n1])
-        else:
-            rows.append([v, float(m)])
+        row = (v, *cells(m))
+        if not all(map(math.isfinite, row)):
+            raise FloatingPointError(f"non-finite result at {key}={v:.9g}")
+        rows.append(row)
 
-    if args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        doc = {
-            "command": "sweep",
-            "seed": None,
-            "config": {
-                "family": args.family,
-                "sweep": {"key": key, "lo": values[0], "hi": values[-1], "steps": len(values) - 1},
-                "params": params,
-            },
-            "rows": _json_rows(header, rows),
-        }
-        _emit(_render_json(doc), args.out)
+    sweep = {"key": key, "lo": values[0], "hi": values[-1], "steps": len(values) - 1}
+    _write(args, header, rows, None, {"family": args.family, "sweep": sweep, "params": params})
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    space = _SEARCH_SPACES[args.family]()
+    if args.starts < 1:
+        raise UsageError("--starts must be >= 1")
+    space = search_space(args.family)
     cfg = SearchConfig(starts=args.starts, seed=args.seed)
     report = multi_start(space, cfg)
 
@@ -356,56 +224,36 @@ def _cmd_search(args: argparse.Namespace) -> int:
             + [float(p) for p in ext.params]
         )
 
-    if args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        doc = {
-            "command": "search",
-            "seed": args.seed,
-            "config": {
-                "family": args.family,
-                "starts": args.starts,
-                "fd_step": cfg.fd_step,
-                "step_init": cfg.step_init,
-                "armijo_c": cfg.armijo_c,
-                "grad_tol": cfg.grad_tol,
-                "max_iters": cfg.max_iters,
-            },
-            "extrema": [
-                {
-                    "rank": rank,
-                    "params": dict(zip(space.names, (float(p) for p in ext.params))),
-                    "F": ext.F,
-                    "n": ext.n,
-                    "R": ext.R,
-                    "gamma": ext.gamma,
-                    "grad_norm": ext.grad_norm,
-                    "iterations": ext.iterations,
-                    "converged": ext.converged,
-                    "members": ext.members,
-                }
-                for rank, ext in enumerate(report.extrema, start=1)
-            ],
-            "failed_starts": report.failed_starts,
+    config = {
+        "family": args.family,
+        "starts": args.starts,
+        "fd_step": cfg.fd_step,
+        "step_init": cfg.step_init,
+        "armijo_c": cfg.armijo_c,
+        "grad_tol": cfg.grad_tol,
+        "max_iters": cfg.max_iters,
+    }
+    extrema = [
+        {
+            "rank": rank,
+            "params": dict(zip(space.names, (float(p) for p in ext.params))),
+            "F": ext.F,
+            "n": ext.n,
+            "R": ext.R,
+            "gamma": ext.gamma,
+            "grad_norm": ext.grad_norm,
+            "iterations": ext.iterations,
+            "converged": ext.converged,
+            "members": ext.members,
         }
-        _emit(_render_json(doc), args.out)
+        for rank, ext in enumerate(report.extrema, start=1)
+    ]
+    _write(args, header, rows, args.seed, config, extrema=extrema, failed_starts=report.failed_starts)
     return 0
 
 
-def _lift_to_two_mode(m: object, kind: str) -> sf.TwoModeMoments:
-    """Embed a one-mode family as mode 1 of a two-mode grid (mode 2 empty)."""
-    if kind == "two":
-        return m  # type: ignore[return-value]
-    if kind == "one":
-        return sf.TwoModeMoments(
-            n1=m.n, n2=0.0, R1=m.pair_mag, R2=0.0, R3=0.0, R4=0.0,
-            gamma1=m.pair_phase, gamma2=0.0, gamma3=0.0, gamma4=0.0,
-        )
-    raise UsageError("this family has no spatial density (scalar figure-of-merit only)")
-
-
 def _cmd_density(args: argparse.Namespace) -> int:
-    family = _FAMILIES[args.family]
+    family = sf.REGISTRY[args.family]
     params = _parse_assignments(family, args.set or [])
     geometry = _parse_geometry(args.geometry)
     if args.grid_n < 16:
@@ -413,7 +261,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if not args.window > 0:
         raise UsageError("--window must be positive")
 
-    moments = _lift_to_two_mode(family.build(params), family.kind)
+    if family.layout.lift is None:
+        raise UsageError("this family has no spatial density (scalar figure-of-merit only)")
+    moments = family.layout.lift(family.moments(family.record(params)))
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
@@ -423,27 +273,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
     pmin, vmin = profile.min_found
     rows.append(["min", pmin.x[0], pmin.x[1], pmin.x[2], pmin.t, vmin])
 
-    if args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        doc = {
-            "command": "density",
-            "seed": None,
-            "config": {
-                "family": args.family,
-                "params": params,
-                "geometry": {
-                    "kind": geometry.kind,
-                    "omega1": geometry.omega1,
-                    "omega2": geometry.omega2,
-                    "cosangle": geometry.cos_angle(),
-                },
-                "window": args.window,
-                "grid_n": args.grid_n,
-            },
-            "rows": _json_rows(header, rows),
-        }
-        _emit(_render_json(doc), args.out)
+    geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
+           "cosangle": geometry.cos_angle()}
+    config = {"family": args.family, "params": params, "geometry": geo,
+              "window": args.window, "grid_n": args.grid_n}
+    _write(args, header, rows, None, config)
     return 0
 
 
@@ -476,16 +310,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         failed = failed or (row.required and not row.passed)
 
-    if args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
-    else:
-        doc = {
-            "command": "verify",
-            "seed": args.seed,
-            "config": {"families": list(families), "draws": args.draws, "cutoff": args.cutoff},
-            "rows": _json_rows(header, rows),
-        }
-        _emit(_render_json(doc), args.out)
+    _write(args, header, rows, args.seed, {"families": list(families), "draws": args.draws, "cutoff": args.cutoff})
     return 2 if failed else 0
 
 
@@ -585,15 +410,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"subvacuum {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (
-        TruncationError,
-        DegenerateSuperpositionError,
-        sf.DegenerateStateError,
-        AscentFailure,
-        ValueError,
-        ZeroDivisionError,
-        FloatingPointError,
-    ) as exc:
+    except (ValueError, ZeroDivisionError, FloatingPointError, AscentFailure) as exc:
+        # ValueError covers truncation refusals and degenerate states.
         print(f"subvacuum {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
 

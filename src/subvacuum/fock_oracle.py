@@ -68,8 +68,9 @@ class FockVector:
     """Normalized single-mode state: ``amps[m]`` multiplies the m-photon ket.
 
     ``truncation_flagged`` records that the constructor saw more weight in
-    the top decile of retained indices than its tolerance allows; downstream
-    verification treats such vectors as unreliable witnesses.
+    the top decile of retained indices than its tolerance allows.  It is
+    informational only: verification bounds truncation through
+    :func:`tail_mass` and strict constructors, not through this flag.
     """
 
     amps: np.ndarray
@@ -219,9 +220,7 @@ def product_state(u: FockVector, v: FockVector) -> TwoModeFockVector:
     )
 
 
-def _combine(
-    weighted: Iterable[tuple[complex, np.ndarray]], flagged: bool
-) -> np.ndarray:
+def _combine(weighted: Iterable[tuple[complex, np.ndarray]]) -> np.ndarray:
     total = None
     for w, a in weighted:
         total = w * a if total is None else total + w * a
@@ -245,7 +244,7 @@ def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
     if len(sizes) > 1:
         raise ValueError("superposition terms must share a cutoff")
     flagged = any(v.truncation_flagged for _, v in terms)
-    amps = _combine(((w, v.amps) for w, v in terms), flagged)
+    amps = _combine((w, v.amps) for w, v in terms)
     return FockVector(amps, truncation_flagged=flagged)
 
 
@@ -257,7 +256,7 @@ def superpose_two_mode(
     if len(shapes) > 1:
         raise ValueError("superposition terms must share cutoffs")
     flagged = any(v.truncation_flagged for _, v in terms)
-    amps = _combine(((w, v.amps) for w, v in terms), flagged)
+    amps = _combine((w, v.amps) for w, v in terms)
     return TwoModeFockVector(amps, truncation_flagged=flagged)
 
 

@@ -18,14 +18,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .state_families import (
-    CoherentPair,
+    REGISTRY,
+    SEARCHES,
+    TWO_PI,
     DegenerateStateError,
     OneModeMoments,
     TwoModeMoments,
-    VacuumSqueezed,
-    coherent_superposition_moments,
-    vacuum_plus_squeezed_moments,
 )
+
+# The search reaches closed forms through REGISTRY.  This name stays bound here
+# for code that looks the coherent-pair closed form up on this module, such as
+# the rebinding checks in perfbench/tests.
+from .state_families import coherent_superposition_moments  # noqa: F401
 
 __all__ = [
     "AscentFailure",
@@ -33,6 +37,7 @@ __all__ = [
     "SearchConfig",
     "Extremum",
     "MultiStartReport",
+    "search_space",
     "coherent_pair_space",
     "vacuum_squeezed_space",
     "objective_F",
@@ -41,7 +46,6 @@ __all__ = [
     "multi_start",
 ]
 
-TWO_PI = 2.0 * math.pi
 #: Cluster radius (wrapped max-norm on canonicalized parameters) for dedup.
 CLUSTER_RADIUS = 0.02
 
@@ -308,85 +312,30 @@ def multi_start(space: SearchSpace, cfg: SearchConfig) -> MultiStartReport:
 
 
 # --------------------------------------------------------------------------
-# Search-space factories for the families the search actually targets.
+# Search spaces from the family registry
 # --------------------------------------------------------------------------
 
 
-def _canonical_pair(p: np.ndarray) -> np.ndarray:
-    """Reduce the coherent-pair (alpha, beta, eta, delta2, delta) symmetry.
-
-    The state is unchanged under (alpha, beta, eta) -> (beta, alpha, 1/eta)
-    followed by a global phase rotation restoring a real first amplitude,
-    which maps the phase coordinates to their negatives.  Representatives
-    keep alpha <= beta; when the first amplitude is (numerically) zero its
-    phase is meaningless and delta2 is zeroed.
-    """
-    a, b, h, d2, d = (float(v) for v in p)
-    if a > b + 1e-12 and h > 1e-9:
-        a, b, h, d2, d = b, a, 1.0 / h, -d2, -d
-    if a <= 0.01:
-        d2 = 0.0
-    return np.array([a, b, h, np.remainder(d2, TWO_PI), np.remainder(d, TWO_PI)])
+def search_space(name: str) -> SearchSpace:
+    """The registry's search view ``name`` (see :data:`SEARCHES`) as a space."""
+    family_name, view = SEARCHES[name]
+    moments, record = REGISTRY[family_name].moments, view.record
+    return SearchSpace(
+        family=family_name,
+        names=view.names,
+        lower=view.lower,
+        upper=view.upper,
+        angular=view.angular,
+        moments_of=lambda p: moments(record(p)),
+        canonical=view.canonical,
+    )
 
 
 def coherent_pair_space(free_delta1: bool = False) -> SearchSpace:
-    """Five-parameter coherent-pair space (|alpha|, |beta|, |eta|, delta2, delta).
-
-    The first coherent amplitude's phase is pinned to zero — a global phase
-    rotation makes it redundant.  ``free_delta1=True`` unpins it (adding a
-    sixth coordinate) so the flatness of that direction can be tested.
-    """
-    if free_delta1:
-
-        def moments6(p: np.ndarray) -> OneModeMoments:
-            return coherent_superposition_moments(
-                CoherentPair(
-                    alpha=p[0] * np.exp(1j * p[3]),
-                    beta=p[1] * np.exp(1j * p[4]),
-                    eta=p[2] * np.exp(1j * p[5]),
-                )
-            )
-
-        return SearchSpace(
-            family="coherent-pair",
-            names=("alpha", "beta", "eta", "delta1", "delta2", "delta"),
-            lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
-            angular=(False, False, False, True, True, True),
-            moments_of=moments6,
-        )
-
-    def moments5(p: np.ndarray) -> OneModeMoments:
-        return coherent_superposition_moments(
-            CoherentPair(
-                alpha=complex(p[0]),
-                beta=p[1] * np.exp(1j * p[3]),
-                eta=p[2] * np.exp(1j * p[4]),
-            )
-        )
-
-    return SearchSpace(
-        family="coherent-pair",
-        names=("alpha", "beta", "eta", "delta2", "delta"),
-        lower=(0.0, 0.0, 0.0, 0.0, 0.0),
-        upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
-        angular=(False, False, False, True, True),
-        moments_of=moments5,
-        canonical=_canonical_pair,
-    )
+    """Coherent-pair space (|alpha|, |beta|, |eta|, delta2, delta); ``free_delta1`` adds delta1."""
+    return search_space("coherent-pair-free" if free_delta1 else "coherent-pair")
 
 
-def vacuum_squeezed_space(eta: complex = -1.0 + 0.0j, r_max: float = 3.0) -> SearchSpace:
-    """One-dimensional vacuum-plus-squeezed slice: search over r at fixed eta."""
-
-    def moments(p: np.ndarray) -> OneModeMoments:
-        return vacuum_plus_squeezed_moments(VacuumSqueezed(r=float(p[0]), eta=eta))
-
-    return SearchSpace(
-        family="vacuum-squeezed",
-        names=("r",),
-        lower=(0.0,),
-        upper=(float(r_max),),
-        angular=(False,),
-        moments_of=moments,
-    )
+def vacuum_squeezed_space() -> SearchSpace:
+    """One-dimensional vacuum-plus-squeezed slice: search over r at eta = -1."""
+    return search_space("vacuum-squeezed")

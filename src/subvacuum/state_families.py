@@ -11,11 +11,19 @@ evaluation in :mod:`subvacuum.fock_oracle`; the test suite pins that
 agreement to near machine precision.  Where a published expression failed
 that cross-check, the moments shipped here are the oracle-confirmed variant
 (see the verification report for the side-by-side residuals).
+
+:data:`REGISTRY` describes every family once, by its command-line name:
+parameter keys, defaults and domain, the closed-form call and its
+normalization denominator, the sweep columns and two-mode lift, and the
+boxes the search may explore.  The command line, the optimizer and
+verification all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -42,6 +50,11 @@ __all__ = [
     "zhang_small_r_asymptotics",
     "entangled_coherent_moments",
     "f_sigma",
+    "Family",
+    "Layout",
+    "SearchView",
+    "REGISTRY",
+    "SEARCHES",
 ]
 
 #: Normalization denominators below this are treated as a degenerate state.
@@ -102,7 +115,7 @@ class TwoModeMoments:
 
 # --------------------------------------------------------------------------
 # Parameter records.  One frozen dataclass per family; together they form the
-# FamilyParams union consumed by the optimizer and the command-line tool.
+# FamilyParams union of closed-form arguments that REGISTRY builds.
 # --------------------------------------------------------------------------
 
 
@@ -199,6 +212,13 @@ def _check_denominator(d: float, context: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _coherent_pair_norm(params: CoherentPair) -> tuple[float, complex]:
+    """Normalization denominator of |alpha> + eta |beta>, and <alpha|beta>."""
+    alpha, beta, eta = params.alpha, params.beta, params.eta
+    ov = np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
+    return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov
+
+
 def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
     """Moments of N(|alpha> + eta |beta>).
 
@@ -207,8 +227,7 @@ def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
     two branches cancel.
     """
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    ov = np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    denom = 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real
+    denom, ov = _coherent_pair_norm(params)
     _check_denominator(denom, "coherent pair")
     norm2 = 1.0 / denom
     n = norm2 * (
@@ -235,6 +254,13 @@ def squeezed_vacuum_moments(r: float, delta: float) -> OneModeMoments:
     return OneModeMoments(n=float(s * s), pair_mag=mag, pair_phase=phase)
 
 
+def _superposed_squeezed_norm(params: SqueezedPair) -> tuple[float, float]:
+    """Normalization denominator of |r> + eta |-r>, and cosh 2r."""
+    c2 = np.cosh(2.0 * params.r)
+    ov = 1.0 / np.sqrt(c2)
+    return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
+
+
 def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
 
@@ -245,9 +271,7 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     s, c = np.sinh(r), np.cosh(r)
-    c2 = np.cosh(2.0 * r)
-    ov = 1.0 / np.sqrt(c2)
-    denom = 1.0 + abs(eta) ** 2 + 2.0 * eta.real * ov
+    denom, c2 = _superposed_squeezed_norm(params)
     _check_denominator(denom, "superposed squeezed")
     norm2 = 1.0 / denom
     cross_n = s * s / c2**1.5
@@ -256,6 +280,17 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     pair = norm2 * ((abs(eta) ** 2 - 1.0) * s * c + 2j * eta.imag * cross_pair)
     mag, phase = _polar(pair)
     return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
+
+
+def _coherent_squeezed_norm(params: CoherentSqueezed) -> tuple[float, complex, float, float, complex]:
+    """Normalization denominator of |r, delta> + eta |alpha>, the overlap
+    <r, delta|alpha> and its factors gauss, root_sech, twist."""
+    r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
+    root_sech = np.sqrt(1.0 / np.cosh(r))
+    gauss = np.exp(-abs(alpha) ** 2 / 2.0)
+    twist = np.exp(-0.5 * np.exp(-1j * delta) * alpha**2 * np.tanh(r))
+    ov = gauss * root_sech * twist
+    return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
 
 
 def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
@@ -276,11 +311,7 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     s, c, t = np.sinh(r), np.cosh(r), np.tanh(r)
-    root_sech = np.sqrt(1.0 / np.cosh(r))
-    gauss = np.exp(-abs(alpha) ** 2 / 2.0)
-    twist = np.exp(-0.5 * np.exp(-1j * delta) * alpha**2 * t)
-    ov = gauss * root_sech * twist
-    denom = 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real
+    denom, ov, gauss, root_sech, twist = _coherent_squeezed_norm(params)
     _check_denominator(denom, "coherent plus squeezed")
     norm2 = 1.0 / denom
     n = norm2 * (
@@ -304,6 +335,12 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
     return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
 
 
+def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
+    """Normalization denominator of |r> + eta |0>, and sech r."""
+    sech = 1.0 / np.cosh(params.r)
+    return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * np.sqrt(sech), sech
+
+
 def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     """Moments of N(|r> + eta |0>).
 
@@ -315,8 +352,7 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     s, c = np.sinh(r), np.cosh(r)
-    sech = 1.0 / np.cosh(r)
-    denom = 1.0 + abs(eta) ** 2 + 2.0 * eta.real * np.sqrt(sech)
+    denom, sech = _vacuum_squeezed_norm(params)
     if denom < DEGENERATE_DENOMINATOR:
         return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0)
     norm2 = 1.0 / denom
@@ -352,6 +388,12 @@ def barnett_radmore_moments(params: BarnettRadmore) -> TwoModeMoments:
     )
 
 
+def _zhang_norm(params: ZhangReal) -> tuple[float, float]:
+    """Normalization denominator of the phase-superposed pair, and cosh 2r."""
+    c2 = np.cosh(2.0 * params.r)
+    return 2.0 * (1.0 + np.cos(params.theta) / c2), c2
+
+
 def zhang_moments(params: ZhangReal) -> TwoModeMoments:
     """Phase-superposed doubly-squeezed vacua; only the single-mode pairs survive.
 
@@ -362,8 +404,7 @@ def zhang_moments(params: ZhangReal) -> TwoModeMoments:
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     s = np.sinh(r)
-    c2 = np.cosh(2.0 * r)
-    denom = 2.0 * (1.0 + np.cos(theta) / c2)
+    denom, c2 = _zhang_norm(params)
     _check_denominator(denom, "phase-superposed squeezed pair")
     norm2 = 1.0 / denom
     n = 2.0 * norm2 * s * s * (1.0 - np.cos(theta) / c2**2)
@@ -400,6 +441,12 @@ def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
     return float(c_n), float(c_r)
 
 
+def _entangled_coherent_norm(params: EntangledCoherent) -> tuple[float, float]:
+    """Normalization denominator of the entangled coherent state, and e^{-4 sigma^2}."""
+    overlap4 = np.exp(-4.0 * params.sigma**2)
+    return 2.0 * (1.0 + np.cos(params.theta) * overlap4), overlap4
+
+
 def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     """Moments of N(|alpha, beta> + e^{i theta} |-alpha, -beta>).
 
@@ -414,8 +461,7 @@ def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
         raise ValueError("coherent magnitude must be non-negative")
     alpha = sigma * np.exp(1j * params.delta1)
     beta = sigma * np.exp(1j * params.delta2)
-    overlap4 = np.exp(-4.0 * sigma**2)
-    denom = 2.0 * (1.0 + np.cos(theta) * overlap4)
+    denom, overlap4 = _entangled_coherent_norm(params)
     _check_denominator(denom, "entangled coherent")
     norm2 = 1.0 / denom
     n = 2.0 * norm2 * sigma**2 * (1.0 - np.cos(theta) * overlap4)
@@ -445,3 +491,213 @@ def f_sigma(sigma: float) -> float:
     """
     e2 = np.exp(-2.0 * sigma**2)
     return float(sigma**2 * e2 * (1.0 + e2) / (1.0 + e2 * e2))
+
+
+# --------------------------------------------------------------------------
+# Family registry: one entry per command-line family name.
+# --------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+
+
+def _phased(mag: float, phase: float) -> complex:
+    return mag * complex(math.cos(phase), math.sin(phase))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How a family's moments become sweep cells and a two-mode density input.
+
+    ``cells`` gives the values under ``columns``; ``lift`` embeds the moments
+    in a two-mode grid (``None``: the family has no spatial density).
+    """
+
+    columns: tuple[str, ...]
+    cells: Callable[[Any], tuple[float, ...]]
+    lift: Callable[[Any], TwoModeMoments] | None
+
+
+ONE_MODE = Layout(
+    columns=("n", "R", "F"),
+    cells=lambda m: (m.n, m.pair_mag, m.pair_mag - m.n),
+    # one-mode states occupy mode 1; mode 2 stays empty
+    lift=lambda m: TwoModeMoments(m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0),
+)
+TWO_MODE = Layout(
+    columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
+    cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.R1 - m.n1),
+    lift=lambda m: m,
+)
+SCALAR = Layout(columns=("f",), cells=lambda m: (float(m),), lift=None)
+
+
+@dataclass(frozen=True)
+class SearchView:
+    """A box over free coordinates of a family, for the multi-start search.
+
+    ``record`` maps a coordinate vector to the closed form's argument;
+    ``angular`` and ``canonical`` mean what they do on
+    :class:`subvacuum.optimizer.SearchSpace`.
+    """
+
+    names: tuple[str, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    angular: tuple[bool, ...]
+    record: Callable[[np.ndarray], Any]
+    canonical: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
+class Family:
+    """One state family as the command line, the search and verification see it.
+
+    ``defaults`` holds the parameter keys in order; ``domain`` maps bounded
+    keys to their inclusive lower bound.  ``record`` turns parameters into the
+    argument of ``moments``, the closed-form call, which looks its closed form
+    up by module-level name on every call so that rebinding that name reaches
+    every caller.  ``norm`` is the helper the closed form takes its
+    normalization denominator from (first element of its result).
+    ``searches`` names the boxes the optimizer may explore, and ``verified``
+    marks the families :mod:`subvacuum.verification` checks against the oracle.
+    """
+
+    defaults: Mapping[str, float]
+    layout: Layout
+    moments: Callable[[Any], Any]
+    record: Callable[[Mapping[str, float]], Any] = lambda params: params
+    domain: Mapping[str, float] = field(default_factory=dict)
+    norm: Callable[[Any], tuple] | None = None
+    searches: Mapping[str, SearchView] = field(default_factory=dict)
+    verified: bool = False
+
+    def denominator(self, record: Any) -> float:
+        """Normalization denominator of a superposition family's record."""
+        return self.norm(record)[0]
+
+
+def _canonical_pair(p: np.ndarray) -> np.ndarray:
+    """Reduce the coherent-pair (alpha, beta, eta, delta2, delta) symmetry.
+
+    The state is unchanged under (alpha, beta, eta) -> (beta, alpha, 1/eta)
+    followed by a global phase rotation restoring a real first amplitude,
+    which maps the phase coordinates to their negatives.  Representatives
+    keep alpha <= beta; when the first amplitude is (numerically) zero its
+    phase is meaningless and delta2 is zeroed.
+    """
+    a, b, h, d2, d = (float(v) for v in p)
+    if a > b + 1e-12 and h > 1e-9:
+        a, b, h, d2, d = b, a, 1.0 / h, -d2, -d
+    if a <= 0.01:
+        d2 = 0.0
+    return np.array([a, b, h, np.remainder(d2, TWO_PI), np.remainder(d, TWO_PI)])
+
+
+REGISTRY: dict[str, Family] = {
+    "coherent-pair": Family(
+        defaults={"alpha": 0.8, "delta1": 0.0, "beta": 0.8, "delta2": math.pi, "eta": 1.0, "delta": 0.0},
+        layout=ONE_MODE,
+        record=lambda p: CoherentPair(
+            _phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]), _phased(p["eta"], p["delta"])
+        ),
+        moments=lambda params: coherent_superposition_moments(params),
+        norm=_coherent_pair_norm,
+        searches={
+            # The first amplitude's phase is pinned to zero: a global phase
+            # rotation makes it redundant.
+            "coherent-pair": SearchView(
+                names=("alpha", "beta", "eta", "delta2", "delta"),
+                lower=(0.0, 0.0, 0.0, 0.0, 0.0),
+                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
+                angular=(False, False, False, True, True),
+                record=lambda p: CoherentPair(complex(p[0]), p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4])),
+                canonical=_canonical_pair,
+            ),
+            # Unpinned, so the flatness of that direction can be tested.
+            "coherent-pair-free": SearchView(
+                names=("alpha", "beta", "eta", "delta1", "delta2", "delta"),
+                lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
+                angular=(False, False, False, True, True, True),
+                record=lambda p: CoherentPair(
+                    p[0] * np.exp(1j * p[3]), p[1] * np.exp(1j * p[4]), p[2] * np.exp(1j * p[5])
+                ),
+            ),
+        },
+        verified=True,
+    ),
+    "squeezed-vacuum": Family(
+        defaults={"r": 1.0, "delta": 0.0},
+        layout=ONE_MODE,
+        moments=lambda p: squeezed_vacuum_moments(p["r"], p["delta"]),
+        domain={"r": 0.0},
+    ),
+    "superposed-squeezed": Family(
+        defaults={"r": 1.0, "eta": 0.0, "eta_phase": 0.0},
+        layout=ONE_MODE,
+        record=lambda p: SqueezedPair(r=p["r"], eta=_phased(p["eta"], p["eta_phase"])),
+        moments=lambda params: superposed_squeezed_moments(params),
+        domain={"r": 0.0},
+        norm=_superposed_squeezed_norm,
+        verified=True,
+    ),
+    "coherent-squeezed": Family(
+        defaults={"r": 1.0, "delta": 0.0, "alpha": 0.6, "alpha_phase": 0.0, "eta": 1.0, "eta_phase": 0.0},
+        layout=ONE_MODE,
+        record=lambda p: CoherentSqueezed(
+            p["r"], p["delta"], _phased(p["alpha"], p["alpha_phase"]), _phased(p["eta"], p["eta_phase"])
+        ),
+        moments=lambda params: coherent_plus_squeezed_moments(params),
+        domain={"r": 0.0},
+        norm=_coherent_squeezed_norm,
+        verified=True,
+    ),
+    "vacuum-squeezed": Family(
+        defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
+        layout=ONE_MODE,
+        record=lambda p: VacuumSqueezed(r=p["r"], eta=_phased(p["eta"], p["eta_phase"])),
+        moments=lambda params: vacuum_plus_squeezed_moments(params),
+        domain={"r": 0.0},
+        norm=_vacuum_squeezed_norm,
+        searches={
+            # the r axis at eta = -1
+            "vacuum-squeezed": SearchView(
+                ("r",), (0.0,), (3.0,), (False,), lambda p: VacuumSqueezed(r=float(p[0]), eta=-1.0 + 0.0j)
+            ),
+        },
+        verified=True,
+    ),
+    "barnett-radmore": Family(
+        defaults={"r": 1.0, "delta": 0.0},
+        layout=TWO_MODE,
+        record=lambda p: BarnettRadmore(**p),
+        moments=lambda params: barnett_radmore_moments(params),
+        domain={"r": 0.0},
+        verified=True,
+    ),
+    "zhang": Family(
+        defaults={"r": 0.007, "theta": 0.99 * math.pi},
+        layout=TWO_MODE,
+        record=lambda p: ZhangReal(**p),
+        moments=lambda params: zhang_moments(params),
+        domain={"r": 0.0},
+        norm=_zhang_norm,
+        verified=True,
+    ),
+    "entangled-coherent": Family(
+        defaults={"sigma": 0.7, "theta": 0.0, "delta1": 0.0, "delta2": 0.0},
+        layout=TWO_MODE,
+        record=lambda p: EntangledCoherent(**p),
+        moments=lambda params: entangled_coherent_moments(params),
+        domain={"sigma": 0.0},
+        norm=_entangled_coherent_norm,
+        verified=True,
+    ),
+    "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
+    "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+}
+
+#: Search view name -> (family name, view), in registry order.
+SEARCHES: dict[str, tuple[str, SearchView]] = {
+    view_name: (name, view) for name, family in REGISTRY.items() for view_name, view in family.searches.items()
+}

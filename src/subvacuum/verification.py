@@ -17,29 +17,22 @@ variant is reported for the record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from . import fock_oracle as oracle
 from .state_families import (
+    REGISTRY,
     BarnettRadmore,
     CoherentPair,
     CoherentSqueezed,
     EntangledCoherent,
-    OneModeMoments,
     SqueezedPair,
     TwoModeMoments,
     VacuumSqueezed,
     ZhangReal,
-    barnett_radmore_moments,
-    coherent_plus_squeezed_moments,
-    coherent_superposition_moments,
-    entangled_coherent_moments,
-    superposed_squeezed_moments,
-    vacuum_plus_squeezed_moments,
-    zhang_moments,
 )
 
 __all__ = [
@@ -93,12 +86,7 @@ class IdentityRow:
     note: str = ""
 
 
-def _one_mode_deviation(cm: OneModeMoments, om: oracle.OracleMoments) -> float:
-    pair = cm.pair_mag * np.exp(1j * cm.pair_phase)
-    return max(abs(cm.n - om.n_a), abs(pair - om.a2))
-
-
-def _two_mode_deviation(cm: TwoModeMoments, om: oracle.OracleMoments) -> float:
+def _deviation(cm: TwoModeMoments, om: oracle.OracleMoments) -> float:
     def channel(mag: float, ph: float) -> complex:
         return mag * np.exp(1j * ph)
 
@@ -116,167 +104,145 @@ def _unit_phase(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.0, 2.0 * math.pi))
 
 
-# Each drawer returns (params dict for the report, deviation, tail mass).
+def _amplitude(rng: np.random.Generator, mag_max: float) -> complex:
+    return rng.uniform(0.0, mag_max) * np.exp(1j * _unit_phase(rng))
 
 
-def _draw_coherent_pair(rng, cap):
-    while True:
-        a = rng.uniform(0.0, 3.0) * np.exp(1j * _unit_phase(rng))
-        b = rng.uniform(0.0, 3.0) * np.exp(1j * _unit_phase(rng))
-        eta = rng.uniform(0.0, 4.0) * np.exp(1j * _unit_phase(rng))
-        ov = np.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2.0 + np.conj(a) * b)
-        if 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real >= _DENOM_GUARD:
-            break
-    cut = max(oracle.coherent_cutoff_for(a, _TAIL_TARGET, cap),
-              oracle.coherent_cutoff_for(b, _TAIL_TARGET, cap))
-    state = oracle.superpose(
-        [(1.0, oracle.coherent_vector(a, cut)), (complex(eta), oracle.coherent_vector(b, cut))]
+def _squeeze(rng: np.random.Generator) -> float:
+    return float(rng.uniform(0.0, 2.5))
+
+
+def _report(params) -> dict[str, float]:
+    """Drawn parameters for the report; complex ones as magnitude and argument."""
+    out: dict[str, float] = {}
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if isinstance(v, complex):
+            out[f"{f.name}_abs"], out[f"{f.name}_arg"] = float(abs(v)), float(np.angle(v))
+        else:
+            out[f.name] = v
+    return out
+
+
+#: Family name -> drawer(rng, cap) returning (params for the report,
+#: deviation, tail mass), filled by :func:`_drawer_for`.  Definition order
+#: below is the FAMILIES order, which keys each family's RNG stream.
+_DRAWERS = {}
+
+
+def _drawer_for(family: str, draw):
+    """Register the decorated oracle-state builder ``build(params, cap)`` for ``family``.
+
+    ``draw(rng)`` returns the family's parameter record inside the oracle-safe
+    bounds; it is redrawn while the registry's normalization denominator is
+    below ``_DENOM_GUARD``.  Single-mode states compare as mode 1 of a pair.
+    """
+    closed = REGISTRY[family]
+
+    def register(build):
+        def drawer(rng, cap):
+            params = draw(rng)
+            while closed.norm is not None and closed.denominator(params) < _DENOM_GUARD:
+                params = draw(rng)
+            state = build(params, cap)
+            two_mode = isinstance(state, oracle.TwoModeFockVector)
+            om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
+            dev = _deviation(closed.layout.lift(closed.moments(params)), om)
+            return _report(params), dev, oracle.tail_mass(state)
+
+        _DRAWERS[family] = drawer
+        return build
+
+    return register
+
+
+def _coherent_cut(z: complex, cap: int) -> int:
+    return oracle.coherent_cutoff_for(z, _TAIL_TARGET, cap)
+
+
+def _squeezed_cut(r: float, cap: int) -> int:
+    return oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
+
+
+@_drawer_for(
+    "coherent-pair", lambda rng: CoherentPair(_amplitude(rng, 3.0), _amplitude(rng, 3.0), _amplitude(rng, 4.0))
+)
+def _coherent_pair_state(p: CoherentPair, cap: int) -> oracle.FockVector:
+    cut = max(_coherent_cut(p.alpha, cap), _coherent_cut(p.beta, cap))
+    return oracle.superpose(
+        [(1.0, oracle.coherent_vector(p.alpha, cut)), (complex(p.eta), oracle.coherent_vector(p.beta, cut))]
     )
-    cm = coherent_superposition_moments(CoherentPair(alpha=a, beta=b, eta=eta))
-    dev = _one_mode_deviation(cm, oracle.one_mode_moments(state))
-    params = {
-        "alpha_abs": float(abs(a)), "alpha_arg": float(np.angle(a)),
-        "beta_abs": float(abs(b)), "beta_arg": float(np.angle(b)),
-        "eta_abs": float(abs(eta)), "eta_arg": float(np.angle(eta)),
-    }
-    return params, dev, oracle.tail_mass(state)
 
 
-def _draw_superposed_squeezed(rng, cap):
-    while True:
-        r = float(rng.uniform(0.0, 2.5))
-        eta = rng.uniform(0.0, 4.0) * np.exp(1j * _unit_phase(rng))
-        if 1.0 + abs(eta) ** 2 + 2.0 * eta.real / math.sqrt(math.cosh(2 * r)) >= _DENOM_GUARD:
-            break
-    cut = oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
-    state = oracle.superpose(
+@_drawer_for("superposed-squeezed", lambda rng: SqueezedPair(_squeeze(rng), _amplitude(rng, 4.0)))
+def _superposed_squeezed_state(p: SqueezedPair, cap: int) -> oracle.FockVector:
+    cut = _squeezed_cut(p.r, cap)
+    return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)),
-            (complex(eta), oracle.squeezed_vacuum_vector(r, math.pi, cut, strict=True)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)),
+            (complex(p.eta), oracle.squeezed_vacuum_vector(p.r, math.pi, cut, strict=True)),
         ]
     )
-    cm = superposed_squeezed_moments(SqueezedPair(r=r, eta=eta))
-    dev = _one_mode_deviation(cm, oracle.one_mode_moments(state))
-    params = {"r": r, "eta_abs": float(abs(eta)), "eta_arg": float(np.angle(eta))}
-    return params, dev, oracle.tail_mass(state)
 
 
-def _draw_coherent_squeezed(rng, cap):
-    while True:
-        r = float(rng.uniform(0.0, 2.5))
-        delta = _unit_phase(rng)
-        a = rng.uniform(0.0, 3.0) * np.exp(1j * _unit_phase(rng))
-        eta = rng.uniform(0.0, 4.0) * np.exp(1j * _unit_phase(rng))
-        ov = (
-            np.exp(-abs(a) ** 2 / 2.0)
-            * math.sqrt(1.0 / math.cosh(r))
-            * np.exp(-0.5 * np.exp(-1j * delta) * a**2 * math.tanh(r))
-        )
-        if 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real >= _DENOM_GUARD:
-            break
-    cut = max(oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap),
-              oracle.coherent_cutoff_for(a, _TAIL_TARGET, cap))
-    state = oracle.superpose(
+@_drawer_for(
+    "coherent-squeezed",
+    lambda rng: CoherentSqueezed(_squeeze(rng), _unit_phase(rng), _amplitude(rng, 3.0), _amplitude(rng, 4.0)),
+)
+def _coherent_squeezed_state(p: CoherentSqueezed, cap: int) -> oracle.FockVector:
+    cut = max(_squeezed_cut(p.r, cap), _coherent_cut(p.alpha, cap))
+    return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(r, delta, cut, strict=True)),
-            (complex(eta), oracle.coherent_vector(a, cut)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, p.delta, cut, strict=True)),
+            (complex(p.eta), oracle.coherent_vector(p.alpha, cut)),
         ]
     )
-    cm = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=delta, alpha=a, eta=eta))
-    dev = _one_mode_deviation(cm, oracle.one_mode_moments(state))
-    params = {
-        "r": r, "delta": delta,
-        "alpha_abs": float(abs(a)), "alpha_arg": float(np.angle(a)),
-        "eta_abs": float(abs(eta)), "eta_arg": float(np.angle(eta)),
-    }
-    return params, dev, oracle.tail_mass(state)
 
 
-def _draw_vacuum_squeezed(rng, cap):
-    while True:
-        r = float(rng.uniform(0.0, 2.5))
-        eta = rng.uniform(0.0, 4.0) * np.exp(1j * _unit_phase(rng))
-        if 1.0 + abs(eta) ** 2 + 2.0 * eta.real * math.sqrt(1 / math.cosh(r)) >= _DENOM_GUARD:
-            break
-    cut = oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
-    state = oracle.superpose(
+@_drawer_for("vacuum-squeezed", lambda rng: VacuumSqueezed(_squeeze(rng), _amplitude(rng, 4.0)))
+def _vacuum_squeezed_state(p: VacuumSqueezed, cap: int) -> oracle.FockVector:
+    cut = _squeezed_cut(p.r, cap)
+    return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)),
-            (complex(eta), oracle.coherent_vector(0.0, cut)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)),
+            (complex(p.eta), oracle.coherent_vector(0.0, cut)),
         ]
     )
-    cm = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
-    dev = _one_mode_deviation(cm, oracle.one_mode_moments(state))
-    params = {"r": r, "eta_abs": float(abs(eta)), "eta_arg": float(np.angle(eta))}
-    return params, dev, oracle.tail_mass(state)
 
 
-def _draw_barnett_radmore(rng, cap):
-    r = float(rng.uniform(0.0, 2.5))
-    delta = _unit_phase(rng)
-    cut = oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
-    state = oracle.two_mode_squeezed_vector(r, delta, cut, strict=True)
-    cm = barnett_radmore_moments(BarnettRadmore(r=r, delta=delta))
-    dev = _two_mode_deviation(cm, oracle.two_mode_moments(state))
-    return {"r": r, "delta": delta}, float(dev), oracle.tail_mass(state)
+@_drawer_for("barnett-radmore", lambda rng: BarnettRadmore(_squeeze(rng), _unit_phase(rng)))
+def _barnett_radmore_state(p: BarnettRadmore, cap: int) -> oracle.TwoModeFockVector:
+    return oracle.two_mode_squeezed_vector(p.r, p.delta, _squeezed_cut(p.r, cap), strict=True)
 
 
-def _draw_zhang(rng, cap):
-    while True:
-        r = float(rng.uniform(0.0, 2.5))
-        theta = _unit_phase(rng)
-        if 2.0 * (1.0 + math.cos(theta) / math.cosh(2 * r)) >= _DENOM_GUARD:
-            break
-    cut = oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
-    minus = oracle.squeezed_vacuum_vector(r, math.pi, cut, strict=True)
-    plus = oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)
-    state = oracle.superpose_two_mode(
+@_drawer_for("zhang", lambda rng: ZhangReal(_squeeze(rng), _unit_phase(rng)))
+def _zhang_state(p: ZhangReal, cap: int) -> oracle.TwoModeFockVector:
+    cut = _squeezed_cut(p.r, cap)
+    minus = oracle.squeezed_vacuum_vector(p.r, math.pi, cut, strict=True)
+    plus = oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)
+    return oracle.superpose_two_mode(
+        [(1.0, oracle.product_state(minus, minus)), (np.exp(1j * p.theta), oracle.product_state(plus, plus))]
+    )
+
+
+@_drawer_for(
+    "entangled-coherent",
+    lambda rng: EntangledCoherent(
+        float(rng.uniform(0.0, 3.0)), _unit_phase(rng), _unit_phase(rng), _unit_phase(rng)
+    ),
+)
+def _entangled_coherent_state(p: EntangledCoherent, cap: int) -> oracle.TwoModeFockVector:
+    a = p.sigma * np.exp(1j * p.delta1)
+    b = p.sigma * np.exp(1j * p.delta2)
+    cut = max(_coherent_cut(a, cap), _coherent_cut(b, cap))
+    return oracle.superpose_two_mode(
         [
-            (1.0, oracle.product_state(minus, minus)),
-            (np.exp(1j * theta), oracle.product_state(plus, plus)),
+            (1.0, oracle.product_state(oracle.coherent_vector(a, cut), oracle.coherent_vector(b, cut))),
+            (np.exp(1j * p.theta),
+             oracle.product_state(oracle.coherent_vector(-a, cut), oracle.coherent_vector(-b, cut))),
         ]
     )
-    cm = zhang_moments(ZhangReal(r=r, theta=theta))
-    dev = _two_mode_deviation(cm, oracle.two_mode_moments(state))
-    return {"r": r, "theta": theta}, float(dev), oracle.tail_mass(state)
 
-
-def _draw_entangled_coherent(rng, cap):
-    while True:
-        sigma = float(rng.uniform(0.0, 3.0))
-        theta = _unit_phase(rng)
-        d1 = _unit_phase(rng)
-        d2 = _unit_phase(rng)
-        if 2.0 * (1.0 + math.cos(theta) * math.exp(-4.0 * sigma**2)) >= _DENOM_GUARD:
-            break
-    a = sigma * np.exp(1j * d1)
-    b = sigma * np.exp(1j * d2)
-    cut = max(oracle.coherent_cutoff_for(a, _TAIL_TARGET, cap),
-              oracle.coherent_cutoff_for(b, _TAIL_TARGET, cap))
-    state = oracle.superpose_two_mode(
-        [
-            (1.0, oracle.product_state(oracle.coherent_vector(a, cut),
-                                       oracle.coherent_vector(b, cut))),
-            (np.exp(1j * theta), oracle.product_state(oracle.coherent_vector(-a, cut),
-                                                      oracle.coherent_vector(-b, cut))),
-        ]
-    )
-    cm = entangled_coherent_moments(
-        EntangledCoherent(sigma=sigma, theta=theta, delta1=d1, delta2=d2)
-    )
-    dev = _two_mode_deviation(cm, oracle.two_mode_moments(state))
-    return {"sigma": sigma, "theta": theta, "delta1": d1, "delta2": d2}, dev, oracle.tail_mass(state)
-
-
-_DRAWERS = {
-    "coherent-pair": _draw_coherent_pair,
-    "superposed-squeezed": _draw_superposed_squeezed,
-    "coherent-squeezed": _draw_coherent_squeezed,
-    "vacuum-squeezed": _draw_vacuum_squeezed,
-    "barnett-radmore": _draw_barnett_radmore,
-    "zhang": _draw_zhang,
-    "entangled-coherent": _draw_entangled_coherent,
-}
 
 FAMILIES: tuple[str, ...] = tuple(_DRAWERS)
 

@@ -181,6 +181,21 @@ class TestSweep:
         assert main(["sweep", "--family", "thermal", "--sweep", "r=0:1:4"]) == 1
         assert "usage" in quiet_stderr()
 
+    @pytest.mark.parametrize(
+        "family,sweep",
+        [("squeezed-vacuum", "r=-1:1:2"), ("entangled-coherent", "sigma=-1:0:2")],
+    )
+    def test_out_of_domain_sweep_exits_1(self, family, sweep, quiet_stderr):
+        assert main(["sweep", "--family", family, "--sweep", sweep]) == 1
+        assert "must be >= 0" in quiet_stderr()
+
+    def test_overflow_exits_3_without_inf_cells(self, capsys):
+        code = main(["sweep", "--family", "barnett-radmore", "--sweep", "r=0:400:2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "inf" not in captured.out
+        assert "numeric failure" in captured.err
+
 
 class TestSearch:
     def test_csv_is_rank_ordered_and_deterministic(self, tmp_path):
@@ -249,6 +264,10 @@ class TestSearch:
         assert main(["search", "--family", "zhang"]) == 1
         assert "invalid choice" in quiet_stderr()
 
+    def test_zero_starts_exits_1(self, quiet_stderr):
+        assert main(["search", "--family", "coherent-pair", "--starts", "0"]) == 1
+        assert "--starts" in quiet_stderr()
+
 
 class TestDensity:
     def test_vacuum_grid_is_identically_zero(self, tmp_path):
@@ -313,6 +332,10 @@ class TestDensity:
         target = -2.0 * math.sinh(1.0) * (math.cosh(1.0) - math.sinh(1.0))
         assert doc["rows"][-1]["kind"] == "min"
         assert doc["rows"][-1]["rho"] == pytest.approx(target, rel=1e-6)
+
+    def test_out_of_domain_parameter_exits_1(self, quiet_stderr):
+        assert main(["density", "--family", "squeezed-vacuum", "--set", "r=-1"]) == 1
+        assert "must be >= 0" in quiet_stderr()
 
     def test_scalar_family_has_no_density(self, quiet_stderr):
         assert main(["density", "--family", "ecs-f"]) == 1
