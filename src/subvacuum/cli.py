@@ -267,9 +267,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
-    rows: list[list[object]] = [
-        ["sample", p.x[0], p.x[1], p.x[2], p.t, rho] for p, rho in profile.samples
-    ]
+    rows: list[list[object]] = [["sample", *row] for row in profile.samples.tolist()]
     pmin, vmin = profile.min_found
     rows.append(["min", pmin.x[0], pmin.x[1], pmin.x[2], pmin.t, vmin])
 

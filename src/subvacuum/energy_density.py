@@ -12,9 +12,11 @@ Two geometries are supported.  Traveling plane waves give
                                         + R4 cos((k2+k1).x - (w2+w1)t + g4) ],
 
 while standing waves along one axis give the product-of-cosines analogue with
-a factor 2 on the cross channels.  The numeric minimizer scans the span of
-the wave vectors (the density depends on x only through the k.x phases) plus
-time, then polishes with a Nelder-Mead refinement.
+a factor 2 on the cross channels.  Each formula is written once, vectorized.
+The numeric minimizer scans the span of the wave vectors (the density depends
+on x only through the k.x phases) plus time, then polishes with a
+Nelder-Mead refinement; the point evaluators and the sample export use the
+same formulas, and the export reuses the scan grid.
 """
 
 from __future__ import annotations
@@ -87,9 +89,14 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Sampled density values plus the refined minimum over the scan window."""
+    """Sampled density values plus the refined minimum over the scan window.
 
-    samples: tuple[tuple[SpacetimePoint, float], ...]
+    ``samples`` is an (N, 5) float array with columns x1, x2, x3, t, rho, one
+    row per scan-grid point in (t, space...) lexicographic order: N is
+    grid_n**3 for skew traveling modes and grid_n**2 otherwise.
+    """
+
+    samples: np.ndarray
     min_found: tuple[SpacetimePoint, float]
 
 
@@ -130,17 +137,10 @@ def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
     return -omega * one_mode_excess(m)
 
 
-def _traveling_rho(m: TwoModeMoments, g: ModeGeometry, s1, s2, t):
-    """Vectorized traveling-wave density on the wave-vector span.
-
-    The spatial point is x = s1 khat1 + s2 khat2, so k1.x = w1 (s1 + c s2)
-    and k2.x = w2 (c s1 + s2) with c = khat1.khat2.
-    """
+def _traveling_rho(m: TwoModeMoments, g: ModeGeometry, k1x, k2x, t):
+    """Vectorized traveling-wave density from the phases k1.x and k2.x."""
     w1, w2 = g.omega1, g.omega2
-    c = g.cos_angle()
-    k1x = w1 * (s1 + c * s2)
-    k2x = w2 * (c * s1 + s2)
-    geom = math.sqrt(w1 * w2) * (1.0 + c)
+    geom = math.sqrt(w1 * w2) * (1.0 + g.cos_angle())
     return (
         m.n1 * w1
         + m.n2 * w2
@@ -165,25 +165,47 @@ def _standing_rho(m: TwoModeMoments, g: ModeGeometry, x, t):
     )
 
 
+def _span_rho(m: TwoModeMoments, g: ModeGeometry, t, s1, s2=0.0):
+    """Density at time t and span coordinates (s1, s2), vectorized.
+
+    Traveling waves are evaluated at x = s1 khat1 + s2 khat2, so
+    k1.x = w1 (s1 + c s2) and k2.x = w2 (c s1 + s2) with c = khat1.khat2;
+    standing waves at the cavity coordinate s1 (``s2`` is unused).
+    """
+    if g.kind == "standing":
+        return _standing_rho(m, g, s1, t)
+    c = g.cos_angle()
+    return _traveling_rho(m, g, g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2), t)
+
+
+def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
+    """Cartesian x of span coordinates, on a trailing axis of length 3."""
+    if g.kind == "standing":
+        s1 = np.asarray(s1, dtype=float)
+        return np.stack([s1, np.zeros_like(s1), np.zeros_like(s1)], axis=-1)
+    return np.multiply.outer(s1, g.khat1) + np.multiply.outer(s2, g.khat2)
+
+
+def _scan(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
+    """Coordinate grids (t, s1[, s2]) over [0, window] and the density on them.
+
+    Skew traveling modes (|khat1.khat2| != 1) span a plane and get two
+    spatial axes; parallel and standing modes need one.
+    """
+    axis = np.linspace(0.0, window, grid_n)
+    skew = g.kind == "traveling" and abs(abs(g.cos_angle()) - 1.0) >= 1e-12
+    coords = np.meshgrid(*[axis] * (3 if skew else 2), indexing="ij")
+    return coords, _span_rho(m, g, *coords)
+
+
 def rho_two_mode_traveling(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
     """Traveling-wave density at an explicit spacetime point."""
     if g.kind != "traveling":
         raise ValueError("geometry kind must be 'traveling'")
-    w1, w2 = g.omega1, g.omega2
     x = np.asarray(p.x, dtype=float)
-    k1 = w1 * np.asarray(g.khat1, dtype=float)
-    k2 = w2 * np.asarray(g.khat2, dtype=float)
-    k1x = float(k1 @ x)
-    k2x = float(k2 @ x)
-    geom = math.sqrt(w1 * w2) * (1.0 + g.cos_angle())
-    return float(
-        m.n1 * w1
-        + m.n2 * w2
-        + m.R1 * w1 * math.cos(2.0 * (k1x - w1 * p.t) + m.gamma1)
-        + m.R2 * w2 * math.cos(2.0 * (k2x - w2 * p.t) + m.gamma2)
-        + m.R3 * geom * math.cos((k2x - k1x) - (w2 - w1) * p.t + m.gamma3)
-        + m.R4 * geom * math.cos((k2x + k1x) - (w2 + w1) * p.t + m.gamma4)
-    )
+    k1x = float((g.omega1 * np.asarray(g.khat1, dtype=float)) @ x)
+    k2x = float((g.omega2 * np.asarray(g.khat2, dtype=float)) @ x)
+    return float(_traveling_rho(m, g, k1x, k2x, p.t))
 
 
 def rho_two_mode_standing(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
@@ -215,55 +237,20 @@ def rho_min_two_mode_numeric(
     if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
-    axis = np.linspace(0.0, window, grid_n)
-    if g.kind == "standing":
-        tt, xx = np.meshgrid(axis, axis, indexing="ij")
-        vals = _standing_rho(m, g, xx, tt)
-        it, ix = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = np.array([axis[it], axis[ix]])
-
-        def objective(q):
-            return float(_standing_rho(m, g, q[1], q[0]))
-
-    else:
-        parallel = abs(abs(g.cos_angle()) - 1.0) < 1e-12
-        if parallel:
-            tt, s1 = np.meshgrid(axis, axis, indexing="ij")
-            vals = _traveling_rho(m, g, s1, 0.0, tt)
-            it, i1 = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            best = np.array([axis[it], axis[i1]])
-
-            def objective(q):
-                return float(_traveling_rho(m, g, q[1], 0.0, q[0]))
-
-        else:
-            tt, s1, s2 = np.meshgrid(axis, axis, axis, indexing="ij")
-            vals = _traveling_rho(m, g, s1, s2, tt)
-            it, i1, i2 = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            best = np.array([axis[it], axis[i1], axis[i2]])
-
-            def objective(q):
-                return float(_traveling_rho(m, g, q[1], q[2], q[0]))
-
-    best_val = float(np.min(vals))
+    coords, vals = _scan(m, g, window, grid_n)
+    i = int(np.argmin(vals))
+    best = np.array([c.flat[i] for c in coords])
+    best_val = float(vals.flat[i])
     res = minimize(
-        objective,
+        lambda q: float(_span_rho(m, g, *q)),
         best,
         method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
     )
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
-
-    if g.kind == "standing":
-        point = SpacetimePoint(x=(float(best[1]), 0.0, 0.0), t=float(best[0]))
-    else:
-        k1 = np.asarray(g.khat1, dtype=float)
-        k2 = np.asarray(g.khat2, dtype=float)
-        s2 = float(best[2]) if best.size == 3 else 0.0
-        xvec = float(best[1]) * k1 + s2 * k2
-        point = SpacetimePoint(x=(float(xvec[0]), float(xvec[1]), float(xvec[2])), t=float(best[0]))
-    return point, best_val
+    x = _span_x(g, *best[1:])
+    return SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val
 
 
 def density_profile(
@@ -271,35 +258,14 @@ def density_profile(
 ) -> DensityProfile:
     """Grid of density samples plus the refined minimum, for data export.
 
-    Samples are emitted in (t, space...) lexicographic order on the same
-    axes the minimizer scans.
+    The samples are the minimizer's own scan, in (t, space...) lexicographic
+    order, so the minimum is <= every sample exactly.
     """
     point_min, val_min = rho_min_two_mode_numeric(m, g, window, grid_n)
-    axis = np.linspace(0.0, window, grid_n)
-    samples: list[tuple[SpacetimePoint, float]] = []
-    if g.kind == "standing":
-        for t in axis:
-            for x in axis:
-                p = SpacetimePoint(x=(float(x), 0.0, 0.0), t=float(t))
-                samples.append((p, rho_two_mode_standing(m, g, p)))
-    else:
-        k1 = np.asarray(g.khat1, dtype=float)
-        k2 = np.asarray(g.khat2, dtype=float)
-        parallel = abs(abs(g.cos_angle()) - 1.0) < 1e-12
-        for t in axis:
-            for s1 in axis:
-                if parallel:
-                    xv = s1 * k1
-                    p = SpacetimePoint(x=(float(xv[0]), float(xv[1]), float(xv[2])), t=float(t))
-                    samples.append((p, rho_two_mode_traveling(m, g, p)))
-                else:
-                    for s2 in axis:
-                        xv = s1 * k1 + s2 * k2
-                        p = SpacetimePoint(
-                            x=(float(xv[0]), float(xv[1]), float(xv[2])), t=float(t)
-                        )
-                        samples.append((p, rho_two_mode_traveling(m, g, p)))
-    return DensityProfile(samples=tuple(samples), min_found=(point_min, val_min))
+    coords, vals = _scan(m, g, window, grid_n)
+    x = _span_x(g, *coords[1:]).reshape(-1, 3)
+    samples = np.column_stack([x, coords[0].ravel(), vals.ravel()])
+    return DensityProfile(samples=samples, min_found=(point_min, val_min))
 
 
 def rho_min_br_closed(r: float, delta: float, omega1: float, omega2: float) -> float:

@@ -306,6 +306,22 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
 
 
+def _squeezed_excess(r: float, sq: complex, rest: complex, rest_n: float, norm2: float) -> float:
+    """F = R - n of a squeezed vacuum superposed with another state.
+
+    The unnormalized pair moment is sq + rest, where sq = -sinh r cosh r
+    e^{i delta} is the squeezed vacuum's own, and the unnormalized occupation
+    is sinh^2 r + rest_n.  F / norm2 = (|sq + rest| - |sq|)
+    + (sinh r cosh r - sinh^2 r) - rest_n, where the first difference is
+    evaluated as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|) and
+    the second as -expm1(-2r)/2, so neither cancels as e^{2r} grows.
+    """
+    sq, rest = complex(sq), complex(rest)  # Python scalars: cheaper per operation than numpy's
+    total = abs(sq + rest) + abs(sq)
+    gain = (2.0 * (sq.conjugate() * rest).real + abs(rest) ** 2) / total if total > 0 else 0.0
+    return float(norm2) * (gain - math.expm1(-2.0 * r) / 2.0 - float(rest_n))
+
+
 def _coherent_squeezed_norm(params: CoherentSqueezed) -> tuple[float, complex, float, float, complex]:
     """Normalization denominator of |r, delta> + eta |alpha>, the overlap
     <r, delta|alpha> and its factors gauss, root_sech, twist."""
@@ -317,7 +333,7 @@ def _coherent_squeezed_norm(params: CoherentSqueezed) -> tuple[float, complex, f
     return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
 
 
-def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
+def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> ExcessMoments:
     """Moments of N(|r, delta> + eta |alpha>).
 
     Parameters
@@ -338,25 +354,18 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
     denom, ov, gauss, root_sech, twist = _coherent_squeezed_norm(params)
     _check_denominator(denom, "coherent plus squeezed")
     norm2 = 1.0 / denom
-    n = norm2 * (
-        s * s
-        + abs(eta * alpha) ** 2
-        - 2.0 * gauss * root_sech * t * (eta * np.exp(-1j * delta) * alpha**2 * twist).real
-    )
-    pair = norm2 * (
-        -s * c * np.exp(1j * delta)
-        + abs(eta) ** 2 * alpha**2
-        + eta * alpha**2 * ov
-        + np.conj(eta)
-        * gauss
-        * root_sech
-        * (np.conj(alpha) ** 2 * np.exp(1j * delta) * t - 1.0)
-        * np.exp(1j * delta)
-        * t
-        * np.conj(twist)
-    )
+    rotor = np.exp(1j * delta)
+    occ = abs(eta * alpha) ** 2
+    occ_cross = 2.0 * gauss * root_sech * t * (eta * np.exp(-1j * delta) * alpha**2 * twist).real
+    n = norm2 * (s * s + occ - occ_cross)
+    sq = -s * c * rotor
+    coherent = abs(eta) ** 2 * alpha**2
+    cross = eta * alpha**2 * ov
+    cross_sq = np.conj(eta) * gauss * root_sech * (np.conj(alpha) ** 2 * rotor * t - 1.0) * rotor * t * np.conj(twist)
+    pair = norm2 * (sq + coherent + cross + cross_sq)
     mag, phase = _polar(pair)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
+    excess = _squeezed_excess(r, sq, coherent + cross + cross_sq, occ - occ_cross, norm2)
+    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
@@ -381,9 +390,11 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
         return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0)
     norm2 = 1.0 / denom
     n = norm2 * s * s
-    pair = -norm2 * s * c * (1.0 + np.conj(eta) * sech**2.5)
+    cross = np.conj(eta) * sech**2.5
+    pair = -norm2 * s * c * (1.0 + cross)
     mag, phase = _polar(pair)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
+    excess = _squeezed_excess(r, -s * c, -s * c * cross, 0.0, norm2)
+    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 # --------------------------------------------------------------------------

@@ -98,6 +98,22 @@ class TestSweep:
         _, rows = read_csv(out)
         assert [cells[3] for cells in rows] == ["0.499999992", "0.499999997", "0.499999999"]
 
+    @pytest.mark.parametrize(
+        "family,sets,expected",
+        [
+            # F of N(|r> - |0>) and N(|r> + |0>) at r = 10, 15, 20, rounded from
+            # 50-digit values; pair_mag - n printed ..., 0.249755859, 0 and
+            # ..., 0.250244141, 0.
+            ("vacuum-squeezed", [], ["0.247594857", "0.249804302", "0.249983948"]),
+            ("coherent-squeezed", ["--set", "alpha=0"], ["0.252359738", "0.250195392", "0.25001605"]),
+        ],
+    )
+    def test_squeezed_superposition_excess_cells_at_deep_squeeze(self, tmp_path, family, sets, expected):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", family, *sets, "--sweep", "r=10:20:2", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [cells[3] for cells in rows] == expected
+
     def test_degenerate_point_leaves_cells_empty(self, tmp_path):
         out = tmp_path / "zhang.csv"
         code = main(

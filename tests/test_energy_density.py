@@ -306,33 +306,55 @@ class TestNumericMinimizer:
         assert point.t == 0.0 and point.x == (0.0, 0.0, 0.0)
 
 
+# Standing, aligned (c = 1), perpendicular (c = 0) and skew (c = 0.3) modes.
+PROFILE_GEOMETRIES = {
+    "standing": ModeGeometry("standing", 1.0, 2.0),
+    "aligned": ModeGeometry("traveling", 1.0, 2.0),
+    "perpendicular": ModeGeometry("traveling", 1.0, 2.0, khat2=(1.0, 0.0, 0.0)),
+    "skew": ModeGeometry("traveling", 1.0, 2.0, khat2=(math.sqrt(1.0 - 0.3**2), 0.0, 0.3)),
+}
+
+
 class TestDensityProfile:
-    def test_min_not_above_any_sample(self):
+    @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
+    def test_min_not_above_any_sample(self, name):
         m = zhang_moments(ZhangReal(r=0.01, theta=0.95 * math.pi))
-        g = ModeGeometry("standing", 1.0, 2.0)
+        g = PROFILE_GEOMETRIES[name]
         prof = density_profile(m, g, 8.0, 24)
         _, val = prof.min_found
-        assert len(prof.samples) == 24 * 24
-        assert all(val <= v + 1e-15 for _, v in prof.samples)
+        assert len(prof.samples) == 24 ** (3 if name in ("perpendicular", "skew") else 2)
+        assert all(val <= rho for *_, rho in prof.samples.tolist())
 
     def test_sample_count_by_geometry(self):
         m = barnett_radmore_moments(BarnettRadmore(r=0.3, delta=0.0))
         aligned = density_profile(m, ModeGeometry("traveling", 1.0, 2.0), 4.0, 16)
-        assert len(aligned.samples) == 16 * 16
+        assert aligned.samples.shape == (16 * 16, 5)
+        # Aligned modes along z: rows run over t, then x3, on the scan axis.
+        axis = np.linspace(0.0, 4.0, 16)
+        x1, x2, x3, t, _ = aligned.samples.T
+        assert np.array_equal(t, np.repeat(axis, 16))
+        assert np.array_equal(x3, np.tile(axis, 16))
+        assert not x1.any() and not x2.any()
         skew = density_profile(
             m,
             ModeGeometry("traveling", 1.0, 2.0, khat2=(1.0, 0.0, 0.0)),
             4.0,
             16,
         )
-        assert len(skew.samples) == 16 * 16 * 16
+        assert skew.samples.shape == (16 * 16 * 16, 5)
 
-    def test_samples_reproduce_point_evaluator(self):
+    @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
+    def test_samples_reproduce_point_evaluator(self, name):
+        # Samples are the scan's values at span coordinates; the point
+        # evaluators recompute the phases from the exported Cartesian x.  For
+        # skew modes those phases round differently, within a few ulps.
         m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
-        g = ModeGeometry("standing", 1.0, 3.0)
+        g = PROFILE_GEOMETRIES[name]
+        evaluate = rho_two_mode_standing if g.kind == "standing" else rho_two_mode_traveling
         prof = density_profile(m, g, 6.0, 16)
-        for p, v in prof.samples[:40]:
-            assert v == rho_two_mode_standing(m, g, p)
+        tol = 1e-13 if name == "skew" else 0.0
+        for x1, x2, x3, t, rho in prof.samples.tolist():
+            assert abs(rho - evaluate(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))) <= tol
 
 
 class TestClosedForms:

@@ -3,7 +3,8 @@
 Each digest is the sha256 of the command's stdout.  The commands are the two
 README sweeps, one sweep per remaining family (first parameter varied, the
 rest at their defaults), a short seeded search per search family, the README
-standing-wave density case on a 16-point grid, and a two-draw verification.
+standing-wave density case and three traveling-wave density cases (3-D,
+aligned JSON, skew CSV) on 16-point grids, and a two-draw verification.
 A refactor that keeps results must keep every digest; a change that alters
 output on purpose re-records them and says why.
 """
@@ -41,6 +42,12 @@ GOLDEN = [
      "651df707d5b0cf5116d362419b63cb3dc92fc29a860462081087f11ddafb3f66"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
+    ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",
+     "e95c1683ef134610855171ca7b0237582be4f16b93c64834518235496d6259dc"),
+    ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:1 --window 8 --grid-n 16 --format json",
+     "01171a36409dc692911055004c27a05b23246c1b5b9d038b7c7e7bb05b09724a"),
+    ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
+     "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
      "5d5c80269efd019570f46d594a4ae6b12aae1d62c18acfcbdea552e613c15614"),
 ]

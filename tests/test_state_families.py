@@ -257,6 +257,72 @@ class TestVacuumPlusSqueezed:
         assert near.n == pytest.approx(2.0, abs=1e-4)
 
 
+def mp_vacuum_plus_squeezed_F(r, eta):
+    """|<a^2>| - n of N(|r> + eta |0>) at the working mpmath precision."""
+    r, eta = mpmath.mpf(r), mpmath.mpc(eta)
+    s, c = mpmath.sinh(r), mpmath.cosh(r)
+    denom = 1 + abs(eta) ** 2 + 2 * eta.real / mpmath.sqrt(c)
+    pair = -s * c * (1 + mpmath.conj(eta) * c ** mpmath.mpf(-2.5))
+    return (abs(pair) - s * s) / denom
+
+
+def mp_coherent_plus_squeezed_F(r, delta, alpha, eta):
+    """|<a^2>| - n of N(|r, delta> + eta |alpha>) at the working mpmath precision."""
+    r, delta, alpha, eta = mpmath.mpf(r), mpmath.mpf(delta), mpmath.mpc(alpha), mpmath.mpc(eta)
+    s, c, t = mpmath.sinh(r), mpmath.cosh(r), mpmath.tanh(r)
+    rotor = mpmath.expj(delta)
+    weight = mpmath.exp(-abs(alpha) ** 2 / 2) / mpmath.sqrt(c)
+    twist = mpmath.exp(-alpha**2 * t / (2 * rotor))
+    denom = 1 + abs(eta) ** 2 + 2 * (eta * weight * twist).real
+    n = s * s + abs(eta * alpha) ** 2 - 2 * weight * t * (eta * alpha**2 * twist / rotor).real
+    pair = (
+        -s * c * rotor
+        + abs(eta) ** 2 * alpha**2
+        + eta * alpha**2 * weight * twist
+        + mpmath.conj(eta) * weight * (mpmath.conj(alpha) ** 2 * rotor * t - 1) * rotor * t * mpmath.conj(twist)
+    )
+    return (abs(pair) - n) / denom
+
+
+class TestSqueezedSuperpositionExcess:
+    """Cancellation-free F of vacuum- and coherent-plus-squeezed states.
+
+    n and |<a^2>| both grow like e^{2r}/4, so pair_mag - n is off by O(1) at
+    r = 20; ``excess`` is checked against 50-digit values.  F <= 1/2 for
+    every state, so errors are counted in float64 spacings of 1/2 (one ulp at
+    the top of F's range); 1500 draws over three seeds measured at most 5
+    (vacuum) and 16 (coherent).
+    """
+
+    ULPS = 32
+
+    def test_excess_matches_mpmath_up_to_deep_squeeze(self):
+        rng = np.random.default_rng(2024)
+        unit = np.spacing(0.5)
+        with mpmath.workdps(50):
+            for _ in range(200):
+                r = float(rng.uniform(0.5, 20.0))
+                eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
+                alpha = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
+                delta = float(rng.uniform(0.0, TAU))
+                vs = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta))
+                cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
+                assert abs(vs.excess - float(mp_vacuum_plus_squeezed_F(r, eta))) <= self.ULPS * unit
+                assert abs(cs.excess - float(mp_coherent_plus_squeezed_F(r, delta, alpha, eta))) <= self.ULPS * unit
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
+    def test_excess_is_r_minus_n_where_nothing_cancels(self, r):
+        vs = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, 0.5 - 0.2j))
+        cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.7, 0.6 + 0.3j, 1.0))
+        for m in (vs, cs):
+            assert m.excess == pytest.approx(m.pair_mag - m.n, abs=1e-14)
+
+    def test_degenerate_corner_keeps_plain_moments(self):
+        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(0.0, -1.0))
+        assert not isinstance(m, sf.ExcessMoments)
+        assert sf.one_mode_excess(m) == -2.0
+
+
 # ---------------------------------------------------------------------------
 # Two-mode families
 # ---------------------------------------------------------------------------
