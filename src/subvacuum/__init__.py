@@ -42,7 +42,6 @@ from .fock_oracle import (
     coherent_vector,
     inner,
     one_mode_moments,
-    product_state,
     squeezed_cutoff_for,
     squeezed_vacuum_vector,
     superpose,
@@ -111,7 +110,6 @@ __all__ = [
     "coherent_vector",
     "squeezed_vacuum_vector",
     "two_mode_squeezed_vector",
-    "product_state",
     "superpose",
     "superpose_two_mode",
     "inner",

@@ -1,12 +1,14 @@
 """Truncated number-basis states and brute-force moment evaluation.
 
 This module is the independent cross-check for every closed-form moment in
-:mod:`subvacuum.state_families`.  States are stored as plain amplitude arrays
-in the harmonic-oscillator number basis, truncated at a finite photon number.
-Ladder-operator expectation values are evaluated by direct index summation
-over the retained amplitudes -- no operator matrices, no matrix exponentials
--- so the only approximation anywhere is the truncation itself, and that is
-measurable through :func:`tail_mass`.
+:mod:`subvacuum.state_families`.  States are stored as amplitude arrays in
+the harmonic-oscillator number basis, truncated at a finite photon number: a
+two-mode state as a product sum sum_i w_i |u_i> (x) |v_i> of single-mode
+factors, or as its Schmidt coefficients c_n on |n, n>.  Every expectation
+value comes from one primitive, the matrix elements <u_i|X|v_j> of a ladder
+operator between single-mode vectors by direct index summation -- no
+operator matrices, no matrix exponentials -- so the only approximation
+anywhere is the truncation itself, measurable through :func:`tail_mass`.
 
 Amplitudes are built by stable two-term recurrences rather than factorial
 ratios, which keeps the constructors exact well past the point where
@@ -16,7 +18,7 @@ ratios, which keeps the constructors exact well past the point where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "coherent_vector",
     "squeezed_vacuum_vector",
     "two_mode_squeezed_vector",
-    "product_state",
     "superpose",
     "superpose_two_mode",
     "inner",
@@ -48,6 +49,8 @@ COHERENT_TAIL_WARN = 1e-10
 SQUEEZED_TAIL_LIMIT = 1e-8
 #: Norm below which a superposition is considered destructively degenerate.
 DEGENERATE_NORM = 1e-14
+#: Bound on a two-mode product sum's norm^2, relative to (sum_i |w_i|)^2.
+DEGENERATE_NORM2 = 1e-12
 
 
 class TruncationError(ValueError):
@@ -93,26 +96,25 @@ class FockVector:
 
 @dataclass(frozen=True)
 class TwoModeFockVector:
-    """Normalized two-mode state: ``amps[m, n]`` multiplies ``|m, n>``."""
+    """Normalized two-mode state, stored in the form its structure allows.
+
+    A product sum sum_i weights[i] |u_i> (x) |v_i> stacks its factors in
+    ``amps`` of shape (2, k, M+1): ``amps[0, i]`` is u_i and ``amps[1, i]``
+    is v_i.  A Schmidt-diagonal state sum_n amps[n] |n, n> keeps its
+    coefficients as a 1-d ``amps`` and has ``weights`` None.
+    """
 
     amps: np.ndarray
-    truncation_flagged: bool = False
+    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amps", _readonly(self.amps))
-        if self.amps.ndim != 2 or min(self.amps.shape) < 2:
-            raise ValueError("two-mode amplitudes must be a 2-d array, >= 2 per axis")
-
-    @property
-    def cutoffs(self) -> tuple[int, int]:
-        return (self.amps.shape[0] - 1, self.amps.shape[1] - 1)
-
-    def tail_mass_per_mode(self) -> tuple[float, float]:
-        """Probability in the top decile of retained indices, per mode."""
-        p = np.abs(self.amps) ** 2
-        ka = max(1, p.shape[0] // 10)
-        kb = max(1, p.shape[1] // 10)
-        return (float(p[-ka:, :].sum()), float(p[:, -kb:].sum()))
+        if self.weights is not None:
+            object.__setattr__(self, "weights", _readonly(self.weights))
+        size = self.amps.shape[-1]
+        shape = (size,) if self.weights is None else (2, len(self.weights), size)
+        if self.amps.shape != shape or size < 2:
+            raise ValueError("two-mode amplitudes must have shape (M+1,) or (2, k, M+1), M >= 1")
 
 
 @dataclass(frozen=True)
@@ -187,20 +189,20 @@ def squeezed_vacuum_vector(
 def two_mode_squeezed_vector(
     r: float, delta: float, cutoff: int, strict: bool = False
 ) -> TwoModeFockVector:
-    """Two-mode squeezed vacuum; population sits on the diagonal ``|n, n>``.
+    """Two-mode squeezed vacuum as its Schmidt coefficients on ``|n, n>``.
 
-    Diagonal weights are c_{n,n} = (-e^{i delta} tanh r)^n / cosh r, built by
+    The coefficients are c_n = (-e^{i delta} tanh r)^n / cosh r, built by
     multiplying the ratio once per step.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    amps = np.zeros(cutoff + 1, dtype=complex)
     c = 1.0 / np.cosh(r)
     ratio = -np.exp(1j * delta) * np.tanh(r)
     for n in range(cutoff + 1):
-        amps[n, n] = c
+        amps[n] = c
         c = c * ratio
     amps /= np.linalg.norm(amps)
     vec = TwoModeFockVector(amps)
@@ -210,29 +212,7 @@ def two_mode_squeezed_vector(
             f"two-mode squeezed vacuum r={r}: tail mass {tail_mass(vec):.3e} "
             f"exceeds {SQUEEZED_TAIL_LIMIT:.0e} at cutoff {cutoff}"
         )
-    return TwoModeFockVector(amps, truncation_flagged=heavy)
-
-
-def product_state(u: FockVector, v: FockVector) -> TwoModeFockVector:
-    """Tensor product ``|u> (x) |v>`` as a two-mode amplitude grid."""
-    return TwoModeFockVector(
-        np.outer(u.amps, v.amps),
-        truncation_flagged=u.truncation_flagged or v.truncation_flagged,
-    )
-
-
-def _combine(weighted: Iterable[tuple[complex, np.ndarray]]) -> np.ndarray:
-    total = None
-    for w, a in weighted:
-        total = w * a if total is None else total + w * a
-    if total is None:
-        raise ValueError("superposition needs at least one term")
-    nrm = np.linalg.norm(total)
-    if nrm < DEGENERATE_NORM:
-        raise DegenerateSuperpositionError(
-            f"superposed amplitudes cancel: residual norm {nrm:.3e}"
-        )
-    return total / nrm
+    return vec
 
 
 def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
@@ -244,28 +224,70 @@ def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
     sizes = {v.amps.size for _, v in terms}
     if len(sizes) > 1:
         raise ValueError("superposition terms must share a cutoff")
-    flagged = any(v.truncation_flagged for _, v in terms)
-    amps = _combine((w, v.amps) for w, v in terms)
-    return FockVector(amps, truncation_flagged=flagged)
+    if not terms:
+        raise ValueError("superposition needs at least one term")
+    total = sum(w * v.amps for w, v in terms)
+    nrm = np.linalg.norm(total)
+    if nrm < DEGENERATE_NORM:
+        raise DegenerateSuperpositionError(f"superposed amplitudes cancel: residual norm {nrm:.3e}")
+    return FockVector(total / nrm, truncation_flagged=any(v.truncation_flagged for _, v in terms))
 
 
-def superpose_two_mode(
-    terms: Sequence[tuple[complex, TwoModeFockVector]]
-) -> TwoModeFockVector:
-    """Normalized linear combination of two-mode vectors (shared cutoffs)."""
-    shapes = {v.amps.shape for _, v in terms}
-    if len(shapes) > 1:
-        raise ValueError("superposition terms must share cutoffs")
-    flagged = any(v.truncation_flagged for _, v in terms)
-    amps = _combine((w, v.amps) for w, v in terms)
-    return TwoModeFockVector(amps, truncation_flagged=flagged)
+def superpose_two_mode(terms: Sequence[tuple[complex, FockVector, FockVector]]) -> TwoModeFockVector:
+    """Normalized product sum sum_i w_i |u_i> (x) |v_i> from (w_i, u_i, v_i) triples.
+
+    A single triple (1, u, v) is the product state.  All factors share a
+    cutoff.  The norm^2 is a Gram sum with rounding error ~1e-16 (sum_i |w_i|)^2,
+    so cancellation is judged on it against ``DEGENERATE_NORM2`` at that scale.
+    """
+    if not terms:
+        raise ValueError("superposition needs at least one term")
+    if len({f.amps.size for _, u, v in terms for f in (u, v)}) > 1:
+        raise ValueError("superposition factors must share a cutoff")
+    w = np.array([t[0] for t in terms], dtype=complex)
+    raw = TwoModeFockVector(np.array([[t[1].amps for t in terms], [t[2].amps for t in terms]]), w)
+    norm2 = _product_sum(raw, "1", "1").real
+    if norm2 < DEGENERATE_NORM2 * np.sum(np.abs(w)) ** 2:
+        raise DegenerateSuperpositionError(f"superposed products cancel: residual norm^2 {norm2:.3e}")
+    return TwoModeFockVector(raw.amps, w / np.sqrt(norm2))
 
 
-def inner(u: FockVector, v: FockVector) -> complex:
-    """Inner product ``<u|v>``; conjugation on the first argument."""
+#: Operators X by name as (shift s, weight w): <m|X|m + s> = w(m) is the only
+#: nonzero element of row m.  "tail" projects on the top decile of photon numbers.
+_LADDER = {
+    "1": (0, lambda m: np.ones_like(m)),
+    "n": (0, lambda m: m),
+    "a": (1, lambda m: np.sqrt(m + 1.0)),
+    "a2": (2, lambda m: np.sqrt((m + 1.0) * (m + 2.0))),
+    "tail": (0, lambda m: (m >= m.size - max(1, m.size // 10)).astype(float)),
+}
+
+
+def _ladder(bra: np.ndarray, ket: np.ndarray, op: str) -> np.ndarray:
+    """Matrix elements <bra_i|X|ket_j> by index summation over photon numbers.
+
+    ``bra`` and ``ket`` hold amplitudes along their last axis; stacked rows
+    give the matrix over (i, j), single vectors one element.  ``op`` is a key
+    of ``_LADDER`` or "adag", through <u|a^dag|v> = conj <v|a|u>.
+    """
+    if op == "adag":
+        return _ladder(ket, bra, "a").conj().T
+    shift, weight = _LADDER[op]
+    size = bra.shape[-1] - shift
+    return (np.conj(bra[..., :size]) * weight(np.arange(size, dtype=float))) @ ket[..., shift:].T
+
+
+def _product_sum(v: TwoModeFockVector, x: str, y: str) -> complex:
+    """<X (x) Y> of a product sum: sum_ij conj(w_i) w_j <u_i|X|u_j> <v_i|Y|v_j>."""
+    ua, ub = v.amps
+    return complex(np.conj(v.weights) @ (_ladder(ua, ua, x) * _ladder(ub, ub, y)) @ v.weights)
+
+
+def inner(u: FockVector, v: FockVector, op: str = "1") -> complex:
+    """Matrix element ``<u|X|v>`` (X named as in :func:`_ladder`, default the identity)."""
     if u.amps.size != v.amps.size:
         raise ValueError("inner product requires matching cutoffs")
-    return complex(np.vdot(u.amps, v.amps))
+    return complex(_ladder(u.amps, v.amps, op))
 
 
 def mean_amplitude(v: FockVector) -> complex:
@@ -274,8 +296,7 @@ def mean_amplitude(v: FockVector) -> complex:
     Together with :func:`one_mode_moments` it gives the centred moments
     n - |<a>|^2 and <a^2> - <a>^2, which a displacement leaves unchanged.
     """
-    a = v.amps
-    return complex(np.vdot(a[:-1], np.sqrt(np.arange(1.0, a.size)) * a[1:]))
+    return complex(_ladder(v.amps, v.amps, "a"))
 
 
 def one_mode_moments(v: FockVector) -> OracleMoments:
@@ -284,46 +305,32 @@ def one_mode_moments(v: FockVector) -> OracleMoments:
     The occupation is accumulated as a complex expectation value and checked
     to be real to machine precision before the real part is kept.
     """
-    a = v.amps
-    m = np.arange(a.size, dtype=float)
-    n_c = complex(np.vdot(a, m * a))
+    n_c = complex(_ladder(v.amps, v.amps, "n"))
     if abs(n_c.imag) > 1e-12:
         raise ValueError(f"occupation has imaginary residue {n_c.imag:.3e}")
-    a2 = complex(np.sum(np.conj(a[:-2]) * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0)) * a[2:]))
+    a2 = complex(_ladder(v.amps, v.amps, "a2"))
     return OracleMoments(n_a=n_c.real, n_b=0.0, a2=a2, b2=0.0, adag_b=0.0, ab=0.0)
 
 
 def two_mode_moments(v: TwoModeFockVector) -> OracleMoments:
-    """All quadratic ladder moments of a two-mode vector by index summation."""
-    A = v.amps
-    m = np.arange(A.shape[0], dtype=float)
-    n = np.arange(A.shape[1], dtype=float)
-    p = np.abs(A) ** 2
-    n_a = float(np.sum(p * m[:, None]))
-    n_b = float(np.sum(p * n[None, :]))
-    a2 = complex(
-        np.sum(np.conj(A[:-2, :]) * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))[:, None] * A[2:, :])
+    """All quadratic ladder moments of a two-mode vector by index summation.
+
+    A Schmidt-diagonal state has n_a = n_b = sum_n |c_n|^2 n, <ab> =
+    sum_n conj(c_n) (n + 1) c_{n+1}, and no channel that changes n_a - n_b.
+    """
+    if v.weights is None:
+        c = v.amps
+        n = float(_ladder(c, c, "n").real)
+        ab = complex(np.vdot(c[:-1], np.arange(1.0, c.size) * c[1:]))
+        return OracleMoments(n_a=n, n_b=n, a2=0j, b2=0j, adag_b=0j, ab=ab)
+    return OracleMoments(
+        n_a=_product_sum(v, "n", "1").real,
+        n_b=_product_sum(v, "1", "n").real,
+        a2=_product_sum(v, "a2", "1"),
+        b2=_product_sum(v, "1", "a2"),
+        adag_b=_product_sum(v, "adag", "a"),
+        ab=_product_sum(v, "a", "a"),
     )
-    b2 = complex(
-        np.sum(np.conj(A[:, :-2]) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))[None, :] * A[:, 2:])
-    )
-    adag_b = complex(
-        np.sum(
-            np.conj(A[1:, :-1])
-            * np.sqrt(m[1:])[:, None]
-            * np.sqrt(n[:-1] + 1.0)[None, :]
-            * A[:-1, 1:]
-        )
-    )
-    ab = complex(
-        np.sum(
-            np.conj(A[:-1, :-1])
-            * np.sqrt(m[:-1] + 1.0)[:, None]
-            * np.sqrt(n[:-1] + 1.0)[None, :]
-            * A[1:, 1:]
-        )
-    )
-    return OracleMoments(n_a=n_a, n_b=n_b, a2=a2, b2=b2, adag_b=adag_b, ab=ab)
 
 
 def tail_mass(v: FockVector | TwoModeFockVector) -> float:
@@ -332,12 +339,11 @@ def tail_mass(v: FockVector | TwoModeFockVector) -> float:
     For two-mode vectors the per-mode decile masses are summed, which upper
     bounds the weight living near either truncation edge.
     """
-    if isinstance(v, TwoModeFockVector):
-        ta, tb = v.tail_mass_per_mode()
-        return ta + tb
-    p = np.abs(v.amps) ** 2
-    k = max(1, p.size // 10)
-    return float(p[-k:].sum())
+    if isinstance(v, FockVector):
+        return float(_ladder(v.amps, v.amps, "tail").real)
+    if v.weights is None:
+        return 2.0 * float(_ladder(v.amps, v.amps, "tail").real)
+    return (_product_sum(v, "tail", "1") + _product_sum(v, "1", "tail")).real
 
 
 def _grown_cutoff(build, start: int, target: float, cap: int) -> int:

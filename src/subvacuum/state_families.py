@@ -285,11 +285,12 @@ def _superposed_squeezed_norm(params: SqueezedPair) -> tuple[float, float]:
     return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
 
 
-def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
+def superposed_squeezed_moments(params: SqueezedPair) -> ExcessMoments:
     """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
 
     The branch overlap is 1/sqrt(cosh 2r); cross moments pick up the factor
-    (sech 2r)^{3/2} relative to the diagonal ones.
+    (sech 2r)^{3/2} relative to the diagonal ones.  The excess is written
+    around the |r> branch's own squeezed vacuum, so it does not cancel.
     """
     r, eta = params.r, params.eta
     if r < 0:
@@ -303,7 +304,9 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     n = norm2 * (s * s * (1.0 + abs(eta) ** 2) - 2.0 * eta.real * cross_n)
     pair = norm2 * ((abs(eta) ** 2 - 1.0) * s * c + 2j * eta.imag * cross_pair)
     mag, phase = _polar(pair)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
+    rest = complex(abs(eta) ** 2 * s * c, 2.0 * eta.imag * cross_pair)
+    excess = _squeezed_excess(r, -s * c, rest, abs(eta) ** 2 * s * s - 2.0 * eta.real * cross_n, norm2)
+    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 def _squeezed_excess(r: float, sq: complex, rest: complex, rest_n: float, norm2: float) -> float:

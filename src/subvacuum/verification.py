@@ -49,11 +49,12 @@ __all__ = [
 #: forms and the oracle both lose precision as 1/denominator blows up).
 _DENOM_GUARD = 1e-6
 
-#: Auto-cutoff target for verification states.  Truncating at cutoff M with
-#: tail mass t perturbs the moments by up to ~M*t (the lost terms carry ladder
-#: weights of order M), so the target must sit well below 1e-8 / M for the
-#: max(1e-8, 10 x tail) tolerance to hold at its floor.  1e-12 keeps the
-#: worst case near 4e-9 even at the largest draw (r = 2.5, M = 4096).
+#: Auto-cutoff target for verification states, sized per mode (a two-mode
+#: tail sums both modes').  Truncating at cutoff M with tail mass t perturbs
+#: the moments by up to ~M*t (the lost terms carry ladder weights of order M),
+#: so the target must sit well below 1e-8 / M for the max(1e-8, 10 x tail)
+#: tolerance to hold at its floor.  1e-12 keeps the worst case near 4e-9 even
+#: at the largest draw (r = 2.5, M = 4096).
 _TAIL_TARGET = 1e-12
 
 
@@ -220,9 +221,7 @@ def _zhang_state(p: ZhangReal, cap: int) -> oracle.TwoModeFockVector:
     cut = _squeezed_cut(p.r, cap)
     minus = oracle.squeezed_vacuum_vector(p.r, math.pi, cut, strict=True)
     plus = oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)
-    return oracle.superpose_two_mode(
-        [(1.0, oracle.product_state(minus, minus)), (np.exp(1j * p.theta), oracle.product_state(plus, plus))]
-    )
+    return oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
 
 
 @_drawer_for(
@@ -237,9 +236,8 @@ def _entangled_coherent_state(p: EntangledCoherent, cap: int) -> oracle.TwoModeF
     cut = max(_coherent_cut(a, cap), _coherent_cut(b, cap))
     return oracle.superpose_two_mode(
         [
-            (1.0, oracle.product_state(oracle.coherent_vector(a, cut), oracle.coherent_vector(b, cut))),
-            (np.exp(1j * p.theta),
-             oracle.product_state(oracle.coherent_vector(-a, cut), oracle.coherent_vector(-b, cut))),
+            (1.0, oracle.coherent_vector(a, cut), oracle.coherent_vector(b, cut)),
+            (np.exp(1j * p.theta), oracle.coherent_vector(-a, cut), oracle.coherent_vector(-b, cut)),
         ]
     )
 
@@ -301,23 +299,6 @@ def verify_all(
 # --------------------------------------------------------------------------
 
 
-def _expect_number_between(bra: oracle.FockVector, ket: oracle.FockVector) -> complex:
-    idx = np.arange(bra.amps.size)
-    return complex(np.sum(np.conj(bra.amps) * idx * ket.amps))
-
-
-def _expect_pair_between(bra: oracle.FockVector, ket: oracle.FockVector) -> complex:
-    idx = np.arange(bra.amps.size, dtype=float)
-    w = np.sqrt((idx[:-2] + 1.0) * (idx[:-2] + 2.0))
-    return complex(np.sum(np.conj(bra.amps[:-2]) * w * ket.amps[2:]))
-
-
-def _expect_create_pair_between(bra: oracle.FockVector, ket: oracle.FockVector) -> complex:
-    idx = np.arange(bra.amps.size, dtype=float)
-    w = np.sqrt((idx[:-2] + 1.0) * (idx[:-2] + 2.0))
-    return complex(np.sum(np.conj(bra.amps[2:]) * w * ket.amps[:-2]))
-
-
 def appendix_identity_report(
     r_values: Iterable[float] = (0.5, 1.0, 2.0),
     alpha: float = 0.6,
@@ -344,10 +325,10 @@ def appendix_identity_report(
         rows.append(IdentityRow("overlap-opposite-squeezed", r, float(dev), tol, dev <= tol))
 
         closed = -sech * t * t / (1.0 + t * t) ** 1.5
-        dev = abs(_expect_number_between(bra_minus, ket) - closed)
+        dev = abs(oracle.inner(bra_minus, ket, "n") - closed)
         rows.append(IdentityRow("occupation-opposite-squeezed", r, float(dev), tol, dev <= tol))
 
-        pair = _expect_pair_between(bra_minus, ket)
+        pair = oracle.inner(bra_minus, ket, "a2")
         closed_sq = -sech * t / (1.0 + t * t) ** 1.5
         dev = abs(pair - closed_sq)
         rows.append(
@@ -374,10 +355,11 @@ def appendix_identity_report(
         rows.append(IdentityRow("overlap-squeezed-coherent", r, float(dev), tol, dev <= tol))
 
         closed_n = -g * alpha**2 * t * twist
-        dev = abs(_expect_number_between(ket, coh) - closed_n)
+        dev = abs(oracle.inner(ket, coh, "n") - closed_n)
         rows.append(IdentityRow("occupation-squeezed-coherent", r, float(dev), tol, dev <= tol))
 
         closed_cp = g * (alpha**2 * t - 1.0) * t * twist
-        dev = abs(_expect_create_pair_between(ket, coh) - closed_cp)
+        create_pair = oracle.inner(coh, ket, "a2").conjugate()  # <ket|a^dag^2|coh> = conj <coh|a^2|ket>
+        dev = abs(create_pair - closed_cp)
         rows.append(IdentityRow("create-pair-squeezed-coherent", r, float(dev), tol, dev <= tol))
     return rows

@@ -341,12 +341,7 @@ def zhang_oracle(r: float, theta: float) -> fock_oracle.TwoModeFockVector:
     cut = fock_oracle.squeezed_cutoff_for(r, ORACLE_TAIL)
     minus = fock_oracle.squeezed_vacuum_vector(r, math.pi, cut, strict=True)
     plus = fock_oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)
-    return fock_oracle.superpose_two_mode(
-        [
-            (1.0, fock_oracle.product_state(minus, minus)),
-            (cmath.exp(1j * theta), fock_oracle.product_state(plus, plus)),
-        ]
-    )
+    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (cmath.exp(1j * theta), plus, plus)])
 
 
 def test_criterion_5_zhang_peak_and_asymptotics():

@@ -106,6 +106,9 @@ class TestSweep:
             # ..., 0.250244141, 0.
             ("vacuum-squeezed", [], ["0.247594857", "0.249804302", "0.249983948"]),
             ("coherent-squeezed", ["--set", "alpha=0"], ["0.252359738", "0.250195392", "0.25001605"]),
+            # At eta = 0 the state is the squeezed vacuum, F = -expm1(-2r)/2;
+            # pair_mag - n printed 0.5, 0.5, 0.
+            ("superposed-squeezed", [], ["0.499999999", "0.5", "0.5"]),
         ],
     )
     def test_squeezed_superposition_excess_cells_at_deep_squeeze(self, tmp_path, family, sets, expected):

@@ -9,6 +9,7 @@ small safety factor.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,16 +113,50 @@ class TestSqueezedVacuumVector:
             fo.squeezed_vacuum_vector(0.5, 0.0, 1)
 
 
+def dense_grid(v: fo.TwoModeFockVector) -> np.ndarray:
+    """The (M+1)^2 amplitude grid A[m, n] of |m, n>, as a reference."""
+    if v.weights is None:
+        return np.diag(v.amps)
+    return sum(w * np.outer(u, x) for w, u, x in zip(v.weights, *v.amps))
+
+
+def dense_moments(v: fo.TwoModeFockVector) -> list[complex]:
+    """n_a, n_b, <a^2>, <b^2>, <a^dag b>, <ab> and the tail mass on the dense grid.
+
+    <X (x) Y> = sum_mn conj(A_mn) (X A Y^T)_mn with operator matrices: no
+    index shifts shared with the oracle.
+    """
+    A = dense_grid(v)
+    size = A.shape[0]
+    a, one = np.diag(np.sqrt(np.arange(1.0, size)), 1), np.eye(size)
+    top = np.diag((np.arange(size) >= size - max(1, size // 10)).astype(float))
+
+    def expect(x, y):
+        return complex(np.vdot(A, x @ A @ y.T))
+
+    return [
+        expect(a.T @ a, one),
+        expect(one, a.T @ a),
+        expect(a @ a, one),
+        expect(one, a @ a),
+        expect(a.T, a),
+        expect(a, a),
+        expect(top, one) + expect(one, top),
+    ]
+
+
 class TestTwoModeSqueezedVector:
     def test_zero_squeeze_is_vacuum(self):
         v = fo.two_mode_squeezed_vector(0.0, 0.0, 4)
-        assert v.amps[0, 0] == pytest.approx(1.0)
+        assert v.amps[0] == pytest.approx(1.0)
         assert np.abs(v.amps).sum() == pytest.approx(1.0)
 
     def test_population_is_diagonal(self):
+        # Only the Schmidt coefficients c_n of |n, n> are stored, in the
+        # ratio -e^{i delta} tanh r.
         v = fo.two_mode_squeezed_vector(0.8, 0.3, 16)
-        off = v.amps - np.diag(np.diag(v.amps))
-        assert np.all(off == 0.0)
+        assert v.weights is None and v.amps.shape == (17,)
+        assert v.amps[1:] / v.amps[:-1] == pytest.approx(np.full(16, -np.exp(0.3j) * math.tanh(0.8)), abs=1e-15)
 
     def test_occupations_and_pair_channel(self):
         # n_a = n_b = sinh^2 r and |<ab>| = sinh r cosh r; measured cutoff-32
@@ -140,7 +175,7 @@ class TestTwoModeSqueezedVector:
 class TestProductsAndSuperpositions:
     def test_product_state_factorizes(self):
         a, b = 0.9 * np.exp(0.2j), 0.4 * np.exp(-1.1j)
-        p = fo.product_state(fo.coherent_vector(a, 32), fo.coherent_vector(b, 32))
+        p = fo.superpose_two_mode([(1.0, fo.coherent_vector(a, 32), fo.coherent_vector(b, 32))])
         m = fo.two_mode_moments(p)
         assert m.n_a == pytest.approx(abs(a) ** 2, abs=1e-10)
         assert m.adag_b == pytest.approx(np.conj(a) * b, abs=1e-10)
@@ -149,7 +184,7 @@ class TestProductsAndSuperpositions:
 
     def test_squeezed_product_has_no_cross_channels(self):
         s = fo.squeezed_vacuum_vector(1.0, 0.0, 128)
-        m = fo.two_mode_moments(fo.product_state(s, s))
+        m = fo.two_mode_moments(fo.superpose_two_mode([(1.0, s, s)]))
         assert abs(m.adag_b) < 1e-12 and abs(m.ab) < 1e-12
         assert m.a2 == pytest.approx(-SC1, abs=1e-6)
         assert m.b2 == pytest.approx(-SC1, abs=1e-6)
@@ -163,12 +198,17 @@ class TestProductsAndSuperpositions:
         v = fo.squeezed_vacuum_vector(1.0, 0.0, 64)
         with pytest.raises(fo.DegenerateSuperpositionError):
             fo.superpose([(1.0, v), (-1.0, v)])
+        u = fo.coherent_vector(0.5, 64)
+        with pytest.raises(fo.DegenerateSuperpositionError):
+            fo.superpose_two_mode([(1.0, u, v), (-1.0, u, v)])
 
     def test_mismatched_cutoffs_rejected(self):
         with pytest.raises(ValueError):
             fo.superpose([(1.0, fo.coherent_vector(0.5, 16)), (1.0, fo.coherent_vector(0.5, 32))])
         with pytest.raises(ValueError):
             fo.inner(fo.coherent_vector(0.5, 16), fo.coherent_vector(0.5, 32))
+        with pytest.raises(ValueError):
+            fo.superpose_two_mode([(1.0, fo.coherent_vector(0.5, 16), fo.coherent_vector(0.5, 32))])
 
     def test_opposite_squeeze_difference_matches_closed_form(self):
         # N(|r> - |-r>) at r=1: closed forms from the two-branch overlap
@@ -193,12 +233,7 @@ class TestProductsAndSuperpositions:
         cut = fo.squeezed_cutoff_for(r, 1e-12)
         minus = fo.squeezed_vacuum_vector(r, math.pi, cut)
         plus = fo.squeezed_vacuum_vector(r, 0.0, cut)
-        st = fo.superpose_two_mode(
-            [
-                (1.0, fo.product_state(minus, minus)),
-                (np.exp(1j * theta), fo.product_state(plus, plus)),
-            ]
-        )
+        st = fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * theta), plus, plus)])
         m = fo.two_mode_moments(st)
         cm = zhang_moments(ZhangReal(r=r, theta=theta))
         assert abs(m.n_a - cm.n1) < 1e-8
@@ -210,11 +245,64 @@ class TestProductsAndSuperpositions:
         sigma = 0.7
         c = fo.coherent_vector(sigma, 32)
         cm = fo.coherent_vector(-sigma, 32)
-        st = fo.superpose_two_mode(
-            [(1.0, fo.product_state(c, c)), (1.0, fo.product_state(cm, cm))]
-        )
+        st = fo.superpose_two_mode([(1.0, c, c), (1.0, cm, cm)])
         m = fo.two_mode_moments(st)
         assert abs(m.ab - 0.49) < 1e-10
+
+
+_TWO_MODE_STATES = {
+    "product": fo.superpose_two_mode(
+        [
+            (
+                1.0,
+                fo.superpose([(1.0, fo.squeezed_vacuum_vector(0.9, 0.4, 24)), (0.6j, fo.coherent_vector(0.7, 24))]),
+                fo.coherent_vector(1.1 * np.exp(0.5j), 24),
+            )
+        ]
+    ),
+    "zhang": fo.superpose_two_mode(
+        [
+            (1.0, fo.squeezed_vacuum_vector(1.0, math.pi, 24), fo.squeezed_vacuum_vector(1.0, math.pi, 24)),
+            (np.exp(1.3j), fo.squeezed_vacuum_vector(1.0, 0.0, 24), fo.squeezed_vacuum_vector(1.0, 0.0, 24)),
+        ]
+    ),
+    "entangled-coherent": fo.superpose_two_mode(
+        [
+            (1.0, fo.coherent_vector(1.1 * np.exp(0.4j), 24), fo.coherent_vector(1.1 * np.exp(2.0j), 24)),
+            (np.exp(0.7j), fo.coherent_vector(-1.1 * np.exp(0.4j), 24), fo.coherent_vector(-1.1 * np.exp(2.0j), 24)),
+        ]
+    ),
+    "two-mode-squeezed": fo.two_mode_squeezed_vector(1.0, 0.3, 24),
+}
+
+
+@pytest.mark.parametrize("name", _TWO_MODE_STATES)
+def test_two_mode_moments_match_the_dense_grid(name):
+    # Cutoff 24 keeps tails of up to ~1e-5, so the tail masses are compared
+    # where they are not negligible.
+    v = _TWO_MODE_STATES[name]
+    m = fo.two_mode_moments(v)
+    got = [m.n_a, m.n_b, m.a2, m.b2, m.adag_b, m.ab, fo.tail_mass(v)]
+    assert np.linalg.norm(dense_grid(v)) == pytest.approx(1.0, abs=1e-12)
+    assert got == pytest.approx(dense_moments(v), abs=1e-12)
+
+
+def test_zhang_oracle_memory_at_the_verification_cutoff():
+    # At r = 2.5 the verification tail target 1e-12 needs cutoff 4096; a
+    # dense two-mode grid alone would take 16 * 4097^2 bytes = 268 MB.
+    tracemalloc.start()
+    try:
+        cut = fo.squeezed_cutoff_for(2.5, 1e-12)
+        minus = fo.squeezed_vacuum_vector(2.5, math.pi, cut, strict=True)
+        plus = fo.squeezed_vacuum_vector(2.5, 0.0, cut, strict=True)
+        st = fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1.3j), plus, plus)])
+        fo.two_mode_moments(st)
+        fo.tail_mass(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut == 4096
+    assert peak < 32 * 2**20
 
 
 class TestInnerProduct:
@@ -317,8 +405,8 @@ class TestTailAndCutoffHelpers:
 
     def test_two_mode_tail_sums_per_mode_bands(self):
         v = fo.two_mode_squeezed_vector(1.0, 0.0, 32)
-        ta, tb = v.tail_mass_per_mode()
-        assert fo.tail_mass(v) == pytest.approx(ta + tb)
+        p = np.abs(dense_grid(v)) ** 2
+        assert fo.tail_mass(v) == pytest.approx(p[-3:, :].sum() + p[:, -3:].sum())
 
     def test_measured_cutoff_table(self):
         # The doubling search lands on these cutoffs for the default 1e-9

@@ -49,7 +49,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
-     "5d5c80269efd019570f46d594a4ae6b12aae1d62c18acfcbdea552e613c15614"),
+     "330c9f99183c1a08c9b2f1193329234ed233743d87bd6629fd3f6d6c658b2823"),
 ]
 
 

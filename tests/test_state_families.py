@@ -266,6 +266,16 @@ def mp_vacuum_plus_squeezed_F(r, eta):
     return (abs(pair) - s * s) / denom
 
 
+def mp_superposed_squeezed_F(r, eta):
+    """|<a^2>| - n of N(|r> + eta |-r>) at the working mpmath precision."""
+    r, eta = mpmath.mpf(r), mpmath.mpc(eta)
+    s, c, c2 = mpmath.sinh(r), mpmath.cosh(r), mpmath.cosh(2 * r)
+    denom = 1 + abs(eta) ** 2 + 2 * eta.real / mpmath.sqrt(c2)
+    n = s * s * (1 + abs(eta) ** 2) - 2 * eta.real * s * s / c2 ** mpmath.mpf(1.5)
+    pair = (abs(eta) ** 2 - 1) * s * c + 2j * eta.imag * s * c / c2 ** mpmath.mpf(1.5)
+    return (abs(pair) - n) / denom
+
+
 def mp_coherent_plus_squeezed_F(r, delta, alpha, eta):
     """|<a^2>| - n of N(|r, delta> + eta |alpha>) at the working mpmath precision."""
     r, delta, alpha, eta = mpmath.mpf(r), mpmath.mpf(delta), mpmath.mpc(alpha), mpmath.mpc(eta)
@@ -285,13 +295,15 @@ def mp_coherent_plus_squeezed_F(r, delta, alpha, eta):
 
 
 class TestSqueezedSuperpositionExcess:
-    """Cancellation-free F of vacuum- and coherent-plus-squeezed states.
+    """Cancellation-free F of vacuum-, coherent- and squeezed-plus-squeezed states.
 
     n and |<a^2>| both grow like e^{2r}/4, so pair_mag - n is off by O(1) at
     r = 20; ``excess`` is checked against 50-digit values.  F <= 1/2 for
     every state, so errors are counted in float64 spacings of 1/2 (one ulp at
     the top of F's range); 1500 draws over three seeds measured at most 5
-    (vacuum) and 16 (coherent).
+    (vacuum) and 16 (coherent).  Two squeezed branches can make F large and
+    negative, so superposed-squeezed errors are counted in spacings of
+    max(|F|, 1/2); 1500 draws over three seeds measured at most 18.
     """
 
     ULPS = 32
@@ -310,11 +322,24 @@ class TestSqueezedSuperpositionExcess:
                 assert abs(vs.excess - float(mp_vacuum_plus_squeezed_F(r, eta))) <= self.ULPS * unit
                 assert abs(cs.excess - float(mp_coherent_plus_squeezed_F(r, delta, alpha, eta))) <= self.ULPS * unit
 
+    def test_superposed_squeezed_excess_matches_mpmath(self):
+        # |eta| is log-uniform over [1e-9, 4]: small weights leave F near the
+        # squeezed vacuum's 1/2, where pair_mag - n cancels.
+        rng = np.random.default_rng(2024)
+        with mpmath.workdps(50):
+            for _ in range(200):
+                r = float(rng.uniform(0.5, 20.0))
+                eta = complex(10.0 ** rng.uniform(-9.0, math.log10(4.0)) * np.exp(1j * rng.uniform(0.0, TAU)))
+                m = sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta))
+                ref = float(mp_superposed_squeezed_F(r, eta))
+                assert abs(m.excess - ref) <= self.ULPS * np.spacing(max(abs(ref), 0.5))
+
     @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
     def test_excess_is_r_minus_n_where_nothing_cancels(self, r):
         vs = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, 0.5 - 0.2j))
         cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.7, 0.6 + 0.3j, 1.0))
-        for m in (vs, cs):
+        ss = sf.superposed_squeezed_moments(sf.SqueezedPair(r, 0.5 - 0.2j))
+        for m in (vs, cs, ss):
             assert m.excess == pytest.approx(m.pair_mag - m.n, abs=1e-14)
 
     def test_degenerate_corner_keeps_plain_moments(self):
