@@ -29,7 +29,7 @@ import numpy as np
 from . import energy_density as ed
 from . import state_families as sf
 from . import verification
-from .optimizer import AscentFailure, SearchConfig, multi_start, search_space
+from .optimizer import AscentFailure, SearchConfig, multi_start
 
 __all__ = ["main", "parse_real", "FAMILY_NAMES", "SEARCH_FAMILY_NAMES"]
 
@@ -39,24 +39,18 @@ class UsageError(Exception):
 
 
 def parse_real(text: str) -> float:
-    """Parse a real number, allowing a trailing ``pi`` (``0.99pi``, ``-pi``)."""
-    s = text.strip()
+    """Parse a finite real number, allowing a trailing ``pi`` (``0.99pi``, ``-pi``)."""
+    s, factor = text.strip(), 1.0
     if s.lower().endswith("pi"):
-        head = s[:-2].strip()
-        if head in ("", "+"):
-            factor = 1.0
-        elif head == "-":
-            factor = -1.0
-        else:
-            try:
-                factor = float(head)
-            except ValueError:
-                raise UsageError(f"cannot parse number {text!r}") from None
-        return factor * math.pi
+        s, factor = s[:-2].strip(), math.pi
+        s = {"": "1", "+": "1", "-": "-1"}.get(s, s)
     try:
-        return float(s)
+        value = float(s) * factor
     except ValueError:
         raise UsageError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"number must be finite, got {text!r}")
+    return value
 
 
 FAMILY_NAMES: tuple[str, ...] = tuple(sf.REGISTRY)
@@ -211,12 +205,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.starts < 1:
         raise UsageError("--starts must be >= 1")
-    space = search_space(args.family)
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    _, view = sf.SEARCHES[args.family]
     cfg = SearchConfig(starts=args.starts, seed=args.seed)
-    report = multi_start(space, cfg)
+    report = multi_start(view, cfg)
 
     header = ["rank", "members", "iterations", "converged", "grad_norm", "F", "n", "R", "gamma"]
-    header += list(space.names)
+    header += list(view.names)
     rows: list[list[object]] = []
     for rank, ext in enumerate(report.extrema, start=1):
         rows.append(
@@ -236,7 +232,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     extrema = [
         {
             "rank": rank,
-            "params": dict(zip(space.names, (float(p) for p in ext.params))),
+            "params": dict(zip(view.names, (float(p) for p in ext.params))),
             "F": ext.F,
             "n": ext.n,
             "R": ext.R,
@@ -258,8 +254,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
     geometry = _parse_geometry(args.geometry)
     if args.grid_n < 16:
         raise UsageError("--grid-n must be at least 16")
-    if not args.window > 0:
-        raise UsageError("--window must be positive")
+    if not 0 < args.window < math.inf:
+        raise UsageError("--window must be positive and finite")
 
     if family.layout.lift is None:
         raise UsageError("this family has no spatial density (scalar figure-of-merit only)")
@@ -280,6 +276,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.draws < 0 or args.seed < 0:
+        raise UsageError("--draws and --seed must be >= 0")
     families = tuple(args.family) if args.family else verification.FAMILIES
     reports = verification.verify_all(families, draws=args.draws, seed=args.seed, cutoff_cap=args.cutoff)
     identities = verification.appendix_identity_report(cutoff_cap=max(args.cutoff, 8192)) if args.draws > 0 else []
@@ -408,8 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"subvacuum {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, FloatingPointError, AscentFailure) as exc:
-        # ValueError covers truncation refusals and degenerate states.
+    except (ValueError, ArithmeticError, AscentFailure) as exc:
+        # ValueError covers truncation refusals and degenerate states;
+        # ArithmeticError covers overflow, division by zero and non-finite rows.
         print(f"subvacuum {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
 

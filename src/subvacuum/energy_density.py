@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .state_families import OneModeMoments, TwoModeMoments, f_sigma, one_mode_excess
+from .state_families import OneModeMoments, TwoModeMoments, f_sigma
 
 __all__ = [
     "ModeGeometry",
@@ -130,11 +130,12 @@ def rho_one_mode(
 def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
     """Global minimum -omega (R - n); negative exactly when R > n.
 
-    R - n comes from :func:`one_mode_excess`, cancellation-free where it can be.
+    R - n is the moments' ``excess``, cancellation-free where the closed form
+    allows.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return -omega * one_mode_excess(m)
+    return -omega * m.excess
 
 
 def _traveling_rho(m: TwoModeMoments, g: ModeGeometry, k1x, k2x, t):

@@ -42,10 +42,7 @@ __all__ = [
     "squeezed_cutoff_for",
 ]
 
-#: Tail mass above which a coherent-state constructor flags its result.
-COHERENT_TAIL_WARN = 1e-10
-#: Tail mass above which a squeezed-state constructor flags (or, in strict
-#: mode, rejects) its result.
+#: Tail mass above which a strict squeezed-state constructor rejects its result.
 SQUEEZED_TAIL_LIMIT = 1e-8
 #: Norm below which a superposition is considered destructively degenerate.
 DEGENERATE_NORM = 1e-14
@@ -71,14 +68,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class FockVector:
     """Normalized single-mode state: ``amps[m]`` multiplies the m-photon ket.
 
-    ``truncation_flagged`` records that the constructor saw more weight in
-    the top decile of retained indices than its tolerance allows.  It is
-    informational only: verification bounds truncation through
-    :func:`tail_mass` and strict constructors, not through this flag.
+    Truncation is measured through :func:`tail_mass` and bounded by the
+    strict constructors.
     """
 
     amps: np.ndarray
-    truncation_flagged: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amps", _readonly(self.amps))
@@ -145,11 +139,8 @@ def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
     amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for l in range(cutoff):
         amps[l + 1] = amps[l] * alpha / np.sqrt(l + 1.0)
-    lost = 1.0 - float(np.vdot(amps, amps).real)
     amps /= np.linalg.norm(amps)
-    vec = FockVector(amps)
-    flagged = tail_mass(vec) > COHERENT_TAIL_WARN or lost > COHERENT_TAIL_WARN
-    return FockVector(amps, truncation_flagged=flagged)
+    return FockVector(amps)
 
 
 def squeezed_vacuum_vector(
@@ -162,8 +153,7 @@ def squeezed_vacuum_vector(
         c_{m+2} = c_m * (-e^{i delta} tanh r) * sqrt((m+1)/(m+2)),
 
     seeded with c_0 = sqrt(sech r).  With ``strict=True`` a tail mass above
-    ``SQUEEZED_TAIL_LIMIT`` raises :class:`TruncationError`; otherwise the
-    vector is returned with ``truncation_flagged`` set.
+    ``SQUEEZED_TAIL_LIMIT`` raises :class:`TruncationError`.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2 to hold a photon pair")
@@ -177,13 +167,12 @@ def squeezed_vacuum_vector(
     amps *= np.sqrt(1.0 / np.cosh(r))
     amps /= np.linalg.norm(amps)
     vec = FockVector(amps)
-    heavy = tail_mass(vec) > SQUEEZED_TAIL_LIMIT
-    if heavy and strict:
+    if strict and tail_mass(vec) > SQUEEZED_TAIL_LIMIT:
         raise TruncationError(
             f"squeezed vacuum r={r}: tail mass {tail_mass(vec):.3e} exceeds "
             f"{SQUEEZED_TAIL_LIMIT:.0e} at cutoff {cutoff}"
         )
-    return FockVector(amps, truncation_flagged=heavy)
+    return vec
 
 
 def two_mode_squeezed_vector(
@@ -206,8 +195,7 @@ def two_mode_squeezed_vector(
         c = c * ratio
     amps /= np.linalg.norm(amps)
     vec = TwoModeFockVector(amps)
-    heavy = tail_mass(vec) > SQUEEZED_TAIL_LIMIT
-    if heavy and strict:
+    if strict and tail_mass(vec) > SQUEEZED_TAIL_LIMIT:
         raise TruncationError(
             f"two-mode squeezed vacuum r={r}: tail mass {tail_mass(vec):.3e} "
             f"exceeds {SQUEEZED_TAIL_LIMIT:.0e} at cutoff {cutoff}"
@@ -230,7 +218,7 @@ def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
     nrm = np.linalg.norm(total)
     if nrm < DEGENERATE_NORM:
         raise DegenerateSuperpositionError(f"superposed amplitudes cancel: residual norm {nrm:.3e}")
-    return FockVector(total / nrm, truncation_flagged=any(v.truncation_flagged for _, v in terms))
+    return FockVector(total / nrm)
 
 
 def superpose_two_mode(terms: Sequence[tuple[complex, FockVector, FockVector]]) -> TwoModeFockVector:

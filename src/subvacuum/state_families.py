@@ -30,8 +30,6 @@ import numpy as np
 __all__ = [
     "DegenerateStateError",
     "OneModeMoments",
-    "ExcessMoments",
-    "one_mode_excess",
     "TwoModeMoments",
     "CoherentPair",
     "SqueezedPair",
@@ -83,33 +81,21 @@ def _polar(z: complex) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OneModeMoments:
-    """Single-mode moment triple: occupation, pair magnitude, pair phase.
+    """Single-mode moments: occupation, pair magnitude and phase, and F = R - n.
 
     ``pair_mag`` is |<a^2>| and ``pair_phase`` its argument in (-pi, pi];
-    the occupation ``n`` is <a^dag a>.  Read F = R - n through
-    :func:`one_mode_excess`.
+    the occupation ``n`` is <a^dag a>.  ``excess`` is F = R - n as the
+    closed form computes it.  Under squeezing both ``pair_mag`` and ``n``
+    grow like e^{2r}/4, so their float64 difference keeps only a few digits
+    of F at large r; every squeezed family therefore evaluates F from a
+    closed form of F itself.  The coherent pair's moments stay small over
+    its search box, and its ``excess`` is the plain difference.
     """
 
     n: float
     pair_mag: float
     pair_phase: float
-
-
-@dataclass(frozen=True)
-class ExcessMoments(OneModeMoments):
-    """One-mode moments that also carry F = R - n computed without cancellation.
-
-    Both ``pair_mag`` and ``n`` grow like e^{2r}/4 under squeezing, so their
-    float64 difference keeps only a few digits of F at large r; ``excess``
-    comes from a closed form of F itself.
-    """
-
     excess: float
-
-
-def one_mode_excess(m: OneModeMoments) -> float:
-    """F = R - n: the cancellation-free ``excess`` where the moments carry one."""
-    return m.excess if isinstance(m, ExcessMoments) else m.pair_mag - m.n
 
 
 @dataclass(frozen=True)
@@ -262,10 +248,11 @@ def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
         + np.conj(eta) * alpha**2 * np.conj(ov)
     )
     mag, phase = _polar(pair)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase)
+    n = float(n)
+    return OneModeMoments(n=n, pair_mag=mag, pair_phase=phase, excess=mag - n)
 
 
-def squeezed_vacuum_moments(r: float, delta: float) -> ExcessMoments:
+def squeezed_vacuum_moments(r: float, delta: float) -> OneModeMoments:
     """Moments of a single squeezed vacuum: n = sinh^2 r, |<a^2>| = sinh r cosh r.
 
     The excess sinh r cosh r - sinh^2 r = (1 - e^{-2r}) / 2 is evaluated as
@@ -275,7 +262,7 @@ def squeezed_vacuum_moments(r: float, delta: float) -> ExcessMoments:
         raise ValueError("squeeze magnitude must be non-negative")
     s, c = np.sinh(r), np.cosh(r)
     mag, phase = _polar(-np.exp(1j * delta) * s * c)
-    return ExcessMoments(n=float(s * s), pair_mag=mag, pair_phase=phase, excess=float(-np.expm1(-2.0 * r) / 2.0))
+    return OneModeMoments(n=float(s * s), pair_mag=mag, pair_phase=phase, excess=float(-np.expm1(-2.0 * r) / 2.0))
 
 
 def _superposed_squeezed_norm(params: SqueezedPair) -> tuple[float, float]:
@@ -285,7 +272,7 @@ def _superposed_squeezed_norm(params: SqueezedPair) -> tuple[float, float]:
     return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
 
 
-def superposed_squeezed_moments(params: SqueezedPair) -> ExcessMoments:
+def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
 
     The branch overlap is 1/sqrt(cosh 2r); cross moments pick up the factor
@@ -306,7 +293,7 @@ def superposed_squeezed_moments(params: SqueezedPair) -> ExcessMoments:
     mag, phase = _polar(pair)
     rest = complex(abs(eta) ** 2 * s * c, 2.0 * eta.imag * cross_pair)
     excess = _squeezed_excess(r, -s * c, rest, abs(eta) ** 2 * s * s - 2.0 * eta.real * cross_n, norm2)
-    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 def _squeezed_excess(r: float, sq: complex, rest: complex, rest_n: float, norm2: float) -> float:
@@ -336,7 +323,7 @@ def _coherent_squeezed_norm(params: CoherentSqueezed) -> tuple[float, complex, f
     return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
 
 
-def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> ExcessMoments:
+def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
     """Moments of N(|r, delta> + eta |alpha>).
 
     Parameters
@@ -368,7 +355,7 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> ExcessMoments:
     pair = norm2 * (sq + coherent + cross + cross_sq)
     mag, phase = _polar(pair)
     excess = _squeezed_excess(r, sq, coherent + cross + cross_sq, occ - occ_cross, norm2)
-    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
@@ -382,7 +369,7 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
 
     At the singular corner eta -> -1, r -> 0 the normalized state tends to
     the two-photon ket, so that limit (n = 2, vanishing pair moment) is
-    returned instead of an error.
+    returned instead of an error; its excess is pair_mag - n = -2.
     """
     r, eta = params.r, params.eta
     if r < 0:
@@ -390,14 +377,14 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     s, c = np.sinh(r), np.cosh(r)
     denom, sech = _vacuum_squeezed_norm(params)
     if denom < DEGENERATE_DENOMINATOR:
-        return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0)
+        return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0, excess=-2.0)
     norm2 = 1.0 / denom
     n = norm2 * s * s
     cross = np.conj(eta) * sech**2.5
     pair = -norm2 * s * c * (1.0 + cross)
     mag, phase = _polar(pair)
     excess = _squeezed_excess(r, -s * c, -s * c * cross, 0.0, norm2)
-    return ExcessMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 # --------------------------------------------------------------------------
@@ -569,7 +556,7 @@ class Layout:
 
 ONE_MODE = Layout(
     columns=("n", "R", "F"),
-    cells=lambda m: (m.n, m.pair_mag, one_mode_excess(m)),
+    cells=lambda m: (m.n, m.pair_mag, m.excess),
     # one-mode states occupy mode 1; mode 2 stays empty
     lift=lambda m: TwoModeMoments(m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0),
 )
@@ -583,19 +570,42 @@ SCALAR = Layout(columns=("f",), cells=lambda m: (float(m),), lift=None)
 
 @dataclass(frozen=True)
 class SearchView:
-    """A box over free coordinates of a family, for the multi-start search.
+    """A box over free coordinates of a one-mode family, for the multi-start search.
 
-    ``record`` maps a coordinate vector to the closed form's argument;
-    ``angular`` and ``canonical`` mean what they do on
-    :class:`subvacuum.optimizer.SearchSpace`.
+    ``moments_of`` maps a coordinate vector to the family's moments.
+    ``angular`` marks coordinates living on the circle: they are wrapped
+    modulo 2 pi rather than clipped, and differenced on the circle.
+    ``canonical`` (optional) maps a coordinate vector to a symmetry-reduced
+    representative before clustering.
     """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     angular: tuple[bool, ...]
-    record: Callable[[np.ndarray], Any]
+    moments_of: Callable[[np.ndarray], OneModeMoments]
     canonical: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        k = len(self.names)
+        if not (len(self.lower) == len(self.upper) == len(self.angular) == k and k > 0):
+            raise ValueError("names, bounds and angular flags must align and be non-empty")
+        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
+            raise ValueError("lower bounds must not exceed upper bounds")
+
+    @property
+    def dim(self) -> int:
+        return len(self.names)
+
+    def clamp(self, params: np.ndarray) -> np.ndarray:
+        """Wrap angular coordinates, clip the rest into the box."""
+        q = np.array(params, dtype=float)
+        for i in range(self.dim):
+            if self.angular[i]:
+                q[i] = np.remainder(q[i], TWO_PI)
+            else:
+                q[i] = min(max(q[i], self.lower[i]), self.upper[i])
+        return q
 
 
 @dataclass(frozen=True)
@@ -660,7 +670,9 @@ REGISTRY: dict[str, Family] = {
                 lower=(0.0, 0.0, 0.0, 0.0, 0.0),
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True),
-                record=lambda p: CoherentPair(complex(p[0]), p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4])),
+                moments_of=lambda p: coherent_superposition_moments(
+                    CoherentPair(complex(p[0]), p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4]))
+                ),
                 canonical=_canonical_pair,
             ),
             # Unpinned, so the flatness of that direction can be tested.
@@ -669,8 +681,8 @@ REGISTRY: dict[str, Family] = {
                 lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True, True),
-                record=lambda p: CoherentPair(
-                    p[0] * np.exp(1j * p[3]), p[1] * np.exp(1j * p[4]), p[2] * np.exp(1j * p[5])
+                moments_of=lambda p: coherent_superposition_moments(
+                    CoherentPair(p[0] * np.exp(1j * p[3]), p[1] * np.exp(1j * p[4]), p[2] * np.exp(1j * p[5]))
                 ),
             ),
         },
@@ -712,7 +724,8 @@ REGISTRY: dict[str, Family] = {
         searches={
             # the r axis at eta = -1
             "vacuum-squeezed": SearchView(
-                ("r",), (0.0,), (3.0,), (False,), lambda p: VacuumSqueezed(r=float(p[0]), eta=-1.0 + 0.0j)
+                ("r",), (0.0,), (3.0,), (False,),
+                lambda p: vacuum_plus_squeezed_moments(VacuumSqueezed(r=float(p[0]), eta=-1.0 + 0.0j)),
             ),
         },
         verified=True,

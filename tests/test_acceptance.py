@@ -47,6 +47,7 @@ from scipy.special import lambertw
 
 from subvacuum import fock_oracle
 from subvacuum.state_families import (
+    SEARCHES,
     BarnettRadmore,
     CoherentSqueezed,
     DegenerateStateError,
@@ -80,7 +81,7 @@ from subvacuum.energy_density import (
     rho_two_mode_traveling,
     spacetime_average,
 )
-from subvacuum.optimizer import SearchConfig, coherent_pair_space, multi_start
+from subvacuum.optimizer import SearchConfig, multi_start
 from subvacuum.verification import appendix_identity_report, verify_all
 
 TWO_PI = 2.0 * math.pi
@@ -148,7 +149,7 @@ def test_criterion_1_coherent_pair_search():
         ((0.0, 1.61, 1.0), 1.0, 0.05),
     ]
     t0 = time.monotonic()
-    result = multi_start(coherent_pair_space(), SearchConfig(starts=64, seed=42))
+    result = multi_start(SEARCHES["coherent-pair"][1], SearchConfig(starts=64, seed=42))
     elapsed = time.monotonic() - t0
 
     def centred(v):
@@ -587,10 +588,12 @@ def test_criterion_8_property_suite():
     g1 = ModeGeometry("traveling", 1.0, 1.0)
     gs = ModeGeometry("standing", 1.0, 1.0)
     for _ in range(300):
+        n, pair_mag = float(rng.uniform(0, 4)), float(rng.uniform(0, 4))
         m1 = OneModeMoments(
-            n=float(rng.uniform(0, 4)),
-            pair_mag=float(rng.uniform(0, 4)),
+            n=n,
+            pair_mag=pair_mag,
             pair_phase=float(rng.uniform(-math.pi, math.pi)),
+            excess=pair_mag - n,
         )
         m2 = TwoModeMoments(
             m1.n, 0.0, m1.pair_mag, 0.0, 0.0, 0.0, m1.pair_phase, 0.0, 0.0, 0.0

@@ -57,7 +57,7 @@ class TestParseReal:
     def test_accepts(self, text, expected):
         assert parse_real(text) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "abc", "1.2.3pi", "--"])
+    @pytest.mark.parametrize("text", ["", "abc", "1.2.3pi", "--", "inf", "-inf", "nan", "infpi", "1e308pi"])
     def test_rejects(self, text):
         with pytest.raises(UsageError):
             parse_real(text)
@@ -199,6 +199,10 @@ class TestSweep:
             ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:x"],
             ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "bogus=1"],
             ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "delta"],
+            ["sweep", "--family", "coherent-pair", "--sweep", "alpha=0:nan:2"],
+            ["search", "--family", "coherent-pair", "--starts", "1", "--seed", "-1"],
+            ["verify", "--draws", "-1"],
+            ["verify", "--seed", "-1"],
         ],
     )
     def test_usage_errors_exit_1(self, argv, quiet_stderr):
@@ -222,6 +226,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 3
         assert "inf" not in captured.out
+        assert "numeric failure" in captured.err
+
+    def test_python_overflow_exits_3(self, capsys):
+        # abs(alpha) ** 2 raises OverflowError on a Python float.
+        code = main(["sweep", "--family", "coherent-pair", "--sweep", "alpha=0:1e200:2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
         assert "numeric failure" in captured.err
 
 
@@ -378,6 +390,8 @@ class TestDensity:
             ["density", "--family", "vacuum", "--geometry", "traveling:1:1:2"],
             ["density", "--family", "vacuum", "--grid-n", "8"],
             ["density", "--family", "vacuum", "--window", "-1"],
+            ["density", "--family", "vacuum", "--window", "inf"],
+            ["density", "--family", "barnett-radmore", "--geometry", "traveling:inf:1:1"],
         ],
     )
     def test_geometry_and_grid_usage_errors(self, argv, quiet_stderr):

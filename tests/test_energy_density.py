@@ -85,7 +85,7 @@ class TestSpacetimePoint:
 
 class TestOneMode:
     def test_traveling_value_at_zero_phase(self):
-        m = OneModeMoments(n=0.5, pair_mag=0.3, pair_phase=0.0)
+        m = OneModeMoments(n=0.5, pair_mag=0.3, pair_phase=0.0, excess=-0.2)
         assert rho_one_mode(m, 2.0, "traveling", 0.0) == pytest.approx(
             2.0 * 0.8, abs=1e-15
         )
@@ -121,8 +121,8 @@ class TestOneMode:
         assert scanned == pytest.approx(floor, abs=1e-4)
 
     def test_negative_floor_iff_pairing_beats_population(self):
-        quiet = OneModeMoments(n=0.5, pair_mag=0.2, pair_phase=0.0)
-        loud = OneModeMoments(n=0.2, pair_mag=0.5, pair_phase=0.0)
+        quiet = OneModeMoments(n=0.5, pair_mag=0.2, pair_phase=0.0, excess=-0.3)
+        loud = OneModeMoments(n=0.2, pair_mag=0.5, pair_phase=0.0, excess=0.3)
         assert rho_min_one_mode(quiet, 1.0) > 0
         assert rho_min_one_mode(loud, 1.0) < 0
 
@@ -133,7 +133,7 @@ class TestOneMode:
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_rejects_nonpositive_frequency(self, omega):
-        m = OneModeMoments(0.1, 0.1, 0.0)
+        m = OneModeMoments(0.1, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             rho_one_mode(m, omega, "traveling", 0.0)
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestOneMode:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            rho_one_mode(OneModeMoments(0.1, 0.1, 0.0), 1.0, "spherical", 0.0)
+            rho_one_mode(OneModeMoments(0.1, 0.1, 0.0, 0.0), 1.0, "spherical", 0.0)
 
 
 class TestTermDeletionReduction:
@@ -154,10 +154,12 @@ class TestTermDeletionReduction:
 
     def _points(self, rng, count=200):
         for _ in range(count):
+            n, pair_mag = float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0))
             m = OneModeMoments(
-                n=float(rng.uniform(0.0, 4.0)),
-                pair_mag=float(rng.uniform(0.0, 4.0)),
+                n=n,
+                pair_mag=pair_mag,
                 pair_phase=float(rng.uniform(-math.pi, math.pi)),
+                excess=pair_mag - n,
             )
             x = tuple(float(v) for v in rng.uniform(-3.0, 3.0, 3))
             t = float(rng.uniform(-3.0, 3.0))

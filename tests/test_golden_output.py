@@ -39,7 +39,7 @@ GOLDEN = [
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
      "60d946390ca9321a3f7bbae30947b7d5e90907edc154b60d1dab83f0d18b62df"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
-     "651df707d5b0cf5116d362419b63cb3dc92fc29a860462081087f11ddafb3f66"),
+     "93c112bc91832a39a8d8184d40dd58390590263af139395b350d31e0fddb5985"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",

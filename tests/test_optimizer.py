@@ -8,17 +8,16 @@ import pytest
 from subvacuum.optimizer import (
     AscentFailure,
     SearchConfig,
-    SearchSpace,
     ascend,
-    coherent_pair_space,
     fd_gradient,
     multi_start,
     objective_F,
-    vacuum_squeezed_space,
 )
 from subvacuum.state_families import (
+    SEARCHES,
     DegenerateStateError,
     OneModeMoments,
+    SearchView,
     VacuumSqueezed,
     vacuum_plus_squeezed_moments,
 )
@@ -32,15 +31,19 @@ A_STAR = 0.7995200256282121
 F_RIDGE = 0.2784645427610738
 
 
-def quadratic_space(lower=(-10.0, -10.0), upper=(10.0, 10.0)) -> SearchSpace:
+def view(name: str) -> SearchView:
+    """The registry's search view ``name``."""
+    return SEARCHES[name][1]
+
+
+def quadratic_view(lower=(-10.0, -10.0), upper=(10.0, 10.0)) -> SearchView:
     """Synthetic concave objective F = 3 - (p0-1)^2 - 2(p1+0.5)^2."""
 
     def moments(p: np.ndarray) -> OneModeMoments:
         q = (p[0] - 1.0) ** 2 + 2.0 * (p[1] + 0.5) ** 2
-        return OneModeMoments(n=q - 3.0, pair_mag=0.0, pair_phase=0.0)
+        return OneModeMoments(n=q - 3.0, pair_mag=0.0, pair_phase=0.0, excess=3.0 - q)
 
-    return SearchSpace(
-        family="synthetic",
+    return SearchView(
         names=("p0", "p1"),
         lower=lower,
         upper=upper,
@@ -49,31 +52,29 @@ def quadratic_space(lower=(-10.0, -10.0), upper=(10.0, 10.0)) -> SearchSpace:
     )
 
 
-class TestSearchSpace:
+class TestSearchView:
     def test_rejects_misaligned_fields(self):
         with pytest.raises(ValueError, match="align"):
-            SearchSpace(
-                family="bad",
+            SearchView(
                 names=("a", "b"),
                 lower=(0.0,),
                 upper=(1.0, 1.0),
                 angular=(False, False),
-                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0),
+                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0, 0.0),
             )
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="lower"):
-            SearchSpace(
-                family="bad",
+            SearchView(
                 names=("a",),
                 lower=(2.0,),
                 upper=(1.0,),
                 angular=(False,),
-                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0),
+                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0, 0.0),
             )
 
     def test_clamp_clips_box_and_wraps_angles(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         q = space.clamp(np.array([-1.0, 5.0, 2.0, -0.1, 2.0 * PI + 0.3]))
         assert q[0] == 0.0
         assert q[1] == 3.0
@@ -106,7 +107,7 @@ class TestSearchConfig:
 
 class TestObjective:
     def test_ridge_endpoints_share_the_lambert_value(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         cat = objective_F(space, np.array([A_STAR, A_STAR, 1.0, PI, 0.0]))
         displaced = objective_F(space, np.array([0.0, 2.0 * A_STAR, 1.0, 0.0, 0.0]))
         assert cat == pytest.approx(F_RIDGE, abs=1e-12)
@@ -114,30 +115,30 @@ class TestObjective:
 
     def test_degenerate_point_maps_to_minus_infinity(self):
         # beta = alpha with eta = -1 annihilates the superposition.
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         val = objective_F(space, np.array([0.5, 0.5, 1.0, 0.0, PI]))
         assert val == -math.inf
 
     def test_quadratic_value(self):
-        space = quadratic_space()
+        space = quadratic_view()
         assert objective_F(space, np.array([1.0, -0.5])) == pytest.approx(3.0)
         assert objective_F(space, np.array([0.0, 0.0])) == pytest.approx(1.5)
 
 
 class TestGradient:
     def test_central_difference_matches_analytic_on_quadratic(self):
-        space = quadratic_space()
+        space = quadratic_view()
         g = fd_gradient(space, np.array([0.0, 0.0]), 1e-5)
         # dF/dp = (-2(p0-1), -4(p1+0.5)) = (2, -2) at the origin
         assert g == pytest.approx([2.0, -2.0], abs=1e-8)
 
     def test_one_sided_at_box_boundary(self):
-        space = quadratic_space(lower=(0.0, -10.0), upper=(10.0, 10.0))
+        space = quadratic_view(lower=(0.0, -10.0), upper=(10.0, 10.0))
         g = fd_gradient(space, np.array([0.0, 0.0]), 1e-5)
         assert g == pytest.approx([2.0, -2.0], abs=1e-3)
 
     def test_pinched_coordinate_gets_zero_gradient(self):
-        space = quadratic_space(lower=(-10.0, 1.5), upper=(10.0, 1.5))
+        space = quadratic_view(lower=(-10.0, 1.5), upper=(10.0, 1.5))
         g = fd_gradient(space, np.array([0.0, 1.5]), 1e-5)
         assert g[1] == 0.0
 
@@ -145,7 +146,7 @@ class TestGradient:
         # Unpinning the first coherent phase adds the displacement direction
         # to the box; along the ridge the objective is constant, so the full
         # 6-coordinate gradient is numerically zero everywhere on it.
-        space = coherent_pair_space(free_delta1=True)
+        space = view("coherent-pair-free")
         for c in (0.1, 0.3, 0.4):
             a1, a2 = c + A_STAR, c - A_STAR
             p = np.array(
@@ -166,10 +167,9 @@ class TestGradient:
         def moments(p: np.ndarray) -> OneModeMoments:
             if abs(p[0]) > 1e-12:
                 raise DegenerateStateError("off-center")
-            return OneModeMoments(0.0, 0.0, 0.0)
+            return OneModeMoments(0.0, 0.0, 0.0, 0.0)
 
-        space = SearchSpace(
-            family="needle",
+        space = SearchView(
             names=("p0",),
             lower=(-1.0,),
             upper=(1.0,),
@@ -182,7 +182,7 @@ class TestGradient:
 
 class TestAscend:
     def test_converges_to_interior_maximum(self):
-        space = quadratic_space()
+        space = quadratic_view()
         ext = ascend(space, [0.0, 0.0], SearchConfig(starts=1, seed=0))
         assert ext.converged
         assert ext.grad_norm <= 1e-7
@@ -191,26 +191,26 @@ class TestAscend:
         assert ext.F == pytest.approx(3.0, abs=1e-12)
 
     def test_start_at_maximum_terminates_immediately(self):
-        space = quadratic_space()
+        space = quadratic_view()
         ext = ascend(space, [1.0, -0.5], SearchConfig(starts=1, seed=0))
         assert ext.converged
         assert ext.iterations == 0
         assert ext.F == pytest.approx(3.0)
 
     def test_pins_to_boundary_when_maximum_lies_outside(self):
-        space = quadratic_space(lower=(-10.0, -10.0), upper=(0.5, 10.0))
+        space = quadratic_view(lower=(-10.0, -10.0), upper=(0.5, 10.0))
         ext = ascend(space, [-1.0, 0.0], SearchConfig(starts=1, seed=0))
         assert ext.converged
         assert ext.params[0] == pytest.approx(0.5, abs=1e-9)
         assert ext.params[1] == pytest.approx(-0.5, abs=1e-6)
 
     def test_degenerate_start_raises(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         with pytest.raises(AscentFailure, match="undefined"):
             ascend(space, [0.5, 0.5, 1.0, 0.0, PI], SearchConfig(starts=1, seed=0))
 
     def test_never_finishes_below_its_start(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         cfg = SearchConfig(starts=1, seed=0, max_iters=40)
         rng = np.random.default_rng(9)
         lo, hi = np.array(space.lower), np.array(space.upper)
@@ -225,7 +225,7 @@ class TestAscend:
 
 class TestMultiStart:
     def test_deterministic_and_fully_accounted(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         cfg = SearchConfig(starts=8, seed=42)
         report = multi_start(space, cfg)
         assert report == multi_start(space, cfg)
@@ -234,7 +234,7 @@ class TestMultiStart:
         assert sum(e.members for e in report.extrema) == 8
 
     def test_sorted_descending_and_near_ridge_top(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         report = multi_start(space, SearchConfig(starts=8, seed=42))
         values = [e.F for e in report.extrema]
         assert values == sorted(values, reverse=True)
@@ -247,25 +247,25 @@ class TestMultiStart:
         # The top cluster from this seed collects both orientations of the
         # displaced-cat endpoint, one of them amplitude-swapped; without the
         # canonical map they would count as separate extrema.
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         report = multi_start(space, SearchConfig(starts=8, seed=42))
         top = report.extrema[0]
         assert top.members >= 2
 
     def test_canonical_map_merges_swapped_representation(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         assert space.canonical is not None
         p = np.array([0.3, 1.2, 2.0, 0.5, 1.0])
         swapped = np.array([1.2, 0.3, 0.5, 2.0 * PI - 0.5, 2.0 * PI - 1.0])
         assert space.canonical(p) == pytest.approx(space.canonical(swapped), abs=1e-12)
 
     def test_canonical_map_zeroes_meaningless_phase(self):
-        space = coherent_pair_space()
+        space = view("coherent-pair")
         rep = space.canonical(np.array([0.0, 1.0, 1.0, 2.3, 0.7]))
         assert rep[3] == 0.0
 
     def test_vacuum_squeezed_slice_pins_to_upper_bound(self):
-        space = vacuum_squeezed_space()
+        space = view("vacuum-squeezed")
         report = multi_start(space, SearchConfig(starts=6, seed=3))
         assert len(report.extrema) == 1
         top = report.extrema[0]
@@ -273,4 +273,4 @@ class TestMultiStart:
         assert top.converged and top.grad_norm == 0.0
         assert top.members == 6
         m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=3.0, eta=-1.0))
-        assert top.F == m.pair_mag - m.n
+        assert top.F == m.excess

@@ -4,7 +4,6 @@ import pytest
 
 import subvacuum.verification as verification
 from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES
-from subvacuum.optimizer import search_space
 from subvacuum.state_families import REGISTRY, SEARCHES
 
 
@@ -17,7 +16,6 @@ def test_search_names_resolve_to_views_of_registry_entries():
     for name in SEARCH_FAMILY_NAMES:
         family, view = SEARCHES[name]
         assert view is REGISTRY[family].searches[name]
-        assert search_space(name).family == family
 
 
 def test_verified_entries_are_exactly_the_drawers():
