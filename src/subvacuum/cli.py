@@ -278,6 +278,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.draws < 0 or args.seed < 0:
         raise UsageError("--draws and --seed must be >= 0")
+    if args.cutoff < 1:
+        raise UsageError("--cutoff must be >= 1")
     families = tuple(args.family) if args.family else verification.FAMILIES
     reports = verification.verify_all(families, draws=args.draws, seed=args.seed, cutoff_cap=args.cutoff)
     identities = verification.appendix_identity_report(cutoff_cap=max(args.cutoff, 8192)) if args.draws > 0 else []

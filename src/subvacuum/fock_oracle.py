@@ -10,15 +10,17 @@ operator between single-mode vectors by direct index summation -- no
 operator matrices, no matrix exponentials -- so the only approximation
 anywhere is the truncation itself, measurable through :func:`tail_mass`.
 
-Amplitudes are built by stable two-term recurrences rather than factorial
-ratios, which keeps the constructors exact well past the point where
-``math.factorial`` based formulas overflow.
+Amplitudes are running products (``np.cumprod``) of their successive ratios
+rather than factorial ratios or powers, which keeps the constructors accurate
+well past the point where ``math.factorial`` based formulas overflow.  How far
+to truncate is decided once per state, by :func:`fitted`, on the tail of the
+very state that is measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,12 +40,9 @@ __all__ = [
     "one_mode_moments",
     "two_mode_moments",
     "tail_mass",
-    "coherent_cutoff_for",
-    "squeezed_cutoff_for",
+    "fitted",
 ]
 
-#: Tail mass above which a strict squeezed-state constructor rejects its result.
-SQUEEZED_TAIL_LIMIT = 1e-8
 #: Norm below which a superposition is considered destructively degenerate.
 DEGENERATE_NORM = 1e-14
 #: Bound on a two-mode product sum's norm^2, relative to (sum_i |w_i|)^2.
@@ -68,8 +67,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class FockVector:
     """Normalized single-mode state: ``amps[m]`` multiplies the m-photon ket.
 
-    Truncation is measured through :func:`tail_mass` and bounded by the
-    strict constructors.
+    Truncation is measured through :func:`tail_mass` and bounded by
+    :func:`fitted`.
     """
 
     amps: np.ndarray
@@ -129,78 +128,50 @@ class OracleMoments:
 def coherent_vector(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state of amplitude ``alpha`` truncated at ``cutoff`` photons.
 
-    Amplitudes follow the ratio recurrence c_{l+1} = c_l * alpha / sqrt(l+1)
-    seeded with the exact vacuum weight exp(-|alpha|^2 / 2); the vector is
-    renormalized afterwards so the retained piece is a unit vector.
+    Amplitudes are the running product c_l = c_0 prod_{k<=l} alpha / sqrt(k),
+    seeded with the exact vacuum weight c_0 = exp(-|alpha|^2 / 2); the vector
+    is renormalized afterwards so the retained piece is a unit vector.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for l in range(cutoff):
-        amps[l + 1] = amps[l] * alpha / np.sqrt(l + 1.0)
-    amps /= np.linalg.norm(amps)
-    return FockVector(amps)
+    steps = alpha / np.sqrt(np.arange(1.0, cutoff + 1))
+    amps = np.cumprod(np.concatenate(([np.exp(-0.5 * abs(alpha) ** 2)], steps)))
+    return FockVector(amps / np.linalg.norm(amps))
 
 
-def squeezed_vacuum_vector(
-    r: float, delta: float, cutoff: int, strict: bool = False
-) -> FockVector:
+def squeezed_vacuum_vector(r: float, delta: float, cutoff: int) -> FockVector:
     """Squeezed vacuum with squeeze magnitude ``r`` and phase ``delta``.
 
-    Only even photon numbers are populated:
+    Only even photon numbers are populated, as the running product of
 
-        c_{m+2} = c_m * (-e^{i delta} tanh r) * sqrt((m+1)/(m+2)),
+        c_{m+2} / c_m = -e^{i delta} tanh r * sqrt((m+1)/(m+2))
 
-    seeded with c_0 = sqrt(sech r).  With ``strict=True`` a tail mass above
-    ``SQUEEZED_TAIL_LIMIT`` raises :class:`TruncationError`.
+    seeded with c_0 = sqrt(sech r).
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2 to hold a photon pair")
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
+    m = np.arange(0.0, cutoff - 1, 2)
+    steps = -np.exp(1j * delta) * np.tanh(r) * np.sqrt((m + 1.0) / (m + 2.0))
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    ratio = -np.exp(1j * delta) * np.tanh(r)
-    for m in range(0, cutoff - 1, 2):
-        amps[m + 2] = amps[m] * ratio * np.sqrt((m + 1.0) / (m + 2.0))
-    amps *= np.sqrt(1.0 / np.cosh(r))
-    amps /= np.linalg.norm(amps)
-    vec = FockVector(amps)
-    if strict and tail_mass(vec) > SQUEEZED_TAIL_LIMIT:
-        raise TruncationError(
-            f"squeezed vacuum r={r}: tail mass {tail_mass(vec):.3e} exceeds "
-            f"{SQUEEZED_TAIL_LIMIT:.0e} at cutoff {cutoff}"
-        )
-    return vec
+    amps[::2] = np.cumprod(np.concatenate(([np.sqrt(1.0 / np.cosh(r))], steps)))
+    return FockVector(amps / np.linalg.norm(amps))
 
 
-def two_mode_squeezed_vector(
-    r: float, delta: float, cutoff: int, strict: bool = False
-) -> TwoModeFockVector:
+def two_mode_squeezed_vector(r: float, delta: float, cutoff: int) -> TwoModeFockVector:
     """Two-mode squeezed vacuum as its Schmidt coefficients on ``|n, n>``.
 
-    The coefficients are c_n = (-e^{i delta} tanh r)^n / cosh r, built by
-    multiplying the ratio once per step.
+    The coefficients c_n = (-e^{i delta} tanh r)^n / cosh r are the running
+    product of the ratio, which keeps the rounding of a sequential recurrence.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    c = 1.0 / np.cosh(r)
-    ratio = -np.exp(1j * delta) * np.tanh(r)
-    for n in range(cutoff + 1):
-        amps[n] = c
-        c = c * ratio
-    amps /= np.linalg.norm(amps)
-    vec = TwoModeFockVector(amps)
-    if strict and tail_mass(vec) > SQUEEZED_TAIL_LIMIT:
-        raise TruncationError(
-            f"two-mode squeezed vacuum r={r}: tail mass {tail_mass(vec):.3e} "
-            f"exceeds {SQUEEZED_TAIL_LIMIT:.0e} at cutoff {cutoff}"
-        )
-    return vec
+    steps = np.full(cutoff, -np.exp(1j * delta) * np.tanh(r))
+    amps = np.cumprod(np.concatenate(([1.0 / np.cosh(r)], steps)))
+    return TwoModeFockVector(amps / np.linalg.norm(amps))
 
 
 def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
@@ -334,26 +305,21 @@ def tail_mass(v: FockVector | TwoModeFockVector) -> float:
     return (_product_sum(v, "tail", "1") + _product_sum(v, "1", "tail")).real
 
 
-def _grown_cutoff(build, start: int, target: float, cap: int) -> int:
-    cutoff = start
-    while cutoff <= cap:
-        if tail_mass(build(cutoff)) <= target:
-            return cutoff
-        cutoff *= 2
-    raise TruncationError(
-        f"no cutoff <= {cap} reaches tail mass {target:.1e}; state spreads too far"
-    )
+_State = TypeVar("_State", FockVector, TwoModeFockVector)
 
 
-def coherent_cutoff_for(alpha: complex, target: float = 1e-9, cap: int = 4096) -> int:
-    """Smallest power-of-two-style cutoff keeping a coherent tail below ``target``."""
-    return _grown_cutoff(lambda c: coherent_vector(alpha, c), 32, target, cap)
+def fitted(build: Callable[[int], _State], target: float, cap: int) -> _State:
+    """The first state ``build(cutoff)`` whose own :func:`tail_mass` is at most ``target``.
 
-
-def squeezed_cutoff_for(r: float, target: float = 1e-9, cap: int = 4096) -> int:
-    """Smallest doubling cutoff keeping a squeezed-vacuum tail below ``target``.
-
-    Constructing a candidate vector is O(cutoff), so measuring the actual
-    tail is cheaper and more honest than an analytic estimate.
+    Cutoffs 32, 64, 128, ... are tried up to ``cap``; past it the state is
+    refused with :class:`TruncationError`.  The state returned is the one
+    measured, so truncation is judged on exactly the vector that gets
+    compared, and the trials cost at most twice the final build.
     """
-    return _grown_cutoff(lambda c: squeezed_vacuum_vector(r, 0.0, c), 64, target, cap)
+    cutoff = 32
+    while cutoff <= cap:
+        state = build(cutoff)
+        if tail_mass(state) <= target:
+            return state
+        cutoff *= 2
+    raise TruncationError(f"no cutoff <= {cap} reaches tail mass {target:.1e}; state spreads too far")

@@ -38,7 +38,6 @@ __all__ = [
     "BarnettRadmore",
     "ZhangReal",
     "EntangledCoherent",
-    "FamilyParams",
     "wrap_angle",
     "coherent_superposition_moments",
     "squeezed_vacuum_moments",
@@ -120,8 +119,8 @@ class TwoModeMoments:
 
 
 # --------------------------------------------------------------------------
-# Parameter records.  One frozen dataclass per family; together they form the
-# FamilyParams union of closed-form arguments that REGISTRY builds.
+# Parameter records.  One frozen dataclass per family: the closed-form
+# arguments that REGISTRY builds.
 # --------------------------------------------------------------------------
 
 
@@ -195,17 +194,6 @@ class EntangledCoherent:
     theta: float
     delta1: float
     delta2: float
-
-
-FamilyParams = (
-    CoherentPair
-    | SqueezedPair
-    | CoherentSqueezed
-    | VacuumSqueezed
-    | BarnettRadmore
-    | ZhangReal
-    | EntangledCoherent
-)
 
 
 def _check_denominator(d: float, context: str) -> None:
@@ -618,8 +606,7 @@ class Family:
     up by module-level name on every call so that rebinding that name reaches
     every caller.  ``norm`` is the helper the closed form takes its
     normalization denominator from (first element of its result).
-    ``searches`` names the boxes the optimizer may explore, and ``verified``
-    marks the families :mod:`subvacuum.verification` checks against the oracle.
+    ``searches`` names the boxes the optimizer may explore.
     """
 
     defaults: Mapping[str, float]
@@ -629,7 +616,6 @@ class Family:
     domain: Mapping[str, float] = field(default_factory=dict)
     norm: Callable[[Any], tuple] | None = None
     searches: Mapping[str, SearchView] = field(default_factory=dict)
-    verified: bool = False
 
     def denominator(self, record: Any) -> float:
         """Normalization denominator of a superposition family's record."""
@@ -686,7 +672,6 @@ REGISTRY: dict[str, Family] = {
                 ),
             ),
         },
-        verified=True,
     ),
     "squeezed-vacuum": Family(
         defaults={"r": 1.0, "delta": 0.0},
@@ -701,7 +686,6 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: superposed_squeezed_moments(params),
         domain={"r": 0.0},
         norm=_superposed_squeezed_norm,
-        verified=True,
     ),
     "coherent-squeezed": Family(
         defaults={"r": 1.0, "delta": 0.0, "alpha": 0.6, "alpha_phase": 0.0, "eta": 1.0, "eta_phase": 0.0},
@@ -712,7 +696,6 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: coherent_plus_squeezed_moments(params),
         domain={"r": 0.0},
         norm=_coherent_squeezed_norm,
-        verified=True,
     ),
     "vacuum-squeezed": Family(
         defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
@@ -728,7 +711,6 @@ REGISTRY: dict[str, Family] = {
                 lambda p: vacuum_plus_squeezed_moments(VacuumSqueezed(r=float(p[0]), eta=-1.0 + 0.0j)),
             ),
         },
-        verified=True,
     ),
     "barnett-radmore": Family(
         defaults={"r": 1.0, "delta": 0.0},
@@ -736,7 +718,6 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: BarnettRadmore(**p),
         moments=lambda params: barnett_radmore_moments(params),
         domain={"r": 0.0},
-        verified=True,
     ),
     "zhang": Family(
         defaults={"r": 0.007, "theta": 0.99 * math.pi},
@@ -745,7 +726,6 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: zhang_moments(params),
         domain={"r": 0.0},
         norm=_zhang_norm,
-        verified=True,
     ),
     "entangled-coherent": Family(
         defaults={"sigma": 0.7, "theta": 0.0, "delta1": 0.0, "delta2": 0.0},
@@ -754,7 +734,6 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: entangled_coherent_moments(params),
         domain={"sigma": 0.0},
         norm=_entangled_coherent_norm,
-        verified=True,
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
     "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),

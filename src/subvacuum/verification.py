@@ -3,8 +3,9 @@
 For each state family we draw parameters from a seeded stream inside
 oracle-safe bounds (squeeze magnitudes <= 2.5, coherent amplitudes <= 3,
 superposition weights <= 4 in magnitude), build the state in the truncated
-number basis with an auto-sized cutoff, and demand that every closed-form
-moment agree with the brute-force value to max(1e-8, 10 x tail mass).
+number basis at the first doubling cutoff where that state's own tail mass
+is at most 1e-12, and demand that every closed-form moment agree with the
+brute-force value to max(1e-8, 10 x tail mass).
 
 A second report checks the hyperbolic matrix-element identities used inside
 the closed forms (squeezed-squeezed and squeezed-coherent overlaps and ladder
@@ -49,8 +50,8 @@ __all__ = [
 #: forms and the oracle both lose precision as 1/denominator blows up).
 _DENOM_GUARD = 1e-6
 
-#: Auto-cutoff target for verification states, sized per mode (a two-mode
-#: tail sums both modes').  Truncating at cutoff M with tail mass t perturbs
+#: Tail mass that each compared state must meet on its own (a two-mode tail
+#: sums both modes').  Truncating at cutoff M with tail mass t perturbs
 #: the moments by up to ~M*t (the lost terms carry ladder weights of order M),
 #: so the target must sit well below 1e-8 / M for the max(1e-8, 10 x tail)
 #: tolerance to hold at its floor.  1e-12 keeps the worst case near 4e-9 even
@@ -132,11 +133,13 @@ _DRAWERS = {}
 
 
 def _drawer_for(family: str, draw):
-    """Register the decorated oracle-state builder ``build(params, cap)`` for ``family``.
+    """Register the decorated oracle-state builder ``build(params, cutoff)`` for ``family``.
 
     ``draw(rng)`` returns the family's parameter record inside the oracle-safe
     bounds; it is redrawn while the registry's normalization denominator is
-    below ``_DENOM_GUARD``.  Single-mode states compare as mode 1 of a pair.
+    below ``_DENOM_GUARD``.  The state compared is the first one whose own
+    tail mass meets ``_TAIL_TARGET`` (:func:`fock_oracle.fitted`).
+    Single-mode states compare as mode 1 of a pair.
     """
     closed = REGISTRY[family]
 
@@ -145,7 +148,7 @@ def _drawer_for(family: str, draw):
             params = draw(rng)
             while closed.norm is not None and closed.denominator(params) < _DENOM_GUARD:
                 params = draw(rng)
-            state = build(params, cap)
+            state = oracle.fitted(lambda cutoff: build(params, cutoff), _TAIL_TARGET, cap)
             two_mode = isinstance(state, oracle.TwoModeFockVector)
             om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
             dev = _deviation(closed.layout.lift(closed.moments(params)), om)
@@ -157,31 +160,21 @@ def _drawer_for(family: str, draw):
     return register
 
 
-def _coherent_cut(z: complex, cap: int) -> int:
-    return oracle.coherent_cutoff_for(z, _TAIL_TARGET, cap)
-
-
-def _squeezed_cut(r: float, cap: int) -> int:
-    return oracle.squeezed_cutoff_for(r, _TAIL_TARGET, cap)
-
-
 @_drawer_for(
     "coherent-pair", lambda rng: CoherentPair(_amplitude(rng, 3.0), _amplitude(rng, 3.0), _amplitude(rng, 4.0))
 )
-def _coherent_pair_state(p: CoherentPair, cap: int) -> oracle.FockVector:
-    cut = max(_coherent_cut(p.alpha, cap), _coherent_cut(p.beta, cap))
+def _coherent_pair_state(p: CoherentPair, cut: int) -> oracle.FockVector:
     return oracle.superpose(
         [(1.0, oracle.coherent_vector(p.alpha, cut)), (complex(p.eta), oracle.coherent_vector(p.beta, cut))]
     )
 
 
 @_drawer_for("superposed-squeezed", lambda rng: SqueezedPair(_squeeze(rng), _amplitude(rng, 4.0)))
-def _superposed_squeezed_state(p: SqueezedPair, cap: int) -> oracle.FockVector:
-    cut = _squeezed_cut(p.r, cap)
+def _superposed_squeezed_state(p: SqueezedPair, cut: int) -> oracle.FockVector:
     return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)),
-            (complex(p.eta), oracle.squeezed_vacuum_vector(p.r, math.pi, cut, strict=True)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut)),
+            (complex(p.eta), oracle.squeezed_vacuum_vector(p.r, math.pi, cut)),
         ]
     )
 
@@ -190,37 +183,34 @@ def _superposed_squeezed_state(p: SqueezedPair, cap: int) -> oracle.FockVector:
     "coherent-squeezed",
     lambda rng: CoherentSqueezed(_squeeze(rng), _unit_phase(rng), _amplitude(rng, 3.0), _amplitude(rng, 4.0)),
 )
-def _coherent_squeezed_state(p: CoherentSqueezed, cap: int) -> oracle.FockVector:
-    cut = max(_squeezed_cut(p.r, cap), _coherent_cut(p.alpha, cap))
+def _coherent_squeezed_state(p: CoherentSqueezed, cut: int) -> oracle.FockVector:
     return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(p.r, p.delta, cut, strict=True)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, p.delta, cut)),
             (complex(p.eta), oracle.coherent_vector(p.alpha, cut)),
         ]
     )
 
 
 @_drawer_for("vacuum-squeezed", lambda rng: VacuumSqueezed(_squeeze(rng), _amplitude(rng, 4.0)))
-def _vacuum_squeezed_state(p: VacuumSqueezed, cap: int) -> oracle.FockVector:
-    cut = _squeezed_cut(p.r, cap)
+def _vacuum_squeezed_state(p: VacuumSqueezed, cut: int) -> oracle.FockVector:
     return oracle.superpose(
         [
-            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)),
+            (1.0, oracle.squeezed_vacuum_vector(p.r, 0.0, cut)),
             (complex(p.eta), oracle.coherent_vector(0.0, cut)),
         ]
     )
 
 
 @_drawer_for("barnett-radmore", lambda rng: BarnettRadmore(_squeeze(rng), _unit_phase(rng)))
-def _barnett_radmore_state(p: BarnettRadmore, cap: int) -> oracle.TwoModeFockVector:
-    return oracle.two_mode_squeezed_vector(p.r, p.delta, _squeezed_cut(p.r, cap), strict=True)
+def _barnett_radmore_state(p: BarnettRadmore, cut: int) -> oracle.TwoModeFockVector:
+    return oracle.two_mode_squeezed_vector(p.r, p.delta, cut)
 
 
 @_drawer_for("zhang", lambda rng: ZhangReal(_squeeze(rng), _unit_phase(rng)))
-def _zhang_state(p: ZhangReal, cap: int) -> oracle.TwoModeFockVector:
-    cut = _squeezed_cut(p.r, cap)
-    minus = oracle.squeezed_vacuum_vector(p.r, math.pi, cut, strict=True)
-    plus = oracle.squeezed_vacuum_vector(p.r, 0.0, cut, strict=True)
+def _zhang_state(p: ZhangReal, cut: int) -> oracle.TwoModeFockVector:
+    minus = oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
+    plus = oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
     return oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
 
 
@@ -230,10 +220,9 @@ def _zhang_state(p: ZhangReal, cap: int) -> oracle.TwoModeFockVector:
         float(rng.uniform(0.0, 3.0)), _unit_phase(rng), _unit_phase(rng), _unit_phase(rng)
     ),
 )
-def _entangled_coherent_state(p: EntangledCoherent, cap: int) -> oracle.TwoModeFockVector:
+def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> oracle.TwoModeFockVector:
     a = p.sigma * np.exp(1j * p.delta1)
     b = p.sigma * np.exp(1j * p.delta2)
-    cut = max(_coherent_cut(a, cap), _coherent_cut(b, cap))
     return oracle.superpose_two_mode(
         [
             (1.0, oracle.coherent_vector(a, cut), oracle.coherent_vector(b, cut)),
@@ -314,11 +303,17 @@ def appendix_identity_report(
     rows: list[IdentityRow] = []
     tol = 1e-10
     for r in r_values:
-        cut = oracle.squeezed_cutoff_for(r, 1e-12, cutoff_cap)
-        cut = max(cut, oracle.coherent_cutoff_for(alpha, 1e-12, cutoff_cap))
-        ket = oracle.squeezed_vacuum_vector(r, 0.0, cut)
-        bra_minus = oracle.squeezed_vacuum_vector(r, math.pi, cut)
-        coh = oracle.coherent_vector(alpha, cut)
+        # One cutoff for all three vectors: the first at which the product
+        # |r> (x) |alpha>, whose tail sums both factors' tails, meets 1e-12.
+        both = oracle.fitted(
+            lambda c: oracle.superpose_two_mode(
+                [(1.0, oracle.squeezed_vacuum_vector(r, 0.0, c), oracle.coherent_vector(alpha, c))]
+            ),
+            _TAIL_TARGET,
+            cutoff_cap,
+        )
+        ket, coh = (oracle.FockVector(factor[0]) for factor in both.amps)
+        bra_minus = oracle.squeezed_vacuum_vector(r, math.pi, ket.cutoff)
         t, sech = math.tanh(r), 1.0 / math.cosh(r)
 
         dev = abs(oracle.inner(bra_minus, ket) - math.sqrt(1.0 / math.cosh(2 * r)))

@@ -86,8 +86,10 @@ from subvacuum.verification import appendix_identity_report, verify_all
 
 TWO_PI = 2.0 * math.pi
 
-#: Oracle cutoffs are sized to this tail mass, as in verification.
+#: Each oracle state is truncated at the first doubling cutoff <= ORACLE_CAP
+#: whose own tail mass meets ORACLE_TAIL, as in verification.
 ORACLE_TAIL = 1e-12
+ORACLE_CAP = 4096
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -97,20 +99,23 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 
 def coherent_pair_oracle(alpha: complex, beta: complex, eta: complex) -> fock_oracle.FockVector:
     """N(|alpha> + eta |beta>) in the number basis."""
-    cut = max(fock_oracle.coherent_cutoff_for(z, ORACLE_TAIL) for z in (alpha, beta))
-    return fock_oracle.superpose(
-        [(1.0, fock_oracle.coherent_vector(alpha, cut)), (eta, fock_oracle.coherent_vector(beta, cut))]
+    return fock_oracle.fitted(
+        lambda cut: fock_oracle.superpose(
+            [(1.0, fock_oracle.coherent_vector(alpha, cut)), (eta, fock_oracle.coherent_vector(beta, cut))]
+        ),
+        ORACLE_TAIL,
+        ORACLE_CAP,
     )
 
 
 def vacuum_plus_squeezed_oracle(r: float, eta: complex) -> fock_oracle.FockVector:
     """N(|r> + eta |0>) in the number basis (squeeze phase 0)."""
-    cut = fock_oracle.squeezed_cutoff_for(r, ORACLE_TAIL)
-    return fock_oracle.superpose(
-        [
-            (1.0, fock_oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)),
-            (eta, fock_oracle.coherent_vector(0.0, cut)),
-        ]
+    return fock_oracle.fitted(
+        lambda cut: fock_oracle.superpose(
+            [(1.0, fock_oracle.squeezed_vacuum_vector(r, 0.0, cut)), (eta, fock_oracle.coherent_vector(0.0, cut))]
+        ),
+        ORACLE_TAIL,
+        ORACLE_CAP,
     )
 
 
@@ -339,10 +344,13 @@ def test_criterion_4_coherent_plus_squeezed_curves():
 
 def zhang_oracle(r: float, theta: float) -> fock_oracle.TwoModeFockVector:
     """Phase superposition of doubly-squeezed vacua in the number basis."""
-    cut = fock_oracle.squeezed_cutoff_for(r, ORACLE_TAIL)
-    minus = fock_oracle.squeezed_vacuum_vector(r, math.pi, cut, strict=True)
-    plus = fock_oracle.squeezed_vacuum_vector(r, 0.0, cut, strict=True)
-    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (cmath.exp(1j * theta), plus, plus)])
+
+    def build(cut: int) -> fock_oracle.TwoModeFockVector:
+        minus = fock_oracle.squeezed_vacuum_vector(r, math.pi, cut)
+        plus = fock_oracle.squeezed_vacuum_vector(r, 0.0, cut)
+        return fock_oracle.superpose_two_mode([(1.0, minus, minus), (cmath.exp(1j * theta), plus, plus)])
+
+    return fock_oracle.fitted(build, ORACLE_TAIL, ORACLE_CAP)
 
 
 def test_criterion_5_zhang_peak_and_asymptotics():

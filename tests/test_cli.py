@@ -203,6 +203,8 @@ class TestSweep:
             ["search", "--family", "coherent-pair", "--starts", "1", "--seed", "-1"],
             ["verify", "--draws", "-1"],
             ["verify", "--seed", "-1"],
+            ["verify", "--cutoff", "0"],
+            ["verify", "--cutoff", "-1"],
         ],
     )
     def test_usage_errors_exit_1(self, argv, quiet_stderr):

@@ -11,6 +11,7 @@ small safety factor.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -93,13 +94,19 @@ class TestSqueezedVacuumVector:
 
     def test_heavy_tail_flag_and_strict_rejection(self):
         # At r=1 the top-decile mass of a 64-cutoff vector sits just above
-        # the 1e-8 verification limit (measured: 1.01e-8).
+        # 1e-8 (measured: 1.01e-8), so a 1e-8 target is refused under a cap
+        # of 64 and met at the next doubling.
         v = fo.squeezed_vacuum_vector(1.0, 0.0, 64)
         assert 1e-8 < fo.tail_mass(v) < 1e-7
+
+        def build(cutoff):
+            return fo.squeezed_vacuum_vector(1.0, 0.0, cutoff)
+
         with pytest.raises(fo.TruncationError):
-            fo.squeezed_vacuum_vector(1.0, 0.0, 64, strict=True)
-        relaxed = fo.squeezed_vacuum_vector(1.0, 0.0, 128, strict=True)
-        assert fo.tail_mass(relaxed) <= fo.SQUEEZED_TAIL_LIMIT
+            fo.fitted(build, 1e-8, 64)
+        relaxed = fo.fitted(build, 1e-8, 128)
+        assert relaxed.cutoff == 128
+        assert fo.tail_mass(relaxed) <= 1e-8
 
     def test_negative_squeeze_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +115,13 @@ class TestSqueezedVacuumVector:
     def test_cutoff_must_hold_a_pair(self):
         with pytest.raises(ValueError):
             fo.squeezed_vacuum_vector(0.5, 0.0, 1)
+
+
+def zhang_state(r: float, theta: float, cutoff: int) -> fo.TwoModeFockVector:
+    """|-r, -r> + e^{i theta} |r, r>, the phase superposition of doubly-squeezed vacua."""
+    minus = fo.squeezed_vacuum_vector(r, math.pi, cutoff)
+    plus = fo.squeezed_vacuum_vector(r, 0.0, cutoff)
+    return fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * theta), plus, plus)])
 
 
 def dense_grid(v: fo.TwoModeFockVector) -> np.ndarray:
@@ -227,10 +241,7 @@ class TestProductsAndSuperpositions:
         from subvacuum.state_families import ZhangReal, zhang_moments
 
         r, theta = 0.5, math.pi / 2
-        cut = fo.squeezed_cutoff_for(r, 1e-12)
-        minus = fo.squeezed_vacuum_vector(r, math.pi, cut)
-        plus = fo.squeezed_vacuum_vector(r, 0.0, cut)
-        st = fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * theta), plus, plus)])
+        st = fo.fitted(lambda cut: zhang_state(r, theta, cut), 1e-12, 4096)
         m = fo.two_mode_moments(st)
         cm = zhang_moments(ZhangReal(r=r, theta=theta))
         assert abs(m.n_a - cm.n1) < 1e-8
@@ -289,16 +300,12 @@ def test_zhang_oracle_memory_at_the_verification_cutoff():
     # dense two-mode grid alone would take 16 * 4097^2 bytes = 268 MB.
     tracemalloc.start()
     try:
-        cut = fo.squeezed_cutoff_for(2.5, 1e-12)
-        minus = fo.squeezed_vacuum_vector(2.5, math.pi, cut, strict=True)
-        plus = fo.squeezed_vacuum_vector(2.5, 0.0, cut, strict=True)
-        st = fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1.3j), plus, plus)])
+        st = fo.fitted(lambda cut: zhang_state(2.5, 1.3, cut), 1e-12, 4096)
         fo.two_mode_moments(st)
-        fo.tail_mass(st)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cut == 4096
+    assert st.amps.shape == (2, 2, 4097)
     assert peak < 32 * 2**20
 
 
@@ -309,7 +316,7 @@ class TestInnerProduct:
 
     def test_opposite_squeeze_overlap(self):
         # <-xi|xi> = sqrt(sech 2r); at r=1 this is 0.51556011...
-        cut = fo.squeezed_cutoff_for(1.0, 1e-12)
+        cut = fo.fitted(lambda c: fo.squeezed_vacuum_vector(1.0, 0.0, c), 1e-12, 4096).cutoff
         ip = fo.inner(
             fo.squeezed_vacuum_vector(1.0, math.pi, cut),
             fo.squeezed_vacuum_vector(1.0, 0.0, cut),
@@ -321,8 +328,8 @@ class TestInnerProduct:
         # <xi|alpha> at delta=0: exp(-alpha^2/2) sqrt(sech r)
         #                        * exp(-alpha^2 tanh r / 2).
         r, alpha = 0.8, 0.6
-        cut = fo.squeezed_cutoff_for(r, 1e-12)
-        ip = fo.inner(fo.squeezed_vacuum_vector(r, 0.0, cut), fo.coherent_vector(alpha, cut))
+        ket = fo.fitted(lambda c: fo.squeezed_vacuum_vector(r, 0.0, c), 1e-12, 4096)
+        ip = fo.inner(ket, fo.coherent_vector(alpha, ket.cutoff))
         closed = (
             math.exp(-(alpha**2) / 2.0)
             * math.sqrt(1.0 / math.cosh(r))
@@ -396,6 +403,52 @@ def test_binomial_series_resummation(r):
     assert series == pytest.approx(-2.0 / (1.0 + x * x) ** 1.5, abs=1e-10)
 
 
+def mp_squeezed_amps(r, delta, cutoff):
+    """sqrt(sech r) (-e^{i delta} tanh r)^k sqrt((2k)!) / (2^k k!) on |2k>."""
+    r = mpmath.mpf(r)
+    ratio = -mpmath.expj(delta) * mpmath.tanh(r)
+    amps = [mpmath.mpc(0)] * (cutoff + 1)
+    for k in range(cutoff // 2 + 1):
+        amps[2 * k] = ratio**k * mpmath.sqrt(mpmath.factorial(2 * k)) / (2**k * mpmath.factorial(k))
+    return [a / mpmath.sqrt(mpmath.cosh(r)) for a in amps]
+
+
+def mp_two_mode_squeezed_amps(r, delta, cutoff):
+    """(-e^{i delta} tanh r)^n / cosh r on |n, n>."""
+    r = mpmath.mpf(r)
+    return [(-mpmath.expj(delta) * mpmath.tanh(r)) ** n / mpmath.cosh(r) for n in range(cutoff + 1)]
+
+
+def mp_coherent_amps(alpha, cutoff):
+    """e^{-|alpha|^2/2} alpha^l / sqrt(l!) on |l>."""
+    alpha = mpmath.mpc(alpha)
+    return [mpmath.exp(-abs(alpha) ** 2 / 2) * alpha**l / mpmath.sqrt(mpmath.factorial(l)) for l in range(cutoff + 1)]
+
+
+@pytest.mark.parametrize(
+    "build,reference",
+    [
+        (lambda: fo.squeezed_vacuum_vector(2.5, 0.7, 4096), lambda: mp_squeezed_amps(2.5, 0.7, 4096)),
+        (lambda: fo.two_mode_squeezed_vector(2.5, 0.7, 4096), lambda: mp_two_mode_squeezed_amps(2.5, 0.7, 4096)),
+        (lambda: fo.coherent_vector(2 + 1j, 128), lambda: mp_coherent_amps(2 + 1j, 128)),
+    ],
+    ids=["squeezed-vacuum", "two-mode-squeezed", "coherent"],
+)
+def test_amplitudes_match_40_digit_reference(build, reference):
+    # The builders renormalize the retained piece, so the reference is
+    # renormalized over the same photon numbers.  Measured worst errors:
+    # 4.4e-16 absolute and 2.5e-13 relative (two-mode squeezed, r = 2.5).
+    got = build().amps
+    with mpmath.workdps(40):
+        ref = reference()
+        norm = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in ref))
+        err = [abs(mpmath.mpc(g) - a / norm) for g, a in zip(got, ref)]
+        rel = [e / abs(a / norm) for e, a in zip(err, ref) if a != 0]
+        worst_abs, worst_rel = float(max(err)), float(max(rel))
+    assert worst_abs <= 2e-15
+    assert worst_rel <= 1e-12
+
+
 class TestTailAndCutoffHelpers:
     def test_vacuum_tail_is_zero(self):
         assert fo.tail_mass(fo.coherent_vector(0.0, 16)) == 0.0
@@ -406,18 +459,32 @@ class TestTailAndCutoffHelpers:
         assert fo.tail_mass(v) == pytest.approx(p[-3:, :].sum() + p[:, -3:].sum())
 
     def test_measured_cutoff_table(self):
-        # The doubling search lands on these cutoffs for the default 1e-9
+        # The doubling search from 32 lands on these cutoffs for a 1e-9
         # target; they anchor the runtime envelope of the verification suite.
-        expected = {0.5: 64, 1.0: 128, 1.5: 256, 2.0: 1024, 2.5: 2048}
+        expected = {0.5: 32, 1.0: 128, 1.5: 256, 2.0: 1024, 2.5: 2048}
         for r, cut in expected.items():
-            assert fo.squeezed_cutoff_for(r) == cut
+            assert fo.fitted(lambda c: fo.squeezed_vacuum_vector(r, 0.0, c), 1e-9, 4096).cutoff == cut
 
     def test_coherent_cutoff_growth(self):
-        assert fo.coherent_cutoff_for(0.5) == 32
-        assert fo.coherent_cutoff_for(3.0) > 32
+        assert fo.fitted(lambda c: fo.coherent_vector(0.5, c), 1e-9, 4096).cutoff == 32
+        assert fo.fitted(lambda c: fo.coherent_vector(3.0, c), 1e-9, 4096).cutoff > 32
 
     def test_unreachable_target_raises(self):
         with pytest.raises(fo.TruncationError):
-            fo.coherent_cutoff_for(3.0, target=1e-12, cap=16)
+            fo.fitted(lambda c: fo.coherent_vector(3.0, c), 1e-12, 16)
         with pytest.raises(fo.TruncationError):
-            fo.squeezed_cutoff_for(2.5, target=1e-12, cap=64)
+            fo.fitted(lambda c: fo.squeezed_vacuum_vector(2.5, 0.0, c), 1e-12, 64)
+
+    def test_fitted_returns_the_measured_state(self):
+        # The chooser hands back the very vector whose tail it judged, from
+        # the first doubling of 32 that meets the target.
+        built = []
+
+        def build(cutoff):
+            built.append(fo.squeezed_vacuum_vector(2.0, 0.3, cutoff))
+            return built[-1]
+
+        st = fo.fitted(build, 1e-12, 4096)
+        assert [v.cutoff for v in built] == [32, 64, 128, 256, 512, 1024]
+        assert st is built[-1]
+        assert fo.tail_mass(built[-2]) > 1e-12 >= fo.tail_mass(st)

@@ -49,7 +49,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
-     "330c9f99183c1a08c9b2f1193329234ed233743d87bd6629fd3f6d6c658b2823"),
+     "5e2b9db5b1ae5c1d93596bccd1cea923bf635c7055013727d2e8b5f7ccd5874f"),
 ]
 
 

@@ -239,8 +239,7 @@ def test_oracle_two_mode_pair_moment_saturates_cauchy_schwarz(r, delta):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.2), phase)
 def test_oracle_matches_closed_form_under_hypothesis_driving(r, delta):
-    cut = oracle.squeezed_cutoff_for(r, 1e-12, 512)
-    m = oracle.one_mode_moments(oracle.squeezed_vacuum_vector(r, delta, cut))
+    m = oracle.one_mode_moments(oracle.fitted(lambda cut: oracle.squeezed_vacuum_vector(r, delta, cut), 1e-12, 512))
     cm = squeezed_vacuum_moments(r, delta)
     assert abs(m.n_a - cm.n) < 1e-9
     assert abs(m.a2 - cm.pair_mag * np.exp(1j * cm.pair_phase)) < 1e-9

@@ -18,10 +18,8 @@ def test_search_names_resolve_to_views_of_registry_entries():
         assert view is REGISTRY[family].searches[name]
 
 
-def test_verified_entries_are_exactly_the_drawers():
-    verified = {name for name, family in REGISTRY.items() if family.verified}
+def test_verified_families_are_registry_entries():
     assert set(verification.FAMILIES) <= set(REGISTRY)
-    assert set(verification._DRAWERS) == verified
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))

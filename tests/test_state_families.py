@@ -96,15 +96,6 @@ class TestSqueezedVacuum:
             got = one_mode_F(sf.squeezed_vacuum_moments(r, 2.2))
             assert got == pytest.approx(0.5 * (1.0 - math.exp(-2.0 * r)), abs=1e-12)
 
-    def test_excess_matches_mpmath_without_cancellation(self):
-        # (1 - e^{-2r}) / 2 at 50 digits; the float64 excess stays within two
-        # ulps of 1/2 where pair_mag - n has lost eight digits.
-        for r in (1e-6, 0.01, 1.0, 5.0, 8.2, 9.0, 9.5, 10.0, 20.0):
-            m = sf.squeezed_vacuum_moments(r, 0.4)
-            with mpmath.workdps(50):
-                exact = float((1 - mpmath.exp(-2 * mpmath.mpf(r))) / 2)
-            assert abs(m.excess - exact) <= 2 * np.spacing(exact)
-
     def test_coherent_pair_excess_is_the_plain_difference(self):
         m = sf.coherent_superposition_moments(sf.CoherentPair(A_STAR, -A_STAR, 1.0))
         assert m.excess == m.pair_mag - m.n
@@ -296,42 +287,9 @@ def mp_coherent_plus_squeezed_F(r, delta, alpha, eta):
 class TestSqueezedSuperpositionExcess:
     """Cancellation-free F of vacuum-, coherent- and squeezed-plus-squeezed states.
 
-    n and |<a^2>| both grow like e^{2r}/4, so pair_mag - n is off by O(1) at
-    r = 20; ``excess`` is checked against 50-digit values.  F <= 1/2 for
-    every state, so errors are counted in float64 spacings of 1/2 (one ulp at
-    the top of F's range); 1500 draws over three seeds measured at most 5
-    (vacuum) and 16 (coherent).  Two squeezed branches can make F large and
-    negative, so superposed-squeezed errors are counted in spacings of
-    max(|F|, 1/2); 1500 draws over three seeds measured at most 18.
+    Against 50-digit references in :func:`test_excess_matches_50_digit_reference`;
+    here ``excess`` is tied to the plain difference where nothing cancels.
     """
-
-    ULPS = 32
-
-    def test_excess_matches_mpmath_up_to_deep_squeeze(self):
-        rng = np.random.default_rng(2024)
-        unit = np.spacing(0.5)
-        with mpmath.workdps(50):
-            for _ in range(200):
-                r = float(rng.uniform(0.5, 20.0))
-                eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
-                alpha = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
-                delta = float(rng.uniform(0.0, TAU))
-                vs = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta))
-                cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
-                assert abs(vs.excess - float(mp_vacuum_plus_squeezed_F(r, eta))) <= self.ULPS * unit
-                assert abs(cs.excess - float(mp_coherent_plus_squeezed_F(r, delta, alpha, eta))) <= self.ULPS * unit
-
-    def test_superposed_squeezed_excess_matches_mpmath(self):
-        # |eta| is log-uniform over [1e-9, 4]: small weights leave F near the
-        # squeezed vacuum's 1/2, where pair_mag - n cancels.
-        rng = np.random.default_rng(2024)
-        with mpmath.workdps(50):
-            for _ in range(200):
-                r = float(rng.uniform(0.5, 20.0))
-                eta = complex(10.0 ** rng.uniform(-9.0, math.log10(4.0)) * np.exp(1j * rng.uniform(0.0, TAU)))
-                m = sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta))
-                ref = float(mp_superposed_squeezed_F(r, eta))
-                assert abs(m.excess - ref) <= self.ULPS * np.spacing(max(abs(ref), 0.5))
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
     def test_excess_is_r_minus_n_where_nothing_cancels(self, r):
@@ -357,38 +315,102 @@ def mp_coherent_pair_F(alpha, beta, eta):
     return (abs(pair) - n) / denom
 
 
-class TestCoherentPairExcess:
-    """The coherent pair's ``excess`` is the plain difference pair_mag - n.
+def squeezed_vacuum_excesses(rng):
+    # r spans the float64 cancellation of pair_mag - n (eight digits lost by
+    # r = 9); the exact excess is (1 - e^{-2r}) / 2.
+    for r in (1e-6, 0.01, 1.0, 5.0, 8.2, 9.0, 9.5, 10.0, 20.0):
+        yield sf.squeezed_vacuum_moments(r, 0.4).excess, (1 - mpmath.exp(-2 * mpmath.mpf(r))) / 2
 
-    Over its search boxes n and |<a^2>| stay below ~11, so the difference
-    cannot lose more than a few spacings of 11 to cancellation.  Errors are
-    counted in float64 spacings of max(|F|, 1/2) against 50-digit values, at
-    the points the search evaluates (coordinates drawn uniformly over each
-    box, moments through the view).  Measured over 20,000 draws per box
-    (five seeds): at most 92 spacings on the pinned box and 834 on the free
-    box.  The 834 sits at a near-cancelling normalization (denominator
-    0.03), where n itself is off by 1135 spacings: the error comes from the
-    moments, not from the difference, and no closed form of F would remove
-    it.
-    """
 
-    @pytest.mark.parametrize("name,ulps", [("coherent-pair", 128), ("coherent-pair-free", 1024)])
-    def test_excess_matches_mpmath_over_the_search_box(self, name, ulps):
-        view = sf.SEARCHES[name][1]
-        lo, hi = np.array(view.lower), np.array(view.upper)
-        rng = np.random.default_rng(2024)
-        worst = 0.0
-        with mpmath.workdps(50):
-            for _ in range(400):
-                p = lo + (hi - lo) * rng.uniform(size=view.dim)
-                m = view.moments_of(p)
-                if view.dim == 5:  # the first amplitude's phase pinned to zero
-                    alpha, beta, eta = p[0], p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4])
-                else:
-                    alpha, beta, eta = (p[k] * np.exp(1j * p[k + 3]) for k in range(3))
-                ref = float(mp_coherent_pair_F(alpha, beta, eta))
-                worst = max(worst, abs(m.excess - ref) / np.spacing(max(abs(ref), 0.5)))
-        assert worst <= ulps
+def vacuum_squeezed_excesses(rng):
+    for _ in range(200):
+        r = float(rng.uniform(0.5, 20.0))
+        eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
+        yield sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta)).excess, mp_vacuum_plus_squeezed_F(r, eta)
+
+
+def coherent_squeezed_excesses(rng):
+    for _ in range(200):
+        r = float(rng.uniform(0.5, 20.0))
+        eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
+        alpha = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
+        delta = float(rng.uniform(0.0, TAU))
+        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
+        yield m.excess, mp_coherent_plus_squeezed_F(r, delta, alpha, eta)
+
+
+def superposed_squeezed_excesses(rng):
+    # |eta| is log-uniform over [1e-9, 4]: small weights leave F near the
+    # squeezed vacuum's 1/2, where pair_mag - n cancels.
+    for _ in range(200):
+        r = float(rng.uniform(0.5, 20.0))
+        eta = complex(10.0 ** rng.uniform(-9.0, math.log10(4.0)) * np.exp(1j * rng.uniform(0.0, TAU)))
+        yield sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta)).excess, mp_superposed_squeezed_F(r, eta)
+
+
+def coherent_pair_excesses(name):
+    """Excesses at the points the search evaluates: 400 uniform draws over the box."""
+    view = sf.SEARCHES[name][1]
+    lo, hi = np.array(view.lower), np.array(view.upper)
+
+    def excesses(rng):
+        for _ in range(400):
+            p = lo + (hi - lo) * rng.uniform(size=view.dim)
+            if view.dim == 5:  # the first amplitude's phase pinned to zero
+                alpha, beta, eta = p[0], p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4])
+            else:
+                alpha, beta, eta = (p[k] * np.exp(1j * p[k + 3]) for k in range(3))
+            yield view.moments_of(p).excess, mp_coherent_pair_F(alpha, beta, eta)
+
+    return excesses
+
+
+def _spacing_of_half(ref: float) -> float:
+    return float(np.spacing(0.5))
+
+
+def _spacing_of_magnitude(ref: float) -> float:
+    return float(np.spacing(max(abs(ref), 0.5)))
+
+
+#: One-mode family -> (excesses(rng) yielding (excess, 50-digit F) pairs,
+#: error unit at the reference F, bound in units).
+#:
+#: - squeezed-vacuum: within two spacings of F itself, where pair_mag - n has
+#:   lost eight digits.
+#: - vacuum- and coherent-squeezed: n and |<a^2>| grow like e^{2r}/4, so
+#:   pair_mag - n is off by O(1) at r = 20.  F <= 1/2, so errors are counted
+#:   in spacings of 1/2 (one ulp at the top of F's range); 1500 draws over
+#:   three seeds measured at most 5 (vacuum) and 16 (coherent).
+#: - superposed-squeezed: two squeezed branches can make F large and
+#:   negative, so errors are counted in spacings of max(|F|, 1/2); 1500 draws
+#:   over three seeds measured at most 18.
+#: - coherent-pair: the excess is the plain difference pair_mag - n; over
+#:   the search boxes n and |<a^2>| stay below ~11, so it cannot lose more
+#:   than a few spacings of 11 to cancellation.  20,000 draws per box (five
+#:   seeds) measured at most 92 spacings of max(|F|, 1/2) on the pinned box
+#:   and 834 on the free box.  The 834 sits at a near-cancelling
+#:   normalization (denominator 0.03), where n itself is off by 1135
+#:   spacings: the error comes from the moments, not from the difference,
+#:   and no closed form of F would remove it.
+ONE_MODE_EXCESS = {
+    "squeezed-vacuum": (squeezed_vacuum_excesses, np.spacing, 2),
+    "vacuum-squeezed": (vacuum_squeezed_excesses, _spacing_of_half, 32),
+    "coherent-squeezed": (coherent_squeezed_excesses, _spacing_of_half, 32),
+    "superposed-squeezed": (superposed_squeezed_excesses, _spacing_of_magnitude, 32),
+    "coherent-pair": (coherent_pair_excesses("coherent-pair"), _spacing_of_magnitude, 128),
+    "coherent-pair-free": (coherent_pair_excesses("coherent-pair-free"), _spacing_of_magnitude, 1024),
+}
+
+
+@pytest.mark.parametrize("family", ONE_MODE_EXCESS)
+def test_excess_matches_50_digit_reference(family):
+    excesses, unit, bound = ONE_MODE_EXCESS[family]
+    with mpmath.workdps(50):
+        pairs = [(got, float(ref)) for got, ref in excesses(np.random.default_rng(2024))]
+    worst = max(abs(got - ref) / unit(ref) for got, ref in pairs)
+    assert worst <= bound
+
 
 # ---------------------------------------------------------------------------
 # Two-mode families
