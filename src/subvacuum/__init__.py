@@ -10,7 +10,7 @@ The package has five layers:
   excess F = R - n, cancellation-free where the family is squeezed.
 * :mod:`subvacuum.energy_density` — the density as a function of the moments,
   closed-form minima, and a numeric spacetime minimizer.
-* :mod:`subvacuum.optimizer` — multi-start projected gradient ascent on
+* :mod:`subvacuum.optimizer` — multi-start L-BFGS-B search for the largest
   F = R - n over a family's search view.
 * :mod:`subvacuum.verification` — randomized closed-form-vs-oracle comparison
   and the fixed matrix-element identity checks.

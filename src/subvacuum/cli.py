@@ -3,7 +3,8 @@
 Four subcommands share a small flag grammar:
 
 * ``sweep``    — vary one family parameter over a range, tabulate moments.
-* ``search``   — multi-start gradient ascent on F = R - n over a family's box.
+* ``search``   — multi-start L-BFGS-B search for the largest F = R - n over a
+  family's box.
 * ``density``  — sample the energy density on a spacetime grid and report the
   refined minimum.
 * ``verify``   — randomized closed-form-vs-oracle comparison plus the fixed
@@ -140,12 +141,22 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]], template: str | None = None) -> str:
+    """CSV text; ``template`` formats each row without empty cells in one step.
+
+    A command whose rows are numbers (after at most a leading label) passes
+    one ``%``-template per row, with ``%.9g`` per float as in :func:`_fmt`;
+    rows with ``None`` cells, and every row of a command without a
+    template, are written cell by cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+        if template is not None and None not in row:
+            buf.write(template % tuple(row))
+        else:
+            writer.writerow([_fmt(cell) for cell in row])
     return buf.getvalue()
 
 
@@ -162,10 +173,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence[object]],
-           seed: int | None, config: Mapping[str, object], **body: object) -> None:
+           seed: int | None, config: Mapping[str, object], template: str | None = None, **body: object) -> None:
     """Emit the rows as CSV, or one JSON document (``body`` defaults to the rows)."""
     if args.format == "csv":
-        _emit(_render_csv(header, rows), args.out)
+        _emit(_render_csv(header, rows, template), args.out)
     else:
         body = body or {"rows": [dict(zip(header, row)) for row in rows]}
         _emit(_render_json({"command": args.command, "seed": seed, "config": config, **body}), args.out)
@@ -192,13 +203,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except sf.DegenerateStateError:
             rows.append([v] + [None] * (len(header) - 1))
             continue
+        except OverflowError:  # raised by Python float arithmetic and math functions
+            raise FloatingPointError(f"non-finite result at {key}={v:.9g}") from None
         row = (v, *cells(m))
         if not all(map(math.isfinite, row)):
             raise FloatingPointError(f"non-finite result at {key}={v:.9g}")
         rows.append(row)
 
     sweep = {"key": key, "lo": values[0], "hi": values[-1], "steps": len(values) - 1}
-    _write(args, header, rows, None, {"family": args.family, "sweep": sweep, "params": params})
+    template = ",".join(["%.9g"] * len(header)) + "\n"
+    _write(args, header, rows, None, {"family": args.family, "sweep": sweep, "params": params}, template)
     return 0
 
 
@@ -223,9 +237,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     config = {
         "family": args.family,
         "starts": args.starts,
-        "fd_step": cfg.fd_step,
-        "step_init": cfg.step_init,
-        "armijo_c": cfg.armijo_c,
         "grad_tol": cfg.grad_tol,
         "max_iters": cfg.max_iters,
     }
@@ -263,15 +274,15 @@ def _cmd_density(args: argparse.Namespace) -> int:
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
-    rows: list[list[object]] = [["sample", *row] for row in profile.samples.tolist()]
+    rows: list[tuple[object, ...]] = [("sample", *row) for row in profile.samples.tolist()]
     pmin, vmin = profile.min_found
-    rows.append(["min", pmin.x[0], pmin.x[1], pmin.x[2], pmin.t, vmin])
+    rows.append(("min", pmin.x[0], pmin.x[1], pmin.x[2], pmin.t, vmin))
 
     geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
            "cosangle": geometry.cos_angle()}
     config = {"family": args.family, "params": params, "geometry": geo,
               "window": args.window, "grid_n": args.grid_n}
-    _write(args, header, rows, None, config)
+    _write(args, header, rows, None, config, "%s,%.9g,%.9g,%.9g,%.9g,%.9g\n")
     return 0
 
 
@@ -351,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser(
         "search",
-        help="multi-start ascent on F = R - n",
-        description="Run seeded multi-start projected gradient ascent and list the clustered extrema.",
+        help="multi-start search for the largest F = R - n",
+        description="Run a seeded multi-start L-BFGS-B search for the largest F and list the clustered extrema.",
     )
     p_search.add_argument("--family", required=True, choices=SEARCH_FAMILY_NAMES)
     p_search.add_argument("--starts", type=int, default=64)

@@ -347,32 +347,43 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
 
 
 def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
-    """Normalization denominator of |r> + eta |0>, and sech r."""
-    sech = 1.0 / np.cosh(params.r)
-    return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * np.sqrt(sech), sech
+    """Normalization denominator of |r> + eta |0>, and log cosh r.
+
+    1 + |eta|^2 + 2 Re eta sqrt(sech r) is evaluated as |1 + eta|^2
+    + 2 Re eta (sqrt(sech r) - 1), with sqrt(sech r) - 1 =
+    expm1(-log cosh r / 2) and log cosh r = log1p(2 sinh^2(r/2)), so it does
+    not cancel as eta -> -1, r -> 0.
+    """
+    eta = params.eta
+    log_cosh = math.log1p(2.0 * math.sinh(0.5 * params.r) ** 2)
+    return abs(1.0 + eta) ** 2 + 2.0 * eta.real * math.expm1(-0.5 * log_cosh), log_cosh
 
 
 def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     """Moments of N(|r> + eta |0>).
 
-    At the singular corner eta -> -1, r -> 0 the normalized state tends to
-    the two-photon ket, so that limit (n = 2, vanishing pair moment) is
-    returned instead of an error; its excess is pair_mag - n = -2.
+    The pair moment is -sinh r cosh r P / denom with the pair factor
+    P = 1 + conj(eta) sech^{5/2} r, evaluated as (1 + conj eta)
+    + conj(eta) (sech^{5/2} r - 1).  F = sinh r (cosh r |P| - sinh r) / denom
+    is evaluated as sinh r (1 + |eta|^2 (sech^3 r - 1) / denom) /
+    (cosh r |P| + sinh r), which cancels neither at large r nor near the
+    singular corner eta -> -1, r -> 0.  At that corner the normalized state
+    tends to the two-photon ket, so that limit (n = 2, vanishing pair
+    moment) is returned instead of an error; its excess is pair_mag - n = -2.
     """
     r, eta = params.r, params.eta
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
-    s, c = np.sinh(r), np.cosh(r)
-    denom, sech = _vacuum_squeezed_norm(params)
+    s, c = math.sinh(r), math.cosh(r)
+    denom, log_cosh = _vacuum_squeezed_norm(params)
     if denom < DEGENERATE_DENOMINATOR:
         return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0, excess=-2.0)
     norm2 = 1.0 / denom
-    n = norm2 * s * s
-    cross = np.conj(eta) * sech**2.5
-    pair = -norm2 * s * c * (1.0 + cross)
-    mag, phase = _polar(pair)
-    excess = _squeezed_excess(r, -s * c, -s * c * cross, 0.0, norm2)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    w = complex(eta).conjugate()
+    factor = (1.0 + w) + w * math.expm1(-2.5 * log_cosh)
+    mag, phase = _polar(-norm2 * s * c * factor)
+    excess = s * (1.0 + norm2 * abs(w) ** 2 * math.expm1(-3.0 * log_cosh)) / (c * abs(factor) + s)
+    return OneModeMoments(n=norm2 * s * s, pair_mag=mag, pair_phase=phase, excess=excess)
 
 
 # --------------------------------------------------------------------------
@@ -587,13 +598,8 @@ class SearchView:
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
         """Wrap angular coordinates, clip the rest into the box."""
-        q = np.array(params, dtype=float)
-        for i in range(self.dim):
-            if self.angular[i]:
-                q[i] = np.remainder(q[i], TWO_PI)
-            else:
-                q[i] = min(max(q[i], self.lower[i]), self.upper[i])
-        return q
+        q = np.asarray(params, dtype=float)
+        return np.where(self.angular, np.remainder(q, TWO_PI), np.clip(q, self.lower, self.upper))
 
 
 @dataclass(frozen=True)

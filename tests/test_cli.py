@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import subvacuum.verification as verification
-from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, main, parse_real
+from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, _fmt, main, parse_real
 from subvacuum.state_families import squeezed_vacuum_moments
 
 F_RIDGE = 0.2784645427610738
@@ -138,6 +138,14 @@ class TestSweep:
         assert rows[0] == ["0", "", "", "", "", "", "", ""]
         assert all(cell != "" for cell in rows[1])
 
+    def test_row_template_matches_cell_formatting(self, capsys):
+        # Float rows go through one "%.9g" template per command; it must
+        # print what the per-cell formatter prints, -0.0 included.
+        assert main(["sweep", "--family", "squeezed-vacuum", "--set", "r=-0", "--sweep", "delta=0:1:2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert _fmt(-0.0) == "%.9g" % -0.0 == "-0"
+        assert lines == ["delta,n,R,F", "0,0,0,-0", "0.5,0,0,-0", "1,0,0,-0"]
+
     def test_pi_suffix_reaches_the_sweep_axis(self, tmp_path):
         out = tmp_path / "axis.csv"
         code = main(
@@ -236,7 +244,10 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "numeric failure" in captured.err
+        assert "numeric failure: non-finite result at alpha=5e+199" in captured.err
+        # math.sinh overflows past r = 710.
+        assert main(["sweep", "--family", "vacuum-squeezed", "--sweep", "r=750:1000:1"]) == 3
+        assert "numeric failure: non-finite result at r=750" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -290,7 +301,7 @@ class TestSearch:
         cfg = doc["config"]
         assert cfg["family"] == "vacuum-squeezed"
         assert cfg["starts"] == 3
-        assert set(cfg) == {"family", "starts", "fd_step", "step_init", "armijo_c", "grad_tol", "max_iters"}
+        assert set(cfg) == {"family", "starts", "grad_tol", "max_iters"}
         assert doc["failed_starts"] == 0
         top = doc["extrema"][0]
         assert top["rank"] == 1

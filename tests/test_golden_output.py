@@ -35,11 +35,11 @@ GOLDEN = [
     ("sweep --family ecs-f --sweep sigma=0:2:20",
      "4ad9b59be745e6e84edc587a4260e6857db99d76fed01b899f0cb73a744205d5"),
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
-     "e80c81c760cf8b27cb3a6c16bc36844f37978fe6d228aff9a61b6c2c90574468"),
+     "1dc080e9336698af2aecee37e537104a54f766cac52b87b4bebfb9db5d5e39eb"),
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
-     "60d946390ca9321a3f7bbae30947b7d5e90907edc154b60d1dab83f0d18b62df"),
+     "d2f0f6e3e041880986361cf0ed279af9b3a24f6e315ea24bf2ba3ced2f6b7935"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
-     "93c112bc91832a39a8d8184d40dd58390590263af139395b350d31e0fddb5985"),
+     "2e9e4afc6b3b9d950cebe5e0cc2ef2f223ad5214849192fed41367d8022f7458"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",
@@ -49,7 +49,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
-     "5e2b9db5b1ae5c1d93596bccd1cea923bf635c7055013727d2e8b5f7ccd5874f"),
+     "f6b6514613c58be818b142b6ce0121fd064c3896743eef0210f87fa98aabe321"),
 ]
 
 

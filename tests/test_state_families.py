@@ -246,6 +246,26 @@ class TestVacuumPlusSqueezed:
         near = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(1e-5, -1.0))
         assert near.n == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j])
+    @pytest.mark.parametrize("r", [1e-5, 1.5e-4, 1e-3, 1e-2, 0.1])
+    def test_moments_match_60_digit_reference_near_the_singular_corner(self, r, eta):
+        # Near eta = -1, r = 0 the normalization 1 + |eta|^2 + 2 Re eta
+        # sqrt(sech r) and the pair factor 1 + conj(eta) sech^{5/2} r both
+        # cancel to O(r^2); evaluated as written they lose up to 8 digits.
+        # F = R - n is held to 1e-12 of max(|F|, n): at r = 1e-3,
+        # eta = -1 + 1e-3 i it is -9.0e-8 against n = 0.67, next to the zero
+        # of F near |1 + eta| = r, and keeps 9 relative digits there.
+        with mpmath.workdps(60):
+            s, c = mpmath.sinh(r), mpmath.cosh(r)
+            h = mpmath.mpc(eta)
+            denom = 1 + abs(h) ** 2 + 2 * h.real / mpmath.sqrt(c)
+            n = s * s / denom
+            pair_mag = abs(s * c * (1 + mpmath.conj(h) * c ** mpmath.mpf(-2.5))) / denom
+            excess = pair_mag - n
+        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta))
+        for got, ref, scale in ((m.n, n, n), (m.pair_mag, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
+            assert abs(got - ref) <= 1e-12 * scale
+
 
 def mp_vacuum_plus_squeezed_F(r, eta):
     """|<a^2>| - n of N(|r> + eta |0>) at the working mpmath precision."""
