@@ -23,7 +23,7 @@ import io
 import json
 import math
 import sys
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,10 +64,9 @@ SEARCH_FAMILY_NAMES: tuple[str, ...] = tuple(sf.SEARCHES)
 
 
 def _check_domain(family: sf.Family, key: str, values: Sequence[float]) -> None:
-    low = family.domain.get(key)
-    for v in values if low is not None else ():
-        if not v >= low:
-            raise UsageError(f"parameter {key} must be >= {low:g}, got {v:g}")
+    low, values = family.domain.get(key), np.asarray(values)
+    if low is not None and not np.all(values >= low):
+        raise UsageError(f"parameter {key} must be >= {low:g}, got {values[~(values >= low)][0]:g}")
 
 
 def _check_key(family: sf.Family, key: str, what: str) -> str:
@@ -89,7 +88,7 @@ def _parse_assignments(family: sf.Family, pairs: Sequence[str]) -> dict[str, flo
     return params
 
 
-def _parse_sweep(family: sf.Family, text: str) -> tuple[str, list[float]]:
+def _parse_sweep(family: sf.Family, text: str) -> tuple[str, np.ndarray]:
     key, sep, rng = text.partition("=")
     if not sep:
         raise UsageError(f"--sweep expects key=lo:hi:steps, got {text!r}")
@@ -104,7 +103,7 @@ def _parse_sweep(family: sf.Family, text: str) -> tuple[str, list[float]]:
         raise UsageError(f"sweep steps must be an integer, got {parts[2]!r}") from None
     if steps < 1:
         raise UsageError("sweep steps must be >= 1")
-    values = [float(v) for v in np.linspace(lo, hi, steps + 1)]
+    values = np.linspace(lo, hi, steps + 1)
     _check_domain(family, key, values)
     return key, values
 
@@ -141,7 +140,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]], template: str | None = None) -> str:
+def _render_csv(header: Sequence[str], rows: Iterable[Sequence[object]], template: str | None = None) -> str:
     """CSV text; ``template`` formats each row without empty cells in one step.
 
     A command whose rows are numbers (after at most a leading label) passes
@@ -172,7 +171,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _write(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence[object]],
+def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
            seed: int | None, config: Mapping[str, object], template: str | None = None, **body: object) -> None:
     """Emit the rows as CSV, or one JSON document (``body`` defaults to the rows)."""
     if args.format == "csv":
@@ -192,27 +191,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _parse_assignments(family, args.set or [])
     key, values = _parse_sweep(family, args.sweep)
     header = [key, *family.layout.columns]
-    record, moments, cells = family.record, family.moments, family.layout.cells
+    m = family.moments(family.record({**params, key: values}))
+    with np.errstate(all="ignore"):  # a cell derived from overflowing moments is caught below
+        table = np.column_stack(np.broadcast_arrays(values, *family.layout.cells(m)))
+    # The scalar figure of merit has no normalization, hence no degenerate rows.
+    degenerate = np.broadcast_to(getattr(m, "degenerate", False), values.shape)
+    overflow = ~degenerate & ~np.isfinite(table).all(axis=1)
+    if overflow.any():
+        raise FloatingPointError(f"non-finite result at {key}={values[overflow.argmax()]:.9g}")
 
-    rows: list[Sequence[object]] = []
-    for v in values:
-        point = dict(params)
-        point[key] = v
-        try:
-            m = moments(record(point))
-        except sf.DegenerateStateError:
-            rows.append([v] + [None] * (len(header) - 1))
-            continue
-        except OverflowError:  # raised by Python float arithmetic and math functions
-            raise FloatingPointError(f"non-finite result at {key}={v:.9g}") from None
-        row = (v, *cells(m))
-        if not all(map(math.isfinite, row)):
-            raise FloatingPointError(f"non-finite result at {key}={v:.9g}")
-        rows.append(row)
+    def rows():  # a block of rows at a time: no Python list of the whole table is held
+        for start in range(0, len(table), 4096):
+            block = slice(start, start + 4096)
+            for row, flag in zip(table[block].tolist(), degenerate[block]):
+                yield row[:1] + [None] * (len(header) - 1) if flag else row
 
-    sweep = {"key": key, "lo": values[0], "hi": values[-1], "steps": len(values) - 1}
+    sweep = {"key": key, "lo": float(values[0]), "hi": float(values[-1]), "steps": len(values) - 1}
     template = ",".join(["%.9g"] * len(header)) + "\n"
-    _write(args, header, rows, None, {"family": args.family, "sweep": sweep, "params": params}, template)
+    _write(args, header, rows(), None, {"family": args.family, "sweep": sweep, "params": params}, template)
     return 0
 
 
@@ -225,35 +221,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = SearchConfig(starts=args.starts, seed=args.seed)
     report = multi_start(view, cfg)
 
-    header = ["rank", "members", "iterations", "converged", "grad_norm", "F", "n", "R", "gamma"]
-    header += list(view.names)
-    rows: list[list[object]] = []
-    for rank, ext in enumerate(report.extrema, start=1):
-        rows.append(
-            [rank, ext.members, ext.iterations, ext.converged, ext.grad_norm, ext.F, ext.n, ext.R, ext.gamma]
-            + [float(p) for p in ext.params]
-        )
-
-    config = {
-        "family": args.family,
-        "starts": args.starts,
-        "grad_tol": cfg.grad_tol,
-        "max_iters": cfg.max_iters,
-    }
+    columns = ["members", "iterations", "converged", "grad_norm", "F", "n", "R", "gamma"]
+    header = ["rank", *columns, *view.names]
+    ranked = list(enumerate(report.extrema, start=1))
+    rows = [[rank, *(getattr(ext, c) for c in columns), *ext.params] for rank, ext in ranked]
+    config = {"family": args.family, "starts": args.starts, "grad_tol": cfg.grad_tol, "max_iters": cfg.max_iters}
+    json_keys = ("F", "n", "R", "gamma", "grad_norm", "iterations", "converged", "members")
     extrema = [
-        {
-            "rank": rank,
-            "params": dict(zip(view.names, (float(p) for p in ext.params))),
-            "F": ext.F,
-            "n": ext.n,
-            "R": ext.R,
-            "gamma": ext.gamma,
-            "grad_norm": ext.grad_norm,
-            "iterations": ext.iterations,
-            "converged": ext.converged,
-            "members": ext.members,
-        }
-        for rank, ext in enumerate(report.extrema, start=1)
+        {"rank": rank, "params": dict(zip(view.names, ext.params)), **{k: getattr(ext, k) for k in json_keys}}
+        for rank, ext in ranked
     ]
     _write(args, header, rows, args.seed, config, extrema=extrema, failed_starts=report.failed_starts)
     return 0
@@ -270,7 +246,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
     if family.layout.lift is None:
         raise UsageError("this family has no spatial density (scalar figure-of-merit only)")
-    moments = family.layout.lift(family.moments(family.record(params)))
+    moments = family.layout.lift(sf.regular(family.moments(family.record(params))))
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
@@ -300,23 +276,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for rep in reports:
         worst = "; ".join(f"{k}={v:.9g}" for k, v in rep.worst_params.items())
-        rows.append(
-            [
-                "family",
-                rep.family,
-                f"draws={rep.draws}",
-                rep.max_abs_deviation,
-                max(1e-8, 10.0 * rep.tail_bound),
-                rep.tail_bound,
-                rep.passed,
-                worst,
-            ]
-        )
+        tolerance = max(1e-8, 10.0 * rep.tail_bound)
+        rows.append(["family", rep.family, f"draws={rep.draws}", rep.max_abs_deviation, tolerance,
+                     rep.tail_bound, rep.passed, worst])
         failed = failed or not rep.passed
     for row in identities:
-        rows.append(
-            ["identity", row.name, f"r={row.r:g}", row.deviation, row.tolerance, None, row.passed, row.note]
-        )
+        rows.append(["identity", row.name, f"r={row.r:g}", row.deviation, row.tolerance, None, row.passed, row.note])
         failed = failed or (row.required and not row.passed)
 
     _write(args, header, rows, args.seed, {"families": list(families), "draws": args.draws, "cutoff": args.cutoff})

@@ -5,12 +5,13 @@ sets the deepest attainable energy density for the family.  The objective
 reads the moments' ``excess`` at each point of a
 :class:`~subvacuum.state_families.SearchView` box.  Each start is one
 ``scipy.optimize.minimize`` run with L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
-J. Sci. Comput. 16 (1995) 1190) on -F with scipy's two-point
-finite-difference gradient.  Non-angular coordinates take the box as bounds;
-angular ones are unbounded and wrapped by ``SearchView.clamp``.  Starts are
-seeded uniform draws, deduplicated by clustering.  Every start draws from its
-own RNG stream keyed by (seed, start index), so results are reproducible no
-matter how the starts are scheduled.
+J. Sci. Comput. 16 (1995) 1190) on -F.  Its gradient is scipy's own
+two-point forward difference, evaluated as one batch: the point and its
+forward stencil are the rows of one closed-form call.  Non-angular
+coordinates take the box as bounds; angular ones are unbounded and wrapped
+by ``SearchView.clamp``.  Starts are seeded uniform draws, deduplicated by
+clustering.  Every start draws from its own RNG stream keyed by (seed, start
+index), so results are reproducible no matter how the starts are scheduled.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ __all__ = [
 
 #: Cluster radius (wrapped max-norm on canonicalized parameters) for dedup.
 CLUSTER_RADIUS = 0.02
+
+#: Forward-difference step: L-BFGS-B's default ``eps``, which scipy takes
+#: as an absolute step for its two-point gradient.
+_FD_STEP = 1e-8
 
 
 class AscentFailure(RuntimeError):
@@ -98,12 +103,11 @@ class MultiStartReport:
     seed: int
 
 
-def objective_F(view: SearchView, params: np.ndarray) -> float:
-    """The moments' ``excess`` F = R - n at ``params``; degenerate states count as -inf."""
-    try:
-        return view.moments_of(np.asarray(params, dtype=float)).excess
-    except DegenerateStateError:
-        return -math.inf
+def objective_F(view: SearchView, params: np.ndarray):
+    """The moments' ``excess`` F = R - n at ``params`` (one vector, or one per
+    row); degenerate states count as -inf."""
+    m = view.moments_of(np.asarray(params, dtype=float))
+    return np.where(m.degenerate, -np.inf, m.excess)[()]
 
 
 def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extremum:
@@ -119,16 +123,21 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     if not math.isfinite(f0):
         raise AscentFailure("objective undefined at the start point")
 
-    def neg_f(x: np.ndarray) -> float:
-        f = objective_F(view, view.clamp(x))
-        if not math.isfinite(f):
-            raise DegenerateStateError("the line search reached a degenerate state")
-        return -f
-
     iterates = [p0]
     angular = np.array(view.angular)
     lo = np.where(angular, -np.inf, view.lower)
     hi = np.where(angular, np.inf, view.upper)
+
+    def neg_f_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # Row 0 is x; row i + 1 steps coordinate i by +_FD_STEP, flipped
+        # inward where it would leave the box.  These steps and quotients are
+        # scipy's own two-point gradient for L-BFGS-B, so the runs match it.
+        h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
+        neg = -objective_F(view, view.clamp(np.vstack([x, x + np.diag(h)])))
+        if not np.isfinite(neg).all():
+            raise DegenerateStateError("the line search reached a degenerate state")
+        return neg[0], (neg[1:] - neg[0]) / ((x + h) - x)
+
     # gtol bounds the max-norm, so grad_tol / sqrt(dim) bounds the 2-norm by
     # grad_tol; ftol = 0 leaves stopping to that gradient test.
     options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(view.dim), "ftol": 0.0}
@@ -136,7 +145,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
         # Called through the module: a bound ``minimize`` name here would be
         # taken by the benchmark tracer for energy_density's polish.
         res = optimize.minimize(
-            neg_f, p0, method="L-BFGS-B", bounds=optimize.Bounds(lo, hi),
+            neg_f_and_grad, p0, jac=True, method="L-BFGS-B", bounds=optimize.Bounds(lo, hi),
             callback=lambda xk: iterates.append(view.clamp(xk)), options=options,
         )
     except DegenerateStateError:
@@ -153,10 +162,10 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     m = view.moments_of(p)
     return Extremum(
         params=tuple(float(v) for v in p),
-        F=f,
-        n=m.n,
-        R=m.pair_mag,
-        gamma=m.pair_phase,
+        F=float(f),
+        n=float(m.n),
+        R=float(m.pair_mag),
+        gamma=float(m.pair_phase),
         grad_norm=grad_norm,
         iterations=iterations,
         converged=converged,
@@ -164,13 +173,8 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
 
 
 def _wrapped_distance(view: SearchView, a: np.ndarray, b: np.ndarray) -> float:
-    d = 0.0
-    for i in range(view.dim):
-        diff = abs(a[i] - b[i])
-        if view.angular[i]:
-            diff = min(diff, TWO_PI - diff)
-        d = max(d, diff)
-    return d
+    diff = np.abs(a - b)
+    return float(np.max(np.where(view.angular, np.minimum(diff, TWO_PI - diff), diff)))
 
 
 def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:

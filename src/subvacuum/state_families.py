@@ -6,6 +6,14 @@ of every non-vanishing quadratic ladder expectation.  Single-mode families
 produce :class:`OneModeMoments`; entangled families produce
 :class:`TwoModeMoments`.
 
+Every closed form is written once, over numpy arrays.  Record fields may be
+arrays that broadcast to one batch shape, and every moment comes back with
+that shape; a scalar call is a batch of one and returns numpy scalars.  A
+batch never raises for one bad row: a row whose normalization vanishes is
+flagged in ``degenerate``, and a row that overflows comes back non-finite.
+The closed forms evaluate under ``np.errstate(all="ignore")``, so neither
+prints a numpy warning; callers check the flag and finiteness.
+
 All expressions here are cross-checked against the truncated number-basis
 evaluation in :mod:`subvacuum.fock_oracle`; the test suite pins that
 agreement to near machine precision.  Where a published expression failed
@@ -39,6 +47,7 @@ __all__ = [
     "ZhangReal",
     "EntangledCoherent",
     "wrap_angle",
+    "regular",
     "coherent_superposition_moments",
     "squeezed_vacuum_moments",
     "superposed_squeezed_moments",
@@ -59,23 +68,69 @@ __all__ = [
 #: Normalization denominators below this are treated as a degenerate state.
 DEGENERATE_DENOMINATOR = 1e-13
 
+#: Every closed form runs under this: overflow and degenerate rows give
+#: non-finite values without numpy warnings, and callers check for them.
+_quiet = np.errstate(all="ignore")
+
 
 class DegenerateStateError(ValueError):
     """The requested superposition has (numerically) zero norm."""
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    y = float(np.remainder(x + np.pi, 2.0 * np.pi)) - np.pi
-    return np.pi if y <= -np.pi else y
+def wrap_angle(x):
+    """Reduce angles to the interval (-pi, pi]."""
+    y = np.remainder(np.add(x, np.pi), 2.0 * np.pi) - np.pi
+    return np.where(y <= -np.pi, np.pi, y)[()]
 
 
-def _polar(z: complex) -> tuple[float, float]:
-    """Magnitude and wrapped phase; zero magnitude gets phase 0 by convention."""
-    mag = abs(z)
-    if mag < 1e-15:
-        return 0.0, 0.0
-    return float(mag), wrap_angle(float(np.angle(z)))
+def _polar(z):
+    """Magnitudes and wrapped phases; a magnitude below 1e-15 gets (0, 0) by convention."""
+    mag = np.abs(z)
+    small = mag < 1e-15
+    return np.where(small, 0.0, mag), np.where(small, 0.0, wrap_angle(np.angle(z)))
+
+
+def _rows(*values):
+    """The broadcast shape of ``values``, then each value as an array of at least one row.
+
+    A scalar call is thereby a batch of one: its values go through the same
+    numpy ufunc loops as the rows of a longer batch, so a row's moments do
+    not depend on the batch they are evaluated in.
+    """
+    return (np.broadcast_shapes(*map(np.shape, values)), *(np.atleast_1d(v) for v in values))
+
+
+def _batch(params):
+    """The batch shape of a parameter record, and the record with array fields."""
+    shape, *values = _rows(*vars(params).values())
+    return shape, type(params)(*values)
+
+
+def _shaped(shape, values) -> list:
+    """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars."""
+    return [np.broadcast_to(v, shape or (1,)).reshape(shape)[()] for v in values]
+
+
+def _normalization(denom):
+    """1 / denom and the degenerate-row mask: the one place a degenerate row is marked.
+
+    Rows with a denominator below ``DEGENERATE_DENOMINATOR`` get NaN in place
+    of 1 / denom, so every normalized moment of theirs is NaN.
+    """
+    degenerate = denom < DEGENERATE_DENOMINATOR
+    return np.where(degenerate, np.nan, 1.0 / denom), degenerate
+
+
+def regular(m):
+    """``m`` itself, or :class:`DegenerateStateError` if any of its rows is degenerate."""
+    if np.any(m.degenerate):
+        raise DegenerateStateError(f"degenerate state: normalization denominator below {DEGENERATE_DENOMINATOR:g}")
+    return m
+
+
+def _check_magnitude(x, what: str = "squeeze") -> None:
+    if np.any(x < 0):
+        raise ValueError(f"{what} magnitude must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -88,13 +143,16 @@ class OneModeMoments:
     grow like e^{2r}/4, so their float64 difference keeps only a few digits
     of F at large r; every squeezed family therefore evaluates F from a
     closed form of F itself.  The coherent pair's moments stay small over
-    its search box, and its ``excess`` is the plain difference.
+    its search box, and its ``excess`` is the plain difference.  Each field
+    holds one value per row of the batch; ``degenerate`` marks the rows whose
+    normalization vanished, where every normalized moment is NaN.
     """
 
-    n: float
-    pair_mag: float
-    pair_phase: float
-    excess: float
+    n: Any
+    pair_mag: Any
+    pair_phase: Any
+    excess: Any
+    degenerate: Any = False
 
 
 @dataclass(frozen=True)
@@ -103,24 +161,40 @@ class TwoModeMoments:
 
     Channels 1 and 2 are the single-mode pairs <a^2> and <b^2>; channel 3 is
     the beam-splitter moment <a^dag b>; channel 4 the pair-creation moment
-    <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).
+    <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).  Fields and
+    ``degenerate`` are per row, as in :class:`OneModeMoments`.
     """
 
-    n1: float
-    n2: float
-    R1: float
-    R2: float
-    R3: float
-    R4: float
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    gamma4: float
+    n1: Any
+    n2: Any
+    R1: Any
+    R2: Any
+    R3: Any
+    R4: Any
+    gamma1: Any
+    gamma2: Any
+    gamma3: Any
+    gamma4: Any
+    degenerate: Any = False
+
+
+def _one_mode(shape, n, pair, excess=None, degenerate=False) -> OneModeMoments:
+    """Moments from the occupation, the complex pair moment and the excess
+    (by default the plain difference pair_mag - n)."""
+    mag, phase = _polar(pair)
+    excess = mag - n if excess is None else excess
+    return OneModeMoments(*_shaped(shape, (n, mag, phase, excess, degenerate)))
+
+
+def _two_mode(shape, n, a2, b2, adag_b, ab, degenerate=False) -> TwoModeMoments:
+    """Equal occupations ``n`` and the four channels as complex moments."""
+    (R1, g1), (R2, g2), (R3, g3), (R4, g4) = map(_polar, (a2, b2, adag_b, ab))
+    return TwoModeMoments(*_shaped(shape, (n, n, R1, R2, R3, R4, g1, g2, g3, g4, degenerate)))
 
 
 # --------------------------------------------------------------------------
 # Parameter records.  One frozen dataclass per family: the closed-form
-# arguments that REGISTRY builds.
+# arguments that REGISTRY builds.  Fields may be arrays (one entry per row).
 # --------------------------------------------------------------------------
 
 
@@ -196,70 +270,65 @@ class EntangledCoherent:
     delta2: float
 
 
-def _check_denominator(d: float, context: str) -> None:
-    if d < DEGENERATE_DENOMINATOR:
-        raise DegenerateStateError(f"{context}: normalization denominator {d:.3e}")
-
-
 # --------------------------------------------------------------------------
 # Single-mode families
 # --------------------------------------------------------------------------
 
 
-def _coherent_pair_norm(params: CoherentPair) -> tuple[float, complex]:
+def _coherent_pair_norm(params: CoherentPair):
     """Normalization denominator of |alpha> + eta |beta>, and <alpha|beta>."""
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    ov = np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov
+    ov = np.exp(-(np.abs(alpha) ** 2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
+    return 1.0 + np.abs(eta) ** 2 + 2.0 * (eta * ov).real, ov
 
 
+@_quiet
 def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
     """Moments of N(|alpha> + eta |beta>).
 
     The overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)
-    weights every cross term.  Raises :class:`DegenerateStateError` when the
-    two branches cancel.
+    weights every cross term.  Rows where the two branches cancel are
+    flagged degenerate.
     """
+    shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
     denom, ov = _coherent_pair_norm(params)
-    _check_denominator(denom, "coherent pair")
-    norm2 = 1.0 / denom
+    norm2, degenerate = _normalization(denom)
     n = norm2 * (
-        abs(alpha) ** 2
-        + abs(eta * beta) ** 2
+        np.abs(alpha) ** 2
+        + np.abs(eta * beta) ** 2
         + 2.0 * (eta * np.conj(alpha) * beta * ov).real
     )
     pair = norm2 * (
         alpha**2
-        + abs(eta) ** 2 * beta**2
+        + np.abs(eta) ** 2 * beta**2
         + eta * beta**2 * ov
         + np.conj(eta) * alpha**2 * np.conj(ov)
     )
-    mag, phase = _polar(pair)
-    n = float(n)
-    return OneModeMoments(n=n, pair_mag=mag, pair_phase=phase, excess=mag - n)
+    return _one_mode(shape, n, pair, degenerate=degenerate)
 
 
-def squeezed_vacuum_moments(r: float, delta: float) -> OneModeMoments:
+@_quiet
+def squeezed_vacuum_moments(r, delta) -> OneModeMoments:
     """Moments of a single squeezed vacuum: n = sinh^2 r, |<a^2>| = sinh r cosh r.
 
     The excess sinh r cosh r - sinh^2 r = (1 - e^{-2r}) / 2 is evaluated as
     -expm1(-2r) / 2, which keeps full precision at every r.
     """
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
+    shape, r, delta = _rows(r, delta)
+    _check_magnitude(r)
     s, c = np.sinh(r), np.cosh(r)
-    mag, phase = _polar(-np.exp(1j * delta) * s * c)
-    return OneModeMoments(n=float(s * s), pair_mag=mag, pair_phase=phase, excess=float(-np.expm1(-2.0 * r) / 2.0))
+    return _one_mode(shape, s * s, -np.exp(1j * delta) * s * c, -np.expm1(-2.0 * r) / 2.0)
 
 
-def _superposed_squeezed_norm(params: SqueezedPair) -> tuple[float, float]:
+def _superposed_squeezed_norm(params: SqueezedPair):
     """Normalization denominator of |r> + eta |-r>, and cosh 2r."""
     c2 = np.cosh(2.0 * params.r)
     ov = 1.0 / np.sqrt(c2)
-    return 1.0 + abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
+    return 1.0 + np.abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
 
 
+@_quiet
 def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
 
@@ -267,24 +336,23 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     (sech 2r)^{3/2} relative to the diagonal ones.  The excess is written
     around the |r> branch's own squeezed vacuum, so it does not cancel.
     """
+    shape, params = _batch(params)
     r, eta = params.r, params.eta
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
+    _check_magnitude(r)
     s, c = np.sinh(r), np.cosh(r)
     denom, c2 = _superposed_squeezed_norm(params)
-    _check_denominator(denom, "superposed squeezed")
-    norm2 = 1.0 / denom
+    norm2, degenerate = _normalization(denom)
+    weight = np.abs(eta) ** 2
     cross_n = s * s / c2**1.5
     cross_pair = s * c / c2**1.5
-    n = norm2 * (s * s * (1.0 + abs(eta) ** 2) - 2.0 * eta.real * cross_n)
-    pair = norm2 * ((abs(eta) ** 2 - 1.0) * s * c + 2j * eta.imag * cross_pair)
-    mag, phase = _polar(pair)
-    rest = complex(abs(eta) ** 2 * s * c, 2.0 * eta.imag * cross_pair)
-    excess = _squeezed_excess(r, -s * c, rest, abs(eta) ** 2 * s * s - 2.0 * eta.real * cross_n, norm2)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    n = norm2 * (s * s * (1.0 + weight) - 2.0 * eta.real * cross_n)
+    pair = norm2 * ((weight - 1.0) * s * c + 2j * eta.imag * cross_pair)
+    rest = weight * s * c + 2j * eta.imag * cross_pair
+    excess = _squeezed_excess(r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, norm2)
+    return _one_mode(shape, n, pair, excess, degenerate)
 
 
-def _squeezed_excess(r: float, sq: complex, rest: complex, rest_n: float, norm2: float) -> float:
+def _squeezed_excess(r, sq, rest, rest_n, norm2):
     """F = R - n of a squeezed vacuum superposed with another state.
 
     The unnormalized pair moment is sq + rest, where sq = -sinh r cosh r
@@ -294,59 +362,50 @@ def _squeezed_excess(r: float, sq: complex, rest: complex, rest_n: float, norm2:
     evaluated as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|) and
     the second as -expm1(-2r)/2, so neither cancels as e^{2r} grows.
     """
-    sq, rest = complex(sq), complex(rest)  # Python scalars: cheaper per operation than numpy's
-    total = abs(sq + rest) + abs(sq)
-    gain = (2.0 * (sq.conjugate() * rest).real + abs(rest) ** 2) / total if total > 0 else 0.0
-    return float(norm2) * (gain - math.expm1(-2.0 * r) / 2.0 - float(rest_n))
+    total = np.abs(sq + rest) + np.abs(sq)
+    gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
+    return norm2 * (gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
 
 
-def _coherent_squeezed_norm(params: CoherentSqueezed) -> tuple[float, complex, float, float, complex]:
+def _coherent_squeezed_norm(params: CoherentSqueezed):
     """Normalization denominator of |r, delta> + eta |alpha>, the overlap
     <r, delta|alpha> and its factors gauss, root_sech, twist."""
     r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
     root_sech = np.sqrt(1.0 / np.cosh(r))
-    gauss = np.exp(-abs(alpha) ** 2 / 2.0)
+    gauss = np.exp(-np.abs(alpha) ** 2 / 2.0)
     twist = np.exp(-0.5 * np.exp(-1j * delta) * alpha**2 * np.tanh(r))
     ov = gauss * root_sech * twist
-    return 1.0 + abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
+    return 1.0 + np.abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
 
 
+@_quiet
 def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
     """Moments of N(|r, delta> + eta |alpha>).
 
-    Parameters
-    ----------
-    params:
-        Squeeze magnitude and phase, coherent amplitude, superposition weight.
-
-    Notes
-    -----
     The squeezed-coherent overlap is
     sqrt(sech r) exp(-|alpha|^2/2) exp(-e^{-i delta} alpha^2 tanh(r)/2),
     and the mixed ladder moments carry one extra tanh(r) per pair index.
     """
+    shape, params = _batch(params)
     r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
+    _check_magnitude(r)
     s, c, t = np.sinh(r), np.cosh(r), np.tanh(r)
     denom, ov, gauss, root_sech, twist = _coherent_squeezed_norm(params)
-    _check_denominator(denom, "coherent plus squeezed")
-    norm2 = 1.0 / denom
+    norm2, degenerate = _normalization(denom)
     rotor = np.exp(1j * delta)
-    occ = abs(eta * alpha) ** 2
+    occ = np.abs(eta * alpha) ** 2
     occ_cross = 2.0 * gauss * root_sech * t * (eta * np.exp(-1j * delta) * alpha**2 * twist).real
     n = norm2 * (s * s + occ - occ_cross)
     sq = -s * c * rotor
-    coherent = abs(eta) ** 2 * alpha**2
+    coherent = np.abs(eta) ** 2 * alpha**2
     cross = eta * alpha**2 * ov
     cross_sq = np.conj(eta) * gauss * root_sech * (np.conj(alpha) ** 2 * rotor * t - 1.0) * rotor * t * np.conj(twist)
     pair = norm2 * (sq + coherent + cross + cross_sq)
-    mag, phase = _polar(pair)
     excess = _squeezed_excess(r, sq, coherent + cross + cross_sq, occ - occ_cross, norm2)
-    return OneModeMoments(n=float(n), pair_mag=mag, pair_phase=phase, excess=excess)
+    return _one_mode(shape, n, pair, excess, degenerate)
 
 
-def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
+def _vacuum_squeezed_norm(params: VacuumSqueezed):
     """Normalization denominator of |r> + eta |0>, and log cosh r.
 
     1 + |eta|^2 + 2 Re eta sqrt(sech r) is evaluated as |1 + eta|^2
@@ -355,10 +414,11 @@ def _vacuum_squeezed_norm(params: VacuumSqueezed) -> tuple[float, float]:
     not cancel as eta -> -1, r -> 0.
     """
     eta = params.eta
-    log_cosh = math.log1p(2.0 * math.sinh(0.5 * params.r) ** 2)
-    return abs(1.0 + eta) ** 2 + 2.0 * eta.real * math.expm1(-0.5 * log_cosh), log_cosh
+    log_cosh = np.log1p(2.0 * np.sinh(0.5 * params.r) ** 2)
+    return np.abs(1.0 + eta) ** 2 + 2.0 * eta.real * np.expm1(-0.5 * log_cosh), log_cosh
 
 
+@_quiet
 def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     """Moments of N(|r> + eta |0>).
 
@@ -368,22 +428,25 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
     is evaluated as sinh r (1 + |eta|^2 (sech^3 r - 1) / denom) /
     (cosh r |P| + sinh r), which cancels neither at large r nor near the
     singular corner eta -> -1, r -> 0.  At that corner the normalized state
-    tends to the two-photon ket, so that limit (n = 2, vanishing pair
-    moment) is returned instead of an error; its excess is pair_mag - n = -2.
+    tends to the two-photon ket, so rows there get that limit (n = 2,
+    vanishing pair moment, excess pair_mag - n = -2) and are not degenerate.
     """
+    shape, params = _batch(params)
     r, eta = params.r, params.eta
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
-    s, c = math.sinh(r), math.cosh(r)
+    _check_magnitude(r)
+    s, c = np.sinh(r), np.cosh(r)
     denom, log_cosh = _vacuum_squeezed_norm(params)
-    if denom < DEGENERATE_DENOMINATOR:
-        return OneModeMoments(n=2.0, pair_mag=0.0, pair_phase=0.0, excess=-2.0)
+    corner = denom < DEGENERATE_DENOMINATOR
     norm2 = 1.0 / denom
-    w = complex(eta).conjugate()
-    factor = (1.0 + w) + w * math.expm1(-2.5 * log_cosh)
-    mag, phase = _polar(-norm2 * s * c * factor)
-    excess = s * (1.0 + norm2 * abs(w) ** 2 * math.expm1(-3.0 * log_cosh)) / (c * abs(factor) + s)
-    return OneModeMoments(n=norm2 * s * s, pair_mag=mag, pair_phase=phase, excess=excess)
+    w = np.conj(eta)
+    factor = (1.0 + w) + w * np.expm1(-2.5 * log_cosh)
+    excess = s * (1.0 + norm2 * np.abs(w) ** 2 * np.expm1(-3.0 * log_cosh)) / (c * np.abs(factor) + s)
+    return _one_mode(
+        shape,
+        np.where(corner, 2.0, norm2 * s * s),
+        np.where(corner, 0.0, -norm2 * s * c * factor),
+        np.where(corner, -2.0, excess),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -391,61 +454,36 @@ def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
 # --------------------------------------------------------------------------
 
 
+@_quiet
 def barnett_radmore_moments(params: BarnettRadmore) -> TwoModeMoments:
     """Two-mode squeezed vacuum: equal occupations, pair-creation channel only."""
-    r, delta = params.r, params.delta
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
-    s, c = np.sinh(r), np.cosh(r)
-    mag4, phase4 = _polar(-np.exp(1j * delta) * s * c)
-    return TwoModeMoments(
-        n1=float(s * s),
-        n2=float(s * s),
-        R1=0.0,
-        R2=0.0,
-        R3=0.0,
-        R4=mag4,
-        gamma1=0.0,
-        gamma2=0.0,
-        gamma3=0.0,
-        gamma4=phase4,
-    )
+    shape, params = _batch(params)
+    _check_magnitude(params.r)
+    s, c = np.sinh(params.r), np.cosh(params.r)
+    return _two_mode(shape, s * s, 0.0, 0.0, 0.0, -np.exp(1j * params.delta) * s * c)
 
 
-def _zhang_norm(params: ZhangReal) -> tuple[float, float]:
+def _zhang_norm(params: ZhangReal):
     """Normalization denominator of the phase-superposed pair, and cosh 2r."""
     c2 = np.cosh(2.0 * params.r)
     return 2.0 * (1.0 + np.cos(params.theta) / c2), c2
 
 
+@_quiet
 def zhang_moments(params: ZhangReal) -> TwoModeMoments:
     """Phase-superposed doubly-squeezed vacua; only the single-mode pairs survive.
 
-    Degenerate normalization (theta = pi at r = 0) raises
-    :class:`DegenerateStateError`.
+    Degenerate normalization (theta = pi at r = 0) flags the row.
     """
+    shape, params = _batch(params)
     r, theta = params.r, params.theta
-    if r < 0:
-        raise ValueError("squeeze magnitude must be non-negative")
+    _check_magnitude(r)
     s = np.sinh(r)
     denom, c2 = _zhang_norm(params)
-    _check_denominator(denom, "phase-superposed squeezed pair")
-    norm2 = 1.0 / denom
+    norm2, degenerate = _normalization(denom)
     n = 2.0 * norm2 * s * s * (1.0 - np.cos(theta) / c2**2)
     pair = -1j * norm2 * np.sin(theta) * np.sinh(2.0 * r) / c2**2
-    mag, phase = _polar(pair)
-    return TwoModeMoments(
-        n1=float(n),
-        n2=float(n),
-        R1=mag,
-        R2=mag,
-        R3=0.0,
-        R4=0.0,
-        gamma1=phase,
-        gamma2=phase,
-        gamma3=0.0,
-        gamma4=0.0,
-    )
+    return _two_mode(shape, n, pair, pair, 0.0, 0.0, degenerate)
 
 
 def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
@@ -477,12 +515,13 @@ def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
     return float(c_r * c_r), float(c_r)
 
 
-def _entangled_coherent_norm(params: EntangledCoherent) -> tuple[float, float]:
+def _entangled_coherent_norm(params: EntangledCoherent):
     """Normalization denominator of the entangled coherent state, and e^{-4 sigma^2}."""
     overlap4 = np.exp(-4.0 * params.sigma**2)
     return 2.0 * (1.0 + np.cos(params.theta) * overlap4), overlap4
 
 
+@_quiet
 def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     """Moments of N(|alpha, beta> + e^{i theta} |-alpha, -beta>).
 
@@ -492,41 +531,28 @@ def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     beam-splitter channel feel the superposition.  sigma = 0 with theta = pi
     is degenerate.
     """
+    shape, params = _batch(params)
     sigma, theta = params.sigma, params.theta
-    if sigma < 0:
-        raise ValueError("coherent magnitude must be non-negative")
+    _check_magnitude(sigma, "coherent")
     alpha = sigma * np.exp(1j * params.delta1)
     beta = sigma * np.exp(1j * params.delta2)
     denom, overlap4 = _entangled_coherent_norm(params)
-    _check_denominator(denom, "entangled coherent")
-    norm2 = 1.0 / denom
+    norm2, degenerate = _normalization(denom)
     n = 2.0 * norm2 * sigma**2 * (1.0 - np.cos(theta) * overlap4)
-    mag1, phase1 = _polar(alpha**2)
-    mag2, phase2 = _polar(beta**2)
-    mag3, phase3 = _polar(2.0 * norm2 * np.conj(alpha) * beta * (1.0 - np.cos(theta) * overlap4))
-    mag4, phase4 = _polar(alpha * beta)
-    return TwoModeMoments(
-        n1=float(n),
-        n2=float(n),
-        R1=mag1,
-        R2=mag2,
-        R3=mag3,
-        R4=mag4,
-        gamma1=phase1,
-        gamma2=phase2,
-        gamma3=phase3,
-        gamma4=phase4,
-    )
+    beam = 2.0 * norm2 * np.conj(alpha) * beta * (1.0 - np.cos(theta) * overlap4)
+    return _two_mode(shape, n, alpha**2, beta**2, beam, alpha * beta, degenerate)
 
 
-def f_sigma(sigma: float) -> float:
+@_quiet
+def f_sigma(sigma):
     """Depth profile of the aligned entangled-coherent minimum.
 
     f(sigma) = sigma^2 e^{-2 sigma^2} (1 + e^{-2 sigma^2}) / (1 + e^{-4 sigma^2});
     the deepest aligned minimum is -4 omega f(sigma) in natural units.
     """
+    shape, sigma = _rows(sigma)
     e2 = np.exp(-2.0 * sigma**2)
-    return float(sigma**2 * e2 * (1.0 + e2) / (1.0 + e2 * e2))
+    return _shaped(shape, [sigma**2 * e2 * (1.0 + e2) / (1.0 + e2 * e2)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -536,8 +562,8 @@ def f_sigma(sigma: float) -> float:
 TWO_PI = 2.0 * math.pi
 
 
-def _phased(mag: float, phase: float) -> complex:
-    return mag * complex(math.cos(phase), math.sin(phase))
+def _phased(mag, phase):
+    return mag * np.exp(1j * phase)
 
 
 @dataclass(frozen=True)
@@ -549,7 +575,7 @@ class Layout:
     """
 
     columns: tuple[str, ...]
-    cells: Callable[[Any], tuple[float, ...]]
+    cells: Callable[[Any], tuple]
     lift: Callable[[Any], TwoModeMoments] | None
 
 
@@ -557,21 +583,22 @@ ONE_MODE = Layout(
     columns=("n", "R", "F"),
     cells=lambda m: (m.n, m.pair_mag, m.excess),
     # one-mode states occupy mode 1; mode 2 stays empty
-    lift=lambda m: TwoModeMoments(m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0),
+    lift=lambda m: TwoModeMoments(m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0, m.degenerate),
 )
 TWO_MODE = Layout(
     columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
     cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.R1 - m.n1),
     lift=lambda m: m,
 )
-SCALAR = Layout(columns=("f",), cells=lambda m: (float(m),), lift=None)
+SCALAR = Layout(columns=("f",), cells=lambda m: (m,), lift=None)
 
 
 @dataclass(frozen=True)
 class SearchView:
     """A box over free coordinates of a one-mode family, for the multi-start search.
 
-    ``moments_of`` maps a coordinate vector to the family's moments.
+    ``moments_of`` maps a coordinate vector, or an array with one vector per
+    row, to the family's moments (one row each).
     ``angular`` marks coordinates living on the circle: they are wrapped
     modulo 2 pi rather than clipped, and differenced on the circle.
     ``canonical`` (optional) maps a coordinate vector to a symmetry-reduced
@@ -597,7 +624,7 @@ class SearchView:
         return len(self.names)
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
-        """Wrap angular coordinates, clip the rest into the box."""
+        """Wrap angular coordinates, clip the rest into the box (row-wise for an array of points)."""
         q = np.asarray(params, dtype=float)
         return np.where(self.angular, np.remainder(q, TWO_PI), np.clip(q, self.lower, self.upper))
 
@@ -607,11 +634,12 @@ class Family:
     """One state family as the command line, the search and verification see it.
 
     ``defaults`` holds the parameter keys in order; ``domain`` maps bounded
-    keys to their inclusive lower bound.  ``record`` turns parameters into the
-    argument of ``moments``, the closed-form call, which looks its closed form
-    up by module-level name on every call so that rebinding that name reaches
-    every caller.  ``norm`` is the helper the closed form takes its
-    normalization denominator from (first element of its result).
+    keys to their inclusive lower bound.  ``record`` turns parameters (numbers,
+    or arrays with one entry per row) into the argument of ``moments``, the
+    closed-form call, which looks its closed form up by module-level name on
+    every call so that rebinding that name reaches every caller.  ``norm`` is
+    the helper the closed form takes its normalization denominator from
+    (first element of its result).
     ``searches`` names the boxes the optimizer may explore.
     """
 
@@ -663,7 +691,7 @@ REGISTRY: dict[str, Family] = {
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True),
                 moments_of=lambda p: coherent_superposition_moments(
-                    CoherentPair(complex(p[0]), p[1] * np.exp(1j * p[3]), p[2] * np.exp(1j * p[4]))
+                    CoherentPair(p[..., 0], p[..., 1] * np.exp(1j * p[..., 3]), p[..., 2] * np.exp(1j * p[..., 4]))
                 ),
                 canonical=_canonical_pair,
             ),
@@ -674,7 +702,7 @@ REGISTRY: dict[str, Family] = {
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True, True),
                 moments_of=lambda p: coherent_superposition_moments(
-                    CoherentPair(p[0] * np.exp(1j * p[3]), p[1] * np.exp(1j * p[4]), p[2] * np.exp(1j * p[5]))
+                    CoherentPair(*(p[..., k] * np.exp(1j * p[..., k + 3]) for k in range(3)))
                 ),
             ),
         },
@@ -714,7 +742,7 @@ REGISTRY: dict[str, Family] = {
             # the r axis at eta = -1
             "vacuum-squeezed": SearchView(
                 ("r",), (0.0,), (3.0,), (False,),
-                lambda p: vacuum_plus_squeezed_moments(VacuumSqueezed(r=float(p[0]), eta=-1.0 + 0.0j)),
+                lambda p: vacuum_plus_squeezed_moments(VacuumSqueezed(r=p[..., 0], eta=-1.0 + 0.0j)),
             ),
         },
     ),

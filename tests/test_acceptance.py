@@ -62,6 +62,7 @@ from subvacuum.state_families import (
     coherent_superposition_moments,
     entangled_coherent_moments,
     f_sigma,
+    regular,
     squeezed_vacuum_moments,
     superposed_squeezed_moments,
     vacuum_plus_squeezed_moments,
@@ -522,7 +523,9 @@ def _draw_one_mode_states(rng, count=40):
                         )
                     )
                 )
+            regular(states[-1])
         except DegenerateStateError:
+            states.pop()
             continue
     return states
 
@@ -555,7 +558,9 @@ def _draw_two_mode_states(rng, count=30):
                         )
                     )
                 )
+            regular(states[-1])
         except DegenerateStateError:
+            states.pop()
             continue
     return states
 

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -138,6 +139,21 @@ class TestSweep:
         assert rows[0] == ["0", "", "", "", "", "", "", ""]
         assert all(cell != "" for cell in rows[1])
 
+    @pytest.mark.parametrize(
+        "argv,empty",
+        [
+            (["--family", "superposed-squeezed", "--set", "eta=1", "--set", "eta_phase=pi", "--sweep", "r=0:1:4"], 0),
+            (["--family", "zhang", "--set", "r=0", "--sweep", "theta=0:2pi:4"], 2),
+        ],
+    )
+    def test_degenerate_row_inside_a_batch_is_empty(self, tmp_path, argv, empty):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+        for i, cells in enumerate(rows):
+            assert (set(cells[1:]) == {""}) == (i == empty)
+
     def test_row_template_matches_cell_formatting(self, capsys):
         # Float rows go through one "%.9g" template per command; it must
         # print what the per-cell formatter prints, -0.0 included.
@@ -248,6 +264,35 @@ class TestSweep:
         # math.sinh overflows past r = 710.
         assert main(["sweep", "--family", "vacuum-squeezed", "--sweep", "r=750:1000:1"]) == 3
         assert "numeric failure: non-finite result at r=750" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            # The first non-finite row, where the row-by-row sweep reported it.
+            (["--family", "barnett-radmore", "--sweep", "r=300:400:1000"], "r=355.6"),
+            (["--family", "superposed-squeezed", "--set", "eta=0.7", "--sweep", "r=0:400:1000"], "r=178.4"),
+            (["--family", "coherent-squeezed", "--sweep", "r=0:800:1000"], "r=356"),
+            (["--family", "vacuum-squeezed", "--sweep", "r=700:720:200"], "r=700"),
+            (["--family", "zhang", "--sweep", "r=0:400:2"], "r=400"),
+            (["--family", "entangled-coherent", "--sweep", "sigma=0:1e160:4"], "sigma=2.5e+159"),
+            (["--family", "ecs-f", "--sweep", "sigma=0:1e200:4"], "sigma=2.5e+199"),
+        ],
+    )
+    def test_overflow_row_is_reported_at_its_value(self, argv, where, capsys):
+        assert main(["sweep", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"subvacuum sweep: numeric failure: non-finite result at {where}\n"
+
+    @pytest.mark.parametrize("family", ["barnett-radmore", "superposed-squeezed", "zhang"])
+    def test_overflow_prints_one_line_and_no_numpy_warning(self, family, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--family", family, "--sweep", "r=0:400:2"])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == ["subvacuum sweep: numeric failure: non-finite result at r=400"]
 
 
 class TestSearch:
@@ -394,6 +439,11 @@ class TestDensity:
         assert main(["density", "--family", "ecs-f"]) == 1
         assert "no spatial density" in quiet_stderr()
 
+    def test_degenerate_state_exits_3(self, quiet_stderr):
+        # The closed form flags the row; the density refuses it.
+        assert main(["density", "--family", "zhang", "--set", "r=0", "--set", "theta=pi", "--grid-n", "16"]) == 3
+        assert "numeric failure: degenerate state" in quiet_stderr()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -474,8 +524,8 @@ class TestVerify:
         assert doc["config"] == {"families": ["vacuum-squeezed"], "draws": 2, "cutoff": 4096}
 
     def test_failed_family_exits_2(self, tmp_path, monkeypatch):
-        def broken_drawer(rng, cap):
-            return {"r": 1.0}, 1.0, 0.0  # deviation far above every tolerance
+        def broken_drawer(rng, draws, cap):
+            return [({"r": 1.0}, 1.0, 0.0)] * draws  # deviation far above every tolerance
 
         monkeypatch.setitem(verification._DRAWERS, "vacuum-squeezed", broken_drawer)
         out = tmp_path / "broken.csv"

@@ -35,9 +35,9 @@ GOLDEN = [
     ("sweep --family ecs-f --sweep sigma=0:2:20",
      "4ad9b59be745e6e84edc587a4260e6857db99d76fed01b899f0cb73a744205d5"),
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
-     "1dc080e9336698af2aecee37e537104a54f766cac52b87b4bebfb9db5d5e39eb"),
+     "27d256a8871e6ea37a6fb95558bb59b39e0cf51b8bbd3cd520fa0d1062ffa94f"),
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
-     "d2f0f6e3e041880986361cf0ed279af9b3a24f6e315ea24bf2ba3ced2f6b7935"),
+     "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
      "2e9e4afc6b3b9d950cebe5e0cc2ef2f223ad5214849192fed41367d8022f7458"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
@@ -49,7 +49,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
-     "f6b6514613c58be818b142b6ce0121fd064c3896743eef0210f87fa98aabe321"),
+     "2e1ea593c159cbc8340141e84cc308e02001ed01d46dc2e015b556712e74c808"),
 ]
 
 

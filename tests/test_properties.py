@@ -16,7 +16,6 @@ from subvacuum import fock_oracle as oracle
 from subvacuum.state_families import (
     CoherentPair,
     CoherentSqueezed,
-    DegenerateStateError,
     EntangledCoherent,
     SqueezedPair,
     VacuumSqueezed,
@@ -78,39 +77,31 @@ def test_squeezed_vacuum_bounds(r):
 
 @given(complex_polar(amplitude), complex_polar(amplitude), complex_polar(weight))
 def test_coherent_pair_bounds(alpha, beta, eta):
-    try:
-        m = coherent_superposition_moments(CoherentPair(alpha=alpha, beta=beta, eta=eta))
-    except DegenerateStateError:
-        assume(False)
+    m = coherent_superposition_moments(CoherentPair(alpha=alpha, beta=beta, eta=eta))
+    assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, complex_polar(weight))
 def test_superposed_squeezed_bounds(r, eta):
-    try:
-        m = superposed_squeezed_moments(SqueezedPair(r=r, eta=eta))
-    except DegenerateStateError:
-        assume(False)
+    m = superposed_squeezed_moments(SqueezedPair(r=r, eta=eta))
+    assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, phase, complex_polar(amplitude), complex_polar(weight))
 def test_coherent_plus_squeezed_bounds(r, delta, alpha, eta):
-    try:
-        m = coherent_plus_squeezed_moments(
-            CoherentSqueezed(r=r, delta=delta, alpha=alpha, eta=eta)
-        )
-    except DegenerateStateError:
-        assume(False)
+    m = coherent_plus_squeezed_moments(
+        CoherentSqueezed(r=r, delta=delta, alpha=alpha, eta=eta)
+    )
+    assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, complex_polar(weight))
 def test_vacuum_plus_squeezed_bounds(r, eta):
-    try:
-        m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
-    except DegenerateStateError:
-        assume(False)
+    m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
+    assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
@@ -123,31 +114,25 @@ def test_barnett_radmore_bounds(r, delta):
 
 @given(st.floats(min_value=1e-3, max_value=1.5), phase)
 def test_zhang_bounds(r, theta):
-    try:
-        m = zhang_moments(ZhangReal(r=r, theta=theta))
-    except (DegenerateStateError, ZeroDivisionError):
-        assume(False)
+    m = zhang_moments(ZhangReal(r=r, theta=theta))
+    assume(not m.degenerate)
     assert_two_mode_bounds(m)
 
 
 @given(amplitude, phase, phase, phase)
 def test_entangled_coherent_bounds(sigma, theta, d1, d2):
-    try:
-        m = entangled_coherent_moments(
-            EntangledCoherent(sigma=sigma, theta=theta, delta1=d1, delta2=d2)
-        )
-    except DegenerateStateError:
-        assume(False)
+    m = entangled_coherent_moments(
+        EntangledCoherent(sigma=sigma, theta=theta, delta1=d1, delta2=d2)
+    )
+    assume(not m.degenerate)
     assert_two_mode_bounds(m)
 
 
 @given(squeeze, complex_polar(weight), st.floats(min_value=0.1, max_value=5.0))
 def test_one_mode_floor_never_beats_the_universal_bound(r, eta, omega):
     # F < 1/2 for every state, so no single mode can dip below -omega/2.
-    try:
-        m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
-    except DegenerateStateError:
-        assume(False)
+    m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
+    assume(not m.degenerate)
     assert rho_min_one_mode(m, omega) >= -omega * (0.5 + CS_SLACK)
 
 

@@ -148,7 +148,7 @@ class TestCoherentPairMoments:
 
     def test_destructive_normalization_raises(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.coherent_superposition_moments(sf.CoherentPair(0.5, 0.5, -1.0))
+            sf.regular(sf.coherent_superposition_moments(sf.CoherentPair(0.5, 0.5, -1.0)))
 
     def test_flat_ridge_of_even_superpositions(self):
         """Real displacement of the even two-branch state never changes F.
@@ -194,7 +194,7 @@ class TestSuperposedSqueezed:
 
     def test_degenerate_at_zero_squeeze(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.superposed_squeezed_moments(sf.SqueezedPair(0.0, -1.0))
+            sf.regular(sf.superposed_squeezed_moments(sf.SqueezedPair(0.0, -1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,7 @@ class TestZhang:
 
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.zhang_moments(sf.ZhangReal(0.0, math.pi))
+            sf.regular(sf.zhang_moments(sf.ZhangReal(0.0, math.pi)))
 
     def test_small_r_asymptotics(self):
         theta = 0.99 * math.pi
@@ -521,7 +521,7 @@ class TestEntangledCoherent:
 
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.entangled_coherent_moments(sf.EntangledCoherent(0.0, math.pi, 0.0, 0.0))
+            sf.regular(sf.entangled_coherent_moments(sf.EntangledCoherent(0.0, math.pi, 0.0, 0.0)))
 
 
 def test_f_sigma_peak_region():
@@ -537,3 +537,68 @@ def test_f_sigma_interior_maximum():
     k = int(np.argmax(vals))
     assert 0.65 < sigmas[k] < 0.75
     assert vals[k] == pytest.approx(0.2216980685, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Array closed forms: a sweep is one batch, a scalar call a batch of one
+# ---------------------------------------------------------------------------
+
+
+def _rows(family: sf.Family, m) -> list[tuple[bool, bytes]]:
+    """Per row: the degenerate flag, and the sweep cells' bytes (empty if flagged)."""
+    cells = np.column_stack(np.broadcast_arrays(*(np.atleast_1d(c) for c in family.layout.cells(m))))
+    flags = np.broadcast_to(getattr(m, "degenerate", False), cells.shape[:1])
+    return [(bool(f), b"" if f else row.tobytes()) for f, row in zip(flags, cells)]
+
+
+def _evaluate(family: sf.Family, fixed: dict, key: str, value):
+    return family.moments(family.record({**family.defaults, **fixed, key: value}))
+
+
+SWEPT = [(name, {}, key) for name, family in sf.REGISTRY.items() for key in family.defaults]
+# Degenerate rows inside a batch: eta = -1 at r = 0 (row 0), theta = pi at
+# r = 0 (row 2), sigma = 0 at theta = pi (row 0), and two equal coherent
+# branches cancelling at delta = pi (row 2).
+WITH_DEGENERATE_ROWS = [
+    ("superposed-squeezed", {"eta": 1.0, "eta_phase": math.pi}, "r", np.linspace(0.0, 1.0, 5), [0]),
+    ("zhang", {"r": 0.0}, "theta", np.linspace(0.0, TAU, 5), [2]),
+    ("entangled-coherent", {"theta": math.pi}, "sigma", np.linspace(0.0, 1.0, 5), [0]),
+    ("coherent-pair", {"alpha": 0.5, "beta": 0.5, "delta2": 0.0}, "delta", np.linspace(0.0, TAU, 5), [2]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,fixed,key,values,flagged",
+    [(name, fixed, key, np.linspace(0.0, 2.5, 26), []) for name, fixed, key in SWEPT] + WITH_DEGENERATE_ROWS,
+    ids=[f"{name}-{key}" for name, _, key in SWEPT] + [f"{c[0]}-degenerate" for c in WITH_DEGENERATE_ROWS],
+)
+def test_batch_rows_match_batch_of_one_bit_for_bit(name, fixed, key, values, flagged):
+    family = sf.REGISTRY[name]
+    batch = _rows(family, _evaluate(family, fixed, key, values))
+    assert [i for i, (flag, _) in enumerate(batch) if flag] == flagged
+    for row, v in zip(batch, values.tolist()):
+        assert _rows(family, _evaluate(family, fixed, key, v)) == [row]
+
+
+def test_scalar_call_returns_numpy_scalars_and_batch_returns_rows():
+    m = sf.coherent_superposition_moments(sf.CoherentPair(0.8, -0.8, 1.0))
+    assert all(isinstance(v, np.float64) for v in (m.n, m.pair_mag, m.pair_phase, m.excess))
+    assert not m.degenerate
+    m = sf.coherent_superposition_moments(sf.CoherentPair(np.array([0.8, 0.5]), np.array([-0.8, 0.5]), -1.0))
+    assert m.n.shape == m.degenerate.shape == (2,)
+    assert m.degenerate.tolist() == [False, True]
+    assert np.isnan(m.n[1]) and np.isfinite(m.n[0])
+
+
+def test_polar_keeps_the_phase_cut_and_the_zero_convention():
+    # A pair moment on the negative real axis with a -0 imaginary part has
+    # arctan2 phase -pi; (-pi, pi] puts it at +pi.  Magnitudes below 1e-15
+    # get (0, 0).
+    mag, phase = sf._polar(np.array([-2.0 - 0.0j, -2.0 + 0.0j, 1e-16 + 0.0j, 0.0j, -1e-16 - 0.0j]))
+    assert mag.tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]
+    assert phase.tolist() == [math.pi, math.pi, 0.0, 0.0, 0.0]
+    # The squeezed vacuum at delta = 0 has the pair moment -sinh r cosh r - 0j:
+    # row 0 (r = 0) is the zero convention, every other row sits on the cut.
+    m = sf.squeezed_vacuum_moments(np.linspace(0.0, 1.0, 5), 0.0)
+    assert m.pair_mag[0] == 0.0 and m.pair_phase[0] == 0.0
+    assert np.all(m.pair_mag[1:] > 0.0) and np.all(m.pair_phase[1:] == math.pi)
