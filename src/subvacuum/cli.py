@@ -18,8 +18,8 @@ and seeds give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -140,45 +140,31 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _render_csv(header: Sequence[str], rows: Iterable[Sequence[object]], template: str | None = None) -> str:
-    """CSV text; ``template`` formats each row without empty cells in one step.
-
-    A command whose rows are numbers (after at most a leading label) passes
-    one ``%``-template per row, with ``%.9g`` per float as in :func:`_fmt`;
-    rows with ``None`` cells, and every row of a command without a
-    template, are written cell by cell.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if template is not None and None not in row:
-            buf.write(template % tuple(row))
-        else:
-            writer.writerow([_fmt(cell) for cell in row])
-    return buf.getvalue()
-
-
-def _render_json(doc: Mapping[str, object]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
-           seed: int | None, config: Mapping[str, object], template: str | None = None, **body: object) -> None:
-    """Emit the rows as CSV, or one JSON document (``body`` defaults to the rows)."""
-    if args.format == "csv":
-        _emit(_render_csv(header, rows, template), args.out)
-    else:
+           seed: int | None, config: Mapping[str, object], blocks: Iterable[str] | None = None,
+           **body: object) -> None:
+    """Emit CSV, or one JSON document (``body`` defaults to the rows).
+
+    CSV goes to ``--out`` or stdout as it is formatted: the command's
+    ``blocks`` of row text if it gives them, else ``rows`` cell by cell
+    through :func:`_fmt`.  Every number is computed before this call, so a
+    numeric failure leaves no ``--out`` file.
+    """
+    text = None
+    if args.format == "json":
         body = body or {"rows": [dict(zip(header, row)) for row in rows]}
-        _emit(_render_json({"command": args.command, "seed": seed, "config": config, **body}), args.out)
+        text = json.dumps({"command": args.command, "seed": seed, "config": config, **body}, indent=2) + "\n"
+    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        if text is not None:
+            fh.write(text)
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if blocks is None:
+            writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        else:
+            fh.writelines(blocks)
 
 
 # --------------------------------------------------------------------------
@@ -200,15 +186,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if overflow.any():
         raise FloatingPointError(f"non-finite result at {key}={values[overflow.argmax()]:.9g}")
 
-    def rows():  # a block of rows at a time: no Python list of the whole table is held
+    width = len(header)
+    cells = np.ones(table.shape, dtype=bool)
+    cells[degenerate, 1:] = False  # a degenerate row prints its parameter value only
+    template, empty = ",".join(["%.9g"] * width) + "\n", "%.9g" + "," * (width - 1) + "\n"
+
+    def blocks():  # one "%" format per 4096 rows: no Python list of the whole table is held
         for start in range(0, len(table), 4096):
             block = slice(start, start + 4096)
-            for row, flag in zip(table[block].tolist(), degenerate[block]):
-                yield row[:1] + [None] * (len(header) - 1) if flag else row
+            text = "".join([empty if flag else template for flag in degenerate[block].tolist()])
+            yield text % tuple(table[block][cells[block]].tolist())
+
+    def rows():
+        for row, flag in zip(table.tolist(), degenerate.tolist()):
+            yield row[:1] + [None] * (width - 1) if flag else row
 
     sweep = {"key": key, "lo": float(values[0]), "hi": float(values[-1]), "steps": len(values) - 1}
-    template = ",".join(["%.9g"] * len(header)) + "\n"
-    _write(args, header, rows(), None, {"family": args.family, "sweep": sweep, "params": params}, template)
+    _write(args, header, rows(), None, {"family": args.family, "sweep": sweep, "params": params}, blocks())
     return 0
 
 
@@ -250,15 +244,26 @@ def _cmd_density(args: argparse.Namespace) -> int:
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
-    rows: list[tuple[object, ...]] = [("sample", *row) for row in profile.samples.tolist()]
+    samples = profile.samples
     pmin, vmin = profile.min_found
-    rows.append(("min", pmin.x[0], pmin.x[1], pmin.x[2], pmin.t, vmin))
+    min_row = ("min", *pmin.x, pmin.t, vmin)
+
+    def blocks():  # every t block repeats the spatial rows: format them once, "\0" standing for t
+        space = samples[: len(samples) // args.grid_n, :3]
+        prefixes = ("sample,%.9g,%.9g,%.9g,\0,%%.9g\n" * len(space)) % tuple(space.ravel().tolist())
+        for t_block in np.split(samples[:, 3:], args.grid_n):
+            yield prefixes.replace("\0", "%.9g" % t_block[0, 0]) % tuple(t_block[:, 1].tolist())
+        yield "%s,%.9g,%.9g,%.9g,%.9g,%.9g\n" % min_row
+
+    def rows():
+        yield from (("sample", *row) for row in samples.tolist())
+        yield min_row
 
     geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
            "cosangle": geometry.cos_angle()}
     config = {"family": args.family, "params": params, "geometry": geo,
               "window": args.window, "grid_n": args.grid_n}
-    _write(args, header, rows, None, config, "%s,%.9g,%.9g,%.9g,%.9g,%.9g\n")
+    _write(args, header, rows(), None, config, blocks())
     return 0
 
 

@@ -93,7 +93,8 @@ class DensityProfile:
 
     ``samples`` is an (N, 5) float array with columns x1, x2, x3, t, rho, one
     row per scan-grid point in (t, space...) lexicographic order: N is
-    grid_n**3 for skew traveling modes and grid_n**2 otherwise.
+    grid_n**3 for skew traveling modes and grid_n**2 otherwise.  The spatial
+    columns of every t block repeat the first block bit for bit.
     """
 
     samples: np.ndarray
@@ -221,16 +222,8 @@ def _moments_finite(m: TwoModeMoments) -> bool:
     return all(map(math.isfinite, vals))
 
 
-def rho_min_two_mode_numeric(
-    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
-) -> tuple[SpacetimePoint, float]:
-    """Numeric minimum of the density over x in the wave-vector span, t in [0, window].
-
-    A dense grid scan (``grid_n`` points per axis, ties broken toward the
-    smallest t then the smallest spatial coordinates) seeds a Nelder-Mead
-    polish; the polished value is kept only if it improves on the best
-    sample, so the result is always <= every sampled value.
-    """
+def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
+    """The scan grid, the density on it and the polished minimum (point, value)."""
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if window <= 0:
@@ -251,7 +244,20 @@ def rho_min_two_mode_numeric(
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
     x = _span_x(g, *best[1:])
-    return SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val
+    return coords, vals, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
+
+
+def rho_min_two_mode_numeric(
+    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
+) -> tuple[SpacetimePoint, float]:
+    """Numeric minimum of the density over x in the wave-vector span, t in [0, window].
+
+    A dense grid scan (``grid_n`` points per axis, ties broken toward the
+    smallest t then the smallest spatial coordinates) seeds a Nelder-Mead
+    polish; the polished value is kept only if it improves on the best
+    sample, so the result is always <= every sampled value.
+    """
+    return _scan_and_polish(m, g, window, grid_n)[2]
 
 
 def density_profile(
@@ -262,11 +268,10 @@ def density_profile(
     The samples are the minimizer's own scan, in (t, space...) lexicographic
     order, so the minimum is <= every sample exactly.
     """
-    point_min, val_min = rho_min_two_mode_numeric(m, g, window, grid_n)
-    coords, vals = _scan(m, g, window, grid_n)
+    coords, vals, min_found = _scan_and_polish(m, g, window, grid_n)
     x = _span_x(g, *coords[1:]).reshape(-1, 3)
     samples = np.column_stack([x, coords[0].ravel(), vals.ravel()])
-    return DensityProfile(samples=samples, min_found=(point_min, val_min))
+    return DensityProfile(samples=samples, min_found=min_found)
 
 
 def rho_min_br_closed(r: float, delta: float, omega1: float, omega2: float) -> float:

@@ -6,16 +6,20 @@ stays independent of pytest's capture mode; one subprocess test covers the
 """
 
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
+import subvacuum.state_families as sf
 import subvacuum.verification as verification
-from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, _fmt, main, parse_real
+from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, _fmt, _parse_geometry, main, parse_real
+from subvacuum.energy_density import density_profile
 from subvacuum.state_families import squeezed_vacuum_moments
 
 F_RIDGE = 0.2784645427610738
@@ -25,6 +29,15 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def cell_by_cell(header, rows):
+    """Reference CSV text: csv.writer over ``_fmt`` of every cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -162,6 +175,17 @@ class TestSweep:
         assert _fmt(-0.0) == "%.9g" % -0.0 == "-0"
         assert lines == ["delta,n,R,F", "0,0,0,-0", "0.5,0,0,-0", "1,0,0,-0"]
 
+    def test_blocks_match_cell_by_cell_reference(self, tmp_path):
+        # theta = pi, the one degenerate row, opens the second 4096-row block.
+        argv = ["sweep", "--family", "zhang", "--set", "r=0", "--sweep", "theta=0:2pi:8192"]
+        out, doc = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--format", "json", "--out", str(doc)]) == 0
+        rows = [list(row.values()) for row in json.loads(doc.read_text())["rows"]]
+        assert [i for i, row in enumerate(rows) if row[1] is None] == [4096]
+        expected = cell_by_cell(["theta", "n1", "n2", "R1", "R2", "R3", "R4", "F"], rows)
+        assert out.read_text(encoding="utf-8") == expected
+
     def test_pi_suffix_reaches_the_sweep_axis(self, tmp_path):
         out = tmp_path / "axis.csv"
         code = main(
@@ -253,6 +277,12 @@ class TestSweep:
         assert code == 3
         assert "inf" not in captured.out
         assert "numeric failure" in captured.err
+
+    def test_overflow_leaves_no_out_file(self, tmp_path, quiet_stderr):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "barnett-radmore", "--sweep", "r=0:400:2", "--out", str(out)]) == 3
+        assert "numeric failure" in quiet_stderr()
+        assert not out.exists()
 
     def test_python_overflow_exits_3(self, capsys):
         # abs(alpha) ** 2 raises OverflowError on a Python float.
@@ -443,6 +473,48 @@ class TestDensity:
         # The closed form flags the row; the density refuses it.
         assert main(["density", "--family", "zhang", "--set", "r=0", "--set", "theta=pi", "--grid-n", "16"]) == 3
         assert "numeric failure: degenerate state" in quiet_stderr()
+
+    def test_degenerate_state_leaves_no_out_file(self, tmp_path, quiet_stderr):
+        out = tmp_path / "density.csv"
+        argv = ["density", "--family", "zhang", "--set", "r=0", "--set", "theta=pi", "--grid-n", "16"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "numeric failure: degenerate state" in quiet_stderr()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_n", [17, 24])
+    @pytest.mark.parametrize(
+        "geometry", ["standing:1:2:1", "traveling:1:2:1", "traveling:1:2:0", "traveling:1:1:0.3", "traveling:1:2:-0.5"]
+    )
+    def test_csv_matches_cell_by_cell_reference(self, tmp_path, geometry, grid_n):
+        # The export formats each spatial point and each t once; it must
+        # print what formatting every cell of every sample row prints.
+        params = {"r": 0.8, "delta": 0.7}
+        family = sf.REGISTRY["barnett-radmore"]
+        moments = family.layout.lift(sf.regular(family.moments(family.record(params))))
+        profile = density_profile(moments, _parse_geometry(geometry), 8.0, grid_n)
+        pmin, vmin = profile.min_found
+        rows = [("sample", *row) for row in profile.samples.tolist()] + [("min", *pmin.x, pmin.t, vmin)]
+        expected = cell_by_cell(["kind", "x1", "x2", "x3", "t", "rho"], rows)
+
+        out = tmp_path / "density.csv"
+        sets = [f"--set={k}={v}" for k, v in params.items()]
+        argv = ["density", "--family", "barnett-radmore", *sets, "--geometry", geometry, "--grid-n", str(grid_n)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_3d_export_traced_peak_is_bounded(self, tmp_path):
+        # Streaming t blocks from the sample array peaks at 5.9 MiB traced;
+        # per-row tuples plus one whole-document string peak at 25.7 MiB.
+        out = tmp_path / "density.csv"
+        argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0", "--grid-n", "40"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 40**3 * 30
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize(
         "argv",

@@ -345,6 +345,26 @@ class TestDensityProfile:
         )
         assert skew.samples.shape == (16 * 16 * 16, 5)
 
+    @pytest.mark.parametrize(
+        "g",
+        [*PROFILE_GEOMETRIES.values(), ModeGeometry("traveling", 1.0, 2.0, khat2=(math.sqrt(0.75), 0.0, -0.5))],
+        ids=[*PROFILE_GEOMETRIES, "obtuse"],
+    )
+    def test_every_t_block_repeats_the_spatial_columns(self, g):
+        # The CLI formats the spatial columns once and reuses them for every t.
+        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        samples = density_profile(m, g, 8.0, 17).samples
+        blocks = samples.view(np.uint64).reshape(17, -1, 5)
+        assert (blocks[:, :, :3] == blocks[:1, :, :3]).all()
+        assert (blocks[:, :, 3] == blocks[:, :1, 3]).all()
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
+    def test_min_found_is_the_numeric_minimum(self, name):
+        # One scan serves both the samples and the polished minimum.
+        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        g = PROFILE_GEOMETRIES[name]
+        assert density_profile(m, g, 8.0, 17).min_found == rho_min_two_mode_numeric(m, g, 8.0, 17)
+
     @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
     def test_samples_reproduce_point_evaluator(self, name):
         # Samples are the scan's values at span coordinates; the point
