@@ -277,18 +277,19 @@ def density_profile(
 def rho_min_br_closed(r: float, delta: float, omega1: float, omega2: float) -> float:
     """Closed-form minimum for the two-mode squeezed vacuum, aligned traveling modes.
 
-    -sinh r [2 sqrt(w1 w2) cosh r - (w1 + w2) sinh r].  The squeeze phase
-    ``delta`` moves the location of the minimum but not its depth; it is
-    accepted for interface symmetry.  Alignment means khat1.khat2 = 1, so the
-    cross-channel geometric factor is 2.
+    -sinh r [2 sqrt(w1 w2) cosh r - (w1 + w2) sinh r], evaluated without
+    cancellation as sqrt(w1 w2) expm1(-2r) + (sqrt(w1) - sqrt(w2))^2 sinh^2 r,
+    with (sqrt(w1) - sqrt(w2))^2 written (w1 - w2)^2 / (sqrt(w1) + sqrt(w2))^2.
+    The squeeze phase ``delta`` moves the location of the minimum but not its
+    depth; it is accepted for interface symmetry.  Alignment means
+    khat1.khat2 = 1, so the cross-channel geometric factor is 2.
     """
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     if not (omega1 > 0 and omega2 > 0):
         raise ValueError("frequencies must be positive")
     del delta
-    s, c = math.sinh(r), math.cosh(r)
-    return -s * (2.0 * math.sqrt(omega1 * omega2) * c - (omega1 + omega2) * s)
+    return math.sqrt(omega1 * omega2) * math.expm1(-2.0 * r) + _root_gap(omega1, omega2) * math.sinh(r) ** 2
 
 
 def br_vs_2sq_gap(r: float, omega1: float, omega2: float) -> float:
@@ -301,7 +302,12 @@ def br_vs_2sq_gap(r: float, omega1: float, omega2: float) -> float:
         raise ValueError("squeeze magnitude must be non-negative")
     if not (omega1 > 0 and omega2 > 0):
         raise ValueError("frequencies must be positive")
-    return math.sinh(r) * math.cosh(r) * (math.sqrt(omega1) - math.sqrt(omega2)) ** 2
+    return math.sinh(r) * math.cosh(r) * _root_gap(omega1, omega2)
+
+
+def _root_gap(omega1: float, omega2: float) -> float:
+    """(sqrt(w1) - sqrt(w2))^2 as (w1 - w2)^2 / (sqrt(w1) + sqrt(w2))^2, free of cancellation."""
+    return (omega1 - omega2) ** 2 / (math.sqrt(omega1) + math.sqrt(omega2)) ** 2
 
 
 def rho_min_ecs_aligned(sigma: float, omega: float) -> float:

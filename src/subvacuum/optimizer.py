@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .state_families import TWO_PI, DegenerateStateError, SearchView
+from .state_families import TWO_PI, SearchView
 
 # The search reaches closed forms through its SearchView.  This name stays
 # bound here for code that looks the coherent-pair closed form up on this
@@ -50,6 +50,10 @@ _FD_STEP = 1e-8
 
 class AscentFailure(RuntimeError):
     """Raised when no objective value can be computed for a start."""
+
+
+class _RunEnded(Exception):
+    """Stops an L-BFGS-B run where its gradient is undefined."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class Extremum:
     """Where one start's run ended, with its moments.
 
     ``grad_norm`` is the projected gradient norm there, or ``None`` when the
-    run stopped at a degenerate state or fell back to its start.
+    run stopped where its gradient is undefined or fell back to its start.
     """
 
     params: tuple[float, ...]
@@ -116,7 +120,9 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     ``converged`` needs both L-BFGS-B's success and a projected gradient norm
     at most ``cfg.grad_tol`` at the returned point.  A run that asks for F at
     a degenerate state ends at its last finite iterate, unconverged, with an
-    unknown (``None``) gradient norm.  The result is never below the start.
+    unknown (``None``) gradient norm; so does a run whose unbounded angle
+    grew so large that the difference step no longer changes it (where F is
+    flat in that phase).  The result is never below the start.
     """
     p0 = view.clamp(np.asarray(start, dtype=float))
     f0 = objective_F(view, p0)
@@ -135,8 +141,11 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
         h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
         neg = -objective_F(view, view.clamp(np.vstack([x, x + np.diag(h)])))
         if not np.isfinite(neg).all():
-            raise DegenerateStateError("the line search reached a degenerate state")
-        return neg[0], (neg[1:] - neg[0]) / ((x + h) - x)
+            raise _RunEnded("the line search reached a degenerate state")
+        step = (x + h) - x
+        if not step.all():
+            raise _RunEnded("a coordinate outgrew the difference step")
+        return neg[0], (neg[1:] - neg[0]) / step
 
     # gtol bounds the max-norm, so grad_tol / sqrt(dim) bounds the 2-norm by
     # grad_tol; ftol = 0 leaves stopping to that gradient test.
@@ -148,7 +157,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
             neg_f_and_grad, p0, jac=True, method="L-BFGS-B", bounds=optimize.Bounds(lo, hi),
             callback=lambda xk: iterates.append(view.clamp(xk)), options=options,
         )
-    except DegenerateStateError:
+    except _RunEnded:
         p, iterations = iterates[-1], len(iterates) - 1
         f, grad_norm, converged = objective_F(view, p), None, False
     else:

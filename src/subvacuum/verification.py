@@ -2,10 +2,14 @@
 
 For each state family we draw parameters from a seeded stream inside
 oracle-safe bounds (squeeze magnitudes <= 2.5, coherent amplitudes <= 3,
-superposition weights <= 4 in magnitude), build the state in the truncated
+superposition weights <= 4 in magnitude), build each state in the truncated
 number basis at the first doubling cutoff where that state's own tail mass
 is at most 1e-12, and demand that every closed-form moment agree with the
-brute-force value to max(1e-8, 10 x tail mass).
+brute-force value to max(1e-8, 10 x tail mass).  A family's draws are
+evaluated as batches throughout: one denominator-guard call per round of
+candidates, one closed-form call, and one oracle build per cutoff level
+(:func:`fock_oracle.fits`, in blocks of bounded size) for all the draws
+still unresolved at that level.
 
 A second report checks the hyperbolic matrix-element identities used inside
 the closed forms (squeezed-squeezed and squeezed-coherent overlaps and ladder
@@ -89,13 +93,17 @@ class IdentityRow:
     note: str = ""
 
 
-def _deviations(cm: TwoModeMoments, oms: list[oracle.OracleMoments]) -> np.ndarray:
+def _deviations(closed: np.ndarray, om: oracle.OracleMoments) -> np.ndarray:
     """Largest closed-form-vs-oracle gap over the occupations and the four
-    channels, one per row of the batch ``cm`` and entry of ``oms``."""
+    channels, one per row of ``closed`` (:func:`_closed_columns`) and ``om``."""
+    brute = np.broadcast_arrays(om.n_a, om.n_b, om.a2, om.b2, om.adag_b, om.ab)
+    return np.abs(closed - np.stack(brute, axis=-1)).max(axis=-1)
+
+
+def _closed_columns(cm: TwoModeMoments) -> np.ndarray:
+    """The closed forms as columns n1, n2, then each channel as R e^{i gamma}, one row per draw."""
     channels = [(cm.R1, cm.gamma1), (cm.R2, cm.gamma2), (cm.R3, cm.gamma3), (cm.R4, cm.gamma4)]
-    closed = np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels))
-    brute = [[om.n_a, om.n_b, om.a2, om.b2, om.adag_b, om.ab] for om in oms]
-    return np.abs(np.stack(closed, axis=-1) - np.array(brute)).max(axis=1)
+    return np.stack(np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels)), axis=-1)
 
 
 def _unit_phase(rng: np.random.Generator) -> float:
@@ -127,6 +135,11 @@ def _stacked(records: list):
     return type(records[0])(*(np.array(column) for column in zip(*(vars(p).values() for p in records))))
 
 
+def _take(params, rows: np.ndarray):
+    """The rows ``rows`` of a record of array fields."""
+    return type(params)(*(field[rows] for field in vars(params).values()))
+
+
 #: Family name -> drawer(rng, draws, cap) returning one (params for the
 #: report, deviation, tail mass) per draw, filled by :func:`_drawer_for`.
 #: Definition order below is the FAMILIES order, which keys each family's
@@ -138,32 +151,41 @@ def _drawer_for(family: str, draw):
     """Register the decorated oracle-state builder ``build(params, cutoff)`` for ``family``.
 
     ``draw(rng)`` returns the family's parameter record inside the oracle-safe
-    bounds; it is redrawn while the registry's normalization denominator is
-    below ``_DENOM_GUARD``.  All records are drawn first, and the closed form
-    is evaluated once over all of them.  The state compared is the first one
-    whose own tail mass meets ``_TAIL_TARGET`` (:func:`fock_oracle.fitted`).
-    Single-mode states compare as mode 1 of a pair.
+    bounds; draws whose registry normalization denominator is below
+    ``_DENOM_GUARD`` are replaced by the next ones in the stream.  The guard
+    is judged on one batch of candidates at a time, each batch as long as
+    the draws still missing, so the accepted draws are the ones a draw-by-draw
+    redraw would accept.  The closed form is evaluated once over all draws,
+    and the oracle states are built by one :func:`fock_oracle.fits` over the
+    batch: each draw is compared at the first cutoff where its own tail mass
+    meets ``_TAIL_TARGET``, and that measured tail is kept.  ``build`` takes
+    a record of array fields and returns one state per row.  Single-mode
+    states compare as mode 1 of a pair.
     """
     closed = REGISTRY[family]
 
     def register(build):
         def drawer(rng, draws, cap):
             records = []
-            for _ in range(draws):
-                params = draw(rng)
-                while closed.norm is not None and closed.denominator(params) < _DENOM_GUARD:
-                    params = draw(rng)
-                records.append(params)
+            while len(records) < draws:
+                candidates = [draw(rng) for _ in range(draws - len(records))]
+                if closed.norm is None:
+                    records += candidates
+                else:
+                    low = closed.denominator(_stacked(candidates)) < _DENOM_GUARD
+                    records += [p for p, redraw in zip(candidates, low) if not redraw]
             if not records:
                 return []
-            cm = closed.layout.lift(regular(closed.moments(_stacked(records))))
-            oms, tails = [], []
-            for params in records:
-                state = oracle.fitted(lambda cutoff: build(params, cutoff), _TAIL_TARGET, cap)
+            params = _stacked(records)
+            columns = _closed_columns(closed.layout.lift(regular(closed.moments(params))))
+            deviation, tail = np.empty(draws), np.empty(draws)
+            for fit in oracle.fits(lambda cutoff, rows: build(_take(params, rows), cutoff), draws, _TAIL_TARGET, cap):
+                state = fit.state
                 two_mode = isinstance(state, oracle.TwoModeFockVector)
-                oms.append(oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state))
-                tails.append(oracle.tail_mass(state))
-            return list(zip(map(_report, records), _deviations(cm, oms), tails))
+                om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
+                deviation[fit.rows] = _deviations(columns[fit.rows], om)
+                tail[fit.rows] = fit.tail
+            return list(zip(map(_report, records), deviation, tail))
 
         _DRAWERS[family] = drawer
         return build
@@ -172,8 +194,8 @@ def _drawer_for(family: str, draw):
 
 
 def _plus(first: oracle.FockVector, eta: complex, second: oracle.FockVector) -> oracle.FockVector:
-    """N(first + eta second)."""
-    return oracle.superpose([(1.0, first), (complex(eta), second)])
+    """N(first + eta second), row by row."""
+    return oracle.superpose([(1.0, first), (eta, second)])
 
 
 @_drawer_for(

@@ -355,15 +355,12 @@ def zhang_oracle(r: float, theta: float) -> fock_oracle.TwoModeFockVector:
 
 
 def test_criterion_5_zhang_peak_and_asymptotics():
-    def gain(r: float, theta: float) -> float:
-        m = zhang_moments(ZhangReal(r=r, theta=theta))
-        return m.R1 - m.n1
-
     def peak(theta: float) -> tuple[float, float]:
         rs = np.linspace(1e-4, 0.2, 20000)
-        vals = [gain(float(r), theta) for r in rs]
+        m = zhang_moments(ZhangReal(r=rs, theta=theta))
+        vals = m.R1 - m.n1
         i = int(np.argmax(vals))
-        return float(rs[i]), vals[i]
+        return float(rs[i]), float(vals[i])
 
     r99, v99 = peak(0.99 * math.pi)
     n99 = zhang_moments(ZhangReal(r=r99, theta=0.99 * math.pi)).n1

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -414,6 +415,19 @@ class TestClosedForms:
                 assert br_vs_2sq_gap(r, w1, w2) == pytest.approx(
                     joint - two_separate, rel=1e-12, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("w1,w2", [(1.0, 1.0), (1.0, 2.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("r", [1.0, 10.0, 20.0])
+    def test_br_min_and_gap_match_50_digit_reference(self, r, w1, w2):
+        # The plain product form loses everything at equal frequencies and
+        # large r (it gave -0.0 at r = 20, where the depth is -1).  Measured
+        # worst relative errors here: 2.2e-16 (minimum), 1.9e-16 (gap).
+        with mpmath.workdps(50):
+            s, c = mpmath.sinh(r), mpmath.cosh(r)
+            depth = -s * (2 * mpmath.sqrt(w1 * w2) * c - (w1 + w2) * s)
+            gap = s * c * (mpmath.sqrt(w1) - mpmath.sqrt(w2)) ** 2
+            assert abs((rho_min_br_closed(r, 0.0, w1, w2) - depth) / depth) <= 1e-15
+            assert abs(br_vs_2sq_gap(r, w1, w2) - gap) <= 1e-15 * gap
 
     def test_gap_grid_nonnegative_zero_iff_equal_frequencies(self):
         freqs = (0.5, 1.0, 2.0, 3.0)

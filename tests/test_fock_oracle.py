@@ -488,3 +488,85 @@ class TestTailAndCutoffHelpers:
         assert [v.cutoff for v in built] == [32, 64, 128, 256, 512, 1024]
         assert st is built[-1]
         assert fo.tail_mass(built[-2]) > 1e-12 >= fo.tail_mass(st)
+
+
+# ---------------------------------------------------------------------------
+# Batched cutoff choice
+# ---------------------------------------------------------------------------
+
+# Squeezes from 0 to 2.5 need every doubling cutoff from 32 to 4096 at the
+# verification target 1e-12; shuffled, so blocks retire rows out of order.
+_R = np.random.default_rng(3).permutation(np.linspace(0.0, 2.5, 24))
+_PHASE = np.linspace(0.3, 5.9, 24)
+
+
+def squeezed_cat(r, eta, cutoff):
+    """N(|r> + eta |-r>), one state per row of ``r`` and ``eta``."""
+    plus, minus = fo.squeezed_vacuum_vector(r, 0.0, cutoff), fo.squeezed_vacuum_vector(r, math.pi, cutoff)
+    return fo.superpose([(1.0, plus), (eta, minus)])
+
+
+_BATCH_FAMILIES = {
+    "superposed-squeezed": (lambda r, phase, cut: squeezed_cat(r, 0.8 * np.exp(1j * phase), cut), fo.one_mode_moments),
+    "zhang": (zhang_state, fo.two_mode_moments),
+}
+
+
+@pytest.mark.parametrize("family", _BATCH_FAMILIES)
+def test_batched_fits_match_batch_of_one_bit_for_bit(family):
+    build, moments = _BATCH_FAMILIES[family]
+    found = list(fo.fits(lambda cut, rows: build(_R[rows], _PHASE[rows], cut), _R.size, 1e-12, 4096))
+    assert sorted(np.concatenate([fit.rows for fit in found]).tolist()) == list(range(_R.size))
+    assert {fit.state.cutoff for fit in found} == {32, 64, 128, 256, 512, 1024, 2048, 4096}
+    for fit in found:
+        batch = moments(fit.state)
+        for j, row in enumerate(fit.rows):
+            one = fo.fitted(lambda cut: build(_R[row], _PHASE[row], cut), 1e-12, 4096)
+            assert one.cutoff == fit.state.cutoff
+            assert np.array_equal(one.amps, fit.state.amps[j])
+            if isinstance(one, fo.TwoModeFockVector):
+                assert np.array_equal(one.weights, fit.state.weights[j])
+            single = moments(one)
+            for name in ("n_a", "n_b", "a2", "b2", "adag_b", "ab"):
+                assert getattr(single, name) == np.asarray(getattr(batch, name))[j], name
+            assert fo.tail_mass(one) == fit.tail[j]
+
+
+def test_fits_steps_unresolved_rows_through_the_cutoffs_in_lockstep():
+    # Every row is built at 32; each later cutoff builds exactly the rows the
+    # one before left unresolved, in blocks of at most BLOCK_AMPS amplitudes.
+    calls = []
+
+    def build(cut, rows):
+        calls.append((cut, rows.tolist()))
+        return zhang_state(_R[rows], _PHASE[rows], cut)
+
+    found = list(fo.fits(build, _R.size, 1e-12, 4096))
+    built: dict[int, list[int]] = {}
+    for cut, rows in calls:
+        assert len(rows) == 1 or len(rows) * (cut + 1) <= fo.BLOCK_AMPS
+        built.setdefault(cut, []).extend(rows)
+        assert len(built[cut]) == len(set(built[cut]))
+    retired: dict[int, set[int]] = {}
+    for fit in found:
+        retired.setdefault(fit.state.cutoff, set()).update(fit.rows.tolist())
+    pending = set(range(_R.size))
+    for cut in sorted(built):
+        assert set(built[cut]) == pending
+        pending -= retired.get(cut, set())
+    assert not pending
+
+
+def test_fits_raises_when_any_row_misses_the_target_under_the_cap():
+    # r = 2.5 needs cutoff 4096; the other rows would be done by 1024.
+    r = np.array([0.2, 1.0, 2.5, 0.5])
+    with pytest.raises(fo.TruncationError):
+        list(fo.fits(lambda cut, rows: zhang_state(r[rows], 1.3, cut), r.size, 1e-12, 2048))
+
+
+def test_shared_factors_are_stored_once():
+    st = zhang_state(np.array([0.4, 1.1]), 0.7, 64)
+    assert st.shared and st.amps.shape == (2, 2, 2, 65) and st.amps.strides[-3] == 0
+    assert np.shares_memory(st.amps[:, 0], st.amps[:, 1])
+    assert st.rows(np.array([False, True])).shared
+    assert not fo.superpose_two_mode([(1.0, fo.coherent_vector(0.5, 16), fo.coherent_vector(0.5, 16))]).shared

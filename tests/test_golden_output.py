@@ -49,7 +49,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
     ("verify --draws 2 --seed 7",
-     "2e1ea593c159cbc8340141e84cc308e02001ed01d46dc2e015b556712e74c808"),
+     "fda0b1165d2a280e064ada1464e233175b70c053a9f6ed3032c2e386c5bcdd8e"),
 ]
 
 

@@ -268,6 +268,24 @@ class TestMultiStart:
         assert all(e.F <= F_RIDGE + 1e-9 for e in report.extrema)
         assert 2 * sum(e.converged for e in report.extrema) >= len(report.extrema)
 
+    def test_vanishing_difference_step_ends_the_run_unconverged(self):
+        # Start 25 at seed 6 drifts to alpha ~ 0, where F is flat in both
+        # phases; L-BFGS-B then walks the unbounded delta to ~5e8, where
+        # (x + h) - x is 0 and the forward quotient would be 0/0.  The run
+        # ends at its last finite iterate, unconverged, like a degenerate one.
+        space = view("coherent-pair")
+        cfg = SearchConfig(starts=64, seed=6)
+        report = multi_start(space, cfg)
+        assert report.failed_starts == 0
+        assert sum(e.members for e in report.extrema) == 64
+        lo, hi = np.array(space.lower), np.array(space.upper)
+        start = lo + (hi - lo) * np.random.default_rng([6, 25]).uniform(size=space.dim)
+        ext = ascend(space, start, cfg)
+        assert not ext.converged and ext.grad_norm is None
+        assert all(math.isfinite(v) for v in ext.params)
+        assert ext.F == objective_F(space, np.array(ext.params))
+        assert ext.F >= objective_F(space, start)
+
     def test_canonical_map_merges_swapped_representation(self):
         space = view("coherent-pair")
         assert space.canonical is not None
