@@ -420,7 +420,9 @@ def fits(build: Callable[[int, np.ndarray], _State], size: int, target: float, c
     ``cap`` the batch is refused with :class:`TruncationError`.  Each row
     thus gets the cutoff it would get on its own, the trials cost at most
     twice the final builds, and a caller that measures each fit as it comes
-    holds one block of states at a time.
+    holds one block of states at a time.  A row whose tail is NaN is yielded
+    at the first cutoff: no larger one mends it, and its NaN moments fail
+    every comparison made with them.
     """
     rows = np.arange(size)
     cutoff = 32
@@ -432,7 +434,7 @@ def fits(build: Callable[[int, np.ndarray], _State], size: int, target: float, c
         for part in (rows[i : i + block] for i in range(0, rows.size, block)):
             state = build(cutoff, part)
             tail = np.atleast_1d(tail_mass(state))
-            met = tail <= target
+            met = ~(tail > target)
             missed.append(part[~met])
             if met.any():
                 yield Fit(part[met], state if met.all() else state.rows(met), tail[met])

@@ -22,9 +22,10 @@ that cross-check, the moments shipped here are the oracle-confirmed variant
 
 :data:`REGISTRY` describes every family once, by its command-line name:
 parameter keys, defaults and domain, the closed-form call and its
-normalization denominator, the sweep columns and two-mode lift, and the
-boxes the search may explore.  The command line, the optimizer and
-verification all read it.
+normalization denominator, the sweep columns and two-mode lift, the boxes
+the search may explore, and, for the families that verification checks, the
+number-basis oracle state and the uniform ranges its parameters are drawn
+from.  The command line, the optimizer and verification all read it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
+
+from . import fock_oracle
 
 __all__ = [
     "DegenerateStateError",
@@ -641,6 +644,12 @@ class Family:
     the helper the closed form takes its normalization denominator from
     (first element of its result).
     ``searches`` names the boxes the optimizer may explore.
+    ``oracle(record, cutoff)`` (verified families only) builds the same states
+    in the truncated number basis, one per row of ``record``, from
+    :mod:`subvacuum.fock_oracle` constructors alone, so that it stays
+    independent of the closed forms.  ``draws`` maps every parameter key, in
+    ``defaults`` order, to the upper end of the uniform range [0, upper) that
+    verification draws it from.
     """
 
     defaults: Mapping[str, float]
@@ -650,6 +659,8 @@ class Family:
     domain: Mapping[str, float] = field(default_factory=dict)
     norm: Callable[[Any], tuple] | None = None
     searches: Mapping[str, SearchView] = field(default_factory=dict)
+    oracle: Callable[[Any, int], fock_oracle.FockVector | fock_oracle.TwoModeFockVector] | None = None
+    draws: Mapping[str, float] = field(default_factory=dict)
 
     def denominator(self, record: Any) -> float:
         """Normalization denominator of a superposition family's record."""
@@ -673,6 +684,30 @@ def _canonical_pair(p: np.ndarray) -> np.ndarray:
     return np.array([a, b, h, np.remainder(d2, TWO_PI), np.remainder(d, TWO_PI)])
 
 
+def _plus(first: fock_oracle.FockVector, eta, second: fock_oracle.FockVector) -> fock_oracle.FockVector:
+    """N(first + eta second), row by row."""
+    return fock_oracle.superpose([(1.0, first), (eta, second)])
+
+
+def _zhang_state(p: ZhangReal, cut: int) -> fock_oracle.TwoModeFockVector:
+    minus = fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
+    plus = fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
+    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
+
+
+def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> fock_oracle.TwoModeFockVector:
+    a, b = _phased(p.sigma, p.delta1), _phased(p.sigma, p.delta2)
+    coherent = fock_oracle.coherent_vector
+    return fock_oracle.superpose_two_mode(
+        [(1.0, coherent(a, cut), coherent(b, cut)), (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))]
+    )
+
+
+#: Upper ends of the verification draws: squeeze magnitudes, coherent
+#: amplitudes (and the entangled coherent sigma), superposition weights.
+#: Phases are drawn from [0, 2 pi).
+_R_DRAW, _AMPLITUDE_DRAW, _WEIGHT_DRAW = 2.5, 3.0, 4.0
+
 REGISTRY: dict[str, Family] = {
     "coherent-pair": Family(
         defaults={"alpha": 0.8, "delta1": 0.0, "beta": 0.8, "delta2": math.pi, "eta": 1.0, "delta": 0.0},
@@ -682,6 +717,10 @@ REGISTRY: dict[str, Family] = {
         ),
         moments=lambda params: coherent_superposition_moments(params),
         norm=_coherent_pair_norm,
+        oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p.alpha, cut), p.eta,
+                                    fock_oracle.coherent_vector(p.beta, cut)),
+        draws={"alpha": _AMPLITUDE_DRAW, "delta1": TWO_PI, "beta": _AMPLITUDE_DRAW, "delta2": TWO_PI,
+               "eta": _WEIGHT_DRAW, "delta": TWO_PI},
         searches={
             # The first amplitude's phase is pinned to zero: a global phase
             # rotation makes it redundant.
@@ -720,6 +759,9 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: superposed_squeezed_moments(params),
         domain={"r": 0.0},
         norm=_superposed_squeezed_norm,
+        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
+                                    fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)),
+        draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
     ),
     "coherent-squeezed": Family(
         defaults={"r": 1.0, "delta": 0.0, "alpha": 0.6, "alpha_phase": 0.0, "eta": 1.0, "eta_phase": 0.0},
@@ -730,6 +772,10 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: coherent_plus_squeezed_moments(params),
         domain={"r": 0.0},
         norm=_coherent_squeezed_norm,
+        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, p.delta, cut), p.eta,
+                                    fock_oracle.coherent_vector(p.alpha, cut)),
+        draws={"r": _R_DRAW, "delta": TWO_PI, "alpha": _AMPLITUDE_DRAW, "alpha_phase": TWO_PI,
+               "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
     ),
     "vacuum-squeezed": Family(
         defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
@@ -738,6 +784,9 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: vacuum_plus_squeezed_moments(params),
         domain={"r": 0.0},
         norm=_vacuum_squeezed_norm,
+        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
+                                    fock_oracle.coherent_vector(0.0, cut)),
+        draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
         searches={
             # the r axis at eta = -1
             "vacuum-squeezed": SearchView(
@@ -752,6 +801,8 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: BarnettRadmore(**p),
         moments=lambda params: barnett_radmore_moments(params),
         domain={"r": 0.0},
+        oracle=lambda p, cut: fock_oracle.two_mode_squeezed_vector(p.r, p.delta, cut),
+        draws={"r": _R_DRAW, "delta": TWO_PI},
     ),
     "zhang": Family(
         defaults={"r": 0.007, "theta": 0.99 * math.pi},
@@ -760,6 +811,8 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: zhang_moments(params),
         domain={"r": 0.0},
         norm=_zhang_norm,
+        oracle=_zhang_state,
+        draws={"r": _R_DRAW, "theta": TWO_PI},
     ),
     "entangled-coherent": Family(
         defaults={"sigma": 0.7, "theta": 0.0, "delta1": 0.0, "delta2": 0.0},
@@ -768,6 +821,8 @@ REGISTRY: dict[str, Family] = {
         moments=lambda params: entangled_coherent_moments(params),
         domain={"sigma": 0.0},
         norm=_entangled_coherent_norm,
+        oracle=_entangled_coherent_state,
+        draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
     "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),

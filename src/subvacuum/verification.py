@@ -1,15 +1,15 @@
 """Randomized cross-validation of every closed-form moment against the oracle.
 
-For each state family we draw parameters from a seeded stream inside
-oracle-safe bounds (squeeze magnitudes <= 2.5, coherent amplitudes <= 3,
-superposition weights <= 4 in magnitude), build each state in the truncated
-number basis at the first doubling cutoff where that state's own tail mass
-is at most 1e-12, and demand that every closed-form moment agree with the
-brute-force value to max(1e-8, 10 x tail mass).  A family's draws are
-evaluated as batches throughout: one denominator-guard call per round of
-candidates, one closed-form call, and one oracle build per cutoff level
-(:func:`fock_oracle.fits`, in blocks of bounded size) for all the draws
-still unresolved at that level.
+Every :data:`~subvacuum.state_families.REGISTRY` family with an ``oracle``
+is verified.  Its parameters are drawn from a seeded stream, uniformly in
+the ranges its ``draws`` gives, one array of candidates per round, and
+candidates whose normalization denominator is nearly zero are redrawn.  Each
+state is built in the truncated number basis at the first doubling cutoff
+where its own tail mass is at most 1e-12, and every closed-form moment must
+agree with the brute-force value to max(1e-8, 10 x tail mass).  A family's
+draws are evaluated as batches throughout: one closed-form call, and one
+oracle build per cutoff level (:func:`fock_oracle.fits`, in blocks of
+bounded size) for all the draws still unresolved at that level.
 
 A second report checks the hyperbolic matrix-element identities used inside
 the closed forms (squeezed-squeezed and squeezed-coherent overlaps and ladder
@@ -28,18 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from . import fock_oracle as oracle
-from .state_families import (
-    REGISTRY,
-    BarnettRadmore,
-    CoherentPair,
-    CoherentSqueezed,
-    EntangledCoherent,
-    SqueezedPair,
-    TwoModeMoments,
-    VacuumSqueezed,
-    ZhangReal,
-    regular,
-)
+from .state_families import REGISTRY, Family, TwoModeMoments, regular
 
 __all__ = [
     "VerifyReport",
@@ -60,7 +49,7 @@ _DENOM_GUARD = 1e-6
 #: the moments by up to ~M*t (the lost terms carry ladder weights of order M),
 #: so the target must sit well below 1e-8 / M for the max(1e-8, 10 x tail)
 #: tolerance to hold at its floor.  1e-12 keeps the worst case near 4e-9 even
-#: at the largest draw (r = 2.5, M = 4096).
+#: at the largest squeeze drawn, whose states need M = 4096.
 _TAIL_TARGET = 1e-12
 
 
@@ -106,18 +95,6 @@ def _closed_columns(cm: TwoModeMoments) -> np.ndarray:
     return np.stack(np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels)), axis=-1)
 
 
-def _unit_phase(rng: np.random.Generator) -> float:
-    return float(rng.uniform(0.0, 2.0 * math.pi))
-
-
-def _amplitude(rng: np.random.Generator, mag_max: float) -> complex:
-    return rng.uniform(0.0, mag_max) * np.exp(1j * _unit_phase(rng))
-
-
-def _squeeze(rng: np.random.Generator) -> float:
-    return float(rng.uniform(0.0, 2.5))
-
-
 def _report(params) -> dict[str, float]:
     """Drawn parameters for the report; complex ones as magnitude and argument."""
     out: dict[str, float] = {}
@@ -126,13 +103,8 @@ def _report(params) -> dict[str, float]:
         if isinstance(v, complex):
             out[f"{f.name}_abs"], out[f"{f.name}_arg"] = float(abs(v)), float(np.angle(v))
         else:
-            out[f.name] = v
+            out[f.name] = float(v)
     return out
-
-
-def _stacked(records: list):
-    """One parameter record whose fields are arrays over ``records``."""
-    return type(records[0])(*(np.array(column) for column in zip(*(vars(p).values() for p in records))))
 
 
 def _take(params, rows: np.ndarray):
@@ -140,153 +112,69 @@ def _take(params, rows: np.ndarray):
     return type(params)(*(field[rows] for field in vars(params).values()))
 
 
-#: Family name -> drawer(rng, draws, cap) returning one (params for the
-#: report, deviation, tail mass) per draw, filled by :func:`_drawer_for`.
-#: Definition order below is the FAMILIES order, which keys each family's
-#: RNG stream.
-_DRAWERS = {}
+#: The verified families, in registry order, which keys each family's RNG stream.
+FAMILIES: tuple[str, ...] = tuple(name for name, family in REGISTRY.items() if family.oracle is not None)
 
 
-def _drawer_for(family: str, draw):
-    """Register the decorated oracle-state builder ``build(params, cutoff)`` for ``family``.
+def _record(family: Family, rows: np.ndarray):
+    """The family's parameter record of draws in key space, one per row of ``rows``."""
+    return family.record(dict(zip(family.draws, rows.T)))
 
-    ``draw(rng)`` returns the family's parameter record inside the oracle-safe
-    bounds; draws whose registry normalization denominator is below
-    ``_DENOM_GUARD`` are replaced by the next ones in the stream.  The guard
-    is judged on one batch of candidates at a time, each batch as long as
-    the draws still missing, so the accepted draws are the ones a draw-by-draw
-    redraw would accept.  The closed form is evaluated once over all draws,
-    and the oracle states are built by one :func:`fock_oracle.fits` over the
-    batch: each draw is compared at the first cutoff where its own tail mass
-    meets ``_TAIL_TARGET``, and that measured tail is kept.  ``build`` takes
-    a record of array fields and returns one state per row.  Single-mode
-    states compare as mode 1 of a pair.
+
+def _draw(family: Family, rng: np.random.Generator, draws: int):
+    """``draws`` parameter records drawn uniformly in ``family.draws``.
+
+    Each round draws, as one array, as many candidates as are still missing,
+    row by row and key by key in ``defaults`` order; candidates whose
+    normalization denominator is below ``_DENOM_GUARD`` are dropped, so the
+    accepted draws are the ones a draw-by-draw redraw would accept.  A NaN
+    denominator is kept, for its NaN moments to fail the comparison.
     """
-    closed = REGISTRY[family]
-
-    def register(build):
-        def drawer(rng, draws, cap):
-            records = []
-            while len(records) < draws:
-                candidates = [draw(rng) for _ in range(draws - len(records))]
-                if closed.norm is None:
-                    records += candidates
-                else:
-                    low = closed.denominator(_stacked(candidates)) < _DENOM_GUARD
-                    records += [p for p, redraw in zip(candidates, low) if not redraw]
-            if not records:
-                return []
-            params = _stacked(records)
-            columns = _closed_columns(closed.layout.lift(regular(closed.moments(params))))
-            deviation, tail = np.empty(draws), np.empty(draws)
-            for fit in oracle.fits(lambda cutoff, rows: build(_take(params, rows), cutoff), draws, _TAIL_TARGET, cap):
-                state = fit.state
-                two_mode = isinstance(state, oracle.TwoModeFockVector)
-                om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
-                deviation[fit.rows] = _deviations(columns[fit.rows], om)
-                tail[fit.rows] = fit.tail
-            return list(zip(map(_report, records), deviation, tail))
-
-        _DRAWERS[family] = drawer
-        return build
-
-    return register
-
-
-def _plus(first: oracle.FockVector, eta: complex, second: oracle.FockVector) -> oracle.FockVector:
-    """N(first + eta second), row by row."""
-    return oracle.superpose([(1.0, first), (eta, second)])
-
-
-@_drawer_for(
-    "coherent-pair", lambda rng: CoherentPair(_amplitude(rng, 3.0), _amplitude(rng, 3.0), _amplitude(rng, 4.0))
-)
-def _coherent_pair_state(p: CoherentPair, cut: int) -> oracle.FockVector:
-    return _plus(oracle.coherent_vector(p.alpha, cut), p.eta, oracle.coherent_vector(p.beta, cut))
-
-
-@_drawer_for("superposed-squeezed", lambda rng: SqueezedPair(_squeeze(rng), _amplitude(rng, 4.0)))
-def _superposed_squeezed_state(p: SqueezedPair, cut: int) -> oracle.FockVector:
-    return _plus(oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta, oracle.squeezed_vacuum_vector(p.r, math.pi, cut))
-
-
-@_drawer_for(
-    "coherent-squeezed",
-    lambda rng: CoherentSqueezed(_squeeze(rng), _unit_phase(rng), _amplitude(rng, 3.0), _amplitude(rng, 4.0)),
-)
-def _coherent_squeezed_state(p: CoherentSqueezed, cut: int) -> oracle.FockVector:
-    return _plus(oracle.squeezed_vacuum_vector(p.r, p.delta, cut), p.eta, oracle.coherent_vector(p.alpha, cut))
-
-
-@_drawer_for("vacuum-squeezed", lambda rng: VacuumSqueezed(_squeeze(rng), _amplitude(rng, 4.0)))
-def _vacuum_squeezed_state(p: VacuumSqueezed, cut: int) -> oracle.FockVector:
-    return _plus(oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta, oracle.coherent_vector(0.0, cut))
-
-
-@_drawer_for("barnett-radmore", lambda rng: BarnettRadmore(_squeeze(rng), _unit_phase(rng)))
-def _barnett_radmore_state(p: BarnettRadmore, cut: int) -> oracle.TwoModeFockVector:
-    return oracle.two_mode_squeezed_vector(p.r, p.delta, cut)
-
-
-@_drawer_for("zhang", lambda rng: ZhangReal(_squeeze(rng), _unit_phase(rng)))
-def _zhang_state(p: ZhangReal, cut: int) -> oracle.TwoModeFockVector:
-    minus = oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
-    plus = oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
-    return oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
-
-
-@_drawer_for(
-    "entangled-coherent",
-    lambda rng: EntangledCoherent(
-        float(rng.uniform(0.0, 3.0)), _unit_phase(rng), _unit_phase(rng), _unit_phase(rng)
-    ),
-)
-def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> oracle.TwoModeFockVector:
-    a = p.sigma * np.exp(1j * p.delta1)
-    b = p.sigma * np.exp(1j * p.delta2)
-    return oracle.superpose_two_mode(
-        [
-            (1.0, oracle.coherent_vector(a, cut), oracle.coherent_vector(b, cut)),
-            (np.exp(1j * p.theta), oracle.coherent_vector(-a, cut), oracle.coherent_vector(-b, cut)),
-        ]
-    )
-
-
-FAMILIES: tuple[str, ...] = tuple(_DRAWERS)
+    uppers = np.array(list(family.draws.values()))
+    accepted = np.empty((0, uppers.size))
+    while len(accepted) < draws:
+        candidates = rng.uniform(0.0, uppers, size=(draws - len(accepted), uppers.size))
+        if family.norm is not None:
+            candidates = candidates[~(family.denominator(_record(family, candidates)) < _DENOM_GUARD)]
+        accepted = np.concatenate((accepted, candidates))
+    return _record(family, accepted)
 
 
 def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) -> VerifyReport:
     """Randomized oracle comparison for one family.
 
-    Per-draw tolerance is max(1e-8, 10 x tail mass); the report carries the
+    The closed form is evaluated once over all draws, and the oracle states
+    are built by one :func:`fock_oracle.fits` over the batch: each draw is
+    compared at the first cutoff where its own tail mass meets
+    ``_TAIL_TARGET``, and that measured tail is kept.  Single-mode states
+    compare as mode 1 of a pair.  Per-draw tolerance is max(1e-8, 10 x tail
+    mass), and a NaN deviation or tail fails it; the report carries the
     largest deviation, the parameters that produced it, and the largest tail
     mass encountered.
     """
-    if family not in _DRAWERS:
+    if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if draws < 0:
         raise ValueError("draws must be non-negative")
-    drawer = _DRAWERS[family]
-    rng = np.random.default_rng([seed, FAMILIES.index(family)])
-    max_dev = 0.0
-    worst: dict[str, float] = {}
-    tail_bound = 0.0
-    passed = True
-    for params, dev, tail in drawer(rng, draws, cutoff_cap):
-        dev, tail = float(dev), float(tail)
-        tail_bound = max(tail_bound, tail)
-        if dev > max(1e-8, 10.0 * tail):
-            passed = False
-        if dev > max_dev:
-            max_dev = dev
-            worst = params
+    spec = REGISTRY[family]
+    params = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
+    columns = _closed_columns(spec.layout.lift(regular(spec.moments(params))))
+    deviation, tail = np.zeros(draws), np.zeros(draws)
+    fits = oracle.fits(lambda cutoff, rows: spec.oracle(_take(params, rows), cutoff), draws, _TAIL_TARGET, cutoff_cap)
+    for fit in fits:
+        state = fit.state
+        two_mode = isinstance(state, oracle.TwoModeFockVector)
+        om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
+        deviation[fit.rows] = _deviations(columns[fit.rows], om)
+        tail[fit.rows] = fit.tail
+    worst = int(np.argmax(deviation)) if draws else None
     return VerifyReport(
         family=family,
         draws=draws,
-        max_abs_deviation=max_dev,
-        worst_params=worst,
-        tail_bound=tail_bound,
-        passed=passed,
+        max_abs_deviation=float(deviation.max(initial=0.0)),
+        worst_params={} if worst is None else _report(_take(params, worst)),
+        tail_bound=float(tail.max(initial=0.0)),
+        passed=bool(np.all(deviation <= np.maximum(1e-8, 10.0 * tail))),
     )
 
 

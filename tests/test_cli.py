@@ -6,6 +6,7 @@ stays independent of pytest's capture mode; one subprocess test covers the
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,10 +15,11 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import subvacuum.state_families as sf
-import subvacuum.verification as verification
+from subvacuum import fock_oracle
 from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, _fmt, _parse_geometry, main, parse_real
 from subvacuum.energy_density import density_profile
 from subvacuum.state_families import squeezed_vacuum_moments
@@ -596,10 +598,12 @@ class TestVerify:
         assert doc["config"] == {"families": ["vacuum-squeezed"], "draws": 2, "cutoff": 4096}
 
     def test_failed_family_exits_2(self, tmp_path, monkeypatch):
-        def broken_drawer(rng, draws, cap):
-            return [({"r": 1.0}, 1.0, 0.0)] * draws  # deviation far above every tolerance
-
-        monkeypatch.setitem(verification._DRAWERS, "vacuum-squeezed", broken_drawer)
+        # The vacuum in place of the drawn states: every oracle moment is 0.
+        vacuum = dataclasses.replace(
+            sf.REGISTRY["vacuum-squeezed"],
+            oracle=lambda p, cut: fock_oracle.coherent_vector(np.zeros(np.shape(p.r)), cut),
+        )
+        monkeypatch.setitem(sf.REGISTRY, "vacuum-squeezed", vacuum)
         out = tmp_path / "broken.csv"
         code = main(
             [
@@ -616,7 +620,21 @@ class TestVerify:
         _, rows = read_csv(out)
         family_rows = [cells for cells in rows if cells[0] == "family"]
         assert family_rows[0][6] == "false"
-        assert float(family_rows[0][3]) == 1.0
+        # the drawn state's largest closed-form moment, |<a^2>| at r = 2.44
+        assert float(family_rows[0][3]) == 2.37811219
+
+    def test_nan_oracle_state_fails_and_exits_2(self, tmp_path, monkeypatch):
+        nan = dataclasses.replace(
+            sf.REGISTRY["coherent-pair"],
+            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p.alpha), cut + 1), np.nan + 0j)),
+        )
+        monkeypatch.setitem(sf.REGISTRY, "coherent-pair", nan)
+        out = tmp_path / "nan.csv"
+        code = main(["verify", "--family", "coherent-pair", "--family", "zhang", "--draws", "3", "--out", str(out)])
+        assert code == 2
+        _, rows = read_csv(out)
+        passed = {cells[1]: cells[6] for cells in rows if cells[0] == "family"}
+        assert passed == {"coherent-pair": "false", "zhang": "true"}
 
     def test_tiny_cutoff_exits_3(self, quiet_stderr):
         code = main(["verify", "--family", "zhang", "--draws", "1", "--cutoff", "8"])

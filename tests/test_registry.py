@@ -19,7 +19,15 @@ def test_search_names_resolve_to_views_of_registry_entries():
 
 
 def test_verified_families_are_registry_entries():
-    assert set(verification.FAMILIES) <= set(REGISTRY)
+    # registry order keys each family's verification stream
+    assert list(verification.FAMILIES) == [name for name, family in REGISTRY.items() if family.oracle is not None]
+
+
+@pytest.mark.parametrize("name", verification.FAMILIES)
+def test_draw_ranges_cover_every_key_in_defaults_order(name):
+    family = REGISTRY[name]
+    assert tuple(family.draws) == tuple(family.defaults)
+    assert all(upper > 0.0 for upper in family.draws.values())
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))

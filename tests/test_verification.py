@@ -1,8 +1,14 @@
 """Randomized oracle cross-checks and the matrix-element identity report."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
+from subvacuum import verification
 from subvacuum.fock_oracle import TruncationError
+from subvacuum.state_families import REGISTRY, coherent_superposition_moments
 from subvacuum.verification import (
     FAMILIES,
     IdentityRow,
@@ -24,6 +30,33 @@ ALL_FAMILIES = (
 
 def test_family_registry():
     assert FAMILIES == ALL_FAMILIES
+
+
+def test_draw_stream_is_key_by_key_then_row_by_row():
+    # The verify golden digests depend on this order: each draw takes its
+    # keys in turn from the family's stream, magnitudes before phases.
+    family = REGISTRY["coherent-pair"]
+    drawn = verification._draw(family, np.random.default_rng([7, 0]), 3)
+    rng = np.random.default_rng([7, 0])
+    for row in range(3):
+        keys = {}
+        for key, upper in (("alpha", 3.0), ("delta1", 2.0 * math.pi), ("beta", 3.0),
+                           ("delta2", 2.0 * math.pi), ("eta", 4.0), ("delta", 2.0 * math.pi)):
+            keys[key] = rng.uniform(0.0, upper)
+        expected = family.record(keys)
+        assert (drawn.alpha[row], drawn.beta[row], drawn.eta[row]) == (expected.alpha, expected.beta, expected.eta)
+
+
+def test_nan_closed_form_moment_fails(monkeypatch):
+    # A NaN occupation compares as a NaN deviation while every tail stays finite.
+    broken = dataclasses.replace(
+        REGISTRY["coherent-pair"], moments=lambda p: dataclasses.replace(coherent_superposition_moments(p), n=np.nan)
+    )
+    monkeypatch.setitem(REGISTRY, "coherent-pair", broken)
+    report = verify_family("coherent-pair", draws=3, seed=7)
+    assert not report.passed
+    assert math.isnan(report.max_abs_deviation)
+    assert 0.0 < report.tail_bound <= 1e-12
 
 
 class TestVerifyFamily:
