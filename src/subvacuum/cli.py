@@ -140,6 +140,17 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _finite_or_null(value: object) -> object:
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
            seed: int | None, config: Mapping[str, object], blocks: Iterable[str] | None = None,
            **body: object) -> None:
@@ -147,13 +158,19 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Seque
 
     CSV goes to ``--out`` or stdout as it is formatted: the command's
     ``blocks`` of row text if it gives them, else ``rows`` cell by cell
-    through :func:`_fmt`.  Every number is computed before this call, so a
-    numeric failure leaves no ``--out`` file.
+    through :func:`_fmt`.  JSON writes a non-finite number (a NaN deviation
+    of a failed check, say) as null; CSV prints it as ``nan``.  Every number
+    is computed before this call, so a numeric failure leaves no ``--out``
+    file.
     """
     text = None
     if args.format == "json":
         body = body or {"rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps({"command": args.command, "seed": seed, "config": config, **body}, indent=2) + "\n"
+        doc = {"command": args.command, "seed": seed, "config": config, **body}
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # JSON has no NaN or infinity: such a number is written as null
+            text = json.dumps(_finite_or_null(doc), indent=2) + "\n"
     sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     with sink as fh:
         if text is not None:

@@ -7,9 +7,9 @@ reads the moments' ``excess`` at each point of a
 ``scipy.optimize.minimize`` run with L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
 J. Sci. Comput. 16 (1995) 1190) on -F.  Its gradient is scipy's own
 two-point forward difference, evaluated as one batch: the point and its
-forward stencil are the rows of one closed-form call.  Non-angular
-coordinates take the box as bounds; angular ones are unbounded and wrapped
-by ``SearchView.clamp``.  Starts are seeded uniform draws, deduplicated by
+forward stencil are the rows of one closed-form call, made once per point of
+a run.  Non-angular coordinates take the box as bounds; angular ones are
+unbounded and wrapped by ``SearchView.clamp``.  Starts are seeded uniform draws, deduplicated by
 clustering.  Every start draws from its own RNG stream keyed by (seed, start
 index), so results are reproducible no matter how the starts are scheduled.
 """
@@ -122,44 +122,64 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     a degenerate state ends at its last finite iterate, unconverged, with an
     unknown (``None``) gradient norm; so does a run whose unbounded angle
     grew so large that the difference step no longer changes it (where F is
-    flat in that phase).  The result is never below the start.
+    flat in that phase).  The result is never below the start.  No point is
+    evaluated twice in one run: F at the start is row 0 of its first
+    gradient stencil, and every stencil is kept by the exact bytes of its
+    point, since L-BFGS-B revisits points on the box edges.
     """
     p0 = view.clamp(np.asarray(start, dtype=float))
-    f0 = objective_F(view, p0)
-    if not math.isfinite(f0):
-        raise AscentFailure("objective undefined at the start point")
-
-    iterates = [p0]
+    dim = view.dim
     angular = np.array(view.angular)
     lo = np.where(angular, -np.inf, view.lower)
     hi = np.where(angular, np.inf, view.upper)
+    evaluated: dict[bytes, tuple[float, np.ndarray | None]] = {}
 
-    def neg_f_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # Row 0 is x; row i + 1 steps coordinate i by +_FD_STEP, flipped
-        # inward where it would leave the box.  These steps and quotients are
-        # scipy's own two-point gradient for L-BFGS-B, so the runs match it.
-        h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
-        neg = -objective_F(view, view.clamp(np.vstack([x, x + np.diag(h)])))
-        if not np.isfinite(neg).all():
-            raise _RunEnded("the line search reached a degenerate state")
-        step = (x + h) - x
-        if not step.all():
-            raise _RunEnded("a coordinate outgrew the difference step")
-        return neg[0], (neg[1:] - neg[0]) / step
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        # -F at x and its gradient, None where that is undefined; once per
+        # point.  Row 0 of the batch is x; row i + 1 steps coordinate i by
+        # +_FD_STEP, flipped inward where it would leave the box.  These steps
+        # and quotients are scipy's own two-point gradient for L-BFGS-B, so
+        # the runs match it.
+        key = x.tobytes()
+        if key not in evaluated:
+            h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
+            rows = np.empty((dim + 1, dim))
+            rows[0] = x
+            np.add(x, 0.0, out=rows[1:])  # x + diag(h) off the diagonal, where -0.0 becomes 0.0
+            rows[1:].flat[:: dim + 1] = x + h
+            neg = -objective_F(view, view.clamp(rows))
+            # A degenerate stencil row, or an angle so large that the step
+            # no longer changes it, leaves the quotient undefined.
+            step = (x + h) - x
+            grad = (neg[1:] - neg[0]) / step if np.isfinite(neg).all() and step.all() else None
+            evaluated[key] = neg[0], grad
+        return evaluated[key]
 
+    def defined(x: np.ndarray) -> tuple[float, np.ndarray]:
+        neg_f, grad = evaluate(x)
+        if grad is None:
+            raise _RunEnded("the gradient is undefined here")
+        return neg_f, grad
+
+    f0 = -evaluate(p0)[0]
+    if not math.isfinite(f0):
+        raise AscentFailure("objective undefined at the start point")
+
+    iterates = [p0]  # then each iterate as L-BFGS-B reports it, unclamped
     # gtol bounds the max-norm, so grad_tol / sqrt(dim) bounds the 2-norm by
     # grad_tol; ftol = 0 leaves stopping to that gradient test.
-    options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(view.dim), "ftol": 0.0}
+    options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(dim), "ftol": 0.0}
     try:
         # Called through the module: a bound ``minimize`` name here would be
         # taken by the benchmark tracer for energy_density's polish.
         res = optimize.minimize(
-            neg_f_and_grad, p0, jac=True, method="L-BFGS-B", bounds=optimize.Bounds(lo, hi),
-            callback=lambda xk: iterates.append(view.clamp(xk)), options=options,
+            lambda x: defined(x)[0], p0, jac=lambda x: defined(x)[1], method="L-BFGS-B",
+            bounds=optimize.Bounds(lo, hi), callback=lambda xk: iterates.append(xk), options=options,
         )
     except _RunEnded:
-        p, iterations = iterates[-1], len(iterates) - 1
-        f, grad_norm, converged = objective_F(view, p), None, False
+        last = iterates[-1]  # p0 or a line-search point: evaluated already
+        p, f = last if last is p0 else view.clamp(last), -evaluate(last)[0]
+        iterations, grad_norm, converged = len(iterates) - 1, None, False
     else:
         p, f, iterations = view.clamp(res.x), -float(res.fun), int(res.nit)
         g = np.where(((p <= lo) & (res.jac > 0.0)) | ((p >= hi) & (res.jac < 0.0)), 0.0, res.jac)

@@ -90,7 +90,8 @@ def _polar(z):
     """Magnitudes and wrapped phases; a magnitude below 1e-15 gets (0, 0) by convention."""
     mag = np.abs(z)
     small = mag < 1e-15
-    return np.where(small, 0.0, mag), np.where(small, 0.0, wrap_angle(np.angle(z)))
+    # np.angle(z) is this arctan2, less its argument checks
+    return np.where(small, 0.0, mag), np.where(small, 0.0, wrap_angle(np.arctan2(z.imag, z.real)))
 
 
 def _rows(*values):
@@ -104,14 +105,27 @@ def _rows(*values):
 
 
 def _batch(params):
-    """The batch shape of a parameter record, and the record with array fields."""
-    shape, *values = _rows(*vars(params).values())
+    """The batch shape of a parameter record, and the record with array fields.
+
+    A record whose fields are already arrays of one shape (a search stencil)
+    is returned as it is.
+    """
+    values = vars(params).values()
+    shape = getattr(next(iter(values)), "shape", ())
+    if shape and all(type(v) is np.ndarray and v.shape == shape for v in values):
+        return shape, params
+    shape, *values = _rows(*values)
     return shape, type(params)(*values)
 
 
 def _shaped(shape, values) -> list:
-    """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars."""
-    return [np.broadcast_to(v, shape or (1,)).reshape(shape)[()] for v in values]
+    """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars.
+
+    A value that already has the batch's rows is taken as it is.
+    """
+    rows = shape or (1,)
+    values = [v if np.shape(v) == rows else np.broadcast_to(v, rows) for v in values]
+    return values if shape else [v[0] for v in values]
 
 
 def _normalization(denom):
@@ -190,8 +204,17 @@ def _one_mode(shape, n, pair, excess=None, degenerate=False) -> OneModeMoments:
 
 
 def _two_mode(shape, n, a2, b2, adag_b, ab, degenerate=False) -> TwoModeMoments:
-    """Equal occupations ``n`` and the four channels as complex moments."""
-    (R1, g1), (R2, g2), (R3, g3), (R4, g4) = map(_polar, (a2, b2, adag_b, ab))
+    """Equal occupations ``n`` and the four channels as complex moments.
+
+    A channel passed as the number 0.0 is (0, 0), as :func:`_polar` would
+    make it, and a channel passed twice is converted once.
+    """
+    channels = (a2, b2, adag_b, ab)
+    polar = {}
+    for z in channels:
+        if id(z) not in polar:
+            polar[id(z)] = (0.0, 0.0) if isinstance(z, float) and z == 0.0 else _polar(z)
+    (R1, g1), (R2, g2), (R3, g3), (R4, g4) = (polar[id(z)] for z in channels)
     return TwoModeMoments(*_shaped(shape, (n, n, R1, R2, R3, R4, g1, g2, g3, g4, degenerate)))
 
 
@@ -279,10 +302,11 @@ class EntangledCoherent:
 
 
 def _coherent_pair_norm(params: CoherentPair):
-    """Normalization denominator of |alpha> + eta |beta>, and <alpha|beta>."""
+    """Normalization denominator of |alpha> + eta |beta>, <alpha|beta>, |alpha|^2 and |eta|^2."""
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    ov = np.exp(-(np.abs(alpha) ** 2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    return 1.0 + np.abs(eta) ** 2 + 2.0 * (eta * ov).real, ov
+    alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
+    ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
+    return 1.0 + weight + 2.0 * (eta * ov).real, ov, alpha2, weight
 
 
 @_quiet
@@ -295,19 +319,11 @@ def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
     """
     shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    denom, ov = _coherent_pair_norm(params)
+    denom, ov, alpha2, weight = _coherent_pair_norm(params)
     norm2, degenerate = _normalization(denom)
-    n = norm2 * (
-        np.abs(alpha) ** 2
-        + np.abs(eta * beta) ** 2
-        + 2.0 * (eta * np.conj(alpha) * beta * ov).real
-    )
-    pair = norm2 * (
-        alpha**2
-        + np.abs(eta) ** 2 * beta**2
-        + eta * beta**2 * ov
-        + np.conj(eta) * alpha**2 * np.conj(ov)
-    )
+    n = norm2 * (alpha2 + np.abs(eta * beta) ** 2 + 2.0 * (eta * np.conj(alpha) * beta * ov).real)
+    alpha_sq, beta_sq = alpha**2, beta**2
+    pair = norm2 * (alpha_sq + weight * beta_sq + eta * beta_sq * ov + np.conj(eta) * alpha_sq * np.conj(ov))
     return _one_mode(shape, n, pair, degenerate=degenerate)
 
 

@@ -635,6 +635,27 @@ class TestVerify:
         _, rows = read_csv(out)
         passed = {cells[1]: cells[6] for cells in rows if cells[0] == "family"}
         assert passed == {"coherent-pair": "false", "zhang": "true"}
+        nan_row = next(cells for cells in rows if cells[1] == "coherent-pair")
+        assert nan_row[3] == nan_row[5] == "nan"
+
+    def test_nan_oracle_state_is_null_in_json(self, tmp_path, monkeypatch):
+        nan = dataclasses.replace(
+            sf.REGISTRY["coherent-pair"],
+            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p.alpha), cut + 1), np.nan + 0j)),
+        )
+        monkeypatch.setitem(sf.REGISTRY, "coherent-pair", nan)
+        out = tmp_path / "nan.json"
+        argv = ["verify", "--family", "coherent-pair", "--draws", "2", "--format", "json", "--out", str(out)]
+        assert main(argv) == 2
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        family = next(row for row in rows if row["kind"] == "family")
+        assert family["deviation"] is None and family["tail_bound"] is None
+        assert family["passed"] is False
+        assert all(row["deviation"] is not None for row in rows if row["kind"] == "identity")
 
     def test_tiny_cutoff_exits_3(self, quiet_stderr):
         code = main(["verify", "--family", "zhang", "--draws", "1", "--cutoff", "8"])

@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the command's stdout.  The commands are the two
 README sweeps, one sweep per remaining family (first parameter varied, the
-rest at their defaults), a short seeded search per search family, the README
+rest at their defaults), a short seeded search per search family, the
+64-start coherent-pair search that the benchmark times, the README
 standing-wave density case and three traveling-wave density cases (3-D,
 aligned JSON, skew CSV) on 16-point grids, and a two-draw verification.
 A refactor that keeps results must keep every digest; a change that alters
@@ -40,6 +41,8 @@ GOLDEN = [
      "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
      "2e9e4afc6b3b9d950cebe5e0cc2ef2f223ad5214849192fed41367d8022f7458"),
+    ("search --family coherent-pair --starts 64 --seed 42 --format json",
+     "f13c92e8f449336c27565af658d8c99e756c189275037cc57665346f1684c077"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",

@@ -201,6 +201,33 @@ class TestAscend:
         assert ext.F == objective_F(space, np.array(ext.params))
         assert ext.F > f0
 
+    def test_degenerate_first_stencil_ends_unconverged_at_the_start(self):
+        # F is finite at the start, but its forward step crosses p0 = 2 into
+        # the degenerate region, so the gradient there is undefined.
+        space = half_degenerate_view()
+        start = 2.0 - 5e-9
+        ext = ascend(space, [start], SearchConfig(starts=1, seed=0))
+        assert ext.params == (start,) and ext.iterations == 0
+        assert not ext.converged and ext.grad_norm is None
+        assert ext.F == objective_F(space, np.array([start]))
+
+    def test_no_point_is_evaluated_twice(self):
+        # Start 10 at seed 42 revisits a point on the box edge.  F at the
+        # start is row 0 of the first gradient stencil, and a revisited point
+        # is not evaluated again: every batch but the last (the result's
+        # moments) is a distinct stencil.
+        base = view("coherent-pair")
+        batches = []
+        space = dataclasses.replace(base, moments_of=lambda p: batches.append(np.array(p)) or base.moments_of(p))
+        lo, hi = np.array(space.lower), np.array(space.upper)
+        start = lo + (hi - lo) * np.random.default_rng([42, 10]).uniform(size=space.dim)
+        ascend(space, start, SearchConfig())
+        *stencils, last = batches
+        assert last.shape == (space.dim,)
+        assert all(b.shape == (space.dim + 1, space.dim) for b in stencils)
+        assert len({b.tobytes() for b in stencils}) == len(stencils) == 36
+        assert stencils[0][0].tobytes() == space.clamp(start).tobytes()
+
 
 class TestMultiStart:
     def test_deterministic_and_fully_accounted(self):
@@ -246,10 +273,11 @@ class TestMultiStart:
         assert all(not e.converged for e in report.extrema)
 
     def test_evaluation_budget_and_ridge_hits(self):
-        # 64 starts at seed 42 evaluate 16,076 points in 2,786 batches (each
-        # gradient is one batch of the point and its 5-point stencil) and put
-        # 55 starts within 1e-9 of W(1/e); the bounds leave room for changes
-        # in scipy's line search.
+        # 64 starts at seed 42 evaluate 15,112 points in 2,572 batches (each
+        # gradient is one batch of the point and its 5-point stencil, no
+        # point is evaluated twice in a run, and each start's result is one
+        # more batch of one) and put 55 starts within 1e-9 of W(1/e); the
+        # bounds leave room for changes in scipy's line search.
         points = batches = 0
         base = view("coherent-pair")
 

@@ -7,6 +7,7 @@ cross-checked against the number-basis oracle first and is frozen here to
 nine-plus digits.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -602,3 +603,39 @@ def test_polar_keeps_the_phase_cut_and_the_zero_convention():
     m = sf.squeezed_vacuum_moments(np.linspace(0.0, 1.0, 5), 0.0)
     assert m.pair_mag[0] == 0.0 and m.pair_phase[0] == 0.0
     assert np.all(m.pair_mag[1:] > 0.0) and np.all(m.pair_phase[1:] == math.pi)
+
+
+def _stencil(view: sf.SearchView, x) -> np.ndarray:
+    """The (dim + 1, dim) batch of one search gradient: x, then x stepped along each axis."""
+    x = np.asarray(x, dtype=float)
+    return view.clamp(np.vstack([x, x + np.diag(np.full(view.dim, 1e-8))]))
+
+
+def _stencil_points(view: sf.SearchView) -> list[np.ndarray]:
+    """An interior draw, a point on the box's upper edge (the stencil clips
+    back onto it), and for the coherent pair its degenerate equal-branch
+    point alpha = beta, delta2 = 0, eta = 1, delta = pi (every other phase 0)."""
+    lo, hi = np.array(view.lower), np.array(view.upper)
+    drawn = lo + (hi - lo) * np.random.default_rng(3).uniform(size=view.dim)
+    edge = np.where(view.angular, drawn, hi)
+    points = [drawn, edge]
+    if "delta2" in view.names:
+        degenerate = dict.fromkeys(view.names, 0.0) | {"alpha": 0.5, "beta": 0.5, "eta": 1.0, "delta": math.pi}
+        points.append(np.array([degenerate[k] for k in view.names]))
+    return points
+
+
+@pytest.mark.parametrize("view_name", list(sf.SEARCHES))
+def test_search_stencil_rows_match_each_row_alone_bit_for_bit(view_name):
+    view = sf.SEARCHES[view_name][1]
+    for point in _stencil_points(view):
+        stencil = _stencil(view, point)
+        batch = view.moments_of(stencil)
+        for i, row in enumerate(stencil):
+            alone = view.moments_of(row)
+            for f in dataclasses.fields(batch):
+                value = getattr(alone, f.name)
+                assert np.shape(value) == () and isinstance(value, np.generic), f.name
+                assert np.asarray(getattr(batch, f.name))[i].tobytes() == value.tobytes(), (i, f.name)
+    if "delta2" in view.names:
+        assert bool(view.moments_of(_stencil_points(view)[-1]).degenerate)
