@@ -112,16 +112,10 @@ def _parse_geometry(text: str) -> ed.ModeGeometry:
     parts = text.split(":")
     if len(parts) != 4:
         raise UsageError(f"--geometry expects kind:omega1:omega2:cosangle, got {text!r}")
-    kind = parts[0].strip()
-    if kind not in ("traveling", "standing"):
-        raise UsageError(f"geometry kind must be 'traveling' or 'standing', got {kind!r}")
-    w1, w2, c = parse_real(parts[1]), parse_real(parts[2]), parse_real(parts[3])
-    if not (w1 > 0 and w2 > 0):
-        raise UsageError("geometry frequencies must be positive")
-    if not -1.0 <= c <= 1.0:
-        raise UsageError("geometry cosangle must lie in [-1, 1]")
-    khat2 = (math.sqrt(max(0.0, 1.0 - c * c)), 0.0, c)
-    return ed.ModeGeometry(kind=kind, omega1=w1, omega2=w2, khat2=khat2)
+    try:
+        return ed.ModeGeometry(parts[0].strip(), *map(parse_real, parts[1:]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         yield min_row
 
     geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
-           "cosangle": geometry.cos_angle()}
+           "cosangle": geometry.cosangle + 0.0}  # + 0.0 prints -0 as 0
     config = {"family": args.family, "params": params, "geometry": geo,
               "window": args.window, "grid_n": args.grid_n}
     _write(args, header, rows(), None, config, blocks())

@@ -1,10 +1,13 @@
-"""Mean energy density of one- and two-mode excitations, and its minima.
+"""Mean energy density of two-mode excitations, and its minima.
 
 Natural units throughout: hbar = c = 1 and the mode normalization volume is
 fixed at 1, so densities carry units of (angular) frequency.  Moments enter
 through the (n, R, gamma) parameterization of :mod:`subvacuum.state_families`.
 
-Two geometries are supported.  Traveling plane waves give
+A one-mode state is the two-mode state with mode 2 empty (its layout's
+``lift``), so one formula per geometry serves both.  Traveling plane waves
+along khat1 = +z and khat2 = (sqrt(1 - c^2), 0, c), with c the cosine of the
+angle between them, give
 
     rho = n1 w1 + n2 w2
         + R1 w1 cos(2(k1.x - w1 t) + g1) + R2 w2 cos(2(k2.x - w2 t) + g2)
@@ -15,8 +18,8 @@ while standing waves along one axis give the product-of-cosines analogue with
 a factor 2 on the cross channels.  Each formula is written once, vectorized.
 The numeric minimizer scans the span of the wave vectors (the density depends
 on x only through the k.x phases) plus time, then polishes with a
-Nelder-Mead refinement; the point evaluators and the sample export use the
-same formulas, and the export reuses the scan grid.
+Nelder-Mead refinement; the point evaluator ``rho_two_mode`` and the sample
+export use the same formulas, and the export reuses the scan grid.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ __all__ = [
     "ModeGeometry",
     "SpacetimePoint",
     "DensityProfile",
-    "rho_one_mode",
     "rho_min_one_mode",
-    "rho_two_mode_traveling",
-    "rho_two_mode_standing",
+    "rho_two_mode",
     "rho_min_two_mode_numeric",
     "density_profile",
     "rho_min_br_closed",
@@ -46,35 +47,38 @@ __all__ = [
 ]
 
 _KINDS = ("traveling", "standing")
+_KHAT1 = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class ModeGeometry:
-    """Frequencies and propagation directions of the two modes.
+    """Mode kind, frequencies and the cosine of the angle between the modes.
 
-    ``khat1``/``khat2`` are unit propagation directions, used only for
-    traveling waves; standing waves depend on a single spatial coordinate.
+    ``cosangle`` = khat1.khat2 places traveling modes along khat1 = +z and
+    khat2 = (sqrt(1 - c^2), 0, c); the cross channels carry the factor
+    (1 + cosangle).  Standing waves depend on one spatial coordinate and do
+    not use it.  The frequencies must be positive and finite and cosangle
+    must lie in [-1, 1].
     """
 
     kind: str
     omega1: float
     omega2: float
-    khat1: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    khat2: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    cosangle: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("frequencies must be positive")
-        if self.kind == "traveling":
-            for k in (self.khat1, self.khat2):
-                if abs(math.sqrt(sum(c * c for c in k)) - 1.0) > 1e-12:
-                    raise ValueError(f"propagation direction {k} is not a unit vector")
+            raise ValueError(f"geometry kind must be 'traveling' or 'standing', got {self.kind!r}")
+        if not (0 < self.omega1 < math.inf and 0 < self.omega2 < math.inf):
+            raise ValueError("geometry frequencies must be positive and finite")
+        if not -1.0 <= self.cosangle <= 1.0:
+            raise ValueError("geometry cosangle must lie in [-1, 1]")
 
-    def cos_angle(self) -> float:
-        """khat1 . khat2 — the geometric factor (1 + cos) weights cross terms."""
-        return float(sum(a * b for a, b in zip(self.khat1, self.khat2)))
+
+def _khat2(g: ModeGeometry) -> tuple[float, float, float]:
+    """Mode 2's propagation direction, at angle arccos(cosangle) from khat1 = +z."""
+    c = g.cosangle
+    return (math.sqrt(max(0.0, 1.0 - c * c)), 0.0, c)
 
 
 @dataclass(frozen=True)
@@ -101,33 +105,6 @@ class DensityProfile:
     min_found: tuple[SpacetimePoint, float]
 
 
-def rho_one_mode(
-    m: OneModeMoments,
-    omega: float,
-    kind: str,
-    u: float | tuple[float, float],
-) -> float:
-    """Single-mode density at a given phase (traveling) or point (standing).
-
-    For ``kind='traveling'``, ``u`` is the full propagation phase
-    2(k.x - omega t) and rho = omega (n + R cos(u + gamma)).  For
-    ``kind='standing'``, ``u`` encodes the point as a pair (x, t) and
-    rho = omega (n + R cos(2 omega x) cos(2 omega t - gamma)).
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if kind == "traveling":
-        phase = float(u)  # type: ignore[arg-type]
-        return omega * (m.n + m.pair_mag * math.cos(phase + m.pair_phase))
-    if kind == "standing":
-        x, t = u  # type: ignore[misc]
-        return omega * (
-            m.n
-            + m.pair_mag * math.cos(2.0 * omega * x) * math.cos(2.0 * omega * t - m.pair_phase)
-        )
-    raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-
-
 def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
     """Global minimum -omega (R - n); negative exactly when R > n.
 
@@ -142,7 +119,7 @@ def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
 def _traveling_rho(m: TwoModeMoments, g: ModeGeometry, k1x, k2x, t):
     """Vectorized traveling-wave density from the phases k1.x and k2.x."""
     w1, w2 = g.omega1, g.omega2
-    geom = math.sqrt(w1 * w2) * (1.0 + g.cos_angle())
+    geom = math.sqrt(w1 * w2) * (1.0 + g.cosangle)
     return (
         m.n1 * w1
         + m.n2 * w2
@@ -176,7 +153,7 @@ def _span_rho(m: TwoModeMoments, g: ModeGeometry, t, s1, s2=0.0):
     """
     if g.kind == "standing":
         return _standing_rho(m, g, s1, t)
-    c = g.cos_angle()
+    c = g.cosangle
     return _traveling_rho(m, g, g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2), t)
 
 
@@ -185,7 +162,7 @@ def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
     if g.kind == "standing":
         s1 = np.asarray(s1, dtype=float)
         return np.stack([s1, np.zeros_like(s1), np.zeros_like(s1)], axis=-1)
-    return np.multiply.outer(s1, g.khat1) + np.multiply.outer(s2, g.khat2)
+    return np.multiply.outer(s1, _KHAT1) + np.multiply.outer(s2, _khat2(g))
 
 
 def _scan(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
@@ -195,26 +172,19 @@ def _scan(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
     spatial axes; parallel and standing modes need one.
     """
     axis = np.linspace(0.0, window, grid_n)
-    skew = g.kind == "traveling" and abs(abs(g.cos_angle()) - 1.0) >= 1e-12
+    skew = g.kind == "traveling" and abs(abs(g.cosangle) - 1.0) >= 1e-12
     coords = np.meshgrid(*[axis] * (3 if skew else 2), indexing="ij")
     return coords, _span_rho(m, g, *coords)
 
 
-def rho_two_mode_traveling(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
-    """Traveling-wave density at an explicit spacetime point."""
-    if g.kind != "traveling":
-        raise ValueError("geometry kind must be 'traveling'")
+def rho_two_mode(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
+    """Density at an explicit spacetime point; standing waves read only p.x[0]."""
+    if g.kind == "standing":
+        return float(_standing_rho(m, g, p.x[0], p.t))
     x = np.asarray(p.x, dtype=float)
-    k1x = float((g.omega1 * np.asarray(g.khat1, dtype=float)) @ x)
-    k2x = float((g.omega2 * np.asarray(g.khat2, dtype=float)) @ x)
+    k1x = float((g.omega1 * np.asarray(_KHAT1, dtype=float)) @ x)
+    k2x = float((g.omega2 * np.asarray(_khat2(g), dtype=float)) @ x)
     return float(_traveling_rho(m, g, k1x, k2x, p.t))
-
-
-def rho_two_mode_standing(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
-    """Standing-wave density; the pattern depends on x only through p.x[0]."""
-    if g.kind != "standing":
-        raise ValueError("geometry kind must be 'standing'")
-    return float(_standing_rho(m, g, p.x[0], p.t))
 
 
 def _moments_finite(m: TwoModeMoments) -> bool:
@@ -231,7 +201,10 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
     if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
-    coords, vals = _scan(m, g, window, grid_n)
+    with np.errstate(all="ignore"):
+        coords, vals = _scan(m, g, window, grid_n)
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("density is not finite on the scan grid")
     i = int(np.argmin(vals))
     best = np.array([c.flat[i] for c in coords])
     best_val = float(vals.flat[i])
@@ -274,21 +247,20 @@ def density_profile(
     return DensityProfile(samples=samples, min_found=min_found)
 
 
-def rho_min_br_closed(r: float, delta: float, omega1: float, omega2: float) -> float:
+def rho_min_br_closed(r: float, omega1: float, omega2: float) -> float:
     """Closed-form minimum for the two-mode squeezed vacuum, aligned traveling modes.
 
     -sinh r [2 sqrt(w1 w2) cosh r - (w1 + w2) sinh r], evaluated without
     cancellation as sqrt(w1 w2) expm1(-2r) + (sqrt(w1) - sqrt(w2))^2 sinh^2 r,
     with (sqrt(w1) - sqrt(w2))^2 written (w1 - w2)^2 / (sqrt(w1) + sqrt(w2))^2.
-    The squeeze phase ``delta`` moves the location of the minimum but not its
-    depth; it is accepted for interface symmetry.  Alignment means
+    The squeeze phase moves the location of the minimum but not its depth,
+    so it is not an argument.  Alignment means
     khat1.khat2 = 1, so the cross-channel geometric factor is 2.
     """
     if r < 0:
         raise ValueError("squeeze magnitude must be non-negative")
     if not (omega1 > 0 and omega2 > 0):
         raise ValueError("frequencies must be positive")
-    del delta
     return math.sqrt(omega1 * omega2) * math.expm1(-2.0 * r) + _root_gap(omega1, omega2) * math.sinh(r) ** 2
 
 

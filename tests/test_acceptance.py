@@ -54,7 +54,6 @@ from subvacuum.state_families import (
     EntangledCoherent,
     OneModeMoments,
     SqueezedPair,
-    TwoModeMoments,
     VacuumSqueezed,
     ZhangReal,
     barnett_radmore_moments,
@@ -69,7 +68,7 @@ from subvacuum.state_families import (
     zhang_moments,
     zhang_small_r_asymptotics,
 )
-from subvacuum.state_families import CoherentPair
+from subvacuum.state_families import ONE_MODE, CoherentPair
 from subvacuum.energy_density import (
     ModeGeometry,
     SpacetimePoint,
@@ -77,9 +76,7 @@ from subvacuum.energy_density import (
     rho_min_br_closed,
     rho_min_ecs_aligned,
     rho_min_two_mode_numeric,
-    rho_one_mode,
-    rho_two_mode_standing,
-    rho_two_mode_traveling,
+    rho_two_mode,
     spacetime_average,
 )
 from subvacuum.optimizer import SearchConfig, multi_start
@@ -586,14 +583,15 @@ def test_criterion_8_property_suite():
         ts = np.arange(64) * (TWO_PI / 64)
         quad = float(
             np.mean(
-                [rho_two_mode_traveling(m, g, SpacetimePoint(x=x, t=float(t))) for t in ts]
+                [rho_two_mode(m, g, SpacetimePoint(x=x, t=float(t))) for t in ts]
             )
         )
         quad_dev = max(quad_dev, abs(quad - avg))
     avg_ok &= quad_dev <= 1e-9
 
     # term-deletion reduction: silencing mode 2 reproduces the one-mode
-    # evaluator bit-for-bit at unit frequency.
+    # density bit-for-bit at unit frequency: omega (n + R cos(u + gamma))
+    # at the propagation phase u = 2(k.x - omega t), and its standing form.
     reduction_ok = True
     g1 = ModeGeometry("traveling", 1.0, 1.0)
     gs = ModeGeometry("standing", 1.0, 1.0)
@@ -605,18 +603,14 @@ def test_criterion_8_property_suite():
             pair_phase=float(rng.uniform(-math.pi, math.pi)),
             excess=pair_mag - n,
         )
-        m2 = TwoModeMoments(
-            m1.n, 0.0, m1.pair_mag, 0.0, 0.0, 0.0, m1.pair_phase, 0.0, 0.0, 0.0
-        )
+        m2 = ONE_MODE.lift(m1)
         x = tuple(float(v) for v in rng.uniform(-3, 3, 3))
         t = float(rng.uniform(-3, 3))
         p = SpacetimePoint(x=x, t=t)
         u = 2.0 * (x[2] - t)
-        reduction_ok &= rho_two_mode_traveling(m2, g1, p) == rho_one_mode(
-            m1, 1.0, "traveling", u
-        )
-        reduction_ok &= rho_two_mode_standing(m2, gs, p) == rho_one_mode(
-            m1, 1.0, "standing", (x[0], t)
+        reduction_ok &= rho_two_mode(m2, g1, p) == 1.0 * (m1.n + m1.pair_mag * math.cos(u + m1.pair_phase))
+        reduction_ok &= rho_two_mode(m2, gs, p) == 1.0 * (
+            m1.n + m1.pair_mag * math.cos(2.0 * 1.0 * x[0]) * math.cos(2.0 * 1.0 * t - m1.pair_phase)
         )
 
     gap_ok = True
@@ -650,14 +644,12 @@ def test_criterion_9_minimizer_vs_closed_forms():
     for w1, w2 in ratios:
         g = ModeGeometry("traveling", w1, w2)
         _, val = rho_min_two_mode_numeric(m_br, g, 8.0, 64)
-        closed = rho_min_br_closed(1.0, 0.0, w1, w2)
+        closed = rho_min_br_closed(1.0, w1, w2)
         worst = max(worst, abs(val - closed) / abs(closed))
 
     m_z = zhang_moments(ZhangReal(r=0.007, theta=0.99 * math.pi))
     for w1, w2 in ratios:
-        g = ModeGeometry(
-            "traveling", w1, w2, khat1=(0.0, 0.0, 1.0), khat2=(1.0, 0.0, 0.0)
-        )
+        g = ModeGeometry("traveling", w1, w2, 0.0)
         _, val = rho_min_two_mode_numeric(m_z, g, 8.0, 64)
         closed = -(w1 + w2) * (m_z.R1 - m_z.n1)
         worst = max(worst, abs(val - closed) / abs(closed))

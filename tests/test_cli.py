@@ -483,6 +483,23 @@ class TestDensity:
         assert "numeric failure: degenerate state" in quiet_stderr()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # sqrt(w1 w2) overflows
+            ["--family", "barnett-radmore", "--geometry", "traveling:1e200:1e200:1"],
+            # the phases overflow, and their cosines are nan
+            ["--family", "squeezed-vacuum", "--window", "1e308"],
+        ],
+    )
+    def test_non_finite_scan_exits_3_without_output(self, tmp_path, quiet_stderr, argv):
+        out = tmp_path / "density.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["density", *argv, "--grid-n", "16", "--out", str(out)]) == 3
+        assert quiet_stderr() == "subvacuum density: numeric failure: density is not finite on the scan grid\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid_n", [17, 24])
     @pytest.mark.parametrize(
         "geometry", ["standing:1:2:1", "traveling:1:2:1", "traveling:1:2:0", "traveling:1:1:0.3", "traveling:1:2:-0.5"]

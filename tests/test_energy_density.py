@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subvacuum.state_families import (
+    ONE_MODE,
     BarnettRadmore,
     OneModeMoments,
     TwoModeMoments,
@@ -25,9 +26,7 @@ from subvacuum.energy_density import (
     rho_min_ecs_aligned,
     rho_min_one_mode,
     rho_min_two_mode_numeric,
-    rho_one_mode,
-    rho_two_mode_standing,
-    rho_two_mode_traveling,
+    rho_two_mode,
     spacetime_average,
 )
 
@@ -41,10 +40,18 @@ BR_MIN_R1 = {
 }
 
 
-def embed_mode1(m: OneModeMoments) -> TwoModeMoments:
-    """Place a single mode in slot 1 of a two-mode system, mode 2 silent."""
-    return TwoModeMoments(
-        m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0
+def one_mode_reference(m: OneModeMoments, omega: float, kind: str, u) -> float:
+    """Single-mode density written out with math.cos.
+
+    Traveling: ``u`` is the propagation phase 2(k.x - omega t) and
+    rho = omega (n + R cos(u + gamma)).  Standing: ``u`` is the pair (x, t)
+    and rho = omega (n + R cos(2 omega x) cos(2 omega t - gamma)).
+    """
+    if kind == "traveling":
+        return omega * (m.n + m.pair_mag * math.cos(u + m.pair_phase))
+    x, t = u
+    return omega * (
+        m.n + m.pair_mag * math.cos(2.0 * omega * x) * math.cos(2.0 * omega * t - m.pair_phase)
     )
 
 
@@ -53,27 +60,40 @@ class TestModeGeometry:
         with pytest.raises(ValueError, match="kind"):
             ModeGeometry("radial", 1.0, 1.0)
 
-    @pytest.mark.parametrize("w1,w2", [(0.0, 1.0), (1.0, -2.0), (-1.0, -1.0)])
-    def test_rejects_nonpositive_frequencies(self, w1, w2):
-        with pytest.raises(ValueError, match="positive"):
+    @pytest.mark.parametrize(
+        "w1,w2", [(0.0, 1.0), (1.0, -2.0), (-1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_nonpositive_or_non_finite_frequencies(self, w1, w2):
+        with pytest.raises(ValueError, match="positive and finite"):
             ModeGeometry("traveling", w1, w2)
 
-    def test_traveling_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError, match="unit"):
-            ModeGeometry("traveling", 1.0, 1.0, khat2=(0.0, 0.0, 2.0))
+    @pytest.mark.parametrize("kind", ["traveling", "standing"])
+    @pytest.mark.parametrize("c", [1.0 + 1e-12, -2.0, math.nan])
+    def test_rejects_cosangle_outside_unit_interval(self, kind, c):
+        with pytest.raises(ValueError, match="cosangle"):
+            ModeGeometry(kind, 1.0, 1.0, c)
 
-    def test_standing_ignores_directions(self):
-        # Standing waves live on one axis; the khat fields are inert there.
-        g = ModeGeometry("standing", 1.0, 2.0, khat2=(3.0, 0.0, 0.0))
-        assert g.omega2 == 2.0
+    def test_default_is_aligned(self):
+        assert ModeGeometry("traveling", 1.0, 3.0).cosangle == 1.0
 
-    def test_cos_angle(self):
-        g = ModeGeometry(
-            "traveling", 1.0, 1.0, khat1=(0.0, 0.0, 1.0), khat2=(1.0, 0.0, 0.0)
-        )
-        assert g.cos_angle() == 0.0
-        aligned = ModeGeometry("traveling", 1.0, 3.0)
-        assert aligned.cos_angle() == 1.0
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.5, -1.0])
+    def test_directions_follow_cosangle(self, c):
+        # khat1 = +z and khat2 = (sqrt(1 - c^2), 0, c); the cross channels
+        # carry sqrt(w1 w2) (1 + c).
+        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        w1, w2 = 1.0, 2.0
+        g = ModeGeometry("traveling", w1, w2, c)
+        x, t = (0.4, -0.3, 1.1), 0.6
+        k1x = w1 * x[2]
+        k2x = w2 * (math.sqrt(1.0 - c * c) * x[0] + c * x[2])
+        geom = math.sqrt(w1 * w2) * (1.0 + c)
+        expected = (
+            m.n1 * w1
+            + m.n2 * w2
+            + m.R3 * geom * math.cos((k2x - k1x) - (w2 - w1) * t + m.gamma3)
+            + m.R4 * geom * math.cos((k2x + k1x) - (w2 + w1) * t + m.gamma4)
+        )  # R1 = R2 = 0 for this family
+        assert rho_two_mode(m, g, SpacetimePoint(x=x, t=t)) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestSpacetimePoint:
@@ -85,41 +105,33 @@ class TestSpacetimePoint:
 
 
 class TestOneMode:
+    """One-mode states are lifted into mode 1 of the two-mode density."""
+
     def test_traveling_value_at_zero_phase(self):
         m = OneModeMoments(n=0.5, pair_mag=0.3, pair_phase=0.0, excess=-0.2)
-        assert rho_one_mode(m, 2.0, "traveling", 0.0) == pytest.approx(
+        p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0)
+        assert rho_two_mode(ONE_MODE.lift(m), ModeGeometry("traveling", 2.0, 1.0), p) == pytest.approx(
             2.0 * 0.8, abs=1e-15
         )
 
     def test_traveling_floor_attained_where_cosine_is_minus_one(self):
+        # At x = 0 the propagation phase -2 omega t reaches pi - gamma.
         m = squeezed_vacuum_moments(1.0, 0.7)
         omega = 1.7
-        u = math.pi - m.pair_phase
-        assert rho_one_mode(m, omega, "traveling", u) == pytest.approx(
+        p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=-(math.pi - m.pair_phase) / (2.0 * omega))
+        assert rho_two_mode(ONE_MODE.lift(m), ModeGeometry("traveling", omega, 1.0), p) == pytest.approx(
             -omega * (m.pair_mag - m.n), abs=1e-12
         )
 
-    def test_traveling_scan_min_matches_closed_floor(self):
-        m = squeezed_vacuum_moments(0.8, 2.1)
-        omega = 2.0
-        grid = np.linspace(0.0, 2.0 * math.pi, 20001)
-        scanned = min(rho_one_mode(m, omega, "traveling", float(u)) for u in grid)
+    @pytest.mark.parametrize(
+        "kind,r,phi,omega", [("traveling", 0.8, 2.1, 2.0), ("standing", 1.2, -0.4, 1.0)]
+    )
+    def test_numeric_min_matches_closed_floor(self, kind, r, phi, omega):
+        m = squeezed_vacuum_moments(r, phi)
+        _, val = rho_min_two_mode_numeric(ONE_MODE.lift(m), ModeGeometry(kind, omega, 1.0), 8.0, 64)
         floor = rho_min_one_mode(m, omega)
-        assert scanned >= floor - 1e-12
-        assert scanned == pytest.approx(floor, abs=1e-6)
-
-    def test_standing_scan_min_matches_closed_floor(self):
-        m = squeezed_vacuum_moments(1.2, -0.4)
-        omega = 1.0
-        axis = np.linspace(0.0, 2.0 * math.pi, 641)
-        scanned = min(
-            rho_one_mode(m, omega, "standing", (float(x), float(t)))
-            for x in axis
-            for t in axis
-        )
-        floor = rho_min_one_mode(m, omega)
-        assert scanned >= floor - 1e-12
-        assert scanned == pytest.approx(floor, abs=1e-4)
+        assert val >= floor - 1e-12
+        assert val == pytest.approx(floor, rel=1e-9)
 
     def test_negative_floor_iff_pairing_beats_population(self):
         quiet = OneModeMoments(n=0.5, pair_mag=0.2, pair_phase=0.0, excess=-0.3)
@@ -134,23 +146,17 @@ class TestOneMode:
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_rejects_nonpositive_frequency(self, omega):
-        m = OneModeMoments(0.1, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            rho_one_mode(m, omega, "traveling", 0.0)
-        with pytest.raises(ValueError):
-            rho_min_one_mode(m, omega)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            rho_one_mode(OneModeMoments(0.1, 0.1, 0.0, 0.0), 1.0, "spherical", 0.0)
+            rho_min_one_mode(OneModeMoments(0.1, 0.1, 0.0, 0.0), omega)
 
 
 class TestTermDeletionReduction:
-    """Silencing mode 2 must reproduce the one-mode evaluator.
+    """Silencing mode 2 must reproduce the one-mode density.
 
-    With omega = 1 the two code paths perform the same rounded operations, so
-    the match is required to be bit-exact; for generic omega the factored vs
-    distributed products differ by a few ulp at most.
+    With omega = 1 the two-mode formula and the written-out one-mode
+    reference perform the same rounded operations, so the match is required
+    to be bit-exact; for generic omega the factored vs distributed products
+    differ by a few ulp at most.
     """
 
     def _points(self, rng, count=200):
@@ -173,7 +179,7 @@ class TestTermDeletionReduction:
             p = SpacetimePoint(x=x, t=t)
             k1x = x[2]  # khat1 = +z, omega = 1
             u = 2.0 * (k1x - t)
-            assert rho_two_mode_traveling(embed_mode1(m), g, p) == rho_one_mode(
+            assert rho_two_mode(ONE_MODE.lift(m), g, p) == one_mode_reference(
                 m, 1.0, "traveling", u
             )
 
@@ -182,7 +188,7 @@ class TestTermDeletionReduction:
         g = ModeGeometry("standing", 1.0, 1.0)
         for m, x, t in self._points(rng):
             p = SpacetimePoint(x=x, t=t)
-            assert rho_two_mode_standing(embed_mode1(m), g, p) == rho_one_mode(
+            assert rho_two_mode(ONE_MODE.lift(m), g, p) == one_mode_reference(
                 m, 1.0, "standing", (x[0], t)
             )
 
@@ -193,20 +199,12 @@ class TestTermDeletionReduction:
             g = ModeGeometry("traveling", w, w)
             p = SpacetimePoint(x=x, t=t)
             u = 2.0 * (w * x[2] - w * t)
-            a = rho_two_mode_traveling(embed_mode1(m), g, p)
-            b = rho_one_mode(m, w, "traveling", u)
+            a = rho_two_mode(ONE_MODE.lift(m), g, p)
+            b = one_mode_reference(m, w, "traveling", u)
             assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
 
 
-class TestTwoModePointEvaluators:
-    def test_kind_mismatch_raises(self):
-        m = barnett_radmore_moments(BarnettRadmore(r=0.5, delta=0.0))
-        p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0)
-        with pytest.raises(ValueError, match="traveling"):
-            rho_two_mode_traveling(m, ModeGeometry("standing", 1.0, 1.0), p)
-        with pytest.raises(ValueError, match="standing"):
-            rho_two_mode_standing(m, ModeGeometry("traveling", 1.0, 1.0), p)
-
+class TestTwoModePointEvaluator:
     def test_vacuum_is_identically_zero(self):
         g = ModeGeometry("traveling", 1.0, 2.0)
         rng = np.random.default_rng(5)
@@ -215,7 +213,7 @@ class TestTwoModePointEvaluators:
                 x=tuple(float(v) for v in rng.uniform(-2, 2, 3)),
                 t=float(rng.uniform(-2, 2)),
             )
-            assert rho_two_mode_traveling(ZERO_MOMENTS, g, p) == 0.0
+            assert rho_two_mode(ZERO_MOMENTS, g, p) == 0.0
 
     def test_br_origin_value_traveling_aligned(self):
         # At x=0, t=0 the only surviving oscillation is the R4 channel at
@@ -226,7 +224,7 @@ class TestTwoModePointEvaluators:
         g = ModeGeometry("traveling", 1.0, 1.0)
         p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0)
         s, c = math.sinh(r), math.cosh(r)
-        assert rho_two_mode_traveling(m, g, p) == pytest.approx(
+        assert rho_two_mode(m, g, p) == pytest.approx(
             2.0 * s * s - 2.0 * s * c, abs=1e-12
         )
 
@@ -234,7 +232,7 @@ class TestTwoModePointEvaluators:
         # khat1 . khat2 = -1 kills the (1 + cos) cross weight entirely, so
         # only the single-mode channels remain.
         m = barnett_radmore_moments(BarnettRadmore(r=0.9, delta=0.3))
-        g = ModeGeometry("traveling", 1.0, 1.0, khat2=(0.0, 0.0, -1.0))
+        g = ModeGeometry("traveling", 1.0, 1.0, -1.0)
         rng = np.random.default_rng(17)
         base = m.n1 * 1.0 + m.n2 * 1.0  # R1 = R2 = 0 for this family
         for _ in range(20):
@@ -242,7 +240,7 @@ class TestTwoModePointEvaluators:
                 x=tuple(float(v) for v in rng.uniform(-2, 2, 3)),
                 t=float(rng.uniform(-2, 2)),
             )
-            assert rho_two_mode_traveling(m, g, p) == pytest.approx(base, abs=1e-12)
+            assert rho_two_mode(m, g, p) == pytest.approx(base, abs=1e-12)
 
 
 class TestNumericMinimizer:
@@ -266,7 +264,7 @@ class TestNumericMinimizer:
         m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
         g = ModeGeometry("traveling", w1, w2)
         _, val = rho_min_two_mode_numeric(m, g, 8.0, 64)
-        closed = rho_min_br_closed(1.0, 0.0, w1, w2)
+        closed = rho_min_br_closed(1.0, w1, w2)
         assert closed == pytest.approx(BR_MIN_R1[(w1, w2)], abs=1e-12)
         assert val == pytest.approx(closed, rel=1e-9)
 
@@ -276,9 +274,7 @@ class TestNumericMinimizer:
         # directions decouple the two propagation phases, so both cosines
         # reach -1 and the floor is -(w1 + w2)(R1 - n1).
         m = zhang_moments(ZhangReal(r=0.007, theta=0.99 * math.pi))
-        g = ModeGeometry(
-            "traveling", w1, w2, khat1=(0.0, 0.0, 1.0), khat2=(1.0, 0.0, 0.0)
-        )
+        g = ModeGeometry("traveling", w1, w2, 0.0)
         _, val = rho_min_two_mode_numeric(m, g, 8.0, 64)
         closed = -(w1 + w2) * (m.R1 - m.n1)
         assert val == pytest.approx(closed, rel=1e-9)
@@ -300,7 +296,7 @@ class TestNumericMinimizer:
         # first and the polish has nowhere better to go.
         assert point.t == pytest.approx(0.0, abs=1e-6)
         assert point.x[2] == pytest.approx(0.0, abs=1e-6)
-        assert val == pytest.approx(rho_min_br_closed(1.0, 0.0, 1.0, 1.0), rel=1e-9)
+        assert val == pytest.approx(rho_min_br_closed(1.0, 1.0, 1.0), rel=1e-9)
 
     def test_vacuum_min_is_zero_at_origin(self):
         g = ModeGeometry("standing", 1.0, 2.0)
@@ -313,8 +309,8 @@ class TestNumericMinimizer:
 PROFILE_GEOMETRIES = {
     "standing": ModeGeometry("standing", 1.0, 2.0),
     "aligned": ModeGeometry("traveling", 1.0, 2.0),
-    "perpendicular": ModeGeometry("traveling", 1.0, 2.0, khat2=(1.0, 0.0, 0.0)),
-    "skew": ModeGeometry("traveling", 1.0, 2.0, khat2=(math.sqrt(1.0 - 0.3**2), 0.0, 0.3)),
+    "perpendicular": ModeGeometry("traveling", 1.0, 2.0, 0.0),
+    "skew": ModeGeometry("traveling", 1.0, 2.0, 0.3),
 }
 
 
@@ -340,7 +336,7 @@ class TestDensityProfile:
         assert not x1.any() and not x2.any()
         skew = density_profile(
             m,
-            ModeGeometry("traveling", 1.0, 2.0, khat2=(1.0, 0.0, 0.0)),
+            ModeGeometry("traveling", 1.0, 2.0, 0.0),
             4.0,
             16,
         )
@@ -348,7 +344,7 @@ class TestDensityProfile:
 
     @pytest.mark.parametrize(
         "g",
-        [*PROFILE_GEOMETRIES.values(), ModeGeometry("traveling", 1.0, 2.0, khat2=(math.sqrt(0.75), 0.0, -0.5))],
+        [*PROFILE_GEOMETRIES.values(), ModeGeometry("traveling", 1.0, 2.0, -0.5)],
         ids=[*PROFILE_GEOMETRIES, "obtuse"],
     )
     def test_every_t_block_repeats_the_spatial_columns(self, g):
@@ -369,40 +365,43 @@ class TestDensityProfile:
     @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
     def test_samples_reproduce_point_evaluator(self, name):
         # Samples are the scan's values at span coordinates; the point
-        # evaluators recompute the phases from the exported Cartesian x.  For
+        # evaluator recomputes the phases from the exported Cartesian x.  For
         # skew modes those phases round differently, within a few ulps.
         m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
         g = PROFILE_GEOMETRIES[name]
-        evaluate = rho_two_mode_standing if g.kind == "standing" else rho_two_mode_traveling
         prof = density_profile(m, g, 6.0, 16)
         tol = 1e-13 if name == "skew" else 0.0
         for x1, x2, x3, t, rho in prof.samples.tolist():
-            assert abs(rho - evaluate(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))) <= tol
+            assert abs(rho - rho_two_mode(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))) <= tol
 
 
 class TestClosedForms:
     def test_br_min_values(self):
         for (w1, w2), expected in BR_MIN_R1.items():
-            assert rho_min_br_closed(1.0, 0.0, w1, w2) == pytest.approx(
+            assert rho_min_br_closed(1.0, w1, w2) == pytest.approx(
                 expected, abs=1e-12
             )
 
-    def test_br_min_phase_independent(self):
+    @pytest.mark.parametrize("w1,w2", sorted(BR_MIN_R1))
+    def test_br_min_phase_independent(self, w1, w2):
+        # The squeeze phase moves the minimum but not its depth: the numeric
+        # minimizer finds the closed depth at every delta.
+        closed = rho_min_br_closed(0.8, w1, w2)
         for delta in (0.0, 0.4, -2.0, math.pi):
-            assert rho_min_br_closed(0.8, delta, 1.0, 2.0) == rho_min_br_closed(
-                0.8, 0.0, 1.0, 2.0
-            )
+            m = barnett_radmore_moments(BarnettRadmore(r=0.8, delta=delta))
+            _, val = rho_min_two_mode_numeric(m, ModeGeometry("traveling", w1, w2), 8.0, 64)
+            assert val == pytest.approx(closed, rel=1e-6)
 
     def test_br_min_positive_when_frequencies_far_apart(self):
         # 2 sqrt(w1 w2) cosh r < (w1 + w2) sinh r for strongly mismatched
         # frequencies, so no point of this state dips below zero.
-        assert rho_min_br_closed(1.0, 0.0, 1.0, 10.0) > 0
+        assert rho_min_br_closed(1.0, 1.0, 10.0) > 0
 
     def test_br_min_validation(self):
         with pytest.raises(ValueError):
-            rho_min_br_closed(-0.1, 0.0, 1.0, 1.0)
+            rho_min_br_closed(-0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            rho_min_br_closed(1.0, 0.0, 0.0, 1.0)
+            rho_min_br_closed(1.0, 0.0, 1.0)
 
     def test_gap_identity_against_component_minima(self):
         # The gap is exactly (two one-mode floors) minus (the joint floor):
@@ -411,7 +410,7 @@ class TestClosedForms:
             m = squeezed_vacuum_moments(r, 0.0)
             for w1, w2 in [(0.5, 2.0), (1.0, 1.0), (1.0, 3.0), (2.0, 2.5)]:
                 two_separate = rho_min_one_mode(m, w1) + rho_min_one_mode(m, w2)
-                joint = rho_min_br_closed(r, 0.0, w1, w2)
+                joint = rho_min_br_closed(r, w1, w2)
                 assert br_vs_2sq_gap(r, w1, w2) == pytest.approx(
                     joint - two_separate, rel=1e-12, abs=1e-12
                 )
@@ -426,7 +425,7 @@ class TestClosedForms:
             s, c = mpmath.sinh(r), mpmath.cosh(r)
             depth = -s * (2 * mpmath.sqrt(w1 * w2) * c - (w1 + w2) * s)
             gap = s * c * (mpmath.sqrt(w1) - mpmath.sqrt(w2)) ** 2
-            assert abs((rho_min_br_closed(r, 0.0, w1, w2) - depth) / depth) <= 1e-15
+            assert abs((rho_min_br_closed(r, w1, w2) - depth) / depth) <= 1e-15
             assert abs(br_vs_2sq_gap(r, w1, w2) - gap) <= 1e-15 * gap
 
     def test_gap_grid_nonnegative_zero_iff_equal_frequencies(self):
@@ -481,7 +480,7 @@ class TestSpacetimeAverage:
         quad = float(
             np.mean(
                 [
-                    rho_two_mode_traveling(m, g, SpacetimePoint(x=x, t=float(t)))
+                    rho_two_mode(m, g, SpacetimePoint(x=x, t=float(t)))
                     for t in ts
                 ]
             )

@@ -4,8 +4,9 @@ Each digest is the sha256 of the command's stdout.  The commands are the two
 README sweeps, one sweep per remaining family (first parameter varied, the
 rest at their defaults), a short seeded search per search family, the
 64-start coherent-pair search that the benchmark times, the README
-standing-wave density case and three traveling-wave density cases (3-D,
-aligned JSON, skew CSV) on 16-point grids, and a two-draw verification.
+standing-wave density case, three traveling-wave density cases (3-D,
+aligned JSON, skew CSV), a one-mode standing case and an antiparallel
+traveling case, all on 16-point grids, and a two-draw verification.
 A refactor that keeps results must keep every digest; a change that alters
 output on purpose re-records them and says why.
 """
@@ -51,6 +52,10 @@ GOLDEN = [
      "01171a36409dc692911055004c27a05b23246c1b5b9d038b7c7e7bb05b09724a"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:1:0.3 --window 8 --grid-n 16",
      "9fdb224495fa4159d3a937dd045e531bd2a40b3c462002f3f2910da149c85b8d"),
+    ("density --family squeezed-vacuum --geometry standing:1:1:1 --grid-n 16",
+     "8079011f7605a1b008615ded2a5092b1036853ceba51fc750887d55200eebe73"),
+    ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:-1 --grid-n 16",
+     "772087dc51b265498048abe1d7c74c490783759a1490d20ed2bd34ae0b8a23bc"),
     ("verify --draws 2 --seed 7",
      "fda0b1165d2a280e064ada1464e233175b70c053a9f6ed3032c2e386c5bcdd8e"),
 ]
