@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,30 +145,49 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
+def _dumps(doc: Mapping[str, object]) -> str:
+    """``doc`` as JSON text in indent=2 layout, every non-finite number written as null."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no NaN or infinity: such a number is written as null
+        return json.dumps(_finite_or_null(doc), indent=2)
+
+
+def _json_rows(head: str, blocks: Iterable[str]) -> Iterator[str]:
+    """The JSON object ``head`` (indent=2 layout) with a "rows" array of the ``blocks`` appended."""
+    yield head[: -len("\n}")] + ',\n  "rows": [\n'
+    for i, block in enumerate(blocks):
+        yield ",\n" + block if i else block
+    yield "\n  ]\n}\n"
+
+
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
            seed: int | None, config: Mapping[str, object], blocks: Iterable[str] | None = None,
-           **body: object) -> None:
+           json_blocks: Iterable[str] | None = None, **body: object) -> None:
     """Emit CSV, or one JSON document (``body`` defaults to the rows).
 
-    CSV goes to ``--out`` or stdout as it is formatted: the command's
-    ``blocks`` of row text if it gives them, else ``rows`` cell by cell
-    through :func:`_fmt`.  JSON writes a non-finite number (a NaN deviation
-    of a failed check, say) as null; CSV prints it as ``nan``.  Every number
-    is computed before this call, so a numeric failure leaves no ``--out``
+    Output goes to ``--out`` or stdout as it is formatted.  CSV is the
+    command's ``blocks`` of row text if it gives them, else ``rows`` cell by
+    cell through :func:`_fmt`.  JSON is likewise the command's
+    ``json_blocks`` if it gives them: runs of "rows" objects in
+    ``json.dumps(..., indent=2)`` layout, joined here by ",\\n" after the
+    command, seed and config; else the whole document goes through
+    ``json.dumps``.  JSON writes a non-finite number (a NaN deviation of a
+    failed check, say) as null; CSV prints it as ``nan``.  Every number is
+    computed before this call, so a numeric failure leaves no ``--out``
     file.
     """
-    text = None
-    if args.format == "json":
-        body = body or {"rows": [dict(zip(header, row)) for row in rows]}
-        doc = {"command": args.command, "seed": seed, "config": config, **body}
-        try:
-            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        except ValueError:  # JSON has no NaN or infinity: such a number is written as null
-            text = json.dumps(_finite_or_null(doc), indent=2) + "\n"
+    doc = {"command": args.command, "seed": seed, "config": config}
+    if args.format == "csv":
+        chunks = None
+    elif json_blocks is None:
+        chunks = [_dumps({**doc, **(body or {"rows": [dict(zip(header, row)) for row in rows]})}) + "\n"]
+    else:
+        chunks = _json_rows(_dumps(doc), json_blocks)
     sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     with sink as fh:
-        if text is not None:
-            fh.write(text)
+        if chunks is not None:
+            fh.writelines(chunks)
             return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -255,26 +274,27 @@ def _cmd_density(args: argparse.Namespace) -> int:
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
-    samples = profile.samples
     pmin, vmin = profile.min_found
-    min_row = ("min", *pmin.x, pmin.t, vmin)
 
-    def blocks():  # every t block repeats the spatial rows: format them once, "\0" standing for t
-        space = samples[: len(samples) // args.grid_n, :3]
-        prefixes = ("sample,%.9g,%.9g,%.9g,\0,%%.9g\n" * len(space)) % tuple(space.ravel().tolist())
-        for t_block in np.split(samples[:, 3:], args.grid_n):
-            yield prefixes.replace("\0", "%.9g" % t_block[0, 0]) % tuple(t_block[:, 1].tolist())
-        yield "%s,%.9g,%.9g,%.9g,%.9g,%.9g\n" % min_row
+    def blocks(line: str, kind: str, cell: str, sep: str):
+        # One block of row text per t, then the min row.  Every t block
+        # repeats the spatial points: their cells are formatted once, "\0"
+        # standing for t.
+        sample = line % (kind % "sample", cell, cell, cell, "\0", "%" + cell)
+        spatial = sep.join([sample] * len(profile.space)) % tuple(profile.space.ravel().tolist())
+        for t, rho in zip(profile.t.tolist(), profile.rho):
+            yield spatial.replace("\0", cell % t) % tuple(rho.tolist())
+        yield line % (kind % "min", *[cell] * 5) % (*pmin.x, pmin.t, vmin)
 
-    def rows():
-        yield from (("sample", *row) for row in samples.tolist())
-        yield min_row
-
+    csv_line = ",".join(["%s"] * len(header)) + "\n"
+    # json.dumps(..., indent=2) layout; json.dumps writes a finite float as its repr.
+    json_line = "    {\n" + ",\n".join(f'      "{key}": %s' for key in header) + "\n    }"
     geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
            "cosangle": geometry.cosangle + 0.0}  # + 0.0 prints -0 as 0
     config = {"family": args.family, "params": params, "geometry": geo,
               "window": args.window, "grid_n": args.grid_n}
-    _write(args, header, rows(), None, config, blocks())
+    _write(args, header, (), None, config, blocks(csv_line, "%s", "%.9g", ""),
+           blocks(json_line, '"%s"', "%r", ",\n"))
     return 0
 
 

@@ -93,16 +93,25 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Sampled density values plus the refined minimum over the scan window.
+    """Density on the scan grid plus the refined minimum over the scan window.
 
-    ``samples`` is an (N, 5) float array with columns x1, x2, x3, t, rho, one
-    row per scan-grid point in (t, space...) lexicographic order: N is
-    grid_n**3 for skew traveling modes and grid_n**2 otherwise.  The spatial
-    columns of every t block repeat the first block bit for bit.
+    The grid is the product of the times ``t`` (grid_n,) and the spatial
+    points ``space`` (M, 3), the Cartesian x of each spatial grid point in
+    lexicographic order of its span coordinates; ``rho`` (grid_n, M) holds
+    the density at each (t, x) pair.  M is grid_n**2 for skew traveling
+    modes and grid_n otherwise.
     """
 
-    samples: np.ndarray
+    t: np.ndarray
+    space: np.ndarray
+    rho: np.ndarray
     min_found: tuple[SpacetimePoint, float]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """(N, 5) rows of x1, x2, x3, t, rho in (t, space...) lexicographic order."""
+        n, m = self.rho.shape
+        return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), self.rho.ravel()])
 
 
 def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
@@ -166,25 +175,40 @@ def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
 
 
 def _scan(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
-    """Coordinate grids (t, s1[, s2]) over [0, window] and the density on them.
+    """The scan axis over [0, window] and the density on the grid it spans.
 
-    Skew traveling modes (|khat1.khat2| != 1) span a plane and get two
-    spatial axes; parallel and standing modes need one.
+    The grid has axes (t, s1[, s2]): skew traveling modes
+    (|khat1.khat2| != 1) span a plane and get two spatial axes; parallel and
+    standing modes need one.  The spatial axes come from a sparse meshgrid
+    and the density is filled one t slab at a time, so only the density
+    itself has the full grid's size.
     """
     axis = np.linspace(0.0, window, grid_n)
     skew = g.kind == "traveling" and abs(abs(g.cosangle) - 1.0) >= 1e-12
-    coords = np.meshgrid(*[axis] * (3 if skew else 2), indexing="ij")
-    return coords, _span_rho(m, g, *coords)
+    dims = 3 if skew else 2
+    t, *space = np.meshgrid(*[axis] * dims, indexing="ij", sparse=True)
+    vals = np.empty((grid_n,) * dims)
+    for i in range(grid_n):
+        vals[i] = _span_rho(m, g, t[i : i + 1], *space)[0]
+    return axis, vals
 
 
 def rho_two_mode(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
-    """Density at an explicit spacetime point; standing waves read only p.x[0]."""
-    if g.kind == "standing":
-        return float(_standing_rho(m, g, p.x[0], p.t))
-    x = np.asarray(p.x, dtype=float)
-    k1x = float((g.omega1 * np.asarray(_KHAT1, dtype=float)) @ x)
-    k2x = float((g.omega2 * np.asarray(_khat2(g), dtype=float)) @ x)
-    return float(_traveling_rho(m, g, k1x, k2x, p.t))
+    """Density at an explicit spacetime point; standing waves read only p.x[0].
+
+    Raises ``FloatingPointError`` when the density there is not finite.
+    """
+    with np.errstate(all="ignore"):
+        if g.kind == "standing":
+            rho = float(_standing_rho(m, g, p.x[0], p.t))
+        else:
+            x = np.asarray(p.x, dtype=float)
+            k1x = float((g.omega1 * np.asarray(_KHAT1, dtype=float)) @ x)
+            k2x = float((g.omega2 * np.asarray(_khat2(g), dtype=float)) @ x)
+            rho = float(_traveling_rho(m, g, k1x, k2x, p.t))
+    if not math.isfinite(rho):
+        raise FloatingPointError("density is not finite at this point")
+    return rho
 
 
 def _moments_finite(m: TwoModeMoments) -> bool:
@@ -193,7 +217,7 @@ def _moments_finite(m: TwoModeMoments) -> bool:
 
 
 def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
-    """The scan grid, the density on it and the polished minimum (point, value)."""
+    """The scan axis, the density grid and the polished minimum (point, value)."""
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if window <= 0:
@@ -202,22 +226,30 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
         raise ValueError("non-finite moments")
 
     with np.errstate(all="ignore"):
-        coords, vals = _scan(m, g, window, grid_n)
+        axis, vals = _scan(m, g, window, grid_n)
     if not np.isfinite(vals).all():
         raise FloatingPointError("density is not finite on the scan grid")
-    i = int(np.argmin(vals))
-    best = np.array([c.flat[i] for c in coords])
-    best_val = float(vals.flat[i])
-    res = minimize(
-        lambda q: float(_span_rho(m, g, *q)),
-        best,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
-    )
+    # The first minimum in C order: the smallest t, then the smallest span coordinates.
+    i = np.unravel_index(np.argmin(vals), vals.shape)
+    best, best_val = axis[list(i)], float(vals[i])
+
+    def objective(q) -> float:
+        # Trial points past the window can overflow: a non-finite value
+        # counts as +inf, so it never displaces the scan minimum.
+        value = float(_span_rho(m, g, *q))
+        return value if math.isfinite(value) else math.inf
+
+    with np.errstate(all="ignore"):
+        res = minimize(
+            objective,
+            best,
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
+        )
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
     x = _span_x(g, *best[1:])
-    return coords, vals, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
+    return axis, vals, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
 
 
 def rho_min_two_mode_numeric(
@@ -236,15 +268,14 @@ def rho_min_two_mode_numeric(
 def density_profile(
     m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
 ) -> DensityProfile:
-    """Grid of density samples plus the refined minimum, for data export.
+    """The density on the scan grid plus the refined minimum, for data export.
 
-    The samples are the minimizer's own scan, in (t, space...) lexicographic
-    order, so the minimum is <= every sample exactly.
+    The grid is the minimizer's own scan, so the minimum is <= every grid
+    value exactly.
     """
-    coords, vals, min_found = _scan_and_polish(m, g, window, grid_n)
-    x = _span_x(g, *coords[1:]).reshape(-1, 3)
-    samples = np.column_stack([x, coords[0].ravel(), vals.ravel()])
-    return DensityProfile(samples=samples, min_found=min_found)
+    axis, vals, min_found = _scan_and_polish(m, g, window, grid_n)
+    space = _span_x(g, *np.meshgrid(*[axis] * (vals.ndim - 1), indexing="ij")).reshape(-1, 3)
+    return DensityProfile(t=axis, space=space, rho=vals.reshape(grid_n, -1), min_found=min_found)
 
 
 def rho_min_br_closed(r: float, omega1: float, omega2: float) -> float:

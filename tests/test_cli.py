@@ -521,19 +521,71 @@ class TestDensity:
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_3d_export_traced_peak_is_bounded(self, tmp_path):
-        # Streaming t blocks from the sample array peaks at 5.9 MiB traced;
-        # per-row tuples plus one whole-document string peak at 25.7 MiB.
-        out = tmp_path / "density.csv"
-        argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0", "--grid-n", "40"]
+    @staticmethod
+    def traced_peak(argv):
         tracemalloc.start()
         try:
-            assert main([*argv, "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.stat().st_size > 40**3 * 30
-        assert peak < 12 * 2**20
+
+    def test_3d_export_traced_peak_is_bounded(self, tmp_path):
+        # The only full-grid array is rho itself (2 MiB at 64^3): the scan
+        # fills it one t slab at a time and the export formats it per t.
+        # The peak is 3.1 MB traced; full-grid coordinate arrays plus the
+        # (N, 5) sample table peaked at 25.2 MB.
+        out = tmp_path / "density.csv"
+        argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0", "--grid-n", "64"]
+        peak = self.traced_peak([*argv, "--out", str(out)])
+        assert out.stat().st_size > 64**3 * 30
+        assert peak <= 2 * 64**3 * 8
+
+    def test_aligned_json_export_traced_peak_is_bounded(self, tmp_path):
+        # JSON rows are formatted per t block, never as one dict per row
+        # encoded whole: the peak is 0.13 MB traced against 7.0 MB.
+        out = tmp_path / "density.json"
+        argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:1", "--format", "json"]
+        peak = self.traced_peak([*argv, "--out", str(out)])
+        assert len(json.loads(out.read_text())["rows"]) == 64**2 + 1
+        assert peak <= 4 * out.stat().st_size
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "barnett-radmore", "--set", "r=0.8", "--set", "delta=0.7", "--geometry", "traveling:1:2:0"],
+            ["--family", "barnett-radmore", "--set", "r=0.8", "--geometry", "traveling:1:2:1"],
+            ["--family", "zhang", "--set", "r=0.01", "--geometry", "traveling:1:2:-1"],
+            ["--family", "squeezed-vacuum", "--set", "r=0.6", "--geometry", "standing:1.5:1:1"],
+            ["--family", "coherent-pair", "--geometry", "traveling:1:1:0.3", "--window", "5"],
+        ],
+        ids=["3d", "aligned", "antiparallel", "one-mode-standing", "one-mode-skew"],
+    )
+    @pytest.mark.parametrize("negate_space", [False, True], ids=["", "negated-x"])
+    def test_json_matches_json_dumps_reference(self, tmp_path, monkeypatch, argv, negate_space):
+        # The JSON rows are formatted per t block from one "%r" row template;
+        # they must print what json.dumps(doc, indent=2) prints.  Negating
+        # the spatial points puts -0.0 in every zero coordinate.
+        profiles = []
+
+        def profile(*a):
+            prof = density_profile(*a)
+            profiles.append(dataclasses.replace(prof, space=-prof.space) if negate_space else prof)
+            return profiles[-1]
+
+        monkeypatch.setattr("subvacuum.cli.ed.density_profile", profile)
+        out = tmp_path / "density.json"
+        assert main(["density", *argv, "--grid-n", "17", "--format", "json", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+
+        (prof,) = profiles
+        header = ["kind", "x1", "x2", "x3", "t", "rho"]
+        pmin, vmin = prof.min_found
+        rows = [("sample", *row) for row in prof.samples.tolist()] + [("min", *pmin.x, pmin.t, vmin)]
+        doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        doc["rows"] = [dict(zip(header, row)) for row in rows]
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert ("-0.0," in text) == negate_space
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 """Density evaluators, closed-form minima, and the grid+polish minimizer."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from subvacuum.state_families import (
     zhang_moments,
 )
 from subvacuum.energy_density import (
+    _span_rho,
     ModeGeometry,
     SpacetimePoint,
     br_vs_2sq_gap,
@@ -242,6 +244,15 @@ class TestTwoModePointEvaluator:
             )
             assert rho_two_mode(m, g, p) == pytest.approx(base, abs=1e-12)
 
+    def test_non_finite_value_raises_without_warning(self):
+        # sqrt(w1 w2) overflows, so the cross channels are inf * cos = nan.
+        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
+        g = ModeGeometry("traveling", 1e200, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="not finite"):
+                rho_two_mode(m, g, SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0))
+
 
 class TestNumericMinimizer:
     def test_rejects_bad_grid_and_window(self):
@@ -303,6 +314,19 @@ class TestNumericMinimizer:
         point, val = rho_min_two_mode_numeric(ZERO_MOMENTS, g, 8.0, 32)
         assert val == 0.0
         assert point.t == 0.0 and point.x == (0.0, 0.0, 0.0)
+
+    def test_polish_keeps_scan_minimum_past_overflowing_trials(self):
+        # The scan minimum sits at the far corner t = s = window, so every
+        # polish step outward overflows the simplex arithmetic and the
+        # phases; those trials never displace the scan minimum.
+        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=1.0))
+        g = ModeGeometry("traveling", 1e-10, 2e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point, val = rho_min_two_mode_numeric(m, g, 1.5e308, 16)
+            rho = density_profile(m, g, 1.5e308, 16).rho
+        assert val == rho.min()
+        assert point == SpacetimePoint(x=(0.0, 0.0, 1.5e308), t=1.5e308)
 
 
 # Standing, aligned (c = 1), perpendicular (c = 0) and skew (c = 0.3) modes.
@@ -373,6 +397,35 @@ class TestDensityProfile:
         tol = 1e-13 if name == "skew" else 0.0
         for x1, x2, x3, t, rho in prof.samples.tolist():
             assert abs(rho - rho_two_mode(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))) <= tol
+
+
+# The slab scan against a dense meshgrid: skew, aligned and antiparallel
+# traveling modes, standing modes, a one-mode state lifted into mode 1, and
+# the vacuum, where every value ties.
+SCAN_CASES = {
+    "skew": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0, 0.3)),
+    "aligned": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0)),
+    "antiparallel": (zhang_moments(ZhangReal(r=0.01, theta=0.95 * math.pi)), ModeGeometry("traveling", 1.0, 2.0, -1.0)),
+    "standing": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("standing", 1.0, 2.0)),
+    "one-mode": (ONE_MODE.lift(squeezed_vacuum_moments(0.8, 0.4)), ModeGeometry("traveling", 1.5, 1.0, -0.5)),
+    "vacuum": (ZERO_MOMENTS, ModeGeometry("traveling", 1.0, 2.0, 0.0)),
+}
+
+
+class TestSlabScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_rho_matches_dense_meshgrid_bit_for_bit(self, name):
+        m, g = SCAN_CASES[name]
+        grid_n, window = 19, 7.0
+        axis = np.linspace(0.0, window, grid_n)
+        axes = 3 if g.kind == "traveling" and abs(g.cosangle) != 1.0 else 2
+        dense = _span_rho(m, g, *np.meshgrid(*[axis] * axes, indexing="ij"))
+        prof = density_profile(m, g, window, grid_n)
+        assert prof.rho.shape == (grid_n, grid_n ** (axes - 1))
+        assert prof.rho.tobytes() == dense.reshape(grid_n, -1).tobytes()
+        assert prof.t.tobytes() == axis.tobytes()
+        if name == "vacuum":  # every value ties: the first in (t, space) order is the origin
+            assert prof.min_found == (SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0), 0.0)
 
 
 class TestClosedForms:
