@@ -11,8 +11,10 @@ Four subcommands share a small flag grammar:
   matrix-element identity checks.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numeric
-failure.  Output is CSV (default) or a single JSON document; identical flags
-and seeds give byte-identical output.
+failure; an output that cannot be written (a closed pipe, a full disk, a bad
+``--out`` path) is a usage error, its path or stream chosen like a flag.
+Output is CSV (default) or a single JSON document; identical flags and seeds
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import contextlib
 import csv
 import json
 import math
+import os
+import stat
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -161,6 +165,39 @@ def _json_rows(head: str, blocks: Iterable[str]) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
+@contextlib.contextmanager
+def _sink(path: str | None) -> Iterator[IO[str]]:
+    """Stdout, flushed before the command returns, or the ``--out`` file.
+
+    A new or regular file (the one a symlink names) is written to a temporary
+    file beside it that replaces it, with its permission bits, once complete,
+    so a failed write leaves neither file behind.  A device, pipe or
+    directory is opened in place.
+    """
+    if path is None:
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
            seed: int | None, config: Mapping[str, object], blocks: Iterable[str] | None = None,
            json_blocks: Iterable[str] | None = None, **body: object) -> None:
@@ -175,7 +212,7 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Seque
     ``json.dumps``.  JSON writes a non-finite number (a NaN deviation of a
     failed check, say) as null; CSV prints it as ``nan``.  Every number is
     computed before this call, so a numeric failure leaves no ``--out``
-    file.
+    file, and :func:`_sink` keeps a failed write from leaving one.
     """
     doc = {"command": args.command, "seed": seed, "config": config}
     if args.format == "csv":
@@ -184,8 +221,7 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Seque
         chunks = [_dumps({**doc, **(body or {"rows": [dict(zip(header, row)) for row in rows]})}) + "\n"]
     else:
         chunks = _json_rows(_dumps(doc), json_blocks)
-    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    with sink as fh:
+    with _sink(args.out) as fh:
         if chunks is not None:
             fh.writelines(chunks)
             return
@@ -425,6 +461,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ArithmeticError covers overflow, division by zero and non-finite rows.
         print(f"subvacuum {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # writing the output is the only I/O a command does
+        if args.out is None:  # point the dead stdout at os.devnull, so the final flush raises nothing
+            with contextlib.suppress(AttributeError, ValueError, OSError):  # no file descriptor to point
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+        print(f"subvacuum {args.command}: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

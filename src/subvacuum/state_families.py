@@ -45,7 +45,6 @@ __all__ = [
     "CoherentPair",
     "SqueezedPair",
     "CoherentSqueezed",
-    "VacuumSqueezed",
     "BarnettRadmore",
     "ZhangReal",
     "EntangledCoherent",
@@ -55,7 +54,6 @@ __all__ = [
     "squeezed_vacuum_moments",
     "superposed_squeezed_moments",
     "coherent_plus_squeezed_moments",
-    "vacuum_plus_squeezed_moments",
     "barnett_radmore_moments",
     "zhang_moments",
     "zhang_small_r_asymptotics",
@@ -256,14 +254,6 @@ class CoherentSqueezed:
 
 
 @dataclass(frozen=True)
-class VacuumSqueezed:
-    """Squeezed vacuum (phase 0) plus the vacuum: |r> + eta |0>."""
-
-    r: float
-    eta: complex
-
-
-@dataclass(frozen=True)
 class BarnettRadmore:
     """Two-mode squeezed vacuum with magnitude ``r`` and phase ``delta``."""
 
@@ -388,84 +378,53 @@ def _squeezed_excess(r, sq, rest, rest_n, norm2):
 
 def _coherent_squeezed_norm(params: CoherentSqueezed):
     """Normalization denominator of |r, delta> + eta |alpha>, the overlap
-    <r, delta|alpha> and its factors gauss, root_sech, twist."""
+    e^L = <r, delta|alpha>, expm1(L), tanh r and e^{i delta}.
+
+    L = -(|alpha|^2 + log1p(2 sinh^2(r/2)) + e^{-i delta} alpha^2 tanh r) / 2.
+    1 + |eta|^2 + 2 Re(eta e^L) is evaluated as |(1 + eta) + eta expm1(L)|^2
+    - |eta|^2 expm1(2 Re L), which does not cancel as the branches coincide.
+    """
     r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
-    root_sech = np.sqrt(1.0 / np.cosh(r))
-    gauss = np.exp(-np.abs(alpha) ** 2 / 2.0)
-    twist = np.exp(-0.5 * np.exp(-1j * delta) * alpha**2 * np.tanh(r))
-    ov = gauss * root_sech * twist
-    return 1.0 + np.abs(eta) ** 2 + 2.0 * (eta * ov).real, ov, gauss, root_sech, twist
+    tanh, rotor = np.tanh(r), np.exp(1j * delta)
+    L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * tanh)
+    ov, em = np.exp(L), np.expm1(L)
+    denom = np.abs((1.0 + eta) + eta * em) ** 2 - np.abs(eta) ** 2 * np.expm1(2.0 * L.real)
+    return denom, ov, em, tanh, rotor
 
 
 @_quiet
 def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
-    """Moments of N(|r, delta> + eta |alpha>).
+    """Moments of N(|r, delta> + eta |alpha>), and of vacuum-squeezed |r> + eta |0> at alpha = delta = 0.
 
-    The squeezed-coherent overlap is
-    sqrt(sech r) exp(-|alpha|^2/2) exp(-e^{-i delta} alpha^2 tanh(r)/2),
-    and the mixed ladder moments carry one extra tanh(r) per pair index.
+    The mixed ladder moments carry one extra tanh r per pair index.  Sums
+    that cancel as the branches coincide are written around 1 + conj(eta)
+    and expm1(L): the squeezed branch's pair moment and its cross term are
+    -e^{i delta} tanh r [(1 + conj eta) + sinh^2 r + conj(eta) (expm1(conj L)
+    - conj(alpha^2 e^L) e^{i delta} tanh r)], the coherent branch's and its
+    cross term eta alpha^2 [(1 + conj eta) + expm1(L)].  F is |<a^2>| - n where
+    that cannot cancel (|<a^2>| < n/2) or sums terms smaller than the sinh r cosh r
+    of :func:`_squeezed_excess` (|<a^2>| + n < sinh r cosh r); elsewhere the latter.
     """
     shape, params = _batch(params)
-    r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
+    r, alpha, eta = params.r, params.alpha, params.eta
     _check_magnitude(r)
-    s, c, t = np.sinh(r), np.cosh(r), np.tanh(r)
-    denom, ov, gauss, root_sech, twist = _coherent_squeezed_norm(params)
+    s = np.sinh(r)
+    denom, ov, em, t, rotor = _coherent_squeezed_norm(params)
     norm2, degenerate = _normalization(denom)
-    rotor = np.exp(1j * delta)
-    occ = np.abs(eta * alpha) ** 2
-    occ_cross = 2.0 * gauss * root_sech * t * (eta * np.exp(-1j * delta) * alpha**2 * twist).real
-    n = norm2 * (s * s + occ - occ_cross)
-    sq = -s * c * rotor
-    coherent = np.abs(eta) ** 2 * alpha**2
-    cross = eta * alpha**2 * ov
-    cross_sq = np.conj(eta) * gauss * root_sech * (np.conj(alpha) ** 2 * rotor * t - 1.0) * rotor * t * np.conj(twist)
-    pair = norm2 * (sq + coherent + cross + cross_sq)
-    excess = _squeezed_excess(r, sq, coherent + cross + cross_sq, occ - occ_cross, norm2)
-    return _one_mode(shape, n, pair, excess, degenerate)
-
-
-def _vacuum_squeezed_norm(params: VacuumSqueezed):
-    """Normalization denominator of |r> + eta |0>, and log cosh r.
-
-    1 + |eta|^2 + 2 Re eta sqrt(sech r) is evaluated as |1 + eta|^2
-    + 2 Re eta (sqrt(sech r) - 1), with sqrt(sech r) - 1 =
-    expm1(-log cosh r / 2) and log cosh r = log1p(2 sinh^2(r/2)), so it does
-    not cancel as eta -> -1, r -> 0.
-    """
-    eta = params.eta
-    log_cosh = np.log1p(2.0 * np.sinh(0.5 * params.r) ** 2)
-    return np.abs(1.0 + eta) ** 2 + 2.0 * eta.real * np.expm1(-0.5 * log_cosh), log_cosh
-
-
-@_quiet
-def vacuum_plus_squeezed_moments(params: VacuumSqueezed) -> OneModeMoments:
-    """Moments of N(|r> + eta |0>).
-
-    The pair moment is -sinh r cosh r P / denom with the pair factor
-    P = 1 + conj(eta) sech^{5/2} r, evaluated as (1 + conj eta)
-    + conj(eta) (sech^{5/2} r - 1).  F = sinh r (cosh r |P| - sinh r) / denom
-    is evaluated as sinh r (1 + |eta|^2 (sech^3 r - 1) / denom) /
-    (cosh r |P| + sinh r), which cancels neither at large r nor near the
-    singular corner eta -> -1, r -> 0.  At that corner the normalized state
-    tends to the two-photon ket, so rows there get that limit (n = 2,
-    vanishing pair moment, excess pair_mag - n = -2) and are not degenerate.
-    """
-    shape, params = _batch(params)
-    r, eta = params.r, params.eta
-    _check_magnitude(r)
-    s, c = np.sinh(r), np.cosh(r)
-    denom, log_cosh = _vacuum_squeezed_norm(params)
-    corner = denom < DEGENERATE_DENOMINATOR
-    norm2 = 1.0 / denom
-    w = np.conj(eta)
-    factor = (1.0 + w) + w * np.expm1(-2.5 * log_cosh)
-    excess = s * (1.0 + norm2 * np.abs(w) ** 2 * np.expm1(-3.0 * log_cosh)) / (c * np.abs(factor) + s)
-    return _one_mode(
-        shape,
-        np.where(corner, 2.0, norm2 * s * s),
-        np.where(corner, 0.0, -norm2 * s * c * factor),
-        np.where(corner, -2.0, excess),
-    )
+    conj_eta, alpha_sq, turn = np.conj(eta), alpha**2, rotor * t
+    lift = np.conj(alpha_sq * ov) * turn
+    rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * lift).real
+    occupation = s * s + rest_n
+    # rest: the pair moment less the squeezed branch's own, from its own terms
+    rest = eta * alpha_sq * ((1.0 + conj_eta) + em)
+    pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - lift))
+    rest += conj_eta * turn * (lift - np.conj(ov))
+    del ov, em, lift, turn  # the working set: no more than the moments need from here
+    excess = _squeezed_excess(r, -s * np.cosh(r) * rotor, rest, rest_n, norm2)
+    near = np.abs(pair) < np.maximum(0.5 * occupation, s * np.cosh(r) - occupation)
+    if near.any():
+        excess = np.where(near, norm2 * (np.abs(pair) - occupation), excess)
+    return _one_mode(shape, norm2 * occupation, norm2 * pair, excess, degenerate)
 
 
 # --------------------------------------------------------------------------
@@ -796,10 +755,11 @@ REGISTRY: dict[str, Family] = {
     "vacuum-squeezed": Family(
         defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
         layout=ONE_MODE,
-        record=lambda p: VacuumSqueezed(r=p["r"], eta=_phased(p["eta"], p["eta_phase"])),
-        moments=lambda params: vacuum_plus_squeezed_moments(params),
+        # coherent-squeezed at alpha = 0, delta = 0
+        record=lambda p: CoherentSqueezed(p["r"], 0.0, 0.0, _phased(p["eta"], p["eta_phase"])),
+        moments=lambda params: coherent_plus_squeezed_moments(params),
         domain={"r": 0.0},
-        norm=_vacuum_squeezed_norm,
+        norm=_coherent_squeezed_norm,
         oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
                                     fock_oracle.coherent_vector(0.0, cut)),
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
@@ -807,7 +767,7 @@ REGISTRY: dict[str, Family] = {
             # the r axis at eta = -1
             "vacuum-squeezed": SearchView(
                 ("r",), (0.0,), (3.0,), (False,),
-                lambda p: vacuum_plus_squeezed_moments(VacuumSqueezed(r=p[..., 0], eta=-1.0 + 0.0j)),
+                lambda p: coherent_plus_squeezed_moments(CoherentSqueezed(p[..., 0], 0.0, 0.0, -1.0 + 0.0j)),
             ),
         },
     ),

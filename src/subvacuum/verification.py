@@ -22,7 +22,7 @@ variant is reported for the record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +55,11 @@ _TAIL_TARGET = 1e-12
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one family's randomized oracle comparison."""
+    """Outcome of one family's randomized oracle comparison.
+
+    ``worst_params`` is the draw with the largest deviation, by the family's
+    parameter keys (its ``--set`` keys on the command line).
+    """
 
     family: str
     draws: int
@@ -95,21 +99,10 @@ def _closed_columns(cm: TwoModeMoments) -> np.ndarray:
     return np.stack(np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels)), axis=-1)
 
 
-def _report(params) -> dict[str, float]:
-    """Drawn parameters for the report; complex ones as magnitude and argument."""
-    out: dict[str, float] = {}
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if isinstance(v, complex):
-            out[f"{f.name}_abs"], out[f"{f.name}_arg"] = float(abs(v)), float(np.angle(v))
-        else:
-            out[f.name] = float(v)
-    return out
-
-
 def _take(params, rows: np.ndarray):
-    """The rows ``rows`` of a record of array fields."""
-    return type(params)(*(field[rows] for field in vars(params).values()))
+    """The rows ``rows`` of a record of array fields; a scalar field (one
+    value for every row, as vacuum-squeezed's alpha = 0) passes through."""
+    return type(params)(*(field[rows] if np.ndim(field) else field for field in vars(params).values()))
 
 
 #: The verified families, in registry order, which keys each family's RNG stream.
@@ -121,8 +114,8 @@ def _record(family: Family, rows: np.ndarray):
     return family.record(dict(zip(family.draws, rows.T)))
 
 
-def _draw(family: Family, rng: np.random.Generator, draws: int):
-    """``draws`` parameter records drawn uniformly in ``family.draws``.
+def _draw(family: Family, rng: np.random.Generator, draws: int) -> np.ndarray:
+    """``draws`` parameter rows in key space, drawn uniformly in ``family.draws``.
 
     Each round draws, as one array, as many candidates as are still missing,
     row by row and key by key in ``defaults`` order; candidates whose
@@ -137,7 +130,7 @@ def _draw(family: Family, rng: np.random.Generator, draws: int):
         if family.norm is not None:
             candidates = candidates[~(family.denominator(_record(family, candidates)) < _DENOM_GUARD)]
         accepted = np.concatenate((accepted, candidates))
-    return _record(family, accepted)
+    return accepted
 
 
 def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) -> VerifyReport:
@@ -149,15 +142,16 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
     ``_TAIL_TARGET``, and that measured tail is kept.  Single-mode states
     compare as mode 1 of a pair.  Per-draw tolerance is max(1e-8, 10 x tail
     mass), and a NaN deviation or tail fails it; the report carries the
-    largest deviation, the parameters that produced it, and the largest tail
-    mass encountered.
+    largest deviation, the drawn parameters that produced it (by key), and
+    the largest tail mass encountered.
     """
     if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if draws < 0:
         raise ValueError("draws must be non-negative")
     spec = REGISTRY[family]
-    params = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
+    drawn = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
+    params = _record(spec, drawn)
     columns = _closed_columns(spec.layout.lift(regular(spec.moments(params))))
     deviation, tail = np.zeros(draws), np.zeros(draws)
     fits = oracle.fits(lambda cutoff, rows: spec.oracle(_take(params, rows), cutoff), draws, _TAIL_TARGET, cutoff_cap)
@@ -172,7 +166,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         family=family,
         draws=draws,
         max_abs_deviation=float(deviation.max(initial=0.0)),
-        worst_params={} if worst is None else _report(_take(params, worst)),
+        worst_params={} if worst is None else dict(zip(spec.draws, drawn[worst].tolist())),
         tail_bound=float(tail.max(initial=0.0)),
         passed=bool(np.all(deviation <= np.maximum(1e-8, 10.0 * tail))),
     )

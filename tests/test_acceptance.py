@@ -54,7 +54,6 @@ from subvacuum.state_families import (
     EntangledCoherent,
     OneModeMoments,
     SqueezedPair,
-    VacuumSqueezed,
     ZhangReal,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
@@ -64,7 +63,6 @@ from subvacuum.state_families import (
     regular,
     squeezed_vacuum_moments,
     superposed_squeezed_moments,
-    vacuum_plus_squeezed_moments,
     zhang_moments,
     zhang_small_r_asymptotics,
 )
@@ -276,7 +274,7 @@ def _vacuum_squeezed_curve_clauses(excess, eta: float, oracle_r: float | None = 
 
 def test_criterion_3_vacuum_plus_squeezed_argmax():
     def excess(r: float) -> float:
-        m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=-1.0))
+        m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=-1.0))
         return m.pair_mag - m.n
 
     # The eta = -1 reference rises monotonically, so its argmax is the grid
@@ -509,10 +507,12 @@ def _draw_one_mode_states(rng, count=40):
                     )
                 )
             else:
-                states.append(
-                    vacuum_plus_squeezed_moments(
-                        VacuumSqueezed(
+                states.append(  # vacuum plus squeezed: alpha = 0, delta = 0
+                    coherent_plus_squeezed_moments(
+                        CoherentSqueezed(
                             r=rng.uniform(0, 2),
+                            delta=0.0,
+                            alpha=0.0,
                             eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
                         )
                     )

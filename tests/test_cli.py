@@ -1,8 +1,8 @@
 """End-to-end CLI behavior: flags, formats, exit codes, determinism.
 
 Everything runs through ``main(argv)`` with ``--out`` files so the suite
-stays independent of pytest's capture mode; one subprocess test covers the
-``python -m`` entry point.
+stays independent of pytest's capture mode; subprocess tests cover the
+``python -m`` entry point and outputs that cannot be written.
 """
 
 import csv
@@ -10,8 +10,13 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
+import signal
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -168,6 +173,26 @@ class TestSweep:
         assert len(rows) == 5
         for i, cells in enumerate(rows):
             assert (set(cells[1:]) == {""}) == (i == empty)
+
+    def test_rows_next_to_the_vacuum_squeezed_corner(self, tmp_path):
+        # eta = -0.9999999: r = 0 is the vacuum and r = 2.5e-7 leaves a
+        # denominator of 4e-14, both below the degenerate threshold, so both
+        # rows are blank; r = 5e-7 keeps n = 1/0.54 from the denominator
+        # 1.35e-13.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--family", "vacuum-squeezed", "--set", "eta=-0.9999999", "--sweep", "r=0:1e-6:4"]
+        assert main([*argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0] == ["0", "", "", ""] and rows[1] == ["2.5e-07", "", "", ""]
+        assert rows[2][:2] == ["5e-07", "1.85185202"]
+
+    def test_coherent_squeezed_two_photon_limit_prints_two(self, tmp_path):
+        # alpha = 0, eta = -1, r = 1e-6: n = 2 + 1.25 r^2, the two-photon limit.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--family", "coherent-squeezed", "--set", "alpha=0", "--set", "eta=-1", "--sweep", "r=1e-6:1e-6:1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [cells[:2] for cells in rows] == [["1e-06", "2"], ["1e-06", "2"]]
 
     def test_row_template_matches_cell_formatting(self, capsys):
         # Float rows go through one "%.9g" template per command; it must
@@ -752,3 +777,112 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     lines = result.stdout.strip().splitlines()
     assert lines[0] == "sigma,f"
     assert len(lines) == 5
+
+
+def _file_size_cap() -> None:
+    """In the child: writes past 64 KiB fail with EFBIG instead of raising SIGXFSZ."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+
+
+class TestOutputFailures:
+    """An output that cannot be written: one stderr line, exit 1, no partial or temporary file.
+
+    The five cases run as concurrent ``python -m subvacuum`` children; each
+    test reads one child's outcome.
+    """
+
+    #: ~2.4 MB of CSV: more than a pipe buffer and more than the 64 KiB cap.
+    LONG = ["sweep", "--family", "zhang", "--sweep", "r=0:2:20000"]
+    SHORT = ["sweep", "--family", "zhang", "--sweep", "r=0:2:20"]
+
+    @pytest.fixture(scope="class")
+    def outcomes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("outputs")
+        (root / "dir").mkdir()
+        (root / "capped").mkdir()
+        full = open("/dev/full", "w")
+        cases = {
+            "broken-pipe": (self.LONG, {"stdout": subprocess.PIPE}),
+            "missing-dir": ([*self.SHORT, "--out", str(root / "missing" / "x.csv")], {}),
+            "directory": ([*self.SHORT, "--out", str(root / "dir")], {}),
+            "dev-full": (self.SHORT, {"stdout": full}),
+            "midway": ([*self.LONG, "--out", str(root / "capped" / "x.csv")], {"preexec_fn": _file_size_cap}),
+        }
+        procs = {
+            name: subprocess.Popen([sys.executable, "-m", "subvacuum", *argv], stderr=subprocess.PIPE, text=True, **kw)
+            for name, (argv, kw) in cases.items()
+        }
+        first_line = procs["broken-pipe"].stdout.readline()
+        procs["broken-pipe"].stdout.close()  # the reader goes away, as `| head -1` does
+        results = {name: (proc.wait(timeout=120), proc.stderr.read()) for name, proc in procs.items()}
+        for proc in procs.values():
+            proc.stderr.close()
+        full.close()
+        return root, first_line, results
+
+    @pytest.mark.parametrize(
+        "case,reason",
+        [
+            ("broken-pipe", "cannot write stdout: Broken pipe"),
+            ("missing-dir", "No such file or directory"),
+            ("directory", "Is a directory"),
+            ("dev-full", "cannot write stdout: No space left on device"),
+            ("midway", "File too large"),
+        ],
+    )
+    def test_one_stderr_line_and_exit_1(self, outcomes, case, reason):
+        _, _, results = outcomes
+        code, stderr = results[case]
+        assert code == 1
+        assert stderr.count("\n") == 1 and stderr.startswith("subvacuum sweep: cannot write ")
+        assert reason in stderr
+
+    def test_closed_pipe_got_the_header_first(self, outcomes):
+        _, first_line, _ = outcomes
+        assert first_line == "r,n1,n2,R1,R2,R3,R4,F\n"
+
+    def test_no_out_file_and_no_temporary_file_is_left(self, outcomes):
+        root, _, _ = outcomes
+        assert not (root / "missing").exists()
+        assert list((root / "dir").iterdir()) == []
+        # nothing beside dir either, where a temporary file for it would sit
+        assert sorted(p.name for p in root.iterdir()) == ["capped", "dir"]
+        # the write failed midway through the temporary file: neither it nor x.csv remains
+        assert list((root / "capped").iterdir()) == []
+
+
+def test_out_replaces_an_existing_file_and_leaves_no_temporary(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "sigma,f"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_out_keeps_the_mode_and_writes_through_a_symlink(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "sweep.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().splitlines()[0] == "sigma,f"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "sweep.csv"]
+
+
+def test_out_writes_into_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got[0].splitlines()[0] == "sigma,f" and len(got[0].splitlines()) == 5
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]

@@ -29,7 +29,7 @@ GOLDEN = [
     ("sweep --family coherent-squeezed --sweep r=0:2:20",
      "caa8625d621f5211c0a221da05f0804db5dce375a1bf6482552738f02337de58"),
     ("sweep --family vacuum-squeezed --sweep r=0:2:20",
-     "f23bbbceb55bdb0695a8f01e835890b1911af8d72112ba03672f21a2a687a3a0"),
+     "38c75fb297115184eb20c058463c503685871ddf71f2be83f58a343bbad49066"),
     ("sweep --family barnett-radmore --sweep r=0:2:20",
      "be54e9dfd3d079f54ba01f4780d3e9c07deadcedaea23919e685d74638283997"),
     ("sweep --family entangled-coherent --sweep sigma=0:2:20",
@@ -41,7 +41,7 @@ GOLDEN = [
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
      "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
-     "2e9e4afc6b3b9d950cebe5e0cc2ef2f223ad5214849192fed41367d8022f7458"),
+     "20e331aee3a73d9d301040e7a3516e7acd27bc4bea48077f718addd1030c3f79"),
     ("search --family coherent-pair --starts 64 --seed 42 --format json",
      "f13c92e8f449336c27565af658d8c99e756c189275037cc57665346f1684c077"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
@@ -57,7 +57,7 @@ GOLDEN = [
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:-1 --grid-n 16",
      "772087dc51b265498048abe1d7c74c490783759a1490d20ed2bd34ae0b8a23bc"),
     ("verify --draws 2 --seed 7",
-     "fda0b1165d2a280e064ada1464e233175b70c053a9f6ed3032c2e386c5bcdd8e"),
+     "4bab29a07e60cc550822cfa84788f1173ed04f90e105aca8bfd3b1684560775b"),
 ]
 
 

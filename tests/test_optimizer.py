@@ -16,10 +16,10 @@ from subvacuum.optimizer import (
 )
 from subvacuum.state_families import (
     SEARCHES,
+    CoherentSqueezed,
     OneModeMoments,
     SearchView,
-    VacuumSqueezed,
-    vacuum_plus_squeezed_moments,
+    coherent_plus_squeezed_moments,
 )
 
 PI = math.pi
@@ -334,5 +334,5 @@ class TestMultiStart:
         assert top.params == (3.0,)
         assert top.converged and top.grad_norm == 0.0
         assert top.members == 6
-        m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=3.0, eta=-1.0))
+        m = coherent_plus_squeezed_moments(CoherentSqueezed(r=3.0, delta=0.0, alpha=0.0, eta=-1.0))
         assert top.F == m.excess

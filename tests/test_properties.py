@@ -18,7 +18,6 @@ from subvacuum.state_families import (
     CoherentSqueezed,
     EntangledCoherent,
     SqueezedPair,
-    VacuumSqueezed,
     ZhangReal,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
@@ -26,7 +25,6 @@ from subvacuum.state_families import (
     entangled_coherent_moments,
     squeezed_vacuum_moments,
     superposed_squeezed_moments,
-    vacuum_plus_squeezed_moments,
     wrap_angle,
     zhang_moments,
 )
@@ -100,7 +98,7 @@ def test_coherent_plus_squeezed_bounds(r, delta, alpha, eta):
 
 @given(squeeze, complex_polar(weight))
 def test_vacuum_plus_squeezed_bounds(r, eta):
-    m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
+    m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=eta))
     assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
@@ -131,7 +129,7 @@ def test_entangled_coherent_bounds(sigma, theta, d1, d2):
 @given(squeeze, complex_polar(weight), st.floats(min_value=0.1, max_value=5.0))
 def test_one_mode_floor_never_beats_the_universal_bound(r, eta, omega):
     # F < 1/2 for every state, so no single mode can dip below -omega/2.
-    m = vacuum_plus_squeezed_moments(VacuumSqueezed(r=r, eta=eta))
+    m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=eta))
     assume(not m.degenerate)
     assert rho_min_one_mode(m, omega) >= -omega * (0.5 + CS_SLACK)
 

@@ -7,6 +7,7 @@ cross-checked against the number-basis oracle first and is frozen here to
 nine-plus digits.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -203,6 +204,28 @@ class TestSuperposedSqueezed:
 # ---------------------------------------------------------------------------
 
 
+def vacuum_plus_squeezed(r, eta) -> sf.OneModeMoments:
+    """N(|r> + eta |0>): the coherent-squeezed closed form at alpha = 0, delta = 0."""
+    return sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.0, 0.0, eta))
+
+
+def mp_squeezed_plus_coherent(r, delta, alpha, eta):
+    """(n, |<a^2>|, F) of N(|r, delta> + eta |alpha>) at the working mpmath precision, as written."""
+    r, delta, alpha, h = mpmath.mpf(r), mpmath.mpf(delta), mpmath.mpc(alpha), mpmath.mpc(eta)
+    s, c, t = mpmath.sinh(r), mpmath.cosh(r), mpmath.tanh(r)
+    rotor = mpmath.expj(delta)
+    ov = mpmath.exp(-abs(alpha) ** 2 / 2 - alpha**2 * t / (2 * rotor)) / mpmath.sqrt(c)
+    denom = 1 + abs(h) ** 2 + 2 * (h * ov).real
+    n = (s * s + abs(h * alpha) ** 2 - 2 * t * (h * alpha**2 * ov / rotor).real) / denom
+    pair = (
+        -s * c * rotor
+        + abs(h) ** 2 * alpha**2
+        + h * alpha**2 * ov
+        + mpmath.conj(h) * mpmath.conj(ov) * (mpmath.conj(alpha) ** 2 * rotor * t - 1) * rotor * t
+    )
+    return n, abs(pair) / denom, abs(pair) / denom - n
+
+
 class TestCoherentPlusSqueezed:
     def test_eta_zero_reduction(self):
         m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(0.9, 1.2, 0.5, 0.0))
@@ -225,29 +248,54 @@ class TestCoherentPlusSqueezed:
         m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(5.0, 0.0, 0.0, 1.0))
         assert one_mode_F(m) == pytest.approx(0.27598744783972506, abs=1e-11)
 
+    @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j, -1.0 - 1e-4j, -1.0 + 3e-5j])
+    @pytest.mark.parametrize(
+        "alpha,delta", [(cmath.rect(1e-2, 0.7), 2.5), (cmath.rect(3e-3, 2.1), 0.4), (cmath.rect(1e-4, -1.3), 1.2)]
+    )
+    @pytest.mark.parametrize("r", [1e-5, 1.5e-4, 1e-3, 1e-2, 0.1])
+    def test_moments_match_60_digit_reference_near_the_singular_corner(self, r, alpha, delta, eta):
+        # The vacuum-plus-squeezed corner test below, with a small coherent
+        # amplitude and a squeeze phase: the branches still nearly coincide.
+        # Over this grid n, |<a^2>| and F (relative to max(|F|, n)) measured
+        # within 7.3e-16 of the 60-digit values.  Sums written without expm1
+        # lost up to 4e-8; F from _squeezed_excess wherever |<a^2>| >= n/2
+        # lost up to 2.7e-13.
+        with mpmath.workdps(60):
+            n, pair_mag, excess = mp_squeezed_plus_coherent(r, delta, alpha, eta)
+        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
+        assert not m.degenerate
+        for got, ref, scale in ((m.n, n, n), (m.pair_mag, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
+            assert abs(got - ref) <= 1e-14 * scale
+
 
 class TestVacuumPlusSqueezed:
     def test_eta_zero_reduction(self):
-        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(1.4, 0.0))
+        m = vacuum_plus_squeezed(1.4, 0.0)
         ref = sf.squeezed_vacuum_moments(1.4, 0.0)
         assert m.n == pytest.approx(ref.n, abs=1e-12)
         assert m.pair_mag == pytest.approx(ref.pair_mag, abs=1e-12)
 
     def test_f_profile_at_eta_minus_one(self):
-        m2 = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(2.0, -1.0))
-        m6 = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(6.0, -1.0))
+        m2 = vacuum_plus_squeezed(2.0, -1.0)
+        m6 = vacuum_plus_squeezed(6.0, -1.0)
         assert one_mode_F(m2) == pytest.approx(-0.006370229324739185, abs=1e-11)
         assert one_mode_F(m6) == pytest.approx(0.23106323914180393, abs=1e-11)
 
     def test_degenerate_limit_is_two_photon_state(self):
         # As r -> 0 with eta = -1 the normalized state tends to |2>, whose
-        # occupation is 2 with a vanishing pair moment.
-        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(0.0, -1.0))
-        assert m == sf.OneModeMoments(2.0, 0.0, 0.0, -2.0)
-        near = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(1e-5, -1.0))
-        assert near.n == pytest.approx(2.0, abs=1e-4)
+        # occupation is 2 with a vanishing pair moment; at r = 0 itself the
+        # state is the zero vector, flagged degenerate like every family's.
+        m = vacuum_plus_squeezed(0.0, -1.0)
+        assert m.degenerate and all(math.isnan(v) for v in (m.n, m.pair_mag, m.pair_phase, m.excess))
+        near = vacuum_plus_squeezed(1e-6, -1.0)
+        with mpmath.workdps(60):
+            n, pair_mag, excess = mp_squeezed_plus_coherent(1e-6, 0.0, 0.0, -1.0)
+        assert not near.degenerate
+        assert abs(near.n - n) <= 1e-12 * n and float(n) == pytest.approx(2.0, abs=1e-11)
+        assert abs(near.pair_mag - pair_mag) <= 1e-12 * pair_mag
+        assert abs(near.excess - excess) <= 1e-12 * abs(excess)
 
-    @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j])
+    @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j, -1.0 + 3e-5j])
     @pytest.mark.parametrize("r", [1e-5, 1.5e-4, 1e-3, 1e-2, 0.1])
     def test_moments_match_60_digit_reference_near_the_singular_corner(self, r, eta):
         # Near eta = -1, r = 0 the normalization 1 + |eta|^2 + 2 Re eta
@@ -255,7 +303,9 @@ class TestVacuumPlusSqueezed:
         # cancel to O(r^2); evaluated as written they lose up to 8 digits.
         # F = R - n is held to 1e-12 of max(|F|, n): at r = 1e-3,
         # eta = -1 + 1e-3 i it is -9.0e-8 against n = 0.67, next to the zero
-        # of F near |1 + eta| = r, and keeps 9 relative digits there.
+        # of F near |1 + eta| = r, and keeps 9 relative digits there.  At
+        # r = 1e-5, eta = -1 + 3e-5 i, where |<a^2>| > n/2 but both are far
+        # below sinh r cosh r, _squeezed_excess would lose 8e-12 of F.
         with mpmath.workdps(60):
             s, c = mpmath.sinh(r), mpmath.cosh(r)
             h = mpmath.mpc(eta)
@@ -263,7 +313,7 @@ class TestVacuumPlusSqueezed:
             n = s * s / denom
             pair_mag = abs(s * c * (1 + mpmath.conj(h) * c ** mpmath.mpf(-2.5))) / denom
             excess = pair_mag - n
-        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta))
+        m = vacuum_plus_squeezed(r, eta)
         for got, ref, scale in ((m.n, n, n), (m.pair_mag, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
             assert abs(got - ref) <= 1e-12 * scale
 
@@ -314,15 +364,17 @@ class TestSqueezedSuperpositionExcess:
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
     def test_excess_is_r_minus_n_where_nothing_cancels(self, r):
-        vs = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, 0.5 - 0.2j))
+        vs = vacuum_plus_squeezed(r, 0.5 - 0.2j)
         cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.7, 0.6 + 0.3j, 1.0))
         ss = sf.superposed_squeezed_moments(sf.SqueezedPair(r, 0.5 - 0.2j))
         for m in (vs, cs, ss):
             assert m.excess == pytest.approx(m.pair_mag - m.n, abs=1e-14)
 
-    def test_degenerate_corner_keeps_plain_moments(self):
-        m = sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(0.0, -1.0))
-        assert m.excess == m.pair_mag - m.n == -2.0
+    def test_degenerate_corner_is_flagged_like_every_family(self):
+        # r = 0, eta = -1 is the zero vector: flagged, every moment NaN, and
+        # the sweep and search treat it as every other degenerate row.
+        m = vacuum_plus_squeezed(0.0, -1.0)
+        assert m.degenerate and math.isnan(m.excess) and math.isnan(m.n)
 
 
 
@@ -347,7 +399,7 @@ def vacuum_squeezed_excesses(rng):
     for _ in range(200):
         r = float(rng.uniform(0.5, 20.0))
         eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
-        yield sf.vacuum_plus_squeezed_moments(sf.VacuumSqueezed(r, eta)).excess, mp_vacuum_plus_squeezed_F(r, eta)
+        yield vacuum_plus_squeezed(r, eta).excess, mp_vacuum_plus_squeezed_F(r, eta)
 
 
 def coherent_squeezed_excesses(rng):
@@ -556,15 +608,24 @@ def _evaluate(family: sf.Family, fixed: dict, key: str, value):
     return family.moments(family.record({**family.defaults, **fixed, key: value}))
 
 
-SWEPT = [(name, {}, key) for name, family in sf.REGISTRY.items() for key in family.defaults]
-# Degenerate rows inside a batch: eta = -1 at r = 0 (row 0), theta = pi at
-# r = 0 (row 2), sigma = 0 at theta = pi (row 0), and two equal coherent
-# branches cancelling at delta = pi (row 2).
+# Degenerate rows inside a batch: eta = -1 at r = 0 (row 0 of vacuum- and of
+# superposed-squeezed), theta = pi at r = 0 (row 2), sigma = 0 at theta = pi
+# (row 0), and two equal coherent branches cancelling at delta = pi (row 2).
 WITH_DEGENERATE_ROWS = [
+    ("vacuum-squeezed", {}, "r", np.linspace(0.0, 2.5, 26), [0]),
     ("superposed-squeezed", {"eta": 1.0, "eta_phase": math.pi}, "r", np.linspace(0.0, 1.0, 5), [0]),
     ("zhang", {"r": 0.0}, "theta", np.linspace(0.0, TAU, 5), [2]),
     ("entangled-coherent", {"theta": math.pi}, "sigma", np.linspace(0.0, 1.0, 5), [0]),
     ("coherent-pair", {"alpha": 0.5, "beta": 0.5, "delta2": 0.0}, "delta", np.linspace(0.0, TAU, 5), [2]),
+]
+
+
+# vacuum-squeezed's r axis starts at its degenerate default eta = -1, r = 0: it is listed above.
+SWEPT = [
+    (name, {}, key)
+    for name, family in sf.REGISTRY.items()
+    for key in family.defaults
+    if (name, key) != ("vacuum-squeezed", "r")
 ]
 
 

@@ -36,7 +36,7 @@ def test_draw_stream_is_key_by_key_then_row_by_row():
     # The verify golden digests depend on this order: each draw takes its
     # keys in turn from the family's stream, magnitudes before phases.
     family = REGISTRY["coherent-pair"]
-    drawn = verification._draw(family, np.random.default_rng([7, 0]), 3)
+    drawn = verification._record(family, verification._draw(family, np.random.default_rng([7, 0]), 3))
     rng = np.random.default_rng([7, 0])
     for row in range(3):
         keys = {}
@@ -74,6 +74,8 @@ class TestVerifyFamily:
         report = verify_family("vacuum-squeezed", draws=20, seed=11)
         assert report.passed
         assert report.max_abs_deviation < 1e-8
+        # the worst draw in the family's own keys: no record-only alpha or delta
+        assert list(report.worst_params) == ["r", "eta", "eta_phase"]
 
     def test_deviation_bounded_by_reported_tolerance(self):
         report = verify_family("superposed-squeezed", draws=10, seed=3)
