@@ -25,7 +25,16 @@ import pytest
 
 import subvacuum.state_families as sf
 from subvacuum import fock_oracle
-from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES, UsageError, _fmt, _parse_geometry, main, parse_real
+from subvacuum.cli import (
+    FAMILY_NAMES,
+    SEARCH_FAMILY_NAMES,
+    SWEEP_BLOCK,
+    UsageError,
+    _fmt,
+    _parse_geometry,
+    main,
+    parse_real,
+)
 from subvacuum.energy_density import density_profile
 from subvacuum.state_families import squeezed_vacuum_moments
 
@@ -45,6 +54,21 @@ def cell_by_cell(header, rows):
     writer.writerow(header)
     writer.writerows([_fmt(cell) for cell in row] for row in rows)
     return buf.getvalue()
+
+
+def traced_peak(argv):
+    """The traced memory peak of ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, failing on NaN and infinity tokens."""
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
 
 
 @pytest.fixture
@@ -203,15 +227,73 @@ class TestSweep:
         assert lines == ["delta,n,R,F", "0,0,0,-0", "0.5,0,0,-0", "1,0,0,-0"]
 
     def test_blocks_match_cell_by_cell_reference(self, tmp_path):
-        # theta = pi, the one degenerate row, opens the second 4096-row block.
-        argv = ["sweep", "--family", "zhang", "--set", "r=0", "--sweep", "theta=0:2pi:8192"]
+        # theta = pi, the one degenerate row, opens the second block.
+        argv = ["sweep", "--family", "zhang", "--set", "r=0", "--sweep", f"theta=0:2pi:{2 * SWEEP_BLOCK}"]
         out, doc = tmp_path / "sweep.csv", tmp_path / "sweep.json"
         assert main([*argv, "--out", str(out)]) == 0
         assert main([*argv, "--format", "json", "--out", str(doc)]) == 0
         rows = [list(row.values()) for row in json.loads(doc.read_text())["rows"]]
-        assert [i for i, row in enumerate(rows) if row[1] is None] == [4096]
+        assert [i for i, row in enumerate(rows) if row[1] is None] == [SWEEP_BLOCK]
         expected = cell_by_cell(["theta", "n1", "n2", "R1", "R2", "R3", "R4", "F"], rows)
         assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("past_block", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    @pytest.mark.parametrize(
+        "family,sets,sweep",
+        [
+            ("coherent-pair", [], "delta2=-pi:pi"),
+            ("entangled-coherent", [], "sigma=0:2"),
+            ("ecs-f", [], "sigma=0:3"),
+            # eta = -1: the r = 0 row is the vacuum minus itself, degenerate
+            ("vacuum-squeezed", ["--set", "eta=-1"], "r=0:1"),
+        ],
+        ids=["one-mode", "two-mode", "scalar", "degenerate"],
+    )
+    def test_rows_match_one_batch_reference(self, tmp_path, monkeypatch, family, sets, sweep, past_block):
+        # Rows are evaluated and formatted per block (64 rows here, to keep
+        # the sweeps short); the output must be what one closed-form batch
+        # of the whole sweep prints through json.dumps(doc, indent=2) and
+        # cell by cell in CSV.
+        monkeypatch.setattr("subvacuum.cli.SWEEP_BLOCK", 64)
+        steps = 64 + past_block
+        argv = ["sweep", "--family", family, *sets, "--sweep", f"{sweep}:{steps}"]
+        out, doc_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--format", "json", "--out", str(doc_path)]) == 0
+        text = doc_path.read_text(encoding="utf-8")
+
+        fam = sf.REGISTRY[family]
+        doc = strict_json(text)
+        key, params = doc["config"]["sweep"]["key"], doc["config"]["params"]
+        values = np.linspace(doc["config"]["sweep"]["lo"], doc["config"]["sweep"]["hi"], steps + 1)
+        m = fam.moments(fam.record({**params, key: values}))
+        table = np.column_stack(np.broadcast_arrays(values, *fam.layout.cells(m))).tolist()
+        degenerate = np.broadcast_to(getattr(m, "degenerate", False), values.shape).tolist()
+        rows = [row[:1] + [None] * (len(row) - 1) if flag else row for row, flag in zip(table, degenerate)]
+        assert any(degenerate) == (family == "vacuum-squeezed")
+        header = [key, *fam.layout.columns]
+        doc["rows"] = [dict(zip(header, row)) for row in rows]
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == cell_by_cell(header, rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_traced_peak_grows_by_the_table_per_row(self, tmp_path, monkeypatch, fmt):
+        # Per added row the traced peak grows by the row's parameter value,
+        # cells and degenerate flag (65 B for a two-mode family), not by
+        # whole-sweep temporaries: one batch of the whole sweep grew by
+        # ~250 B per row, and JSON built as one dict per row by ~2.1 KB.
+        # At sigma = 0 (the vacuum) every row prints the same cells, so the
+        # peak's per-block part is the same in both sweeps; 256-row blocks
+        # keep it small.
+        monkeypatch.setattr("subvacuum.cli.SWEEP_BLOCK", 256)
+
+        def peak(steps):
+            argv = ["sweep", "--family", "entangled-coherent", "--set", "sigma=0", "--sweep", f"delta1=1:3:{steps}"]
+            return traced_peak([*argv, "--format", fmt, "--out", str(tmp_path / f"sweep-{steps}.{fmt}")])
+
+        small, large = 512, 512 + 8192
+        table_bytes_per_row = 8 * (1 + len(sf.TWO_MODE.columns))
+        assert (peak(large) - peak(small)) / (large - small) <= 1.1 * table_bytes_per_row
 
     def test_pi_suffix_reaches_the_sweep_axis(self, tmp_path):
         out = tmp_path / "axis.csv"
@@ -334,6 +416,8 @@ class TestSweep:
             (["--family", "zhang", "--sweep", "r=0:400:2"], "r=400"),
             (["--family", "entangled-coherent", "--sweep", "sigma=0:1e160:4"], "sigma=2.5e+159"),
             (["--family", "ecs-f", "--sweep", "sigma=0:1e200:4"], "sigma=2.5e+199"),
+            # row 3556, in the fourth block: the blocks before it print nothing
+            (["--family", "barnett-radmore", "--sweep", "r=0:400:4000"], "r=355.6"),
         ],
     )
     def test_overflow_row_is_reported_at_its_value(self, argv, where, capsys):
@@ -546,15 +630,6 @@ class TestDensity:
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
 
-    @staticmethod
-    def traced_peak(argv):
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_3d_export_traced_peak_is_bounded(self, tmp_path):
         # The only full-grid array is rho itself (2 MiB at 64^3): the scan
         # fills it one t slab at a time and the export formats it per t.
@@ -562,7 +637,7 @@ class TestDensity:
         # (N, 5) sample table peaked at 25.2 MB.
         out = tmp_path / "density.csv"
         argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0", "--grid-n", "64"]
-        peak = self.traced_peak([*argv, "--out", str(out)])
+        peak = traced_peak([*argv, "--out", str(out)])
         assert out.stat().st_size > 64**3 * 30
         assert peak <= 2 * 64**3 * 8
 
@@ -571,7 +646,7 @@ class TestDensity:
         # encoded whole: the peak is 0.13 MB traced against 7.0 MB.
         out = tmp_path / "density.json"
         argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:1", "--format", "json"]
-        peak = self.traced_peak([*argv, "--out", str(out)])
+        peak = traced_peak([*argv, "--out", str(out)])
         assert len(json.loads(out.read_text())["rows"]) == 64**2 + 1
         assert peak <= 4 * out.stat().st_size
 
@@ -607,7 +682,7 @@ class TestDensity:
         header = ["kind", "x1", "x2", "x3", "t", "rho"]
         pmin, vmin = prof.min_found
         rows = [("sample", *row) for row in prof.samples.tolist()] + [("min", *pmin.x, pmin.t, vmin)]
-        doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        doc = strict_json(text)
         doc["rows"] = [dict(zip(header, row)) for row in rows]
         assert text == json.dumps(doc, indent=2) + "\n"
         assert ("-0.0," in text) == negate_space
@@ -777,6 +852,31 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     lines = result.stdout.strip().splitlines()
     assert lines[0] == "sigma,f"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["sweep", "--family", "zhang", "--sweep", "r=0:1:20"], "subvacuum.state_families.zhang_moments"),
+        (["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0"],
+         "subvacuum.cli.ed.density_profile"),
+    ],
+    ids=["sweep", "density"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""], ids=["numpy", "bare"])
+def test_allocation_failure_is_a_numeric_failure(tmp_path, monkeypatch, capsys, argv, target, message):
+    # An array too large to allocate (numpy raises a MemoryError) prints
+    # one stderr line and exits 3; the allocation is simulated.
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, refuse)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"subvacuum {argv[0]}: numeric failure: {message or 'out of memory'}\n"
+    assert not out.exists()
 
 
 def _file_size_cap() -> None:

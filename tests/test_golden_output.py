@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the command's stdout.  The commands are the two
 README sweeps, one sweep per remaining family (first parameter varied, the
-rest at their defaults), a short seeded search per search family, the
+rest at their defaults), two sweeps of several thousand rows (one CSV, one
+JSON with a degenerate row), a short seeded search per search family, the
 64-start coherent-pair search that the benchmark times, the README
 standing-wave density case, three traveling-wave density cases (3-D,
 aligned JSON, skew CSV), a one-mode standing case and an antiparallel
@@ -36,6 +37,11 @@ GOLDEN = [
      "21faad89d09c57cd452deb30e4211b99eeba4e247d77ebc2242bf2ed58ac13d9"),
     ("sweep --family ecs-f --sweep sigma=0:2:20",
      "4ad9b59be745e6e84edc587a4260e6857db99d76fed01b899f0cb73a744205d5"),
+    # Sweeps that span several row blocks; the JSON one opens on a degenerate row.
+    ("sweep --family entangled-coherent --sweep sigma=0:2:9000",
+     "83cc041f3724a195e300edc82820d9f8320e66d49fb501adda1e1bb69d982d85"),
+    ("sweep --family vacuum-squeezed --set eta=-1 --sweep r=0:1:5000 --format json",
+     "209707941f82dd1b90d8ebff13a439f728c1303c78bb411cf6b94cd243d80340"),
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
      "27d256a8871e6ea37a6fb95558bb59b39e0cf51b8bbd3cd520fa0d1062ffa94f"),
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
