@@ -6,8 +6,9 @@ The package has five layers:
   ladder-operator moments, the independent reference everything else is
   checked against.
 * :mod:`subvacuum.state_families` — closed-form moments (n, R, gamma) for the
-  state families of interest; every one-mode closed form also carries the
-  excess F = R - n, cancellation-free where the family is squeezed.
+  state families of interest, one record type for one- and two-mode states;
+  every closed form also carries the excess F = R1 - n1, cancellation-free
+  where the family is squeezed, and its normalization denominator.
 * :mod:`subvacuum.energy_density` — the density as a function of the moments,
   closed-form minima, and a numeric spacetime minimizer.
 * :mod:`subvacuum.optimizer` — multi-start L-BFGS-B search for the largest

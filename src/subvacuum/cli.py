@@ -259,6 +259,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     family = sf.REGISTRY[args.family]
     params = _parse_assignments(family, args.set or [])
     key, values = _parse_sweep(family, args.sweep)
+    if any(item.partition("=")[0].strip() == key for item in args.set or []):
+        raise UsageError(f"parameter {key} is both --set and swept")
     header = [key, *family.layout.columns]
     width = len(header)
     # The parameter values, this table of the other cells and the degenerate
@@ -326,9 +328,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if not 0 < args.window < math.inf:
         raise UsageError("--window must be positive and finite")
 
-    if family.layout.lift is None:
+    if family.layout is sf.SCALAR:
         raise UsageError("this family has no spatial density (scalar figure-of-merit only)")
-    moments = family.layout.lift(sf.regular(family.moments(family.record(params))))
+    moments = sf.regular(family.moments(family.record(params)))
     profile = ed.density_profile(moments, geometry, args.window, args.grid_n)
 
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
@@ -359,7 +361,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--draws and --seed must be >= 0")
     if args.cutoff < 1:
         raise UsageError("--cutoff must be >= 1")
-    families = tuple(args.family) if args.family else verification.FAMILIES
+    # a repeated --family is verified once, where it first appears
+    families = tuple(dict.fromkeys(args.family)) if args.family else verification.FAMILIES
     reports = verification.verify_all(families, draws=args.draws, seed=args.seed, cutoff_cap=args.cutoff)
     identities = verification.appendix_identity_report(cutoff_cap=max(args.cutoff, 8192)) if args.draws > 0 else []
 

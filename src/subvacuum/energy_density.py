@@ -4,10 +4,10 @@ Natural units throughout: hbar = c = 1 and the mode normalization volume is
 fixed at 1, so densities carry units of (angular) frequency.  Moments enter
 through the (n, R, gamma) parameterization of :mod:`subvacuum.state_families`.
 
-A one-mode state is the two-mode state with mode 2 empty (its layout's
-``lift``), so one formula per geometry serves both.  Traveling plane waves
-along khat1 = +z and khat2 = (sqrt(1 - c^2), 0, c), with c the cosine of the
-angle between them, give
+A one-mode state is a two-mode record with mode 2 empty, so one formula per
+geometry serves both.  Traveling plane waves along khat1 = +z and
+khat2 = (sqrt(1 - c^2), 0, c), with c the cosine of the angle between them,
+give
 
     rho = n1 w1 + n2 w2
         + R1 w1 cos(2(k1.x - w1 t) + g1) + R2 w2 cos(2(k2.x - w2 t) + g2)
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .state_families import OneModeMoments, TwoModeMoments, f_sigma
+from .state_families import TwoModeMoments, f_sigma
 
 __all__ = [
     "ModeGeometry",
@@ -114,11 +114,11 @@ class DensityProfile:
         return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), self.rho.ravel()])
 
 
-def rho_min_one_mode(m: OneModeMoments, omega: float) -> float:
-    """Global minimum -omega (R - n); negative exactly when R > n.
+def rho_min_one_mode(m: TwoModeMoments, omega: float) -> float:
+    """Global minimum -omega (R1 - n1) of a one-mode state; negative exactly when R1 > n1.
 
-    R - n is the moments' ``excess``, cancellation-free where the closed form
-    allows.
+    R1 - n1 is the moments' ``excess``, cancellation-free where the closed
+    form allows.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")

@@ -192,9 +192,9 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     return Extremum(
         params=tuple(float(v) for v in p),
         F=float(f),
-        n=float(m.n),
-        R=float(m.pair_mag),
-        gamma=float(m.pair_phase),
+        n=float(m.n1),
+        R=float(m.R1),
+        gamma=float(m.gamma1),
         grad_norm=grad_norm,
         iterations=iterations,
         converged=converged,

@@ -1,16 +1,17 @@
 """Closed-form quadratic moments for the quantum states under study.
 
-Each family maps a small parameter record to the moments that fix the mode's
-energy density: the occupation number together with the magnitude and phase
-of every non-vanishing quadratic ladder expectation.  Single-mode families
-produce :class:`OneModeMoments`; entangled families produce
-:class:`TwoModeMoments`.
+Each family maps a small parameter record to the moments that fix the modes'
+energy density: the occupation numbers together with the magnitude and phase
+of every non-vanishing quadratic ladder expectation, the excess F = R1 - n1
+and the normalization denominator.  Every family produces
+:class:`TwoModeMoments`; a one-mode state occupies mode 1 and leaves mode 2
+empty.
 
 Every closed form is written once, over numpy arrays.  Record fields may be
 arrays that broadcast to one batch shape, and every moment comes back with
 that shape; a scalar call is a batch of one and returns numpy scalars.  A
 batch never raises for one bad row: a row whose normalization vanishes is
-flagged in ``degenerate``, and a row that overflows comes back non-finite.
+flagged ``degenerate``, and a row that overflows comes back non-finite.
 The closed forms evaluate under ``np.errstate(all="ignore")``, so neither
 prints a numpy warning; callers check the flag and finiteness.
 
@@ -21,11 +22,10 @@ that cross-check, the moments shipped here are the oracle-confirmed variant
 (see the verification report for the side-by-side residuals).
 
 :data:`REGISTRY` describes every family once, by its command-line name:
-parameter keys, defaults and domain, the closed-form call and its
-normalization denominator, the sweep columns and two-mode lift, the boxes
-the search may explore, and, for the families that verification checks, the
-number-basis oracle state and the uniform ranges its parameters are drawn
-from.  The command line, the optimizer and verification all read it.
+parameter keys, defaults and domain, the closed-form call, the sweep columns,
+the boxes the search may explore, and, for the families that verification
+checks, the number-basis oracle state and the uniform ranges its parameters
+are drawn from.  The command line, the optimizer and verification all read it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import fock_oracle
 
 __all__ = [
     "DegenerateStateError",
-    "OneModeMoments",
     "TwoModeMoments",
     "CoherentPair",
     "SqueezedPair",
@@ -119,21 +118,21 @@ def _batch(params):
 def _shaped(shape, values) -> list:
     """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars.
 
-    A value that already has the batch's rows is taken as it is.
+    A value that already has the batch's rows is taken as it is, and so is a
+    plain float: one value for every row (an empty channel, a denominator of 1).
     """
     rows = shape or (1,)
-    values = [v if np.shape(v) == rows else np.broadcast_to(v, rows) for v in values]
-    return values if shape else [v[0] for v in values]
+    values = [v if type(v) is float or np.shape(v) == rows else np.broadcast_to(v, rows) for v in values]
+    return values if shape else [v if type(v) is float else v[0] for v in values]
 
 
 def _normalization(denom):
-    """1 / denom and the degenerate-row mask: the one place a degenerate row is marked.
+    """1 / denom, with NaN on the rows that :attr:`TwoModeMoments.degenerate` marks.
 
-    Rows with a denominator below ``DEGENERATE_DENOMINATOR`` get NaN in place
-    of 1 / denom, so every normalized moment of theirs is NaN.
+    Every normalized moment of a row whose denominator is below
+    ``DEGENERATE_DENOMINATOR`` is thereby NaN.
     """
-    degenerate = denom < DEGENERATE_DENOMINATOR
-    return np.where(degenerate, np.nan, 1.0 / denom), degenerate
+    return np.where(denom < DEGENERATE_DENOMINATOR, np.nan, 1.0 / denom)
 
 
 def regular(m):
@@ -149,35 +148,23 @@ def _check_magnitude(x, what: str = "squeeze") -> None:
 
 
 @dataclass(frozen=True)
-class OneModeMoments:
-    """Single-mode moments: occupation, pair magnitude and phase, and F = R - n.
-
-    ``pair_mag`` is |<a^2>| and ``pair_phase`` its argument in (-pi, pi];
-    the occupation ``n`` is <a^dag a>.  ``excess`` is F = R - n as the
-    closed form computes it.  Under squeezing both ``pair_mag`` and ``n``
-    grow like e^{2r}/4, so their float64 difference keeps only a few digits
-    of F at large r; every squeezed family therefore evaluates F from a
-    closed form of F itself.  The coherent pair's moments stay small over
-    its search box, and its ``excess`` is the plain difference.  Each field
-    holds one value per row of the batch; ``degenerate`` marks the rows whose
-    normalization vanished, where every normalized moment is NaN.
-    """
-
-    n: Any
-    pair_mag: Any
-    pair_phase: Any
-    excess: Any
-    degenerate: Any = False
-
-
-@dataclass(frozen=True)
 class TwoModeMoments:
-    """Two-mode moments: occupations plus the four quadratic channels.
+    """Moments of a one- or two-mode state: occupations plus the four quadratic channels.
 
     Channels 1 and 2 are the single-mode pairs <a^2> and <b^2>; channel 3 is
     the beam-splitter moment <a^dag b>; channel 4 the pair-creation moment
-    <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).  Fields and
-    ``degenerate`` are per row, as in :class:`OneModeMoments`.
+    <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).  A one-mode
+    state occupies mode 1: n2 = R2 = R3 = R4 = 0.
+
+    ``excess`` is F = R1 - n1 as the closed form computes it.  Under
+    squeezing both R1 and n1 grow like e^{2r}/4, so their float64 difference
+    keeps only a few digits of F at large r; every squeezed one-mode family
+    therefore evaluates F from a closed form of F itself, and the other
+    families take the plain difference.  ``denominator`` is the
+    normalization denominator of a superposition (1 for any other state).
+    Each field holds one value per row of the batch, or one plain float for
+    every row; ``degenerate`` marks the rows whose normalization vanished,
+    where every normalized moment is NaN.
     """
 
     n1: Any
@@ -190,30 +177,29 @@ class TwoModeMoments:
     gamma2: Any
     gamma3: Any
     gamma4: Any
-    degenerate: Any = False
+    excess: Any
+    denominator: Any = 1.0
+
+    @property
+    def degenerate(self):
+        return self.denominator < DEGENERATE_DENOMINATOR
 
 
-def _one_mode(shape, n, pair, excess=None, degenerate=False) -> OneModeMoments:
-    """Moments from the occupation, the complex pair moment and the excess
-    (by default the plain difference pair_mag - n)."""
-    mag, phase = _polar(pair)
-    excess = mag - n if excess is None else excess
-    return OneModeMoments(*_shaped(shape, (n, mag, phase, excess, degenerate)))
+def _channel(z):
+    """(magnitude, phase) of a complex moment; the number 0.0 is (0, 0), as :func:`_polar` would make it."""
+    return (0.0, 0.0) if type(z) is float and z == 0.0 else _polar(z)
 
 
-def _two_mode(shape, n, a2, b2, adag_b, ab, degenerate=False) -> TwoModeMoments:
-    """Equal occupations ``n`` and the four channels as complex moments.
+def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, denominator=1.0) -> TwoModeMoments:
+    """Moments from the occupations and the four channels as complex moments.
 
-    A channel passed as the number 0.0 is (0, 0), as :func:`_polar` would
-    make it, and a channel passed twice is converted once.
+    ``b2`` passed as ``a2`` itself is converted once.  ``excess`` defaults to
+    the plain difference R1 - n1.
     """
-    channels = (a2, b2, adag_b, ab)
-    polar = {}
-    for z in channels:
-        if id(z) not in polar:
-            polar[id(z)] = (0.0, 0.0) if isinstance(z, float) and z == 0.0 else _polar(z)
-    (R1, g1), (R2, g2), (R3, g3), (R4, g4) = (polar[id(z)] for z in channels)
-    return TwoModeMoments(*_shaped(shape, (n, n, R1, R2, R3, R4, g1, g2, g3, g4, degenerate)))
+    (R1, g1), (R3, g3), (R4, g4) = _channel(a2), _channel(adag_b), _channel(ab)
+    R2, g2 = (R1, g1) if b2 is a2 else _channel(b2)
+    excess = R1 - n1 if excess is None else excess
+    return TwoModeMoments(*_shaped(shape, (n1, n2, R1, R2, R3, R4, g1, g2, g3, g4, excess, denominator)))
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +277,8 @@ class EntangledCoherent:
 # --------------------------------------------------------------------------
 
 
-def _coherent_pair_norm(params: CoherentPair):
-    """Normalization denominator of |alpha> + eta |beta>, <alpha|beta>, |alpha|^2 and |eta|^2."""
-    alpha, beta, eta = params.alpha, params.beta, params.eta
-    alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
-    ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    return 1.0 + weight + 2.0 * (eta * ov).real, ov, alpha2, weight
-
-
 @_quiet
-def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
+def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
     """Moments of N(|alpha> + eta |beta>).
 
     The overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)
@@ -309,16 +287,18 @@ def coherent_superposition_moments(params: CoherentPair) -> OneModeMoments:
     """
     shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    denom, ov, alpha2, weight = _coherent_pair_norm(params)
-    norm2, degenerate = _normalization(denom)
+    alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
+    ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
+    denom = 1.0 + weight + 2.0 * (eta * ov).real
+    norm2 = _normalization(denom)
     n = norm2 * (alpha2 + np.abs(eta * beta) ** 2 + 2.0 * (eta * np.conj(alpha) * beta * ov).real)
     alpha_sq, beta_sq = alpha**2, beta**2
     pair = norm2 * (alpha_sq + weight * beta_sq + eta * beta_sq * ov + np.conj(eta) * alpha_sq * np.conj(ov))
-    return _one_mode(shape, n, pair, degenerate=degenerate)
+    return _moments(shape, n, pair, denominator=denom)
 
 
 @_quiet
-def squeezed_vacuum_moments(r, delta) -> OneModeMoments:
+def squeezed_vacuum_moments(r, delta) -> TwoModeMoments:
     """Moments of a single squeezed vacuum: n = sinh^2 r, |<a^2>| = sinh r cosh r.
 
     The excess sinh r cosh r - sinh^2 r = (1 - e^{-2r}) / 2 is evaluated as
@@ -327,18 +307,11 @@ def squeezed_vacuum_moments(r, delta) -> OneModeMoments:
     shape, r, delta = _rows(r, delta)
     _check_magnitude(r)
     s, c = np.sinh(r), np.cosh(r)
-    return _one_mode(shape, s * s, -np.exp(1j * delta) * s * c, -np.expm1(-2.0 * r) / 2.0)
-
-
-def _superposed_squeezed_norm(params: SqueezedPair):
-    """Normalization denominator of |r> + eta |-r>, and cosh 2r."""
-    c2 = np.cosh(2.0 * params.r)
-    ov = 1.0 / np.sqrt(c2)
-    return 1.0 + np.abs(params.eta) ** 2 + 2.0 * params.eta.real * ov, c2
+    return _moments(shape, s * s, -np.exp(1j * delta) * s * c, excess=-np.expm1(-2.0 * r) / 2.0)
 
 
 @_quiet
-def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
+def superposed_squeezed_moments(params: SqueezedPair) -> TwoModeMoments:
     """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
 
     The branch overlap is 1/sqrt(cosh 2r); cross moments pick up the factor
@@ -349,16 +322,17 @@ def superposed_squeezed_moments(params: SqueezedPair) -> OneModeMoments:
     r, eta = params.r, params.eta
     _check_magnitude(r)
     s, c = np.sinh(r), np.cosh(r)
-    denom, c2 = _superposed_squeezed_norm(params)
-    norm2, degenerate = _normalization(denom)
+    c2 = np.cosh(2.0 * r)
     weight = np.abs(eta) ** 2
+    denom = 1.0 + weight + 2.0 * eta.real * (1.0 / np.sqrt(c2))
+    norm2 = _normalization(denom)
     cross_n = s * s / c2**1.5
     cross_pair = s * c / c2**1.5
     n = norm2 * (s * s * (1.0 + weight) - 2.0 * eta.real * cross_n)
     pair = norm2 * ((weight - 1.0) * s * c + 2j * eta.imag * cross_pair)
     rest = weight * s * c + 2j * eta.imag * cross_pair
     excess = _squeezed_excess(r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, norm2)
-    return _one_mode(shape, n, pair, excess, degenerate)
+    return _moments(shape, n, pair, excess=excess, denominator=denom)
 
 
 def _squeezed_excess(r, sq, rest, rest_n, norm2):
@@ -376,55 +350,47 @@ def _squeezed_excess(r, sq, rest, rest_n, norm2):
     return norm2 * (gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
 
 
-def _coherent_squeezed_norm(params: CoherentSqueezed):
-    """Normalization denominator of |r, delta> + eta |alpha>, the overlap
-    e^L = <r, delta|alpha>, expm1(L), tanh r and e^{i delta}.
-
-    L = -(|alpha|^2 + log1p(2 sinh^2(r/2)) + e^{-i delta} alpha^2 tanh r) / 2.
-    1 + |eta|^2 + 2 Re(eta e^L) is evaluated as |(1 + eta) + eta expm1(L)|^2
-    - |eta|^2 expm1(2 Re L), which does not cancel as the branches coincide.
-    """
-    r, delta, alpha, eta = params.r, params.delta, params.alpha, params.eta
-    tanh, rotor = np.tanh(r), np.exp(1j * delta)
-    L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * tanh)
-    ov, em = np.exp(L), np.expm1(L)
-    denom = np.abs((1.0 + eta) + eta * em) ** 2 - np.abs(eta) ** 2 * np.expm1(2.0 * L.real)
-    return denom, ov, em, tanh, rotor
-
-
 @_quiet
-def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> OneModeMoments:
+def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     """Moments of N(|r, delta> + eta |alpha>), and of vacuum-squeezed |r> + eta |0> at alpha = delta = 0.
 
-    The mixed ladder moments carry one extra tanh r per pair index.  Sums
-    that cancel as the branches coincide are written around 1 + conj(eta)
-    and expm1(L): the squeezed branch's pair moment and its cross term are
-    -e^{i delta} tanh r [(1 + conj eta) + sinh^2 r + conj(eta) (expm1(conj L)
-    - conj(alpha^2 e^L) e^{i delta} tanh r)], the coherent branch's and its
-    cross term eta alpha^2 [(1 + conj eta) + expm1(L)].  F is |<a^2>| - n where
-    that cannot cancel (|<a^2>| < n/2) or sums terms smaller than the sinh r cosh r
-    of :func:`_squeezed_excess` (|<a^2>| + n < sinh r cosh r); elsewhere the latter.
+    The branch overlap is e^L = <r, delta|alpha> with
+    L = -(|alpha|^2 + log1p(2 sinh^2(r/2)) + e^{-i delta} alpha^2 tanh r) / 2,
+    and the denominator 1 + |eta|^2 + 2 Re(eta e^L) is evaluated as
+    |(1 + eta) + eta expm1(L)|^2 - |eta|^2 expm1(2 Re L), which does not
+    cancel as the branches coincide.  The mixed ladder moments carry one
+    extra tanh r per pair index.  Sums that cancel as the branches coincide
+    are written around 1 + conj(eta) and expm1(L): the squeezed branch's pair
+    moment and its cross term are -e^{i delta} tanh r [(1 + conj eta)
+    + sinh^2 r + conj(eta) (expm1(conj L) - conj(alpha^2 e^L) e^{i delta} tanh r)],
+    the coherent branch's and its cross term eta alpha^2 [(1 + conj eta)
+    + expm1(L)].  F is |<a^2>| - n where that cannot cancel (|<a^2>| < n/2)
+    or sums terms smaller than the sinh r cosh r of :func:`_squeezed_excess`
+    (|<a^2>| + n < sinh r cosh r); elsewhere the latter.
     """
     shape, params = _batch(params)
     r, alpha, eta = params.r, params.alpha, params.eta
     _check_magnitude(r)
     s = np.sinh(r)
-    denom, ov, em, t, rotor = _coherent_squeezed_norm(params)
-    norm2, degenerate = _normalization(denom)
+    t, rotor = np.tanh(r), np.exp(1j * params.delta)
+    L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * t)
+    ov, em = np.exp(L), np.expm1(L)
+    denom = np.abs((1.0 + eta) + eta * em) ** 2 - np.abs(eta) ** 2 * np.expm1(2.0 * L.real)
+    norm2 = _normalization(denom)
     conj_eta, alpha_sq, turn = np.conj(eta), alpha**2, rotor * t
-    lift = np.conj(alpha_sq * ov) * turn
-    rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * lift).real
+    twist = np.conj(alpha_sq * ov) * turn
+    rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * twist).real
     occupation = s * s + rest_n
     # rest: the pair moment less the squeezed branch's own, from its own terms
     rest = eta * alpha_sq * ((1.0 + conj_eta) + em)
-    pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - lift))
-    rest += conj_eta * turn * (lift - np.conj(ov))
-    del ov, em, lift, turn  # the working set: no more than the moments need from here
+    pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - twist))
+    rest += conj_eta * turn * (twist - np.conj(ov))
+    del L, ov, em, twist, turn  # the working set: no more than the moments need from here
     excess = _squeezed_excess(r, -s * np.cosh(r) * rotor, rest, rest_n, norm2)
     near = np.abs(pair) < np.maximum(0.5 * occupation, s * np.cosh(r) - occupation)
     if near.any():
         excess = np.where(near, norm2 * (np.abs(pair) - occupation), excess)
-    return _one_mode(shape, norm2 * occupation, norm2 * pair, excess, degenerate)
+    return _moments(shape, norm2 * occupation, norm2 * pair, excess=excess, denominator=denom)
 
 
 # --------------------------------------------------------------------------
@@ -438,13 +404,8 @@ def barnett_radmore_moments(params: BarnettRadmore) -> TwoModeMoments:
     shape, params = _batch(params)
     _check_magnitude(params.r)
     s, c = np.sinh(params.r), np.cosh(params.r)
-    return _two_mode(shape, s * s, 0.0, 0.0, 0.0, -np.exp(1j * params.delta) * s * c)
-
-
-def _zhang_norm(params: ZhangReal):
-    """Normalization denominator of the phase-superposed pair, and cosh 2r."""
-    c2 = np.cosh(2.0 * params.r)
-    return 2.0 * (1.0 + np.cos(params.theta) / c2), c2
+    n = s * s
+    return _moments(shape, n, 0.0, n2=n, ab=-np.exp(1j * params.delta) * s * c)
 
 
 @_quiet
@@ -457,11 +418,12 @@ def zhang_moments(params: ZhangReal) -> TwoModeMoments:
     r, theta = params.r, params.theta
     _check_magnitude(r)
     s = np.sinh(r)
-    denom, c2 = _zhang_norm(params)
-    norm2, degenerate = _normalization(denom)
+    c2 = np.cosh(2.0 * r)
+    denom = 2.0 * (1.0 + np.cos(theta) / c2)
+    norm2 = _normalization(denom)
     n = 2.0 * norm2 * s * s * (1.0 - np.cos(theta) / c2**2)
     pair = -1j * norm2 * np.sin(theta) * np.sinh(2.0 * r) / c2**2
-    return _two_mode(shape, n, pair, pair, 0.0, 0.0, degenerate)
+    return _moments(shape, n, pair, n2=n, b2=pair, denominator=denom)
 
 
 def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
@@ -493,12 +455,6 @@ def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
     return float(c_r * c_r), float(c_r)
 
 
-def _entangled_coherent_norm(params: EntangledCoherent):
-    """Normalization denominator of the entangled coherent state, and e^{-4 sigma^2}."""
-    overlap4 = np.exp(-4.0 * params.sigma**2)
-    return 2.0 * (1.0 + np.cos(params.theta) * overlap4), overlap4
-
-
 @_quiet
 def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     """Moments of N(|alpha, beta> + e^{i theta} |-alpha, -beta>).
@@ -506,19 +462,20 @@ def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     Amplitudes are alpha = sigma e^{i delta1}, beta = sigma e^{i delta2}.
     Because both branches are eigenstates of a^2, b^2 and ab, those channels
     keep their bare coherent values; only the occupations and the
-    beam-splitter channel feel the superposition.  sigma = 0 with theta = pi
-    is degenerate.
+    beam-splitter channel feel the superposition, through the branch overlap
+    e^{-4 sigma^2}.  sigma = 0 with theta = pi is degenerate.
     """
     shape, params = _batch(params)
     sigma, theta = params.sigma, params.theta
     _check_magnitude(sigma, "coherent")
     alpha = sigma * np.exp(1j * params.delta1)
     beta = sigma * np.exp(1j * params.delta2)
-    denom, overlap4 = _entangled_coherent_norm(params)
-    norm2, degenerate = _normalization(denom)
+    overlap4 = np.exp(-4.0 * sigma**2)
+    denom = 2.0 * (1.0 + np.cos(theta) * overlap4)
+    norm2 = _normalization(denom)
     n = 2.0 * norm2 * sigma**2 * (1.0 - np.cos(theta) * overlap4)
     beam = 2.0 * norm2 * np.conj(alpha) * beta * (1.0 - np.cos(theta) * overlap4)
-    return _two_mode(shape, n, alpha**2, beta**2, beam, alpha * beta, degenerate)
+    return _moments(shape, n, alpha**2, n2=n, b2=beta**2, adag_b=beam, ab=alpha * beta, denominator=denom)
 
 
 @_quiet
@@ -546,29 +503,20 @@ def _phased(mag, phase):
 
 @dataclass(frozen=True)
 class Layout:
-    """How a family's moments become sweep cells and a two-mode density input.
-
-    ``cells`` gives the values under ``columns``; ``lift`` embeds the moments
-    in a two-mode grid (``None``: the family has no spatial density).
-    """
+    """How a family's moments become sweep cells: ``cells`` gives the values under ``columns``."""
 
     columns: tuple[str, ...]
     cells: Callable[[Any], tuple]
-    lift: Callable[[Any], TwoModeMoments] | None
 
 
-ONE_MODE = Layout(
-    columns=("n", "R", "F"),
-    cells=lambda m: (m.n, m.pair_mag, m.excess),
-    # one-mode states occupy mode 1; mode 2 stays empty
-    lift=lambda m: TwoModeMoments(m.n, 0.0, m.pair_mag, 0.0, 0.0, 0.0, m.pair_phase, 0.0, 0.0, 0.0, m.degenerate),
-)
+#: One-mode states occupy mode 1 and print its moments only.
+ONE_MODE = Layout(columns=("n", "R", "F"), cells=lambda m: (m.n1, m.R1, m.excess))
 TWO_MODE = Layout(
     columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
-    cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.R1 - m.n1),
-    lift=lambda m: m,
+    cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.excess),
 )
-SCALAR = Layout(columns=("f",), cells=lambda m: (m,), lift=None)
+#: A scalar figure of merit: no moments, hence no spatial density.
+SCALAR = Layout(columns=("f",), cells=lambda m: (m,))
 
 
 @dataclass(frozen=True)
@@ -587,7 +535,7 @@ class SearchView:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     angular: tuple[bool, ...]
-    moments_of: Callable[[np.ndarray], OneModeMoments]
+    moments_of: Callable[[np.ndarray], TwoModeMoments]
     canonical: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -615,9 +563,7 @@ class Family:
     keys to their inclusive lower bound.  ``record`` turns parameters (numbers,
     or arrays with one entry per row) into the argument of ``moments``, the
     closed-form call, which looks its closed form up by module-level name on
-    every call so that rebinding that name reaches every caller.  ``norm`` is
-    the helper the closed form takes its normalization denominator from
-    (first element of its result).
+    every call so that rebinding that name reaches every caller.
     ``searches`` names the boxes the optimizer may explore.
     ``oracle(record, cutoff)`` (verified families only) builds the same states
     in the truncated number basis, one per row of ``record``, from
@@ -632,14 +578,9 @@ class Family:
     moments: Callable[[Any], Any]
     record: Callable[[Mapping[str, float]], Any] = lambda params: params
     domain: Mapping[str, float] = field(default_factory=dict)
-    norm: Callable[[Any], tuple] | None = None
     searches: Mapping[str, SearchView] = field(default_factory=dict)
     oracle: Callable[[Any, int], fock_oracle.FockVector | fock_oracle.TwoModeFockVector] | None = None
     draws: Mapping[str, float] = field(default_factory=dict)
-
-    def denominator(self, record: Any) -> float:
-        """Normalization denominator of a superposition family's record."""
-        return self.norm(record)[0]
 
 
 def _canonical_pair(p: np.ndarray) -> np.ndarray:
@@ -691,7 +632,6 @@ REGISTRY: dict[str, Family] = {
             _phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]), _phased(p["eta"], p["delta"])
         ),
         moments=lambda params: coherent_superposition_moments(params),
-        norm=_coherent_pair_norm,
         oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p.alpha, cut), p.eta,
                                     fock_oracle.coherent_vector(p.beta, cut)),
         draws={"alpha": _AMPLITUDE_DRAW, "delta1": TWO_PI, "beta": _AMPLITUDE_DRAW, "delta2": TWO_PI,
@@ -733,7 +673,6 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: SqueezedPair(r=p["r"], eta=_phased(p["eta"], p["eta_phase"])),
         moments=lambda params: superposed_squeezed_moments(params),
         domain={"r": 0.0},
-        norm=_superposed_squeezed_norm,
         oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
                                     fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)),
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
@@ -746,7 +685,6 @@ REGISTRY: dict[str, Family] = {
         ),
         moments=lambda params: coherent_plus_squeezed_moments(params),
         domain={"r": 0.0},
-        norm=_coherent_squeezed_norm,
         oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, p.delta, cut), p.eta,
                                     fock_oracle.coherent_vector(p.alpha, cut)),
         draws={"r": _R_DRAW, "delta": TWO_PI, "alpha": _AMPLITUDE_DRAW, "alpha_phase": TWO_PI,
@@ -759,7 +697,6 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: CoherentSqueezed(p["r"], 0.0, 0.0, _phased(p["eta"], p["eta_phase"])),
         moments=lambda params: coherent_plus_squeezed_moments(params),
         domain={"r": 0.0},
-        norm=_coherent_squeezed_norm,
         oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
                                     fock_oracle.coherent_vector(0.0, cut)),
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
@@ -786,7 +723,6 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: ZhangReal(**p),
         moments=lambda params: zhang_moments(params),
         domain={"r": 0.0},
-        norm=_zhang_norm,
         oracle=_zhang_state,
         draws={"r": _R_DRAW, "theta": TWO_PI},
     ),
@@ -796,12 +732,11 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: EntangledCoherent(**p),
         moments=lambda params: entangled_coherent_moments(params),
         domain={"sigma": 0.0},
-        norm=_entangled_coherent_norm,
         oracle=_entangled_coherent_state,
         draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
-    "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
 }
 
 #: Search view name -> (family name, view), in registry order.

@@ -119,16 +119,18 @@ def _draw(family: Family, rng: np.random.Generator, draws: int) -> np.ndarray:
 
     Each round draws, as one array, as many candidates as are still missing,
     row by row and key by key in ``defaults`` order; candidates whose
-    normalization denominator is below ``_DENOM_GUARD`` are dropped, so the
-    accepted draws are the ones a draw-by-draw redraw would accept.  A NaN
-    denominator is kept, for its NaN moments to fail the comparison.
+    moments' normalization ``denominator`` is below ``_DENOM_GUARD`` are
+    dropped, so the accepted draws are the ones a draw-by-draw redraw would
+    accept.  A NaN denominator is kept, for its NaN moments to fail the
+    comparison.
     """
     uppers = np.array(list(family.draws.values()))
     accepted = np.empty((0, uppers.size))
     while len(accepted) < draws:
         candidates = rng.uniform(0.0, uppers, size=(draws - len(accepted), uppers.size))
-        if family.norm is not None:
-            candidates = candidates[~(family.denominator(_record(family, candidates)) < _DENOM_GUARD)]
+        # A state that is no superposition has one plain denominator of 1 for every row.
+        small = np.less(family.moments(_record(family, candidates)).denominator, _DENOM_GUARD)
+        candidates = candidates[~np.broadcast_to(small, len(candidates))]
         accepted = np.concatenate((accepted, candidates))
     return accepted
 
@@ -152,7 +154,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
     spec = REGISTRY[family]
     drawn = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
     params = _record(spec, drawn)
-    columns = _closed_columns(spec.layout.lift(regular(spec.moments(params))))
+    columns = _closed_columns(regular(spec.moments(params)))
     deviation, tail = np.zeros(draws), np.zeros(draws)
     fits = oracle.fits(lambda cutoff, rows: spec.oracle(_take(params, rows), cutoff), draws, _TAIL_TARGET, cutoff_cap)
     for fit in fits:

@@ -52,8 +52,8 @@ from subvacuum.state_families import (
     CoherentSqueezed,
     DegenerateStateError,
     EntangledCoherent,
-    OneModeMoments,
     SqueezedPair,
+    TwoModeMoments,
     ZhangReal,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
@@ -66,7 +66,7 @@ from subvacuum.state_families import (
     zhang_moments,
     zhang_small_r_asymptotics,
 )
-from subvacuum.state_families import ONE_MODE, CoherentPair
+from subvacuum.state_families import CoherentPair
 from subvacuum.energy_density import (
     ModeGeometry,
     SpacetimePoint,
@@ -218,7 +218,7 @@ def test_criterion_2_squeezed_vacuum_excess():
     # their float64 difference.  R >= n is the larger operand, so its spacing
     # bounds the difference's rounding at every r (1.5e-8 near r = 10, where
     # n and R share a binade; at small r, n ~ r^2 is far below R ~ r).
-    spacings = float(np.max(np.abs(m.excess - (m.pair_mag - m.n)) / np.spacing(m.pair_mag)))
+    spacings = float(np.max(np.abs(m.excess - (m.R1 - m.n1)) / np.spacing(m.R1)))
     ok_difference = spacings <= 4.0
 
     passed = monotone and at_five > 0.49 and max_dev <= 1e-9 and limit_residual < 2e-9 and ok_difference
@@ -275,7 +275,7 @@ def _vacuum_squeezed_curve_clauses(excess, eta: float, oracle_r: float | None = 
 def test_criterion_3_vacuum_plus_squeezed_argmax():
     def excess(r: float) -> float:
         m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=-1.0))
-        return m.pair_mag - m.n
+        return m.R1 - m.n1
 
     # The eta = -1 reference rises monotonically, so its argmax is the grid
     # edge; the oracle point is taken inside the verified range instead.
@@ -299,7 +299,7 @@ def test_criterion_4_coherent_plus_squeezed_curves():
         m = coherent_plus_squeezed_moments(
             CoherentSqueezed(r=r, delta=0.0, alpha=alpha, eta=1.0)
         )
-        return m.pair_mag - m.n
+        return m.R1 - m.n1
 
     # alpha = 0 turns the coherent branch into the vacuum: the eta = +1 curve.
     got, ok = _vacuum_squeezed_curve_clauses(lambda r: excess(r, 0.0), 1.0)
@@ -565,7 +565,7 @@ def test_criterion_8_property_suite():
 
     cs_ok = True
     for m in _draw_one_mode_states(rng):
-        cs_ok &= m.pair_mag <= math.sqrt(m.n * (m.n + 1.0)) + slack
+        cs_ok &= m.R1 <= math.sqrt(m.n1 * (m.n1 + 1.0)) + slack
     two_mode_states = _draw_two_mode_states(rng)
     for m in two_mode_states:
         cs_ok &= m.R1 <= math.sqrt(m.n1 * (m.n1 + 1.0)) + slack
@@ -597,20 +597,15 @@ def test_criterion_8_property_suite():
     gs = ModeGeometry("standing", 1.0, 1.0)
     for _ in range(300):
         n, pair_mag = float(rng.uniform(0, 4)), float(rng.uniform(0, 4))
-        m1 = OneModeMoments(
-            n=n,
-            pair_mag=pair_mag,
-            pair_phase=float(rng.uniform(-math.pi, math.pi)),
-            excess=pair_mag - n,
-        )
-        m2 = ONE_MODE.lift(m1)
+        pair_phase = float(rng.uniform(-math.pi, math.pi))
+        m = TwoModeMoments(n, 0.0, pair_mag, 0.0, 0.0, 0.0, pair_phase, 0.0, 0.0, 0.0, pair_mag - n)
         x = tuple(float(v) for v in rng.uniform(-3, 3, 3))
         t = float(rng.uniform(-3, 3))
         p = SpacetimePoint(x=x, t=t)
         u = 2.0 * (x[2] - t)
-        reduction_ok &= rho_two_mode(m2, g1, p) == 1.0 * (m1.n + m1.pair_mag * math.cos(u + m1.pair_phase))
-        reduction_ok &= rho_two_mode(m2, gs, p) == 1.0 * (
-            m1.n + m1.pair_mag * math.cos(2.0 * 1.0 * x[0]) * math.cos(2.0 * 1.0 * t - m1.pair_phase)
+        reduction_ok &= rho_two_mode(m, g1, p) == 1.0 * (m.n1 + m.R1 * math.cos(u + m.gamma1))
+        reduction_ok &= rho_two_mode(m, gs, p) == 1.0 * (
+            m.n1 + m.R1 * math.cos(2.0 * 1.0 * x[0]) * math.cos(2.0 * 1.0 * t - m.gamma1)
         )
 
     gap_ok = True

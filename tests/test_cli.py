@@ -130,8 +130,8 @@ class TestSweep:
             r = float(cells[0])
             m = squeezed_vacuum_moments(r, 0.0)
             # cells reproduce the 9-significant-digit rendering exactly
-            assert float(cells[1]) == float(f"{m.n:.9g}")
-            assert float(cells[2]) == float(f"{m.pair_mag:.9g}")
+            assert float(cells[1]) == float(f"{m.n1:.9g}")
+            assert float(cells[2]) == float(f"{m.R1:.9g}")
             assert float(cells[3]) == float(f"{m.excess:.9g}")
 
     def test_large_r_excess_cells_keep_nine_digits(self, tmp_path):
@@ -357,6 +357,7 @@ class TestSweep:
             ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "bogus=1"],
             ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "delta"],
             ["sweep", "--family", "coherent-pair", "--sweep", "alpha=0:nan:2"],
+            ["sweep", "--family", "zhang", "--set", "r=5", "--sweep", "r=0:1:1"],
             ["search", "--family", "coherent-pair", "--starts", "1", "--seed", "-1"],
             ["verify", "--draws", "-1"],
             ["verify", "--seed", "-1"],
@@ -367,6 +368,13 @@ class TestSweep:
     def test_usage_errors_exit_1(self, argv, quiet_stderr):
         assert main(argv) == 1
         assert "error" in quiet_stderr()
+
+    def test_key_both_set_and_swept_prints_one_line_and_no_output(self, capsys):
+        # The config would report the --set value while the rows vary it.
+        assert main(["sweep", "--family", "zhang", "--set", " r =5", "--sweep", "r=0:1:1", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "subvacuum sweep: error: parameter r is both --set and swept\n"
 
     def test_unknown_family_exits_1(self, quiet_stderr):
         assert main(["sweep", "--family", "thermal", "--sweep", "r=0:1:4"]) == 1
@@ -618,7 +626,7 @@ class TestDensity:
         # print what formatting every cell of every sample row prints.
         params = {"r": 0.8, "delta": 0.7}
         family = sf.REGISTRY["barnett-radmore"]
-        moments = family.layout.lift(sf.regular(family.moments(family.record(params))))
+        moments = sf.regular(family.moments(family.record(params)))
         profile = density_profile(moments, _parse_geometry(geometry), 8.0, grid_n)
         pmin, vmin = profile.min_found
         rows = [("sample", *row) for row in profile.samples.tolist()] + [("min", *pmin.x, pmin.t, vmin)]
@@ -765,6 +773,13 @@ class TestVerify:
         doc = json.loads(a.read_text())
         assert doc["command"] == "verify"
         assert doc["config"] == {"families": ["vacuum-squeezed"], "draws": 2, "cutoff": 4096}
+
+    def test_repeated_family_is_verified_once(self, capsys):
+        assert main(["verify", "--family", "zhang", "--family", "barnett-radmore", "--family", "zhang",
+                     "--draws", "3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["families"] == ["zhang", "barnett-radmore"]
+        assert [row["name"] for row in doc["rows"] if row["kind"] == "family"] == ["zhang", "barnett-radmore"]
 
     def test_failed_family_exits_2(self, tmp_path, monkeypatch):
         # The vacuum in place of the drawn states: every oracle moment is 0.

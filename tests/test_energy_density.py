@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from subvacuum.state_families import (
-    ONE_MODE,
     BarnettRadmore,
-    OneModeMoments,
     TwoModeMoments,
     ZhangReal,
     barnett_radmore_moments,
@@ -32,7 +30,12 @@ from subvacuum.energy_density import (
     spacetime_average,
 )
 
-ZERO_MOMENTS = TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+ZERO_MOMENTS = TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def one_mode(n, pair_mag, pair_phase, excess) -> TwoModeMoments:
+    """A one-mode record: mode 1 carries the moments, mode 2 is empty."""
+    return TwoModeMoments(n, 0.0, pair_mag, 0.0, 0.0, 0.0, pair_phase, 0.0, 0.0, 0.0, excess)
 
 # sinh(1) * (2 sqrt(w1 w2) cosh(1) - (w1 + w2) sinh(1)), negated
 BR_MIN_R1 = {
@@ -42,7 +45,7 @@ BR_MIN_R1 = {
 }
 
 
-def one_mode_reference(m: OneModeMoments, omega: float, kind: str, u) -> float:
+def one_mode_reference(m: TwoModeMoments, omega: float, kind: str, u) -> float:
     """Single-mode density written out with math.cos.
 
     Traveling: ``u`` is the propagation phase 2(k.x - omega t) and
@@ -50,10 +53,10 @@ def one_mode_reference(m: OneModeMoments, omega: float, kind: str, u) -> float:
     and rho = omega (n + R cos(2 omega x) cos(2 omega t - gamma)).
     """
     if kind == "traveling":
-        return omega * (m.n + m.pair_mag * math.cos(u + m.pair_phase))
+        return omega * (m.n1 + m.R1 * math.cos(u + m.gamma1))
     x, t = u
     return omega * (
-        m.n + m.pair_mag * math.cos(2.0 * omega * x) * math.cos(2.0 * omega * t - m.pair_phase)
+        m.n1 + m.R1 * math.cos(2.0 * omega * x) * math.cos(2.0 * omega * t - m.gamma1)
     )
 
 
@@ -107,12 +110,12 @@ class TestSpacetimePoint:
 
 
 class TestOneMode:
-    """One-mode states are lifted into mode 1 of the two-mode density."""
+    """One-mode states occupy mode 1 of the two-mode density."""
 
     def test_traveling_value_at_zero_phase(self):
-        m = OneModeMoments(n=0.5, pair_mag=0.3, pair_phase=0.0, excess=-0.2)
+        m = one_mode(n=0.5, pair_mag=0.3, pair_phase=0.0, excess=-0.2)
         p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0)
-        assert rho_two_mode(ONE_MODE.lift(m), ModeGeometry("traveling", 2.0, 1.0), p) == pytest.approx(
+        assert rho_two_mode(m, ModeGeometry("traveling", 2.0, 1.0), p) == pytest.approx(
             2.0 * 0.8, abs=1e-15
         )
 
@@ -120,9 +123,9 @@ class TestOneMode:
         # At x = 0 the propagation phase -2 omega t reaches pi - gamma.
         m = squeezed_vacuum_moments(1.0, 0.7)
         omega = 1.7
-        p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=-(math.pi - m.pair_phase) / (2.0 * omega))
-        assert rho_two_mode(ONE_MODE.lift(m), ModeGeometry("traveling", omega, 1.0), p) == pytest.approx(
-            -omega * (m.pair_mag - m.n), abs=1e-12
+        p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=-(math.pi - m.gamma1) / (2.0 * omega))
+        assert rho_two_mode(m, ModeGeometry("traveling", omega, 1.0), p) == pytest.approx(
+            -omega * (m.R1 - m.n1), abs=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -130,14 +133,14 @@ class TestOneMode:
     )
     def test_numeric_min_matches_closed_floor(self, kind, r, phi, omega):
         m = squeezed_vacuum_moments(r, phi)
-        _, val = rho_min_two_mode_numeric(ONE_MODE.lift(m), ModeGeometry(kind, omega, 1.0), 8.0, 64)
+        _, val = rho_min_two_mode_numeric(m, ModeGeometry(kind, omega, 1.0), 8.0, 64)
         floor = rho_min_one_mode(m, omega)
         assert val >= floor - 1e-12
         assert val == pytest.approx(floor, rel=1e-9)
 
     def test_negative_floor_iff_pairing_beats_population(self):
-        quiet = OneModeMoments(n=0.5, pair_mag=0.2, pair_phase=0.0, excess=-0.3)
-        loud = OneModeMoments(n=0.2, pair_mag=0.5, pair_phase=0.0, excess=0.3)
+        quiet = one_mode(n=0.5, pair_mag=0.2, pair_phase=0.0, excess=-0.3)
+        loud = one_mode(n=0.2, pair_mag=0.5, pair_phase=0.0, excess=0.3)
         assert rho_min_one_mode(quiet, 1.0) > 0
         assert rho_min_one_mode(loud, 1.0) < 0
 
@@ -149,7 +152,7 @@ class TestOneMode:
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_rejects_nonpositive_frequency(self, omega):
         with pytest.raises(ValueError):
-            rho_min_one_mode(OneModeMoments(0.1, 0.1, 0.0, 0.0), omega)
+            rho_min_one_mode(one_mode(0.1, 0.1, 0.0, 0.0), omega)
 
 
 class TestTermDeletionReduction:
@@ -164,7 +167,7 @@ class TestTermDeletionReduction:
     def _points(self, rng, count=200):
         for _ in range(count):
             n, pair_mag = float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0))
-            m = OneModeMoments(
+            m = one_mode(
                 n=n,
                 pair_mag=pair_mag,
                 pair_phase=float(rng.uniform(-math.pi, math.pi)),
@@ -181,7 +184,7 @@ class TestTermDeletionReduction:
             p = SpacetimePoint(x=x, t=t)
             k1x = x[2]  # khat1 = +z, omega = 1
             u = 2.0 * (k1x - t)
-            assert rho_two_mode(ONE_MODE.lift(m), g, p) == one_mode_reference(
+            assert rho_two_mode(m, g, p) == one_mode_reference(
                 m, 1.0, "traveling", u
             )
 
@@ -190,7 +193,7 @@ class TestTermDeletionReduction:
         g = ModeGeometry("standing", 1.0, 1.0)
         for m, x, t in self._points(rng):
             p = SpacetimePoint(x=x, t=t)
-            assert rho_two_mode(ONE_MODE.lift(m), g, p) == one_mode_reference(
+            assert rho_two_mode(m, g, p) == one_mode_reference(
                 m, 1.0, "standing", (x[0], t)
             )
 
@@ -201,7 +204,7 @@ class TestTermDeletionReduction:
             g = ModeGeometry("traveling", w, w)
             p = SpacetimePoint(x=x, t=t)
             u = 2.0 * (w * x[2] - w * t)
-            a = rho_two_mode(ONE_MODE.lift(m), g, p)
+            a = rho_two_mode(m, g, p)
             b = one_mode_reference(m, w, "traveling", u)
             assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
 
@@ -264,7 +267,7 @@ class TestNumericMinimizer:
 
     def test_rejects_non_finite_moments(self):
         bad = TwoModeMoments(
-            math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+            math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         )
         g = ModeGeometry("traveling", 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -400,14 +403,14 @@ class TestDensityProfile:
 
 
 # The slab scan against a dense meshgrid: skew, aligned and antiparallel
-# traveling modes, standing modes, a one-mode state lifted into mode 1, and
+# traveling modes, standing modes, a one-mode state in mode 1, and
 # the vacuum, where every value ties.
 SCAN_CASES = {
     "skew": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0, 0.3)),
     "aligned": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0)),
     "antiparallel": (zhang_moments(ZhangReal(r=0.01, theta=0.95 * math.pi)), ModeGeometry("traveling", 1.0, 2.0, -1.0)),
     "standing": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("standing", 1.0, 2.0)),
-    "one-mode": (ONE_MODE.lift(squeezed_vacuum_moments(0.8, 0.4)), ModeGeometry("traveling", 1.5, 1.0, -0.5)),
+    "one-mode": (squeezed_vacuum_moments(0.8, 0.4), ModeGeometry("traveling", 1.5, 1.0, -0.5)),
     "vacuum": (ZERO_MOMENTS, ModeGeometry("traveling", 1.0, 2.0, 0.0)),
 }
 

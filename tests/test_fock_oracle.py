@@ -232,8 +232,8 @@ class TestProductsAndSuperpositions:
         st = fo.superpose([(1.0, plus), (-1.0, minus)])
         om = fo.one_mode_moments(st)
         cm = superposed_squeezed_moments(SqueezedPair(r=1.0, eta=-1.0))
-        assert abs(om.n_a - cm.n) < 1e-8
-        assert abs(om.a2 - cm.pair_mag * np.exp(1j * cm.pair_phase)) < 1e-8
+        assert abs(om.n_a - cm.n1) < 1e-8
+        assert abs(om.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-8
 
     def test_phase_superposed_double_squeeze(self):
         # Two-branch two-mode state at theta = pi/2: the cross term drops out

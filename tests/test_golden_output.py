@@ -6,8 +6,10 @@ rest at their defaults), two sweeps of several thousand rows (one CSV, one
 JSON with a degenerate row), a short seeded search per search family, the
 64-start coherent-pair search that the benchmark times, the README
 standing-wave density case, three traveling-wave density cases (3-D,
-aligned JSON, skew CSV), a one-mode standing case and an antiparallel
-traveling case, all on 16-point grids, and a two-draw verification.
+aligned JSON, skew CSV), a one-mode standing case, a one-mode superposition
+on a skew traveling grid and an antiparallel traveling case, all on 16-point
+grids, a JSON sweep whose first row has denominator 0, and a two-draw
+verification.
 A refactor that keeps results must keep every digest; a change that alters
 output on purpose re-records them and says why.
 """
@@ -62,6 +64,10 @@ GOLDEN = [
      "8079011f7605a1b008615ded2a5092b1036853ceba51fc750887d55200eebe73"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:-1 --grid-n 16",
      "772087dc51b265498048abe1d7c74c490783759a1490d20ed2bd34ae0b8a23bc"),
+    ("density --family coherent-squeezed --geometry traveling:1:2:0 --grid-n 16",
+     "733cb911f5f7e5b608120ec3e71dc98f1d1e1ac4fbfd295a7f92b712d281080d"),
+    ("sweep --family superposed-squeezed --set eta=-1 --sweep r=0:0.5:20 --format json",
+     "28ea1146cf62ccbc61c7368bdd17a85339c82290b47993d57e0666f8f0b80af5"),
     ("verify --draws 2 --seed 7",
      "4bab29a07e60cc550822cfa84788f1173ed04f90e105aca8bfd3b1684560775b"),
 ]

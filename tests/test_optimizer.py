@@ -17,8 +17,8 @@ from subvacuum.optimizer import (
 from subvacuum.state_families import (
     SEARCHES,
     CoherentSqueezed,
-    OneModeMoments,
     SearchView,
+    TwoModeMoments,
     coherent_plus_squeezed_moments,
 )
 
@@ -31,6 +31,11 @@ A_STAR = 0.7995200256282121
 F_RIDGE = 0.2784645427610738
 
 
+def one_mode(n, excess, denominator=1.0) -> TwoModeMoments:
+    """A one-mode record with occupation ``n``, excess ``excess`` and no pair moment."""
+    return TwoModeMoments(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, excess, denominator)
+
+
 def view(name: str) -> SearchView:
     """The registry's search view ``name``."""
     return SEARCHES[name][1]
@@ -39,9 +44,9 @@ def view(name: str) -> SearchView:
 def quadratic_view(lower=(-10.0, -10.0), upper=(10.0, 10.0)) -> SearchView:
     """Synthetic concave objective F = 3 - (p0-1)^2 - 2(p1+0.5)^2, one value per row."""
 
-    def moments(p: np.ndarray) -> OneModeMoments:
+    def moments(p: np.ndarray) -> TwoModeMoments:
         q = (p[..., 0] - 1.0) ** 2 + 2.0 * (p[..., 1] + 0.5) ** 2
-        return OneModeMoments(n=q - 3.0, pair_mag=0.0, pair_phase=0.0, excess=3.0 - q)
+        return one_mode(n=q - 3.0, excess=3.0 - q)
 
     return SearchView(
         names=("p0", "p1"),
@@ -55,9 +60,9 @@ def quadratic_view(lower=(-10.0, -10.0), upper=(10.0, 10.0)) -> SearchView:
 def half_degenerate_view() -> SearchView:
     """F = -(p0 - 5)^2 / 100 on [-10, 10], flagged degenerate wherever p0 > 2."""
 
-    def moments(p: np.ndarray) -> OneModeMoments:
+    def moments(p: np.ndarray) -> TwoModeMoments:
         f = -((p[..., 0] - 5.0) ** 2) / 100.0
-        return OneModeMoments(n=-f, pair_mag=0.0, pair_phase=0.0, excess=f, degenerate=p[..., 0] > 2.0)
+        return one_mode(n=-f, excess=f, denominator=np.where(p[..., 0] > 2.0, 0.0, 1.0))
 
     return SearchView(names=("p0",), lower=(-10.0,), upper=(10.0,), angular=(False,), moments_of=moments)
 
@@ -70,7 +75,7 @@ class TestSearchView:
                 lower=(0.0,),
                 upper=(1.0, 1.0),
                 angular=(False, False),
-                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0, 0.0),
+                moments_of=lambda p: one_mode(0.0, 0.0),
             )
 
     def test_rejects_inverted_bounds(self):
@@ -80,7 +85,7 @@ class TestSearchView:
                 lower=(2.0,),
                 upper=(1.0,),
                 angular=(False,),
-                moments_of=lambda p: OneModeMoments(0.0, 0.0, 0.0, 0.0),
+                moments_of=lambda p: one_mode(0.0, 0.0),
             )
 
     def test_clamp_clips_box_and_wraps_angles(self):

@@ -45,11 +45,11 @@ def complex_polar(draw, mag):
 
 
 def assert_one_mode_bounds(m):
-    assert m.n >= -1e-12
-    assert m.pair_mag >= 0.0
-    assert -math.pi < m.pair_phase <= math.pi
-    assert m.pair_mag <= math.sqrt(m.n * (m.n + 1.0)) + CS_SLACK
-    assert m.pair_mag - m.n <= 0.5 + CS_SLACK
+    assert m.n1 >= -1e-12
+    assert m.R1 >= 0.0
+    assert -math.pi < m.gamma1 <= math.pi
+    assert m.R1 <= math.sqrt(m.n1 * (m.n1 + 1.0)) + CS_SLACK
+    assert m.R1 - m.n1 <= 0.5 + CS_SLACK
 
 
 def assert_two_mode_bounds(m):
@@ -224,5 +224,5 @@ def test_oracle_two_mode_pair_moment_saturates_cauchy_schwarz(r, delta):
 def test_oracle_matches_closed_form_under_hypothesis_driving(r, delta):
     m = oracle.one_mode_moments(oracle.fitted(lambda cut: oracle.squeezed_vacuum_vector(r, delta, cut), 1e-12, 512))
     cm = squeezed_vacuum_moments(r, delta)
-    assert abs(m.n_a - cm.n) < 1e-9
-    assert abs(m.a2 - cm.pair_mag * np.exp(1j * cm.pair_phase)) < 1e-9
+    assert abs(m.n_a - cm.n1) < 1e-9
+    assert abs(m.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-9

@@ -4,7 +4,7 @@ import pytest
 
 import subvacuum.verification as verification
 from subvacuum.cli import FAMILY_NAMES, SEARCH_FAMILY_NAMES
-from subvacuum.state_families import REGISTRY, SEARCHES
+from subvacuum.state_families import REGISTRY, SCALAR, SEARCHES
 
 
 def test_cli_family_names_are_registry_entries():
@@ -38,7 +38,8 @@ def test_defaults_lie_in_domain(name):
         assert family.defaults[key] >= low
 
 
-@pytest.mark.parametrize("name", [n for n, f in REGISTRY.items() if f.norm is not None])
+@pytest.mark.parametrize("name", [n for n, f in REGISTRY.items() if f.layout is not SCALAR])
 def test_superposition_defaults_are_normalizable(name):
+    # a state that is no superposition has the denominator 1
     family = REGISTRY[name]
-    assert family.denominator(family.record(family.defaults)) > 0.0
+    assert family.moments(family.record(family.defaults)).denominator > 0.0

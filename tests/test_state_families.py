@@ -27,8 +27,8 @@ A_STAR = 0.7995200256282121
 F_RIDGE = float(lambertw(math.exp(-1.0)).real)  # 0.2784645427610738
 
 
-def one_mode_F(m: sf.OneModeMoments) -> float:
-    return m.pair_mag - m.n
+def one_mode_F(m: sf.TwoModeMoments) -> float:
+    return m.R1 - m.n1
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +61,15 @@ def test_wrap_angle_lands_in_half_open_interval(raw, expected):
 class TestSqueezedVacuum:
     def test_hyperbolic_moments(self):
         m = sf.squeezed_vacuum_moments(1.0, 0.0)
-        assert m.n == pytest.approx(math.sinh(1.0) ** 2, abs=1e-14)
-        assert m.pair_mag == pytest.approx(math.sinh(1.0) * math.cosh(1.0), abs=1e-14)
+        assert m.n1 == pytest.approx(math.sinh(1.0) ** 2, abs=1e-14)
+        assert m.R1 == pytest.approx(math.sinh(1.0) * math.cosh(1.0), abs=1e-14)
 
     def test_pair_phase_opposes_squeeze_axis(self):
         # <a^2> = -e^{i delta} sinh r cosh r, so gamma = delta + pi (wrapped).
         m = sf.squeezed_vacuum_moments(0.8, 0.4)
-        assert m.pair_phase == pytest.approx(sf.wrap_angle(0.4 + math.pi), abs=1e-12)
+        assert m.gamma1 == pytest.approx(sf.wrap_angle(0.4 + math.pi), abs=1e-12)
         m5 = sf.squeezed_vacuum_moments(0.8, 5.0)
-        assert m5.pair_phase == pytest.approx(5.0 + math.pi - TAU, abs=1e-12)
+        assert m5.gamma1 == pytest.approx(5.0 + math.pi - TAU, abs=1e-12)
 
     def test_f_approaches_half(self):
         # R - n climbs to 1/2.  Beyond r ~ 8 the moments are ~1e7 and their
@@ -100,7 +100,7 @@ class TestSqueezedVacuum:
 
     def test_coherent_pair_excess_is_the_plain_difference(self):
         m = sf.coherent_superposition_moments(sf.CoherentPair(A_STAR, -A_STAR, 1.0))
-        assert m.excess == m.pair_mag - m.n
+        assert m.excess == m.R1 - m.n1
         assert sf.REGISTRY["coherent-pair"].layout.cells(m)[2] == one_mode_F(m)
 
     def test_negative_squeeze_rejected(self):
@@ -117,23 +117,23 @@ class TestCoherentPairMoments:
     def test_eta_zero_reduces_to_single_coherent(self):
         alpha = 1.1 * np.exp(0.7j)
         m = sf.coherent_superposition_moments(sf.CoherentPair(alpha, 2.0, 0.0))
-        assert m.n == pytest.approx(abs(alpha) ** 2, abs=1e-12)
-        assert m.pair_mag == pytest.approx(abs(alpha) ** 2, abs=1e-12)
-        assert m.pair_phase == pytest.approx(sf.wrap_angle(2 * np.angle(alpha)), abs=1e-12)
+        assert m.n1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
+        assert m.R1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
+        assert m.gamma1 == pytest.approx(sf.wrap_angle(2 * np.angle(alpha)), abs=1e-12)
 
     def test_identical_branches_recover_coherent_state(self):
         m = sf.coherent_superposition_moments(sf.CoherentPair(0.9, 0.9, 1.0))
         assert one_mode_F(m) == pytest.approx(0.0, abs=1e-12)
-        assert m.n == pytest.approx(0.81, abs=1e-12)
+        assert m.n1 == pytest.approx(0.81, abs=1e-12)
 
     def test_branch_swap_symmetry(self):
         # N(|a> + eta |b>) and N(|b> + (1/eta) |a>) are the same ray.
         a, b, eta = 0.6 + 0.2j, 1.4 * np.exp(2.1j), 0.8 * np.exp(-0.5j)
         m1 = sf.coherent_superposition_moments(sf.CoherentPair(a, b, eta))
         m2 = sf.coherent_superposition_moments(sf.CoherentPair(b, a, 1.0 / eta))
-        assert m1.n == pytest.approx(m2.n, abs=1e-10)
-        assert m1.pair_mag == pytest.approx(m2.pair_mag, abs=1e-10)
-        assert m1.pair_phase == pytest.approx(m2.pair_phase, abs=1e-10)
+        assert m1.n1 == pytest.approx(m2.n1, abs=1e-10)
+        assert m1.R1 == pytest.approx(m2.R1, abs=1e-10)
+        assert m1.gamma1 == pytest.approx(m2.gamma1, abs=1e-10)
 
     def test_mode_phase_rotation_shifts_gamma_only(self):
         a, b, eta = 0.7, 1.2 * np.exp(0.4j), 1.3 * np.exp(1.9j)
@@ -142,9 +142,9 @@ class TestCoherentPairMoments:
         m1 = sf.coherent_superposition_moments(
             sf.CoherentPair(a * np.exp(1j * phi), b * np.exp(1j * phi), eta)
         )
-        assert m1.n == pytest.approx(m0.n, abs=1e-12)
-        assert m1.pair_mag == pytest.approx(m0.pair_mag, abs=1e-12)
-        assert sf.wrap_angle(m1.pair_phase - m0.pair_phase - 2 * phi) == pytest.approx(
+        assert m1.n1 == pytest.approx(m0.n1, abs=1e-12)
+        assert m1.R1 == pytest.approx(m0.R1, abs=1e-12)
+        assert sf.wrap_angle(m1.gamma1 - m0.gamma1 - 2 * phi) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -165,8 +165,8 @@ class TestCoherentPairMoments:
     def test_ridge_endpoint_occupations(self):
         centered = sf.coherent_superposition_moments(sf.CoherentPair(A_STAR, -A_STAR, 1.0))
         shifted = sf.coherent_superposition_moments(sf.CoherentPair(0.0, 2 * A_STAR, 1.0))
-        assert centered.n == pytest.approx(0.3607677286194632, abs=1e-12)
-        assert shifted.n == pytest.approx(1.0, abs=1e-12)
+        assert centered.n1 == pytest.approx(0.3607677286194632, abs=1e-12)
+        assert shifted.n1 == pytest.approx(1.0, abs=1e-12)
         assert one_mode_F(shifted) == pytest.approx(F_RIDGE, abs=1e-12)
 
 
@@ -179,20 +179,20 @@ class TestSuperposedSqueezed:
     def test_eta_zero_reduction(self):
         m = sf.superposed_squeezed_moments(sf.SqueezedPair(1.3, 0.0))
         ref = sf.squeezed_vacuum_moments(1.3, 0.0)
-        assert m.n == pytest.approx(ref.n, abs=1e-12)
-        assert m.pair_mag == pytest.approx(ref.pair_mag, abs=1e-12)
+        assert m.n1 == pytest.approx(ref.n1, abs=1e-12)
+        assert m.R1 == pytest.approx(ref.R1, abs=1e-12)
 
     def test_equal_weights_kill_the_pair_moment(self):
         # At eta = -1 the surviving pair contribution is purely the
         # imaginary cross term, which vanishes for real eta.
         m = sf.superposed_squeezed_moments(sf.SqueezedPair(1.0, -1.0))
-        assert m.pair_mag == 0.0
-        assert m.n == pytest.approx(3.2415980313088735, abs=1e-9)
+        assert m.R1 == 0.0
+        assert m.n1 == pytest.approx(3.2415980313088735, abs=1e-9)
 
     def test_occupation_exceeds_single_branch_at_eta_minus_one(self):
         for r in (0.5, 1.0, 2.0):
             m = sf.superposed_squeezed_moments(sf.SqueezedPair(r, -1.0))
-            assert m.n > math.sinh(r) ** 2
+            assert m.n1 > math.sinh(r) ** 2
 
     def test_degenerate_at_zero_squeeze(self):
         with pytest.raises(sf.DegenerateStateError):
@@ -204,7 +204,7 @@ class TestSuperposedSqueezed:
 # ---------------------------------------------------------------------------
 
 
-def vacuum_plus_squeezed(r, eta) -> sf.OneModeMoments:
+def vacuum_plus_squeezed(r, eta) -> sf.TwoModeMoments:
     """N(|r> + eta |0>): the coherent-squeezed closed form at alpha = 0, delta = 0."""
     return sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.0, 0.0, eta))
 
@@ -230,9 +230,9 @@ class TestCoherentPlusSqueezed:
     def test_eta_zero_reduction(self):
         m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(0.9, 1.2, 0.5, 0.0))
         ref = sf.squeezed_vacuum_moments(0.9, 1.2)
-        assert m.n == pytest.approx(ref.n, abs=1e-12)
-        assert m.pair_mag == pytest.approx(ref.pair_mag, abs=1e-12)
-        assert m.pair_phase == pytest.approx(ref.pair_phase, abs=1e-12)
+        assert m.n1 == pytest.approx(ref.n1, abs=1e-12)
+        assert m.R1 == pytest.approx(ref.R1, abs=1e-12)
+        assert m.gamma1 == pytest.approx(ref.gamma1, abs=1e-12)
 
     def test_sign_alternation_along_r(self):
         # alpha = 0.6, eta = 1: F starts positive, dips negative, recovers.
@@ -264,7 +264,7 @@ class TestCoherentPlusSqueezed:
             n, pair_mag, excess = mp_squeezed_plus_coherent(r, delta, alpha, eta)
         m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
         assert not m.degenerate
-        for got, ref, scale in ((m.n, n, n), (m.pair_mag, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
+        for got, ref, scale in ((m.n1, n, n), (m.R1, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
             assert abs(got - ref) <= 1e-14 * scale
 
 
@@ -272,8 +272,8 @@ class TestVacuumPlusSqueezed:
     def test_eta_zero_reduction(self):
         m = vacuum_plus_squeezed(1.4, 0.0)
         ref = sf.squeezed_vacuum_moments(1.4, 0.0)
-        assert m.n == pytest.approx(ref.n, abs=1e-12)
-        assert m.pair_mag == pytest.approx(ref.pair_mag, abs=1e-12)
+        assert m.n1 == pytest.approx(ref.n1, abs=1e-12)
+        assert m.R1 == pytest.approx(ref.R1, abs=1e-12)
 
     def test_f_profile_at_eta_minus_one(self):
         m2 = vacuum_plus_squeezed(2.0, -1.0)
@@ -286,13 +286,13 @@ class TestVacuumPlusSqueezed:
         # occupation is 2 with a vanishing pair moment; at r = 0 itself the
         # state is the zero vector, flagged degenerate like every family's.
         m = vacuum_plus_squeezed(0.0, -1.0)
-        assert m.degenerate and all(math.isnan(v) for v in (m.n, m.pair_mag, m.pair_phase, m.excess))
+        assert m.degenerate and all(math.isnan(v) for v in (m.n1, m.R1, m.gamma1, m.excess))
         near = vacuum_plus_squeezed(1e-6, -1.0)
         with mpmath.workdps(60):
             n, pair_mag, excess = mp_squeezed_plus_coherent(1e-6, 0.0, 0.0, -1.0)
         assert not near.degenerate
-        assert abs(near.n - n) <= 1e-12 * n and float(n) == pytest.approx(2.0, abs=1e-11)
-        assert abs(near.pair_mag - pair_mag) <= 1e-12 * pair_mag
+        assert abs(near.n1 - n) <= 1e-12 * n and float(n) == pytest.approx(2.0, abs=1e-11)
+        assert abs(near.R1 - pair_mag) <= 1e-12 * pair_mag
         assert abs(near.excess - excess) <= 1e-12 * abs(excess)
 
     @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j, -1.0 + 3e-5j])
@@ -314,7 +314,7 @@ class TestVacuumPlusSqueezed:
             pair_mag = abs(s * c * (1 + mpmath.conj(h) * c ** mpmath.mpf(-2.5))) / denom
             excess = pair_mag - n
         m = vacuum_plus_squeezed(r, eta)
-        for got, ref, scale in ((m.n, n, n), (m.pair_mag, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
+        for got, ref, scale in ((m.n1, n, n), (m.R1, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
             assert abs(got - ref) <= 1e-12 * scale
 
 
@@ -368,13 +368,13 @@ class TestSqueezedSuperpositionExcess:
         cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.7, 0.6 + 0.3j, 1.0))
         ss = sf.superposed_squeezed_moments(sf.SqueezedPair(r, 0.5 - 0.2j))
         for m in (vs, cs, ss):
-            assert m.excess == pytest.approx(m.pair_mag - m.n, abs=1e-14)
+            assert m.excess == pytest.approx(m.R1 - m.n1, abs=1e-14)
 
     def test_degenerate_corner_is_flagged_like_every_family(self):
         # r = 0, eta = -1 is the zero vector: flagged, every moment NaN, and
         # the sweep and search treat it as every other degenerate row.
         m = vacuum_plus_squeezed(0.0, -1.0)
-        assert m.degenerate and math.isnan(m.excess) and math.isnan(m.n)
+        assert m.degenerate and math.isnan(m.excess) and math.isnan(m.n1)
 
 
 
@@ -642,14 +642,37 @@ def test_batch_rows_match_batch_of_one_bit_for_bit(name, fixed, key, values, fla
         assert _rows(family, _evaluate(family, fixed, key, v)) == [row]
 
 
+#: Families whose closed form has no expression of F of its own.
+PLAIN_EXCESS = ("coherent-pair", "barnett-radmore", "zhang", "entangled-coherent")
+RECORD_SWEPT = [(name, fixed, key) for name, fixed, key in SWEPT if sf.REGISTRY[name].layout is not sf.SCALAR]
+
+
+@pytest.mark.parametrize(
+    "name,fixed,key,values",
+    [(*case, np.linspace(0.0, 2.5, 26)) for case in RECORD_SWEPT] + [case[:4] for case in WITH_DEGENERATE_ROWS],
+    ids=[f"{name}-{key}" for name, _, key in RECORD_SWEPT] + [f"{c[0]}-degenerate" for c in WITH_DEGENERATE_ROWS],
+)
+def test_every_family_returns_the_one_record(name, fixed, key, values):
+    family = sf.REGISTRY[name]
+    m = _evaluate(family, fixed, key, values)
+    assert type(m) is sf.TwoModeMoments
+    if family.layout is sf.ONE_MODE:
+        # mode 2 stays empty, as one plain 0.0 for the whole batch
+        empty = (m.n2, m.R2, m.R3, m.R4, m.gamma2, m.gamma3, m.gamma4)
+        assert all(type(v) is float and v == 0.0 for v in empty)
+    assert np.array_equal(m.degenerate, m.denominator < sf.DEGENERATE_DENOMINATOR)
+    if name in PLAIN_EXCESS:
+        assert np.asarray(m.excess).tobytes() == np.asarray(m.R1 - m.n1).tobytes()
+
+
 def test_scalar_call_returns_numpy_scalars_and_batch_returns_rows():
     m = sf.coherent_superposition_moments(sf.CoherentPair(0.8, -0.8, 1.0))
-    assert all(isinstance(v, np.float64) for v in (m.n, m.pair_mag, m.pair_phase, m.excess))
+    assert all(isinstance(v, np.float64) for v in (m.n1, m.R1, m.gamma1, m.excess))
     assert not m.degenerate
     m = sf.coherent_superposition_moments(sf.CoherentPair(np.array([0.8, 0.5]), np.array([-0.8, 0.5]), -1.0))
-    assert m.n.shape == m.degenerate.shape == (2,)
+    assert m.n1.shape == m.degenerate.shape == (2,)
     assert m.degenerate.tolist() == [False, True]
-    assert np.isnan(m.n[1]) and np.isfinite(m.n[0])
+    assert np.isnan(m.n1[1]) and np.isfinite(m.n1[0])
 
 
 def test_polar_keeps_the_phase_cut_and_the_zero_convention():
@@ -662,8 +685,8 @@ def test_polar_keeps_the_phase_cut_and_the_zero_convention():
     # The squeezed vacuum at delta = 0 has the pair moment -sinh r cosh r - 0j:
     # row 0 (r = 0) is the zero convention, every other row sits on the cut.
     m = sf.squeezed_vacuum_moments(np.linspace(0.0, 1.0, 5), 0.0)
-    assert m.pair_mag[0] == 0.0 and m.pair_phase[0] == 0.0
-    assert np.all(m.pair_mag[1:] > 0.0) and np.all(m.pair_phase[1:] == math.pi)
+    assert m.R1[0] == 0.0 and m.gamma1[0] == 0.0
+    assert np.all(m.R1[1:] > 0.0) and np.all(m.gamma1[1:] == math.pi)
 
 
 def _stencil(view: sf.SearchView, x) -> np.ndarray:
@@ -695,8 +718,11 @@ def test_search_stencil_rows_match_each_row_alone_bit_for_bit(view_name):
         for i, row in enumerate(stencil):
             alone = view.moments_of(row)
             for f in dataclasses.fields(batch):
-                value = getattr(alone, f.name)
+                value, column = getattr(alone, f.name), getattr(batch, f.name)
+                if type(column) is float:  # one plain value for every row: an empty channel, a denominator of 1
+                    assert type(value) is float and value == column, f.name
+                    continue
                 assert np.shape(value) == () and isinstance(value, np.generic), f.name
-                assert np.asarray(getattr(batch, f.name))[i].tobytes() == value.tobytes(), (i, f.name)
+                assert np.asarray(column)[i].tobytes() == value.tobytes(), (i, f.name)
     if "delta2" in view.names:
         assert bool(view.moments_of(_stencil_points(view)[-1]).degenerate)

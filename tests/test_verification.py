@@ -47,10 +47,31 @@ def test_draw_stream_is_key_by_key_then_row_by_row():
         assert (drawn.alpha[row], drawn.beta[row], drawn.eta[row]) == (expected.alpha, expected.beta, expected.eta)
 
 
+def test_draw_drops_exactly_the_candidates_below_the_guard(monkeypatch):
+    # At the real guard (1e-6) no seeded draw comes near it; at 0.5, 3 of the
+    # first 103 entangled-coherent candidates of the verify stream fall below.
+    # The kept draws are the stream's rows in order, less exactly those whose
+    # denominator 2 (1 + cos theta e^{-4 sigma^2}) is below the guard.
+    monkeypatch.setattr(verification, "_DENOM_GUARD", 0.5)
+    family = REGISTRY["entangled-coherent"]
+    key = [7, FAMILIES.index("entangled-coherent")]
+    drawn = verification._draw(family, np.random.default_rng(key), 100)
+    rng, expected, dropped = np.random.default_rng(key), [], 0
+    while len(expected) < 100:
+        sigma, theta, delta1, delta2 = (rng.uniform(0.0, upper) for upper in family.draws.values())
+        if 2.0 * (1.0 + math.cos(theta) * math.exp(-4.0 * sigma**2)) < 0.5:
+            dropped += 1
+        else:
+            expected.append([sigma, theta, delta1, delta2])
+    assert dropped == 3
+    assert drawn.tolist() == expected
+    assert np.all(family.moments(verification._record(family, drawn)).denominator >= 0.5)
+
+
 def test_nan_closed_form_moment_fails(monkeypatch):
     # A NaN occupation compares as a NaN deviation while every tail stays finite.
     broken = dataclasses.replace(
-        REGISTRY["coherent-pair"], moments=lambda p: dataclasses.replace(coherent_superposition_moments(p), n=np.nan)
+        REGISTRY["coherent-pair"], moments=lambda p: dataclasses.replace(coherent_superposition_moments(p), n1=np.nan)
     )
     monkeypatch.setitem(REGISTRY, "coherent-pair", broken)
     report = verify_family("coherent-pair", draws=3, seed=7)
