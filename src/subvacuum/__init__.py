@@ -8,7 +8,7 @@ The package has five layers:
 * :mod:`subvacuum.state_families` — closed-form moments (n, R, gamma) for the
   state families of interest, one record type for one- and two-mode states;
   every closed form also carries the excess F = R1 - n1, cancellation-free
-  where the family is squeezed, and its normalization denominator.
+  but for the coherent pair, and its normalization denominator.
 * :mod:`subvacuum.energy_density` — the density as a function of the moments,
   closed-form minima, and a numeric spacetime minimizer.
 * :mod:`subvacuum.optimizer` — multi-start L-BFGS-B search for the largest

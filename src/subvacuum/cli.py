@@ -364,7 +364,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # a repeated --family is verified once, where it first appears
     families = tuple(dict.fromkeys(args.family)) if args.family else verification.FAMILIES
     reports = verification.verify_all(families, draws=args.draws, seed=args.seed, cutoff_cap=args.cutoff)
-    identities = verification.appendix_identity_report(cutoff_cap=max(args.cutoff, 8192)) if args.draws > 0 else []
+    identities = verification.appendix_identity_report(cutoff_cap=args.cutoff) if args.draws > 0 else []
 
     header = ["kind", "name", "detail", "deviation", "tolerance", "tail_bound", "passed", "note"]
     rows: list[list[object]] = []

@@ -135,6 +135,15 @@ def _normalization(denom):
     return np.where(denom < DEGENERATE_DENOMINATOR, np.nan, 1.0 / denom)
 
 
+def _denominator(eta, L):
+    """1 + |eta|^2 + 2 Re(eta e^L), the squared norm of |A> + eta |B> with L = log <A|B>.
+
+    As |(1 + eta) + eta expm1(L)|^2 - |eta|^2 expm1(2 Re L) it keeps its
+    digits as the branches coincide, and at -eta as they oppose.
+    """
+    return np.abs((1.0 + eta) + eta * np.expm1(L)) ** 2 - np.abs(eta) ** 2 * np.expm1(2.0 * L.real)
+
+
 def regular(m):
     """``m`` itself, or :class:`DegenerateStateError` if any of its rows is degenerate."""
     if np.any(m.degenerate):
@@ -156,15 +165,12 @@ class TwoModeMoments:
     <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).  A one-mode
     state occupies mode 1: n2 = R2 = R3 = R4 = 0.
 
-    ``excess`` is F = R1 - n1 as the closed form computes it.  Under
-    squeezing both R1 and n1 grow like e^{2r}/4, so their float64 difference
-    keeps only a few digits of F at large r; every squeezed one-mode family
-    therefore evaluates F from a closed form of F itself, and the other
-    families take the plain difference.  ``denominator`` is the
-    normalization denominator of a superposition (1 for any other state).
-    Each field holds one value per row of the batch, or one plain float for
-    every row; ``degenerate`` marks the rows whose normalization vanished,
-    where every normalized moment is NaN.
+    ``excess`` is F = R1 - n1, from a closed form of F itself wherever their
+    float64 difference would cancel (under squeezing both grow like e^{2r}/4).
+    ``denominator`` is the normalization denominator of a superposition (1 for
+    any other state).  Each field holds one value per row of the batch, or one
+    plain float for every row; ``degenerate`` marks the rows whose
+    normalization vanished, where every normalized moment is NaN.
     """
 
     n1: Any
@@ -289,7 +295,7 @@ def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
     alpha, beta, eta = params.alpha, params.beta, params.eta
     alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
     ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    denom = 1.0 + weight + 2.0 * (eta * ov).real
+    denom = 1.0 + weight + 2.0 * (eta * ov).real  # n and the pair cancel too: _denominator alone gains no digit
     norm2 = _normalization(denom)
     n = norm2 * (alpha2 + np.abs(eta * beta) ** 2 + 2.0 * (eta * np.conj(alpha) * beta * ov).real)
     alpha_sq, beta_sq = alpha**2, beta**2
@@ -324,49 +330,46 @@ def superposed_squeezed_moments(params: SqueezedPair) -> TwoModeMoments:
     s, c = np.sinh(r), np.cosh(r)
     c2 = np.cosh(2.0 * r)
     weight = np.abs(eta) ** 2
-    denom = 1.0 + weight + 2.0 * eta.real * (1.0 / np.sqrt(c2))
-    norm2 = _normalization(denom)
+    denom = _denominator(eta, -0.5 * np.log1p(2.0 * s * s))
     cross_n = s * s / c2**1.5
     cross_pair = s * c / c2**1.5
-    n = norm2 * (s * s * (1.0 + weight) - 2.0 * eta.real * cross_n)
-    pair = norm2 * ((weight - 1.0) * s * c + 2j * eta.imag * cross_pair)
+    pair = (weight - 1.0) * s * c + 2j * eta.imag * cross_pair
     rest = weight * s * c + 2j * eta.imag * cross_pair
-    excess = _squeezed_excess(r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, norm2)
-    return _moments(shape, n, pair, excess=excess, denominator=denom)
+    return _squeezed_superposition(shape, r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, pair, denom)
 
 
-def _squeezed_excess(r, sq, rest, rest_n, norm2):
-    """F = R - n of a squeezed vacuum superposed with another state.
+def _squeezed_superposition(shape, r, sq, rest, rest_n, pair, denom):
+    """Moments of a squeezed vacuum superposed with another state, from their unnormalized sums.
 
-    The unnormalized pair moment is sq + rest, where sq = -sinh r cosh r
-    e^{i delta} is the squeezed vacuum's own, and the unnormalized occupation
-    is sinh^2 r + rest_n.  F / norm2 = (|sq + rest| - |sq|)
-    + (sinh r cosh r - sinh^2 r) - rest_n, where the first difference is
-    evaluated as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|) and
-    the second as -expm1(-2r)/2, so neither cancels as e^{2r} grows.
+    The pair moment is ``pair`` = sq + rest, where sq = -sinh r cosh r
+    e^{i delta} is the squeezed vacuum's own, the occupation is
+    n = sinh^2 r + rest_n, and ``denom`` normalizes both.  F is |pair| - n
+    where that cannot cancel (|pair| < n/2, or |pair| + n < |sq|), else
+    (|sq + rest| - |sq|) + (sinh r cosh r - sinh^2 r) - rest_n: the first
+    difference as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|),
+    the second as -expm1(-2r)/2, neither cancelling.
     """
+    norm2 = _normalization(denom)
+    n = np.sinh(r) ** 2 + rest_n
     total = np.abs(sq + rest) + np.abs(sq)
     gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
-    return norm2 * (gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
+    near = np.abs(pair) < np.maximum(0.5 * n, np.abs(sq) - n)
+    excess = norm2 * np.where(near, np.abs(pair) - n, gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
+    return _moments(shape, norm2 * n, norm2 * pair, excess=excess, denominator=denom)
 
 
 @_quiet
 def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     """Moments of N(|r, delta> + eta |alpha>), and of vacuum-squeezed |r> + eta |0> at alpha = delta = 0.
 
-    The branch overlap is e^L = <r, delta|alpha> with
-    L = -(|alpha|^2 + log1p(2 sinh^2(r/2)) + e^{-i delta} alpha^2 tanh r) / 2,
-    and the denominator 1 + |eta|^2 + 2 Re(eta e^L) is evaluated as
-    |(1 + eta) + eta expm1(L)|^2 - |eta|^2 expm1(2 Re L), which does not
-    cancel as the branches coincide.  The mixed ladder moments carry one
-    extra tanh r per pair index.  Sums that cancel as the branches coincide
-    are written around 1 + conj(eta) and expm1(L): the squeezed branch's pair
-    moment and its cross term are -e^{i delta} tanh r [(1 + conj eta)
-    + sinh^2 r + conj(eta) (expm1(conj L) - conj(alpha^2 e^L) e^{i delta} tanh r)],
-    the coherent branch's and its cross term eta alpha^2 [(1 + conj eta)
-    + expm1(L)].  F is |<a^2>| - n where that cannot cancel (|<a^2>| < n/2)
-    or sums terms smaller than the sinh r cosh r of :func:`_squeezed_excess`
-    (|<a^2>| + n < sinh r cosh r); elsewhere the latter.
+    The branch overlap is e^L = <r, delta|alpha> with L = -(|alpha|^2
+    + log1p(2 sinh^2(r/2)) + e^{-i delta} alpha^2 tanh r) / 2.  The mixed
+    ladder moments carry one extra tanh r per pair index.  Sums that cancel
+    as the branches coincide are written around 1 + conj(eta) and expm1(L):
+    the squeezed branch's pair moment and its cross term are -e^{i delta}
+    tanh r [(1 + conj eta) + sinh^2 r + conj(eta) (expm1(conj L)
+    - conj(alpha^2 e^L) e^{i delta} tanh r)], the coherent branch's and its
+    cross term eta alpha^2 [(1 + conj eta) + expm1(L)].
     """
     shape, params = _batch(params)
     r, alpha, eta = params.r, params.alpha, params.eta
@@ -375,22 +378,16 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     t, rotor = np.tanh(r), np.exp(1j * params.delta)
     L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * t)
     ov, em = np.exp(L), np.expm1(L)
-    denom = np.abs((1.0 + eta) + eta * em) ** 2 - np.abs(eta) ** 2 * np.expm1(2.0 * L.real)
-    norm2 = _normalization(denom)
+    denom = _denominator(eta, L)
     conj_eta, alpha_sq, turn = np.conj(eta), alpha**2, rotor * t
     twist = np.conj(alpha_sq * ov) * turn
     rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * twist).real
-    occupation = s * s + rest_n
     # rest: the pair moment less the squeezed branch's own, from its own terms
     rest = eta * alpha_sq * ((1.0 + conj_eta) + em)
     pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - twist))
     rest += conj_eta * turn * (twist - np.conj(ov))
     del L, ov, em, twist, turn  # the working set: no more than the moments need from here
-    excess = _squeezed_excess(r, -s * np.cosh(r) * rotor, rest, rest_n, norm2)
-    near = np.abs(pair) < np.maximum(0.5 * occupation, s * np.cosh(r) - occupation)
-    if near.any():
-        excess = np.where(near, norm2 * (np.abs(pair) - occupation), excess)
-    return _moments(shape, norm2 * occupation, norm2 * pair, excess=excess, denominator=denom)
+    return _squeezed_superposition(shape, r, -s * np.cosh(r) * rotor, rest, rest_n, pair, denom)
 
 
 # --------------------------------------------------------------------------
@@ -418,11 +415,11 @@ def zhang_moments(params: ZhangReal) -> TwoModeMoments:
     r, theta = params.r, params.theta
     _check_magnitude(r)
     s = np.sinh(r)
-    c2 = np.cosh(2.0 * r)
-    denom = 2.0 * (1.0 + np.cos(theta) / c2)
+    eta, L = np.exp(1j * theta), -np.log1p(2.0 * s * s)
+    denom = _denominator(eta, L)
     norm2 = _normalization(denom)
-    n = 2.0 * norm2 * s * s * (1.0 - np.cos(theta) / c2**2)
-    pair = -1j * norm2 * np.sin(theta) * np.sinh(2.0 * r) / c2**2
+    n = norm2 * s * s * _denominator(-eta, 2.0 * L)
+    pair = -1j * norm2 * np.sin(theta) * np.sinh(2.0 * r) * np.exp(2.0 * L)
     return _moments(shape, n, pair, n2=n, b2=pair, denominator=denom)
 
 
@@ -463,19 +460,22 @@ def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     Because both branches are eigenstates of a^2, b^2 and ab, those channels
     keep their bare coherent values; only the occupations and the
     beam-splitter channel feel the superposition, through the branch overlap
-    e^{-4 sigma^2}.  sigma = 0 with theta = pi is degenerate.
+    e^L = e^{-4 sigma^2}.  F = sigma^2 - n1 is 4 sigma^2 cos(theta) e^L over
+    the denominator.  sigma = 0 with theta = pi is degenerate.
     """
     shape, params = _batch(params)
     sigma, theta = params.sigma, params.theta
     _check_magnitude(sigma, "coherent")
     alpha = sigma * np.exp(1j * params.delta1)
     beta = sigma * np.exp(1j * params.delta2)
-    overlap4 = np.exp(-4.0 * sigma**2)
-    denom = 2.0 * (1.0 + np.cos(theta) * overlap4)
+    eta, L = np.exp(1j * theta), -4.0 * sigma**2
+    denom = _denominator(eta, L)
     norm2 = _normalization(denom)
-    n = 2.0 * norm2 * sigma**2 * (1.0 - np.cos(theta) * overlap4)
-    beam = 2.0 * norm2 * np.conj(alpha) * beta * (1.0 - np.cos(theta) * overlap4)
-    return _moments(shape, n, alpha**2, n2=n, b2=beta**2, adag_b=beam, ab=alpha * beta, denominator=denom)
+    odd = norm2 * _denominator(-eta, L)
+    n = sigma**2 * odd
+    excess = 4.0 * sigma**2 * np.cos(theta) * np.exp(L) * norm2 + 0.0  # + 0.0: a zero F prints 0, not -0
+    return _moments(shape, n, alpha**2, n2=n, b2=beta**2, adag_b=np.conj(alpha) * beta * odd, ab=alpha * beta,
+                    excess=excess, denominator=denom)
 
 
 @_quiet

@@ -39,9 +39,9 @@ __all__ = [
     "appendix_identity_report",
 ]
 
-#: Draw guard: parameter draws keeping the normalization denominator above
-#: this are accepted; closer-to-degenerate draws are redrawn (the closed
-#: forms and the oracle both lose precision as 1/denominator blows up).
+#: Draw guard: draws whose normalization denominator is below this are
+#: redrawn.  The closed forms keep their digits there (all but the coherent
+#: pair's), but the oracle's ``superpose`` loses them as 1/denominator grows.
 _DENOM_GUARD = 1e-6
 
 #: Tail mass that each compared state must meet on its own (a two-mode tail
@@ -195,7 +195,7 @@ def verify_all(
 def appendix_identity_report(
     r_values: Iterable[float] = (0.5, 1.0, 2.0),
     alpha: float = 0.6,
-    cutoff_cap: int = 8192,
+    cutoff_cap: int = 4096,
 ) -> list[IdentityRow]:
     """Check the hyperbolic matrix-element identities at fixed squeeze values.
 

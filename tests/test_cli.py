@@ -162,6 +162,43 @@ class TestSweep:
         _, rows = read_csv(out)
         assert [cells[3] for cells in rows] == expected
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # Beside the zero-norm state the limits are the two-photon state
+            # (n = 2), n1 = 1 and sigma^2 coth 2 sigma^2 = 0.5; the cells once
+            # printed 2.00026632, 1.00002212 and 0.499997183.
+            (["--family", "superposed-squeezed", "--set", "eta=-1", "--sweep", "r=1e-6:1e-6:1"], {"n": "2", "F": "-2"}),
+            (["--family", "zhang", "--set", "theta=pi", "--sweep", "r=1e-6:1e-6:1"], {"n1": "1", "n2": "1", "F": "-1"}),
+            (
+                ["--family", "entangled-coherent", "--set", "theta=pi", "--sweep", "sigma=1e-6:1e-6:1"],
+                {"n1": "0.5", "n2": "0.5", "R3": "0.5", "F": "-0.5"},
+            ),
+        ],
+    )
+    def test_cells_beside_a_degenerate_superposition_keep_their_digits(self, tmp_path, argv, expected):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        for cells in rows:
+            assert {key: cells[header.index(key)] for key in expected} == expected
+
+    def test_entangled_coherent_excess_cells_are_its_closed_form(self, tmp_path):
+        # 2 sigma^2 cos(theta) e^{-4 sigma^2} / (1 + cos(theta) e^{-4 sigma^2})
+        # at theta = pi, rounded from 50-digit values; sigma^2 - n1 printed
+        # -3.55271368e-15 at sigma = 3 and 0 at sigma = 3.5 and 4.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "entangled-coherent", "--set", "theta=pi", "--sweep", "sigma=2:4:4",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [cells[-1] for cells in rows] == [
+            "-9.00281499e-07", "-1.73599298e-10", "-4.17514109e-15", "-1.28450699e-20", "-5.13219485e-27"
+        ]
+        # an F of zero prints 0, never -0
+        assert main(["sweep", "--family", "entangled-coherent", "--set", "theta=2", "--sweep", "sigma=0:1:2",
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[1][0] == ["0", "0", "0", "0", "0", "0", "0", "0"]
+
     def test_degenerate_point_leaves_cells_empty(self, tmp_path):
         out = tmp_path / "zhang.csv"
         code = main(
@@ -418,7 +455,8 @@ class TestSweep:
         [
             # The first non-finite row, where the row-by-row sweep reported it.
             (["--family", "barnett-radmore", "--sweep", "r=300:400:1000"], "r=355.6"),
-            (["--family", "superposed-squeezed", "--set", "eta=0.7", "--sweep", "r=0:400:1000"], "r=178.4"),
+            # (F is |<a^2>| - n here, finite until sinh^2 r overflows)
+            (["--family", "superposed-squeezed", "--set", "eta=0.7", "--sweep", "r=0:400:1000"], "r=355.6"),
             (["--family", "coherent-squeezed", "--sweep", "r=0:800:1000"], "r=356"),
             (["--family", "vacuum-squeezed", "--sweep", "r=700:720:200"], "r=700"),
             (["--family", "zhang", "--sweep", "r=0:400:2"], "r=400"),
@@ -845,6 +883,15 @@ class TestVerify:
         code = main(["verify", "--family", "zhang", "--draws", "1", "--cutoff", "8"])
         assert code == 3
         assert "numeric failure" in quiet_stderr()
+
+    def test_cutoff_caps_the_identity_states_too(self, capsys):
+        # The entangled coherent draw resolves below 512; the r = 2 identity states need 1024.
+        assert main(["verify", "--family", "entangled-coherent", "--draws", "1", "--seed", "7", "--cutoff", "512"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "subvacuum verify: numeric failure: no cutoff <= 512 reaches tail mass 1.0e-12; state spreads too far\n"
+        )
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path):

@@ -35,13 +35,15 @@ GOLDEN = [
      "38c75fb297115184eb20c058463c503685871ddf71f2be83f58a343bbad49066"),
     ("sweep --family barnett-radmore --sweep r=0:2:20",
      "be54e9dfd3d079f54ba01f4780d3e9c07deadcedaea23919e685d74638283997"),
+    # F from its own closed form: 9.00281296e-07 at sigma = 2, the exact value rounded.
     ("sweep --family entangled-coherent --sweep sigma=0:2:20",
-     "21faad89d09c57cd452deb30e4211b99eeba4e247d77ebc2242bf2ed58ac13d9"),
+     "cc52d7610c3cc74c0bbf50f6a884d2db1de168602d3e55cc11e69803b32f143e"),
     ("sweep --family ecs-f --sweep sigma=0:2:20",
      "4ad9b59be745e6e84edc587a4260e6857db99d76fed01b899f0cb73a744205d5"),
     # Sweeps that span several row blocks; the JSON one opens on a degenerate row.
+    # 26 F cells move in the ninth digit; all 9,001 are the exact values rounded.
     ("sweep --family entangled-coherent --sweep sigma=0:2:9000",
-     "83cc041f3724a195e300edc82820d9f8320e66d49fb501adda1e1bb69d982d85"),
+     "02b8421a4c005fddeb388d6d634f8e9b47124b4cdd3eacf53b6a5f49eef75944"),
     ("sweep --family vacuum-squeezed --set eta=-1 --sweep r=0:1:5000 --format json",
      "209707941f82dd1b90d8ebff13a439f728c1303c78bb411cf6b94cd243d80340"),
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
@@ -66,10 +68,12 @@ GOLDEN = [
      "772087dc51b265498048abe1d7c74c490783759a1490d20ed2bd34ae0b8a23bc"),
     ("density --family coherent-squeezed --geometry traveling:1:2:0 --grid-n 16",
      "733cb911f5f7e5b608120ec3e71dc98f1d1e1ac4fbfd295a7f92b712d281080d"),
+    # The cancellation-free denominator moves n and F in their last digits, nearer 50-digit values.
     ("sweep --family superposed-squeezed --set eta=-1 --sweep r=0:0.5:20 --format json",
-     "28ea1146cf62ccbc61c7368bdd17a85339c82290b47993d57e0666f8f0b80af5"),
+     "dc9f5cb3c7182f2fe8285516cc58e3cf60824d3ed4f3d4486cfc31fde295f22d"),
+    # The superposed-squeezed deviation moves at rounding level: 1.61426428e-13 -> 1.62314606e-13.
     ("verify --draws 2 --seed 7",
-     "4bab29a07e60cc550822cfa84788f1173ed04f90e105aca8bfd3b1684560775b"),
+     "3e5dff6f8b4fa416240df6673691dd9b101302549e88de06840084fd983b0360"),
 ]
 
 

@@ -258,7 +258,7 @@ class TestCoherentPlusSqueezed:
         # amplitude and a squeeze phase: the branches still nearly coincide.
         # Over this grid n, |<a^2>| and F (relative to max(|F|, n)) measured
         # within 7.3e-16 of the 60-digit values.  Sums written without expm1
-        # lost up to 4e-8; F from _squeezed_excess wherever |<a^2>| >= n/2
+        # lost up to 4e-8; F from the expm1(-2r) form wherever |<a^2>| >= n/2
         # lost up to 2.7e-13.
         with mpmath.workdps(60):
             n, pair_mag, excess = mp_squeezed_plus_coherent(r, delta, alpha, eta)
@@ -305,7 +305,7 @@ class TestVacuumPlusSqueezed:
         # eta = -1 + 1e-3 i it is -9.0e-8 against n = 0.67, next to the zero
         # of F near |1 + eta| = r, and keeps 9 relative digits there.  At
         # r = 1e-5, eta = -1 + 3e-5 i, where |<a^2>| > n/2 but both are far
-        # below sinh r cosh r, _squeezed_excess would lose 8e-12 of F.
+        # below sinh r cosh r, the expm1(-2r) form would lose 8e-12 of F.
         with mpmath.workdps(60):
             s, c = mpmath.sinh(r), mpmath.cosh(r)
             h = mpmath.mpc(eta)
@@ -327,14 +327,14 @@ def mp_vacuum_plus_squeezed_F(r, eta):
     return (abs(pair) - s * s) / denom
 
 
-def mp_superposed_squeezed_F(r, eta):
-    """|<a^2>| - n of N(|r> + eta |-r>) at the working mpmath precision."""
+def mp_superposed_squeezed(r, eta):
+    """(n, |<a^2>|, |<a^2>| - n) of N(|r> + eta |-r>) at the working mpmath precision."""
     r, eta = mpmath.mpf(r), mpmath.mpc(eta)
     s, c, c2 = mpmath.sinh(r), mpmath.cosh(r), mpmath.cosh(2 * r)
     denom = 1 + abs(eta) ** 2 + 2 * eta.real / mpmath.sqrt(c2)
     n = s * s * (1 + abs(eta) ** 2) - 2 * eta.real * s * s / c2 ** mpmath.mpf(1.5)
     pair = (abs(eta) ** 2 - 1) * s * c + 2j * eta.imag * s * c / c2 ** mpmath.mpf(1.5)
-    return (abs(pair) - n) / denom
+    return n / denom, abs(pair) / denom, (abs(pair) - n) / denom
 
 
 def mp_coherent_plus_squeezed_F(r, delta, alpha, eta):
@@ -418,7 +418,7 @@ def superposed_squeezed_excesses(rng):
     for _ in range(200):
         r = float(rng.uniform(0.5, 20.0))
         eta = complex(10.0 ** rng.uniform(-9.0, math.log10(4.0)) * np.exp(1j * rng.uniform(0.0, TAU)))
-        yield sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta)).excess, mp_superposed_squeezed_F(r, eta)
+        yield sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta)).excess, mp_superposed_squeezed(r, eta)[2]
 
 
 def coherent_pair_excesses(name):
@@ -483,6 +483,67 @@ def test_excess_matches_50_digit_reference(family):
         pairs = [(got, float(ref)) for got, ref in excesses(np.random.default_rng(2024))]
     worst = max(abs(got - ref) / unit(ref) for got, ref in pairs)
     assert worst <= bound
+
+
+# ---------------------------------------------------------------------------
+# Beside a degenerate superposition
+# ---------------------------------------------------------------------------
+
+
+def mp_zhang(r, theta):
+    """(n1, |<a^2>|, |<a^2>| - n1) of the phase-superposed pair at the working mpmath precision."""
+    r, theta = mpmath.mpf(r), mpmath.mpf(theta)
+    s, c2 = mpmath.sinh(r), mpmath.cosh(2 * r)
+    denom = 2 * (1 + mpmath.cos(theta) / c2)
+    n = 2 * s * s * (1 - mpmath.cos(theta) / c2**2) / denom
+    pair = abs(mpmath.sin(theta)) * mpmath.sinh(2 * r) / c2**2 / denom
+    return n, pair, pair - n
+
+
+def mp_entangled_coherent(sigma, theta):
+    """(n1, |<a^2>| = sigma^2, sigma^2 - n1) of the entangled coherent state at the working mpmath precision."""
+    sigma, theta = mpmath.mpf(sigma), mpmath.mpf(theta)
+    odd = mpmath.cos(theta) * mpmath.exp(-4 * sigma**2)
+    n = sigma**2 * (1 - odd) / (1 + odd)
+    return n, sigma**2, sigma**2 - n
+
+
+#: Shell -> (closed-form moments and 50-digit (n1, R1, F) at a distance k
+#: from the cancelling weight or phase and a squeeze r or amplitude sigma x).
+#: At theta = 0 the branches add, but their overlap still tends to 1.
+DEGENERATE_SHELLS = {
+    "superposed-squeezed-eta=-1+ik": (
+        lambda k, x: sf.superposed_squeezed_moments(sf.SqueezedPair(x, -1.0 + 1j * k)),
+        lambda k, x: mp_superposed_squeezed(x, mpmath.mpc(-1, k)),
+    ),
+    "zhang-theta=pi-k": (
+        lambda k, x: sf.zhang_moments(sf.ZhangReal(x, math.pi - k)),
+        lambda k, x: mp_zhang(x, math.pi - k),
+    ),
+    "zhang-theta=0": (lambda k, x: sf.zhang_moments(sf.ZhangReal(x, 0.0)), lambda k, x: mp_zhang(x, 0.0)),
+    "entangled-coherent-theta=pi-k": (
+        lambda k, x: sf.entangled_coherent_moments(sf.EntangledCoherent(x, math.pi - k, 0.0, 0.0)),
+        lambda k, x: mp_entangled_coherent(x, math.pi - k),
+    ),
+    "entangled-coherent-theta=0": (
+        lambda k, x: sf.entangled_coherent_moments(sf.EntangledCoherent(x, 0.0, 0.0, 0.0)),
+        lambda k, x: mp_entangled_coherent(x, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("shell", DEGENERATE_SHELLS)
+def test_moments_beside_a_degenerate_superposition_match_50_digits(shell):
+    # Denominators down to ~1e-12.  Relative error measured at most 9.2e-16
+    # (superposed-squeezed F); the hand-written denominators lost up to 5.9e-5.
+    closed, reference = DEGENERATE_SHELLS[shell]
+    k, x = (grid.ravel() for grid in np.meshgrid(np.logspace(-6, -3, 7), np.logspace(-6, -2, 9)))
+    m = closed(k, x)
+    with mpmath.workdps(50):
+        refs = [reference(*point) for point in zip(k.tolist(), x.tolist())]
+    for column, field in enumerate(("n1", "R1", "excess")):
+        for got, ref in zip(getattr(m, field), (float(r[column]) for r in refs)):
+            assert abs(got - ref) <= 2e-15 * abs(ref), (field, got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +704,7 @@ def test_batch_rows_match_batch_of_one_bit_for_bit(name, fixed, key, values, fla
 
 
 #: Families whose closed form has no expression of F of its own.
-PLAIN_EXCESS = ("coherent-pair", "barnett-radmore", "zhang", "entangled-coherent")
+PLAIN_EXCESS = ("coherent-pair", "barnett-radmore", "zhang")
 RECORD_SWEPT = [(name, fixed, key) for name, fixed, key in SWEPT if sf.REGISTRY[name].layout is not sf.SCALAR]
 
 
