@@ -128,10 +128,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     point, since L-BFGS-B revisits points on the box edges.
     """
     p0 = view.clamp(np.asarray(start, dtype=float))
-    dim = view.dim
-    angular = np.array(view.angular)
-    lo = np.where(angular, -np.inf, view.lower)
-    hi = np.where(angular, np.inf, view.upper)
+    lo, hi = view.lo, view.hi
     evaluated: dict[bytes, tuple[float, np.ndarray | None]] = {}
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -143,14 +140,11 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
         key = x.tobytes()
         if key not in evaluated:
             h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
-            rows = np.empty((dim + 1, dim))
-            rows[0] = x
-            np.add(x, 0.0, out=rows[1:])  # x + diag(h) off the diagonal, where -0.0 becomes 0.0
-            rows[1:].flat[:: dim + 1] = x + h
+            rows = np.concatenate((x[None], x + np.diag(h)))  # off the diagonal x + 0.0, where -0.0 becomes 0.0
             neg = -objective_F(view, view.clamp(rows))
             # A degenerate stencil row, or an angle so large that the step
             # no longer changes it, leaves the quotient undefined.
-            step = (x + h) - x
+            step = rows[1:].diagonal() - x
             grad = (neg[1:] - neg[0]) / step if np.isfinite(neg).all() and step.all() else None
             evaluated[key] = neg[0], grad
         return evaluated[key]
@@ -168,7 +162,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     iterates = [p0]  # then each iterate as L-BFGS-B reports it, unclamped
     # gtol bounds the max-norm, so grad_tol / sqrt(dim) bounds the 2-norm by
     # grad_tol; ftol = 0 leaves stopping to that gradient test.
-    options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(dim), "ftol": 0.0}
+    options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(view.dim), "ftol": 0.0}
     try:
         # Called through the module: a bound ``minimize`` name here would be
         # taken by the benchmark tracer for energy_density's polish.
@@ -203,7 +197,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
 
 def _wrapped_distance(view: SearchView, a: np.ndarray, b: np.ndarray) -> float:
     diff = np.abs(a - b)
-    return float(np.max(np.where(view.angular, np.minimum(diff, TWO_PI - diff), diff)))
+    return float(np.max(np.where(view.wraps, np.minimum(diff, TWO_PI - diff), diff)))
 
 
 def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:

@@ -521,22 +521,28 @@ SCALAR = Layout(columns=("f",), cells=lambda m: (m,))
 
 @dataclass(frozen=True)
 class SearchView:
-    """A box over free coordinates of a one-mode family, for the multi-start search.
+    """A box over some parameter keys of a one-mode family, for the multi-start search.
 
-    ``moments_of`` maps a coordinate vector, or an array with one vector per
-    row, to the family's moments (one row each).
-    ``angular`` marks coordinates living on the circle: they are wrapped
-    modulo 2 pi rather than clipped, and differenced on the circle.
+    ``names`` are the keys the search frees, with the box ``lower`` to
+    ``upper``.  ``angular`` marks coordinates living on the circle: they are
+    wrapped modulo 2 pi rather than clipped, and differenced on the circle.
     ``canonical`` (optional) maps a coordinate vector to a symmetry-reduced
-    representative before clustering.
+    representative before clustering.  ``moments_of`` maps a coordinate
+    vector, or an array with one vector per row, to the moments (one row
+    each); a :class:`Family` binds it for each of its ``searches``.
+    ``wraps``, ``lo`` and ``hi`` are built once: the angular flags and the
+    box as arrays, the angular coordinates unbounded (an L-BFGS-B run's bounds).
     """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     angular: tuple[bool, ...]
-    moments_of: Callable[[np.ndarray], TwoModeMoments]
+    moments_of: Callable[[np.ndarray], TwoModeMoments] | None = None
     canonical: Callable[[np.ndarray], np.ndarray] | None = None
+    wraps: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.names)
@@ -544,6 +550,10 @@ class SearchView:
             raise ValueError("names, bounds and angular flags must align and be non-empty")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower bounds must not exceed upper bounds")
+        wraps = np.array(self.angular)
+        object.__setattr__(self, "wraps", wraps)
+        object.__setattr__(self, "lo", np.where(wraps, -np.inf, self.lower))
+        object.__setattr__(self, "hi", np.where(wraps, np.inf, self.upper))
 
     @property
     def dim(self) -> int:
@@ -552,7 +562,7 @@ class SearchView:
     def clamp(self, params: np.ndarray) -> np.ndarray:
         """Wrap angular coordinates, clip the rest into the box (row-wise for an array of points)."""
         q = np.asarray(params, dtype=float)
-        return np.where(self.angular, np.remainder(q, TWO_PI), np.clip(q, self.lower, self.upper))
+        return np.where(self.wraps, np.remainder(q, TWO_PI), np.minimum(np.maximum(q, self.lo), self.hi))
 
 
 @dataclass(frozen=True)
@@ -564,7 +574,9 @@ class Family:
     or arrays with one entry per row) into the argument of ``moments``, the
     closed-form call, which looks its closed form up by module-level name on
     every call so that rebinding that name reaches every caller.
-    ``searches`` names the boxes the optimizer may explore.
+    ``searches`` names the boxes the optimizer may explore over the family's
+    keys; each view's ``moments_of`` is bound here to ``record`` at its keys,
+    every other key at its default, as ``sweep`` keeps its unswept keys.
     ``oracle(record, cutoff)`` (verified families only) builds the same states
     in the truncated number basis, one per row of ``record``, from
     :mod:`subvacuum.fock_oracle` constructors alone, so that it stays
@@ -581,6 +593,11 @@ class Family:
     searches: Mapping[str, SearchView] = field(default_factory=dict)
     oracle: Callable[[Any, int], fock_oracle.FockVector | fock_oracle.TwoModeFockVector] | None = None
     draws: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for view in self.searches.values():
+            object.__setattr__(view, "moments_of", lambda p, names=view.names: self.moments(
+                self.record({**self.defaults, **dict(zip(names, np.moveaxis(p, -1, 0)))})))
 
 
 def _canonical_pair(p: np.ndarray) -> np.ndarray:
@@ -637,16 +654,13 @@ REGISTRY: dict[str, Family] = {
         draws={"alpha": _AMPLITUDE_DRAW, "delta1": TWO_PI, "beta": _AMPLITUDE_DRAW, "delta2": TWO_PI,
                "eta": _WEIGHT_DRAW, "delta": TWO_PI},
         searches={
-            # The first amplitude's phase is pinned to zero: a global phase
-            # rotation makes it redundant.
+            # A global phase rotation makes the first amplitude's phase
+            # redundant: delta1 is not searched and stays at its default 0.
             "coherent-pair": SearchView(
                 names=("alpha", "beta", "eta", "delta2", "delta"),
                 lower=(0.0, 0.0, 0.0, 0.0, 0.0),
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True),
-                moments_of=lambda p: coherent_superposition_moments(
-                    CoherentPair(p[..., 0], p[..., 1] * np.exp(1j * p[..., 3]), p[..., 2] * np.exp(1j * p[..., 4]))
-                ),
                 canonical=_canonical_pair,
             ),
             # Unpinned, so the flatness of that direction can be tested.
@@ -655,9 +669,6 @@ REGISTRY: dict[str, Family] = {
                 lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                 upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
                 angular=(False, False, False, True, True, True),
-                moments_of=lambda p: coherent_superposition_moments(
-                    CoherentPair(*(p[..., k] * np.exp(1j * p[..., k + 3]) for k in range(3)))
-                ),
             ),
         },
     ),
@@ -701,11 +712,8 @@ REGISTRY: dict[str, Family] = {
                                     fock_oracle.coherent_vector(0.0, cut)),
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
         searches={
-            # the r axis at eta = -1
-            "vacuum-squeezed": SearchView(
-                ("r",), (0.0,), (3.0,), (False,),
-                lambda p: coherent_plus_squeezed_moments(CoherentSqueezed(p[..., 0], 0.0, 0.0, -1.0 + 0.0j)),
-            ),
+            # the r axis at the default eta = -1
+            "vacuum-squeezed": SearchView(("r",), (0.0,), (3.0,), (False,)),
         },
     ),
     "barnett-radmore": Family(

@@ -99,12 +99,6 @@ def _closed_columns(cm: TwoModeMoments) -> np.ndarray:
     return np.stack(np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels)), axis=-1)
 
 
-def _take(params, rows: np.ndarray):
-    """The rows ``rows`` of a record of array fields; a scalar field (one
-    value for every row, as vacuum-squeezed's alpha = 0) passes through."""
-    return type(params)(*(field[rows] if np.ndim(field) else field for field in vars(params).values()))
-
-
 #: The verified families, in registry order, which keys each family's RNG stream.
 FAMILIES: tuple[str, ...] = tuple(name for name, family in REGISTRY.items() if family.oracle is not None)
 
@@ -153,10 +147,10 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         raise ValueError("draws must be non-negative")
     spec = REGISTRY[family]
     drawn = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
-    params = _record(spec, drawn)
-    columns = _closed_columns(regular(spec.moments(params)))
+    columns = _closed_columns(regular(spec.moments(_record(spec, drawn))))
     deviation, tail = np.zeros(draws), np.zeros(draws)
-    fits = oracle.fits(lambda cutoff, rows: spec.oracle(_take(params, rows), cutoff), draws, _TAIL_TARGET, cutoff_cap)
+    fits = oracle.fits(lambda cutoff, rows: spec.oracle(_record(spec, drawn[rows]), cutoff), draws, _TAIL_TARGET,
+                       cutoff_cap)
     for fit in fits:
         state = fit.state
         two_mode = isinstance(state, oracle.TwoModeFockVector)

@@ -787,3 +787,19 @@ def test_search_stencil_rows_match_each_row_alone_bit_for_bit(view_name):
                 assert np.asarray(column)[i].tobytes() == value.tobytes(), (i, f.name)
     if "delta2" in view.names:
         assert bool(view.moments_of(_stencil_points(view)[-1]).degenerate)
+
+
+@pytest.mark.parametrize("view_name", list(sf.SEARCHES))
+def test_search_view_is_its_family_record_at_its_keys_bit_for_bit(view_name):
+    # A key the family lacks would leave that coordinate searching nothing.
+    family_name, view = sf.SEARCHES[view_name]
+    family = sf.REGISTRY[family_name]
+    assert set(view.names) <= set(family.defaults)
+    point = _stencil_points(view)[0]
+    for p in (_stencil(view, point), point):
+        expected = family.moments(family.record({**family.defaults, **dict(zip(view.names, p.T))}))
+        got = view.moments_of(p)
+        for f in dataclasses.fields(got):
+            value, want = getattr(got, f.name), getattr(expected, f.name)
+            assert type(value) is type(want), f.name
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), f.name
