@@ -5,10 +5,11 @@ The package has five layers:
 * :mod:`subvacuum.fock_oracle` — truncated number-basis states and exact
   ladder-operator moments, the independent reference everything else is
   checked against.
-* :mod:`subvacuum.state_families` — closed-form moments (n, R, gamma) for the
-  state families of interest, one record type for one- and two-mode states;
-  every closed form also carries the excess F = R1 - n1, cancellation-free
-  but for the coherent pair, and its normalization denominator.
+* :mod:`subvacuum.state_families` — closed-form moments in one record that the
+  oracle returns too: occupations and complex channels, with R and gamma
+  derived on first read (0 below 1e-15); every closed form also carries the
+  excess F = R1 - n1, cancellation-free but for the coherent pair, and its
+  normalization denominator.
 * :mod:`subvacuum.energy_density` — the density as a function of the moments,
   closed-form minima, and a numeric spacetime minimizer.
 * :mod:`subvacuum.optimizer` — multi-start L-BFGS-B search for the largest

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -468,8 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser :func:`main` uses, built once per process: parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -15,6 +15,9 @@ the constructors take parameter arrays, and the moments, overlaps and tail
 masses come back with the batch shape.  A single state is a batch of one
 (scalar parameters, numpy scalars out) and goes through the same loops, so a
 row's amplitudes and moments do not depend on the batch it was built in.
+The moments come back in the closed forms' one moments record, whose
+complex channels are stored as measured and whose R and gamma are derived on
+first read, (0, 0) below magnitude 1e-15.
 
 Amplitudes are running products (``np.cumprod``) of their successive ratios
 rather than factorial ratios or powers, which keeps the constructors accurate
@@ -28,16 +31,18 @@ that is measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .state_families import TwoModeMoments
 
 __all__ = [
     "TruncationError",
     "DegenerateSuperpositionError",
     "FockVector",
     "TwoModeFockVector",
-    "OracleMoments",
     "Fit",
     "coherent_vector",
     "squeezed_vacuum_vector",
@@ -146,21 +151,6 @@ class TwoModeFockVector:
             return TwoModeFockVector(self.amps[index])
         amps = (self.amps[..., :1, :, :] if self.shared else self.amps)[index]
         return TwoModeFockVector(np.broadcast_to(amps, (*amps.shape[:-3], 2, *amps.shape[-2:])), self.weights[index])
-
-
-@dataclass(frozen=True)
-class OracleMoments:
-    """Ladder-operator moments measured on a truncated state, one per batch row.
-
-    For single-mode states the b-mode entries are identically zero.
-    """
-
-    n_a: float
-    n_b: float
-    a2: complex
-    b2: complex
-    adag_b: complex
-    ab: complex
 
 
 def _running(seed, steps: np.ndarray) -> np.ndarray:
@@ -340,37 +330,41 @@ def mean_amplitude(v: FockVector) -> complex:
     return _expect(v.amps, "a")[()]
 
 
-def one_mode_moments(v: FockVector) -> OracleMoments:
-    """Occupation and pair moments of single-mode vectors.
+def one_mode_moments(v: FockVector) -> TwoModeMoments:
+    """Occupation and pair moments of single-mode vectors, as mode 1 of the one moments record.
 
     The occupation is accumulated as a complex expectation value and checked
     to be real to machine precision before the real part is kept.
     """
+    from .state_families import TwoModeMoments  # which imports this module
+
     n_c = _expect(v.amps, "n")
     if np.any(np.abs(n_c.imag) > 1e-12):
         raise ValueError(f"occupation has imaginary residue {np.max(np.abs(n_c.imag)):.3e}")
     zero = np.zeros(n_c.shape, dtype=complex)[()]
-    return OracleMoments(n_a=n_c.real[()], n_b=zero.real, a2=_expect(v.amps, "a2")[()], b2=zero, adag_b=zero, ab=zero)
+    return TwoModeMoments(n_c.real[()], zero.real, _expect(v.amps, "a2")[()], zero, zero, zero)
 
 
-def two_mode_moments(v: TwoModeFockVector) -> OracleMoments:
+def two_mode_moments(v: TwoModeFockVector) -> TwoModeMoments:
     """All quadratic ladder moments of two-mode vectors by index summation.
 
-    A Schmidt-diagonal state has n_a = n_b = sum_n |c_n|^2 n, <ab> =
-    sum_n conj(c_n) (n + 1) c_{n+1}, and no channel that changes n_a - n_b.
+    A Schmidt-diagonal state has n1 = n2 = sum_n |c_n|^2 n, <ab> =
+    sum_n conj(c_n) (n + 1) c_{n+1}, and no channel that changes n1 - n2.
     """
+    from .state_families import TwoModeMoments  # which imports this module
+
     if v.weights is None:
         c = v.amps
         n = _expect(c, "n").real[()]
         ab = (np.conj(c[..., None, :-1]) * np.arange(1.0, c.shape[-1])) @ c[..., 1:, None]
         zero = np.zeros(np.shape(n), dtype=complex)[()]
-        return OracleMoments(n_a=n, n_b=n, a2=zero, b2=zero, adag_b=zero, ab=ab[..., 0, 0][()])
+        return TwoModeMoments(n, n, zero, zero, zero, ab[..., 0, 0][()])
     a, b = _grams(v, ("1", "n", "a2", "a"))
     w = v.weights
     adag = np.swapaxes(a["a"].conj(), -1, -2)  # <u|a^dag|u'> = conj <u'|a|u>
-    return OracleMoments(
-        n_a=_form(w, a["n"] * b["1"]).real[()],
-        n_b=_form(w, a["1"] * b["n"]).real[()],
+    return TwoModeMoments(
+        n1=_form(w, a["n"] * b["1"]).real[()],
+        n2=_form(w, a["1"] * b["n"]).real[()],
         a2=_form(w, a["a2"] * b["1"])[()],
         b2=_form(w, a["1"] * b["a2"])[()],
         adag_b=_form(w, adag * b["a"])[()],

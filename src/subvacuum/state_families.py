@@ -1,11 +1,11 @@
 """Closed-form quadratic moments for the quantum states under study.
 
 Each family maps a small parameter record to the moments that fix the modes'
-energy density: the occupation numbers together with the magnitude and phase
-of every non-vanishing quadratic ladder expectation, the excess F = R1 - n1
-and the normalization denominator.  Every family produces
-:class:`TwoModeMoments`; a one-mode state occupies mode 1 and leaves mode 2
-empty.
+energy density: the occupation numbers together with every quadratic ladder
+expectation as a complex moment, the excess F = R1 - n1 and the
+normalization denominator.  Every family produces :class:`TwoModeMoments`,
+which derives each moment's magnitude R and phase gamma on first read; a
+one-mode state occupies mode 1 and leaves mode 2 empty.
 
 Every closed form is written once, over numpy arrays.  Record fields may be
 arrays that broadcast to one batch shape, and every moment comes back with
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -83,12 +84,22 @@ def wrap_angle(x):
     return np.where(y <= -np.pi, np.pi, y)[()]
 
 
-def _polar(z):
-    """Magnitudes and wrapped phases; a magnitude below 1e-15 gets (0, 0) by convention."""
-    mag = np.abs(z)
-    small = mag < 1e-15
-    # np.angle(z) is this arctan2, less its argument checks
-    return np.where(small, 0.0, mag), np.where(small, 0.0, wrap_angle(np.arctan2(z.imag, z.real)))
+def _derived(channel: str, phase: bool = False) -> cached_property:
+    """``channel``'s magnitude, or its ``phase`` in (-pi, pi], derived on first read: (0, 0) below 1e-15.
+
+    The number 0.0 (an empty channel) gives itself; b2 stored as a2 itself reads a2's.
+    """
+    def read(m):
+        z = getattr(m, channel)
+        if channel != "a2" and z is m.a2:
+            return m.gamma1 if phase else m.R1
+        if type(z) is float and z == 0.0:
+            return z
+        mag = np.abs(z)
+        # np.angle(z) is this arctan2, less its argument checks
+        return np.where(mag < 1e-15, 0.0, wrap_angle(np.arctan2(z.imag, z.real)) if phase else mag)[()]
+
+    return cached_property(read)
 
 
 def _rows(*values):
@@ -160,52 +171,50 @@ def _check_magnitude(x, what: str = "squeeze") -> None:
 class TwoModeMoments:
     """Moments of a one- or two-mode state: occupations plus the four quadratic channels.
 
-    Channels 1 and 2 are the single-mode pairs <a^2> and <b^2>; channel 3 is
-    the beam-splitter moment <a^dag b>; channel 4 the pair-creation moment
-    <a b>.  Each is stored as (magnitude, phase in (-pi, pi]).  A one-mode
-    state occupies mode 1: n2 = R2 = R3 = R4 = 0.
+    The one moments record, of the closed forms and the oracle alike.  Its
+    channels are complex: ``a2`` = <a^2>, ``b2`` = <b^2>, ``adag_b`` =
+    <a^dag b> and ``ab`` = <a b>.  Channel k's magnitude ``Rk`` and phase
+    ``gammak`` in (-pi, pi] are derived on first read and kept, (0, 0) below
+    magnitude 1e-15.  A one-mode state occupies mode 1: n2, b2, adag_b and
+    ab are 0.
 
     ``excess`` is F = R1 - n1, from a closed form of F itself wherever their
-    float64 difference would cancel (under squeezing both grow like e^{2r}/4).
-    ``denominator`` is the normalization denominator of a superposition (1 for
-    any other state).  Each field holds one value per row of the batch, or one
-    plain float for every row; ``degenerate`` marks the rows whose
-    normalization vanished, where every normalized moment is NaN.
+    float64 difference would cancel (under squeezing both grow like e^{2r}/4),
+    else the plain difference.  ``denominator`` is the normalization
+    denominator of a superposition (1 for any other state).  Each field holds
+    one value per row of the batch, or one plain float for every row;
+    ``degenerate`` marks the rows whose normalization vanished, where every
+    normalized moment is NaN.
     """
 
     n1: Any
     n2: Any
-    R1: Any
-    R2: Any
-    R3: Any
-    R4: Any
-    gamma1: Any
-    gamma2: Any
-    gamma3: Any
-    gamma4: Any
-    excess: Any
+    a2: Any
+    b2: Any
+    adag_b: Any
+    ab: Any
+    excess: Any = None
     denominator: Any = 1.0
+
+    R1, R2, R3, R4 = (_derived(channel) for channel in ("a2", "b2", "adag_b", "ab"))
+    gamma1, gamma2, gamma3, gamma4 = (_derived(channel, phase=True) for channel in ("a2", "b2", "adag_b", "ab"))
+
+    def __post_init__(self) -> None:
+        if self.excess is None:
+            object.__setattr__(self, "excess", self.R1 - self.n1)
 
     @property
     def degenerate(self):
         return self.denominator < DEGENERATE_DENOMINATOR
 
 
-def _channel(z):
-    """(magnitude, phase) of a complex moment; the number 0.0 is (0, 0), as :func:`_polar` would make it."""
-    return (0.0, 0.0) if type(z) is float and z == 0.0 else _polar(z)
-
-
 def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, denominator=1.0) -> TwoModeMoments:
-    """Moments from the occupations and the four channels as complex moments.
-
-    ``b2`` passed as ``a2`` itself is converted once.  ``excess`` defaults to
-    the plain difference R1 - n1.
-    """
-    (R1, g1), (R3, g3), (R4, g4) = _channel(a2), _channel(adag_b), _channel(ab)
-    R2, g2 = (R1, g1) if b2 is a2 else _channel(b2)
-    excess = R1 - n1 if excess is None else excess
-    return TwoModeMoments(*_shaped(shape, (n1, n2, R1, R2, R3, R4, g1, g2, g3, g4, excess, denominator)))
+    """The record of a batch of ``shape``; ``b2`` passed as ``a2`` itself stays one object."""
+    same = b2 is a2
+    n1, n2, a2, b2, adag_b, ab, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, denominator))
+    if excess is not None:
+        (excess,) = _shaped(shape, (excess,))
+    return TwoModeMoments(n1, n2, a2, a2 if same else b2, adag_b, ab, excess, denominator)
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +606,7 @@ class Family:
     def __post_init__(self) -> None:
         for view in self.searches.values():
             object.__setattr__(view, "moments_of", lambda p, names=view.names: self.moments(
-                self.record({**self.defaults, **dict(zip(names, np.moveaxis(p, -1, 0)))})))
+                self.record({**self.defaults, **dict(zip(names, p.T))})))
 
 
 def _canonical_pair(p: np.ndarray) -> np.ndarray:
@@ -744,7 +753,7 @@ REGISTRY: dict[str, Family] = {
         draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
-    "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
 }
 
 #: Search view name -> (family name, view), in registry order.

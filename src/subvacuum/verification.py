@@ -86,17 +86,14 @@ class IdentityRow:
     note: str = ""
 
 
-def _deviations(closed: np.ndarray, om: oracle.OracleMoments) -> np.ndarray:
-    """Largest closed-form-vs-oracle gap over the occupations and the four
-    channels, one per row of ``closed`` (:func:`_closed_columns`) and ``om``."""
-    brute = np.broadcast_arrays(om.n_a, om.n_b, om.a2, om.b2, om.adag_b, om.ab)
-    return np.abs(closed - np.stack(brute, axis=-1)).max(axis=-1)
+def _channels(m: TwoModeMoments) -> np.ndarray:
+    """n1, n2 and the four complex channels of ``m`` as columns, one row per state."""
+    return np.stack(np.broadcast_arrays(m.n1, m.n2, m.a2, m.b2, m.adag_b, m.ab), axis=-1)
 
 
-def _closed_columns(cm: TwoModeMoments) -> np.ndarray:
-    """The closed forms as columns n1, n2, then each channel as R e^{i gamma}, one row per draw."""
-    channels = [(cm.R1, cm.gamma1), (cm.R2, cm.gamma2), (cm.R3, cm.gamma3), (cm.R4, cm.gamma4)]
-    return np.stack(np.broadcast_arrays(cm.n1, cm.n2, *(mag * np.exp(1j * ph) for mag, ph in channels)), axis=-1)
+def _deviations(closed: np.ndarray, brute: TwoModeMoments) -> np.ndarray:
+    """Largest gap between the closed forms' :func:`_channels` rows ``closed`` and ``brute``'s, one per row."""
+    return np.abs(closed - _channels(brute)).max(axis=-1)
 
 
 #: The verified families, in registry order, which keys each family's RNG stream.
@@ -147,7 +144,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         raise ValueError("draws must be non-negative")
     spec = REGISTRY[family]
     drawn = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
-    columns = _closed_columns(regular(spec.moments(_record(spec, drawn))))
+    closed = _channels(regular(spec.moments(_record(spec, drawn))))
     deviation, tail = np.zeros(draws), np.zeros(draws)
     fits = oracle.fits(lambda cutoff, rows: spec.oracle(_record(spec, drawn[rows]), cutoff), draws, _TAIL_TARGET,
                        cutoff_cap)
@@ -155,7 +152,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         state = fit.state
         two_mode = isinstance(state, oracle.TwoModeFockVector)
         om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
-        deviation[fit.rows] = _deviations(columns[fit.rows], om)
+        deviation[fit.rows] = _deviations(closed[fit.rows], om)
         tail[fit.rows] = fit.tail
     worst = int(np.argmax(deviation)) if draws else None
     return VerifyReport(

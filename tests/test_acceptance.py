@@ -117,7 +117,7 @@ def vacuum_plus_squeezed_oracle(r: float, eta: complex) -> fock_oracle.FockVecto
 
 def oracle_excess(v: fock_oracle.FockVector) -> float:
     m = fock_oracle.one_mode_moments(v)
-    return abs(m.a2) - m.n_a
+    return abs(m.a2) - m.n1
 
 
 def vacuum_plus_squeezed_excess(r: float, eta: float) -> float:
@@ -156,7 +156,7 @@ def test_criterion_1_coherent_pair_search():
     def centred(v):
         mu = fock_oracle.mean_amplitude(v)
         m = fock_oracle.one_mode_moments(v)
-        return m.n_a - abs(mu) ** 2, abs(m.a2 - mu**2)
+        return m.n1 - abs(mu) ** 2, abs(m.a2 - mu**2)
 
     maxima = [e for e in result.extrema if abs(e.F - ridge_top) <= target_band]
     # search coordinates (alpha, beta, eta, delta2, delta) with alpha real
@@ -175,7 +175,7 @@ def test_criterion_1_coherent_pair_search():
     def on_cluster(target):
         (amps, n_c, n_h) = target
         v = coherent_pair_oracle(*amps)
-        n = fock_oracle.one_mode_moments(v).n_a
+        n = fock_oracle.one_mode_moments(v).n1
         tc = centred(v)
         near = any(max(abs(tc[0] - q[0]), abs(tc[1] - q[1])) <= match for q in points)
         return abs(n - n_c) <= n_h and abs(oracle_excess(v) - ridge_top) <= target_band and near
@@ -374,7 +374,7 @@ def test_criterion_5_zhang_peak_and_asymptotics():
 
     # The exact peak, against the two-mode oracle at the same r.
     om = fock_oracle.two_mode_moments(zhang_oracle(r99, 0.99 * math.pi))
-    oracle_dev = max(abs(v99 - (abs(om.a2) - om.n_a)), abs(n99 - om.n_a))
+    oracle_dev = max(abs(v99 - (abs(om.a2) - om.n1)), abs(n99 - om.n1))
     ok_oracle = oracle_dev <= 1e-8
 
     ok_loc99 = abs(r99 - 0.007) <= 0.003
@@ -598,7 +598,7 @@ def test_criterion_8_property_suite():
     for _ in range(300):
         n, pair_mag = float(rng.uniform(0, 4)), float(rng.uniform(0, 4))
         pair_phase = float(rng.uniform(-math.pi, math.pi))
-        m = TwoModeMoments(n, 0.0, pair_mag, 0.0, 0.0, 0.0, pair_phase, 0.0, 0.0, 0.0, pair_mag - n)
+        m = TwoModeMoments(n, 0.0, pair_mag * np.exp(1j * pair_phase), 0.0, 0.0, 0.0, pair_mag - n)
         x = tuple(float(v) for v in rng.uniform(-3, 3, 3))
         t = float(rng.uniform(-3, 3))
         p = SpacetimePoint(x=x, t=t)

@@ -916,6 +916,30 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert len(lines) == 5
 
 
+def test_consecutive_main_calls_share_no_parser_state(tmp_path):
+    # main parses with one parser per process; nothing one call sets may
+    # reach the next: not its subcommand, its --set list or its flags.
+    defaults = dict(sf.REGISTRY["coherent-pair"].defaults)
+    runs = [
+        (["sweep", "--family", "coherent-pair", "--set", "eta=2", "--set", "delta=1", "--sweep", "alpha=0:1:2"],
+         {**defaults, "eta": 2.0, "delta": 1.0}),
+        (["density", "--family", "coherent-pair", "--set", "beta=0.5", "--grid-n", "16"], {**defaults, "beta": 0.5}),
+        (["sweep", "--family", "coherent-pair", "--set", "alpha=0.3", "--sweep", "beta=0:1:2"],
+         {**defaults, "alpha": 0.3}),
+        (["density", "--family", "coherent-pair", "--grid-n", "16", "--window", "4"], defaults),
+    ]
+    for i, (argv, params) in enumerate(runs):
+        out = tmp_path / f"{i}.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["command"] == argv[0] and doc["config"]["params"] == params, argv
+        if argv[0] == "density":
+            assert doc["config"]["window"] == (4.0 if "--window" in argv else 8.0)
+    out = tmp_path / "search.csv"
+    assert main(["search", "--family", "vacuum-squeezed", "--starts", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith("rank,")
+
+
 @pytest.mark.parametrize(
     "argv,target",
     [

@@ -30,12 +30,12 @@ from subvacuum.energy_density import (
     spacetime_average,
 )
 
-ZERO_MOMENTS = TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+ZERO_MOMENTS = TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def one_mode(n, pair_mag, pair_phase, excess) -> TwoModeMoments:
     """A one-mode record: mode 1 carries the moments, mode 2 is empty."""
-    return TwoModeMoments(n, 0.0, pair_mag, 0.0, 0.0, 0.0, pair_phase, 0.0, 0.0, 0.0, excess)
+    return TwoModeMoments(n, 0.0, pair_mag * np.exp(1j * pair_phase), 0.0, 0.0, 0.0, excess)
 
 # sinh(1) * (2 sqrt(w1 w2) cosh(1) - (w1 + w2) sinh(1)), negated
 BR_MIN_R1 = {
@@ -267,7 +267,7 @@ class TestNumericMinimizer:
 
     def test_rejects_non_finite_moments(self):
         bad = TwoModeMoments(
-            math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+            math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         )
         g = ModeGeometry("traveling", 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):

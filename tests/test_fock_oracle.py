@@ -31,14 +31,14 @@ class TestCoherentVector:
     def test_small_amplitude_occupation(self):
         v = fo.coherent_vector(0.5, 40)
         m = fo.one_mode_moments(v)
-        assert m.n_a == pytest.approx(0.25, abs=1e-12)
+        assert m.n1 == pytest.approx(0.25, abs=1e-12)
         assert m.a2 == pytest.approx(0.25, abs=1e-12)
 
     def test_eigenstate_pair_moment(self):
         # <a^2> = alpha^2 for any coherent state, phases included.
         alpha = 0.8 * np.exp(0.3j)
         m = fo.one_mode_moments(fo.coherent_vector(alpha, 48))
-        assert m.n_a == pytest.approx(0.64, abs=1e-11)
+        assert m.n1 == pytest.approx(0.64, abs=1e-11)
         assert m.a2 == pytest.approx(alpha**2, abs=1e-11)
 
     def test_mean_amplitude_is_the_eigenvalue(self):
@@ -54,7 +54,7 @@ class TestCoherentVector:
         mu = fo.mean_amplitude(v)
         m = fo.one_mode_moments(v)
         assert mu == pytest.approx(c, abs=1e-12)
-        assert m.n_a - abs(mu) ** 2 == pytest.approx(a * a * math.tanh(a * a), abs=1e-12)
+        assert m.n1 - abs(mu) ** 2 == pytest.approx(a * a * math.tanh(a * a), abs=1e-12)
         assert m.a2 - mu**2 == pytest.approx(a * a, abs=1e-12)
 
     def test_moderate_amplitude_tail_is_negligible(self):
@@ -84,7 +84,7 @@ class TestSqueezedVacuumVector:
         # Bogoliubov consequence; measured cutoff-64 truncation error is
         # 1.6e-7, so 5e-7 is a tight but honest bound.
         m = fo.one_mode_moments(fo.squeezed_vacuum_vector(1.0, 0.0, 64))
-        assert abs(m.n_a - SINH1_SQ) < 5e-7
+        assert abs(m.n1 - SINH1_SQ) < 5e-7
 
     def test_pair_moment_direction(self):
         # <a^2> = -e^{i delta} sinh r cosh r.
@@ -132,7 +132,7 @@ def dense_grid(v: fo.TwoModeFockVector) -> np.ndarray:
 
 
 def dense_moments(v: fo.TwoModeFockVector) -> list[complex]:
-    """n_a, n_b, <a^2>, <b^2>, <a^dag b>, <ab> and the tail mass on the dense grid.
+    """n1, n2, <a^2>, <b^2>, <a^dag b>, <ab> and the tail mass on the dense grid.
 
     <X (x) Y> = sum_mn conj(A_mn) (X A Y^T)_mn with operator matrices: no
     index shifts shared with the oracle.
@@ -170,11 +170,11 @@ class TestTwoModeSqueezedVector:
         assert v.amps[1:] / v.amps[:-1] == pytest.approx(np.full(16, -np.exp(0.3j) * math.tanh(0.8)), abs=1e-15)
 
     def test_occupations_and_pair_channel(self):
-        # n_a = n_b = sinh^2 r and |<ab>| = sinh r cosh r; measured cutoff-32
+        # n1 = n2 = sinh^2 r and |<ab>| = sinh r cosh r; measured cutoff-32
         # truncation errors are ~7e-7.
         m = fo.two_mode_moments(fo.two_mode_squeezed_vector(1.0, 0.0, 32))
-        assert abs(m.n_a - SINH1_SQ) < 2e-6
-        assert abs(m.n_b - SINH1_SQ) < 2e-6
+        assert abs(m.n1 - SINH1_SQ) < 2e-6
+        assert abs(m.n2 - SINH1_SQ) < 2e-6
         assert abs(abs(m.ab) - SC1) < 2e-6
         assert abs(m.a2) < 1e-12 and abs(m.b2) < 1e-12 and abs(m.adag_b) < 1e-12
 
@@ -188,7 +188,7 @@ class TestProductsAndSuperpositions:
         a, b = 0.9 * np.exp(0.2j), 0.4 * np.exp(-1.1j)
         p = fo.superpose_two_mode([(1.0, fo.coherent_vector(a, 32), fo.coherent_vector(b, 32))])
         m = fo.two_mode_moments(p)
-        assert m.n_a == pytest.approx(abs(a) ** 2, abs=1e-10)
+        assert m.n1 == pytest.approx(abs(a) ** 2, abs=1e-10)
         assert m.adag_b == pytest.approx(np.conj(a) * b, abs=1e-10)
         assert m.ab == pytest.approx(a * b, abs=1e-10)
         assert m.b2 == pytest.approx(b**2, abs=1e-10)
@@ -232,7 +232,7 @@ class TestProductsAndSuperpositions:
         st = fo.superpose([(1.0, plus), (-1.0, minus)])
         om = fo.one_mode_moments(st)
         cm = superposed_squeezed_moments(SqueezedPair(r=1.0, eta=-1.0))
-        assert abs(om.n_a - cm.n1) < 1e-8
+        assert abs(om.n1 - cm.n1) < 1e-8
         assert abs(om.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-8
 
     def test_phase_superposed_double_squeeze(self):
@@ -244,8 +244,8 @@ class TestProductsAndSuperpositions:
         st = fo.fitted(lambda cut: zhang_state(r, theta, cut), 1e-12, 4096)
         m = fo.two_mode_moments(st)
         cm = zhang_moments(ZhangReal(r=r, theta=theta))
-        assert abs(m.n_a - cm.n1) < 1e-8
-        assert m.n_a == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
+        assert abs(m.n1 - cm.n1) < 1e-8
+        assert m.n1 == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
 
     def test_entangled_coherent_pair_channel(self):
         # sigma = 0.7, theta = 0 collapses to a plain product state, so the
@@ -290,9 +290,32 @@ def test_two_mode_moments_match_the_dense_grid(name):
     # where they are not negligible.
     v = _TWO_MODE_STATES[name]
     m = fo.two_mode_moments(v)
-    got = [m.n_a, m.n_b, m.a2, m.b2, m.adag_b, m.ab, fo.tail_mass(v)]
+    got = [m.n1, m.n2, m.a2, m.b2, m.adag_b, m.ab, fo.tail_mass(v)]
     assert np.linalg.norm(dense_grid(v)) == pytest.approx(1.0, abs=1e-12)
     assert got == pytest.approx(dense_moments(v), abs=1e-12)
+
+
+def test_oracle_moments_are_the_one_record_with_R_and_gamma_derived():
+    from subvacuum.state_families import TwoModeMoments, wrap_angle
+
+    alpha, beta = 0.9 * np.exp(0.4j), 1.2 * np.exp(-2.1j)
+    states = [
+        fo.two_mode_moments(fo.superpose_two_mode([(1.0, fo.coherent_vector(alpha, 48), fo.coherent_vector(beta, 48))])),
+        fo.two_mode_moments(fo.two_mode_squeezed_vector(np.array([0.0, 0.8]), 2.9, 64)),
+        fo.one_mode_moments(fo.coherent_vector(np.array([alpha, beta, 0.0]), 48)),
+        fo.one_mode_moments(fo.squeezed_vacuum_vector(0.7, -1.2, 64)),
+    ]
+    for m in states:
+        assert type(m) is TwoModeMoments
+        for k, channel in enumerate(("a2", "b2", "adag_b", "ab"), start=1):
+            z = getattr(m, channel)
+            zero = np.abs(z) < 1e-15
+            assert np.array_equal(getattr(m, f"R{k}"), np.where(zero, 0.0, np.abs(z))), (k, z)
+            assert np.array_equal(getattr(m, f"gamma{k}"), np.where(zero, 0.0, wrap_angle(np.angle(z)))), (k, z)
+        assert np.asarray(m.excess).tobytes() == np.asarray(m.R1 - m.n1).tobytes()
+        assert m.denominator == 1.0 and not np.any(m.degenerate)
+    assert states[0].R4 == pytest.approx(abs(alpha * beta), abs=1e-12)
+    assert states[0].gamma3 == pytest.approx(wrap_angle(np.angle(np.conj(alpha) * beta)), abs=1e-12)
 
 
 def test_zhang_oracle_memory_at_the_verification_cutoff():
@@ -364,7 +387,7 @@ def test_states_are_normalized(state):
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
 def test_occupation_real_and_nonnegative(state):
     m = fo.one_mode_moments(state)
-    assert m.n_a >= -1e-12
+    assert m.n1 >= -1e-12
 
 
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
@@ -372,14 +395,14 @@ def test_global_phase_invariance(state):
     chi = 1.234
     rotated = fo.FockVector(np.exp(1j * chi) * state.amps)
     m0, m1 = fo.one_mode_moments(state), fo.one_mode_moments(rotated)
-    assert m1.n_a == pytest.approx(m0.n_a, abs=1e-12)
+    assert m1.n1 == pytest.approx(m0.n1, abs=1e-12)
     assert m1.a2 == pytest.approx(m0.a2, abs=1e-12)
 
 
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
 def test_cauchy_schwarz_pair_bound(state):
     m = fo.one_mode_moments(state)
-    assert abs(m.a2) <= math.sqrt(m.n_a * (m.n_a + 1.0)) + 1e-9
+    assert abs(m.a2) <= math.sqrt(m.n1 * (m.n1 + 1.0)) + 1e-9
 
 
 def test_amplitudes_are_immutable():
@@ -527,7 +550,7 @@ def test_batched_fits_match_batch_of_one_bit_for_bit(family):
             if isinstance(one, fo.TwoModeFockVector):
                 assert np.array_equal(one.weights, fit.state.weights[j])
             single = moments(one)
-            for name in ("n_a", "n_b", "a2", "b2", "adag_b", "ab"):
+            for name in ("n1", "n2", "a2", "b2", "adag_b", "ab"):
                 assert getattr(single, name) == np.asarray(getattr(batch, name))[j], name
             assert fo.tail_mass(one) == fit.tail[j]
 

@@ -33,7 +33,7 @@ F_RIDGE = 0.2784645427610738
 
 def one_mode(n, excess, denominator=1.0) -> TwoModeMoments:
     """A one-mode record with occupation ``n``, excess ``excess`` and no pair moment."""
-    return TwoModeMoments(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, excess, denominator)
+    return TwoModeMoments(n, 0.0, 0.0, 0.0, 0.0, 0.0, excess, denominator)
 
 
 def view(name: str) -> SearchView:

@@ -161,7 +161,7 @@ def test_oracle_coherent_norm_and_occupation(alpha):
     vec = oracle.coherent_vector(alpha, 64)
     assert abs(oracle.inner(vec, vec) - 1.0) < 1e-12
     m = oracle.one_mode_moments(vec)
-    assert abs(m.n_a - abs(alpha) ** 2) < 1e-10
+    assert abs(m.n1 - abs(alpha) ** 2) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,7 +179,7 @@ def test_oracle_moments_ignore_global_phase(alpha, beta, eta, phi):
     rotated = oracle.superpose([(twist * c, v) for c, v in terms])
     mp = oracle.one_mode_moments(plain)
     mr = oracle.one_mode_moments(rotated)
-    assert abs(mp.n_a - mr.n_a) < 1e-12
+    assert abs(mp.n1 - mr.n1) < 1e-12
     assert abs(mp.a2 - mr.a2) < 1e-12
 
 
@@ -205,7 +205,7 @@ def test_oracle_one_mode_cauchy_schwarz(alpha, r):
     except oracle.DegenerateSuperpositionError:
         assume(False)
     m = oracle.one_mode_moments(state)
-    assert abs(m.a2) <= math.sqrt(m.n_a * (m.n_a + 1.0)) + 1e-9
+    assert abs(m.a2) <= math.sqrt(m.n1 * (m.n1 + 1.0)) + 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,7 +213,7 @@ def test_oracle_one_mode_cauchy_schwarz(alpha, r):
 def test_oracle_two_mode_pair_moment_saturates_cauchy_schwarz(r, delta):
     state = oracle.two_mode_squeezed_vector(r, delta, 64)
     m = oracle.two_mode_moments(state)
-    bound = math.sqrt(m.n_a.real * (m.n_b.real + 1.0))
+    bound = math.sqrt(m.n1.real * (m.n2.real + 1.0))
     assert abs(m.ab) <= bound + 1e-9
     # ... and the two-mode squeezed vacuum saturates it.
     assert abs(m.ab) >= bound - 1e-6
@@ -224,5 +224,5 @@ def test_oracle_two_mode_pair_moment_saturates_cauchy_schwarz(r, delta):
 def test_oracle_matches_closed_form_under_hypothesis_driving(r, delta):
     m = oracle.one_mode_moments(oracle.fitted(lambda cut: oracle.squeezed_vacuum_vector(r, delta, cut), 1e-12, 512))
     cm = squeezed_vacuum_moments(r, delta)
-    assert abs(m.n_a - cm.n1) < 1e-9
+    assert abs(m.n1 - cm.n1) < 1e-9
     assert abs(m.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-9

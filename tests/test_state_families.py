@@ -740,14 +740,149 @@ def test_polar_keeps_the_phase_cut_and_the_zero_convention():
     # A pair moment on the negative real axis with a -0 imaginary part has
     # arctan2 phase -pi; (-pi, pi] puts it at +pi.  Magnitudes below 1e-15
     # get (0, 0).
-    mag, phase = sf._polar(np.array([-2.0 - 0.0j, -2.0 + 0.0j, 1e-16 + 0.0j, 0.0j, -1e-16 - 0.0j]))
-    assert mag.tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]
-    assert phase.tolist() == [math.pi, math.pi, 0.0, 0.0, 0.0]
+    m = sf.TwoModeMoments(0.0, 0.0, np.array([-2.0 - 0.0j, -2.0 + 0.0j, 1e-16 + 0.0j, 0.0j, -1e-16 - 0.0j]), 0.0, 0.0, 0.0)
+    assert m.R1.tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]
+    assert m.gamma1.tolist() == [math.pi, math.pi, 0.0, 0.0, 0.0]
     # The squeezed vacuum at delta = 0 has the pair moment -sinh r cosh r - 0j:
     # row 0 (r = 0) is the zero convention, every other row sits on the cut.
     m = sf.squeezed_vacuum_moments(np.linspace(0.0, 1.0, 5), 0.0)
     assert m.R1[0] == 0.0 and m.gamma1[0] == 0.0
     assert np.all(m.R1[1:] > 0.0) and np.all(m.gamma1[1:] == math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Derived fields: R and gamma from the stored complex channels
+# ---------------------------------------------------------------------------
+
+
+def _reference_wrap_angle(x):
+    """A copy of ``wrap_angle``: the reference for the derived phases."""
+    y = np.remainder(np.add(x, np.pi), 2.0 * np.pi) - np.pi
+    return np.where(y <= -np.pi, np.pi, y)[()]
+
+
+def _reference_polar(z):
+    """Magnitude and wrapped phase, (0, 0) below magnitude 1e-15: the reference for R and gamma."""
+    mag = np.abs(z)
+    small = mag < 1e-15
+    return np.where(small, 0.0, mag), np.where(small, 0.0, _reference_wrap_angle(np.arctan2(z.imag, z.real)))
+
+
+_TINY = 1e-15
+_EDGE_CHANNELS = np.array([
+    0.0j, -0.0 + 0.0j, 0.0 - 0.0j, -0.0 - 0.0j,  # +-0.0 components
+    -2.0 + 0.0j, -2.0 - 0.0j, 2.0 * np.exp(1j * math.pi), 2.0 * np.exp(-1j * math.pi),  # angles at +-pi
+    -3.0 + 5e-324j, -3.0 - 5e-324j, complex(-0.0, 3.0), complex(0.0, -3.0), complex(-3.0, 0.0),
+    *(np.nextafter(_TINY, 0.0) * np.exp(1j * np.array([0.0, 1.0, math.pi, -2.5]))),  # just under 1e-15
+    *(np.nextafter(_TINY, 1.0) * np.exp(1j * np.array([0.0, 1.0, math.pi, -2.5]))),  # just over
+    complex(np.nextafter(_TINY, 0.0), 0.0), complex(np.nextafter(_TINY, 1.0), 0.0), complex(-_TINY, 0.0),
+    complex(-_TINY, -0.0), complex(0.0, -_TINY),
+])
+
+
+def _random_channels(rng, size):
+    mag = 10.0 ** rng.uniform(-20.0, 6.0, size)
+    return mag * np.exp(1j * rng.uniform(-4.0, 4.0, size))
+
+
+def _assert_bits(got, want, what):
+    assert np.shape(got) == np.shape(want), what
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes(), what
+
+
+def test_derived_fields_equal_the_stored_polar_rule_bit_for_bit():
+    rng = np.random.default_rng(21)
+    channels = [np.concatenate((_EDGE_CHANNELS, _random_channels(rng, 4000))) for _ in range(4)]
+    for batch in channels:
+        rng.shuffle(batch)
+    m = sf.TwoModeMoments(np.ones(channels[0].shape), 0.0, *channels)
+    for k, z in enumerate(channels, start=1):
+        mag, phase = _reference_polar(z)
+        _assert_bits(getattr(m, f"R{k}"), mag, f"R{k}")
+        _assert_bits(getattr(m, f"gamma{k}"), phase, f"gamma{k}")
+    _assert_bits(m.excess, _reference_polar(channels[0])[0] - 1.0, "excess")
+    # One channel at a time, as numpy scalars and as Python numbers: the same bits.
+    for z in [*_EDGE_CHANNELS, *channels[1][:200]]:
+        mag, phase = _reference_polar(z)
+        for channel in (z, complex(z)):
+            one = sf.TwoModeMoments(0.5, 0.0, channel, 0.0, 0.0, 0.0)
+            assert isinstance(one.R1, np.float64) and isinstance(one.gamma1, np.float64)
+            _assert_bits(one.R1, mag, z)
+            _assert_bits(one.gamma1, phase, z)
+
+
+def test_an_empty_channel_derives_the_float_zero():
+    mag, phase = _reference_polar(0.0)
+    m = sf.TwoModeMoments(0.3, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for name in ("R1", "R2", "R3", "R4", "gamma1", "gamma2", "gamma3", "gamma4"):
+        value = getattr(m, name)
+        assert type(value) is float, name
+        _assert_bits(value, mag if name.startswith("R") else phase, name)
+    assert m.excess == -0.3
+
+
+def test_derived_fields_of_a_scalar_call_are_numpy_scalars_and_of_a_batch_keep_its_shape():
+    def record(sigma, theta):
+        return sf.entangled_coherent_moments(sf.EntangledCoherent(sigma, theta, 0.4, 1.3))
+
+    derived = ("R1", "R2", "R3", "R4", "gamma1", "gamma2", "gamma3", "gamma4")
+    one = record(0.9, 0.7)
+    for name in derived:
+        assert isinstance(getattr(one, name), np.float64) and np.shape(getattr(one, name)) == (), name
+    sigma, theta = np.linspace(0.2, 1.5, 6).reshape(2, 3), np.array([0.0, 0.7, 2.0])
+    batch = record(sigma, theta)
+    for name in derived:
+        assert np.shape(getattr(batch, name)) == (2, 3), name
+        for i, j in np.ndindex(2, 3):
+            _assert_bits(getattr(batch, name)[i, j], getattr(record(sigma[i, j], theta[j]), name), (name, i, j))
+
+
+def test_a_channel_stored_as_another_is_derived_once(monkeypatch):
+    calls = []
+    wrap = sf.wrap_angle
+    monkeypatch.setattr(sf, "wrap_angle", lambda x: calls.append(1) or wrap(x))
+    for r in (0.3, np.linspace(0.1, 0.5, 4)):  # a scalar call and a batch
+        calls.clear()
+        m = sf.zhang_moments(sf.ZhangReal(r, 2.0))
+        assert m.b2 is m.a2
+        assert m.gamma2 is m.gamma1 and m.R2 is m.R1
+        assert len(calls) == 1
+
+
+def test_only_a_read_of_a_phase_derives_it(monkeypatch, capsys):
+    from subvacuum.cli import main
+    from subvacuum.optimizer import objective_F
+
+    def boom(x):
+        raise AssertionError("a phase was derived")
+
+    monkeypatch.setattr(sf, "wrap_angle", boom)
+    view = sf.SEARCHES["coherent-pair"][1]
+    assert np.all(np.isfinite(objective_F(view, _stencil(view, _stencil_points(view)[0]))))
+    for name, family in sf.REGISTRY.items():
+        if family.defaults:
+            key = next(iter(family.defaults))
+            assert main(["sweep", "--family", name, "--sweep", f"{key}=0.1:1:8"]) == 0, name
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="phase"):
+        sf.coherent_superposition_moments(sf.CoherentPair(0.8, -0.8, 1.0)).gamma1
+
+
+@pytest.mark.parametrize("name,derivations", [("entangled-coherent", 4), ("zhang", 1), ("coherent-pair", 1)])
+def test_density_profile_derives_each_phase_once(name, derivations, monkeypatch):
+    from subvacuum import energy_density as ed
+
+    family = sf.REGISTRY[name]
+    params = {**family.defaults, "theta": 0.7} if "theta" in family.defaults else family.defaults
+    calls, evaluations = [], []
+    wrap, span_rho = sf.wrap_angle, ed._span_rho
+    monkeypatch.setattr(sf, "wrap_angle", lambda x: calls.append(1) or wrap(x))
+    monkeypatch.setattr(ed, "_span_rho", lambda *args: evaluations.append(1) or span_rho(*args))
+    m = family.moments(family.record(params))
+    assert calls == []
+    ed.density_profile(m, ed.ModeGeometry("traveling", 1.0, 1.5, 0.3), 6.0, 16)
+    assert len(evaluations) > 100  # the scan's t slabs, then every polish evaluation
+    assert len(calls) == derivations
 
 
 def _stencil(view: sf.SearchView, x) -> np.ndarray:
