@@ -343,7 +343,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         # standing for t.
         sample = line % (kind % "sample", cell, cell, cell, "\0", "%" + cell)
         spatial = sep.join([sample] * len(profile.space)) % tuple(profile.space.ravel().tolist())
-        for t, rho in zip(profile.t.tolist(), profile.rho):
+        for t, rho in zip(profile.t.tolist(), profile.slabs()):
             yield spatial.replace("\0", cell % t) % tuple(rho.tolist())
         yield line % (kind % "min", *[cell] * 5) % (*pmin.x, pmin.t, vmin)
 

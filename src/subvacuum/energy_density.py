@@ -15,16 +15,27 @@ give
                                         + R4 cos((k2+k1).x - (w2+w1)t + g4) ],
 
 while standing waves along one axis give the product-of-cosines analogue with
-a factor 2 on the cross channels.  Each formula is written once, vectorized.
+a factor 2 on the cross channels.  These are the normal-ordered mode sums
+rho = sum_mu [Re(u^T M u) + u^dag N u], with N_ij = <a_i^dag a_j>,
+M_ij = <a_i a_j> and u_j = d_mu f_j, for the mode functions
+
+    traveling:  f_j = i exp(i(k_j.x - w_j t)) / sqrt(2 w_j),
+    standing:   f_j = sqrt(2) sin(w_j z) exp(-i w_j t) / sqrt(2 w_j),
+
+with z the coordinate along the cavity axis (x[0] of a point).  Each formula
+is written once, vectorized, and adds no term for a channel whose magnitude
+Rk is exactly 0.
 The numeric minimizer scans the span of the wave vectors (the density depends
-on x only through the k.x phases) plus time, then polishes with a
-Nelder-Mead refinement; the point evaluator ``rho_two_mode`` and the sample
-export use the same formulas, and the export reuses the scan grid.
+on x only through the k.x phases) plus time, one t slab at a time, then
+polishes with a Nelder-Mead refinement; the point evaluator ``rho_two_mode``
+and the sample export use the same formulas, and the export recomputes each
+t slab of the scan grid as it writes it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,25 +104,37 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Density on the scan grid plus the refined minimum over the scan window.
+    """The scan grid of a density plus the refined minimum over the scan window.
 
     The grid is the product of the times ``t`` (grid_n,) and the spatial
     points ``space`` (M, 3), the Cartesian x of each spatial grid point in
-    lexicographic order of its span coordinates; ``rho`` (grid_n, M) holds
-    the density at each (t, x) pair.  M is grid_n**2 for skew traveling
-    modes and grid_n otherwise.
+    lexicographic order of its span coordinates.  M is grid_n**2 for skew
+    traveling modes and grid_n otherwise.  The density itself is not kept:
+    :meth:`slabs` recomputes it one t at a time, bit for bit the values the
+    scan checked, from ``moments`` and ``geometry``.
     """
 
     t: np.ndarray
     space: np.ndarray
-    rho: np.ndarray
     min_found: tuple[SpacetimePoint, float]
+    moments: TwoModeMoments
+    geometry: ModeGeometry
+
+    def slabs(self) -> Iterator[np.ndarray]:
+        """The density at each t in turn, over the (M,) spatial points."""
+        return _slabs(self.moments, self.geometry, self.t)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """(grid_n, M) density at each (t, x) pair, stacked from :meth:`slabs`."""
+        return np.stack(list(self.slabs()))
 
     @property
     def samples(self) -> np.ndarray:
         """(N, 5) rows of x1, x2, x3, t, rho in (t, space...) lexicographic order."""
-        n, m = self.rho.shape
-        return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), self.rho.ravel()])
+        rho = self.rho
+        n, m = rho.shape
+        return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), rho.ravel()])
 
 
 def rho_min_one_mode(m: TwoModeMoments, omega: float) -> float:
@@ -125,45 +148,65 @@ def rho_min_one_mode(m: TwoModeMoments, omega: float) -> float:
     return -omega * m.excess
 
 
+def _occupied(m: TwoModeMoments, w1: float, w2: float, coords, channels):
+    """n1 w1 + n2 w2 plus the ``channels`` terms, each of the broadcast shape of ``coords``.
+
+    Channel k's term (a thunk) is evaluated and added, in channel order, only
+    when its magnitude Rk is not exactly 0.  An empty channel's term is
+    0 * finite = +-0, and adding +-0 to a sum that is never -0 changes no
+    bit, so a finite density is the six-term sum bit for bit; an empty
+    channel whose phase or weight overflows (0 * inf = nan) adds nothing.
+    With every channel empty the density is n1 w1 + n2 w2 over that shape.
+    """
+    base = rho = m.n1 * w1 + m.n2 * w2
+    for magnitude, term in zip((m.R1, m.R2, m.R3, m.R4), channels):
+        if magnitude != 0:
+            rho = rho + term()
+    return np.broadcast_to(base, np.broadcast_shapes(*map(np.shape, coords))) if rho is base else rho
+
+
 def _traveling_rho(m: TwoModeMoments, g: ModeGeometry, k1x, k2x, t):
     """Vectorized traveling-wave density from the phases k1.x and k2.x."""
     w1, w2 = g.omega1, g.omega2
     geom = math.sqrt(w1 * w2) * (1.0 + g.cosangle)
-    return (
-        m.n1 * w1
-        + m.n2 * w2
-        + m.R1 * w1 * np.cos(2.0 * (k1x - w1 * t) + m.gamma1)
-        + m.R2 * w2 * np.cos(2.0 * (k2x - w2 * t) + m.gamma2)
-        + m.R3 * geom * np.cos((k2x - k1x) - (w2 - w1) * t + m.gamma3)
-        + m.R4 * geom * np.cos((k2x + k1x) - (w2 + w1) * t + m.gamma4)
-    )
+    return _occupied(m, w1, w2, (k1x, k2x, t), (
+        lambda: m.R1 * w1 * np.cos(2.0 * (k1x - w1 * t) + m.gamma1),
+        lambda: m.R2 * w2 * np.cos(2.0 * (k2x - w2 * t) + m.gamma2),
+        lambda: m.R3 * geom * np.cos((k2x - k1x) - (w2 - w1) * t + m.gamma3),
+        lambda: m.R4 * geom * np.cos((k2x + k1x) - (w2 + w1) * t + m.gamma4),
+    ))
 
 
 def _standing_rho(m: TwoModeMoments, g: ModeGeometry, x, t):
     """Vectorized standing-wave density along the cavity axis."""
     w1, w2 = g.omega1, g.omega2
     cross = 2.0 * math.sqrt(w1 * w2)
-    return (
-        m.n1 * w1
-        + m.n2 * w2
-        + m.R1 * w1 * np.cos(2.0 * w1 * x) * np.cos(2.0 * w1 * t - m.gamma1)
-        + m.R2 * w2 * np.cos(2.0 * w2 * x) * np.cos(2.0 * w2 * t - m.gamma2)
-        + m.R3 * cross * np.cos((w2 - w1) * x) * np.cos((w2 - w1) * t - m.gamma3)
-        + m.R4 * cross * np.cos((w1 + w2) * x) * np.cos((w1 + w2) * t - m.gamma4)
-    )
+    return _occupied(m, w1, w2, (x, t), (
+        lambda: m.R1 * w1 * np.cos(2.0 * w1 * x) * np.cos(2.0 * w1 * t - m.gamma1),
+        lambda: m.R2 * w2 * np.cos(2.0 * w2 * x) * np.cos(2.0 * w2 * t - m.gamma2),
+        lambda: m.R3 * cross * np.cos((w2 - w1) * x) * np.cos((w2 - w1) * t - m.gamma3),
+        lambda: m.R4 * cross * np.cos((w1 + w2) * x) * np.cos((w1 + w2) * t - m.gamma4),
+    ))
+
+
+def _phases(g: ModeGeometry, s1, s2=0.0):
+    """The phases k1.x and k2.x of traveling modes at x = s1 khat1 + s2 khat2.
+
+    k1.x = w1 (s1 + c s2) and k2.x = w2 (c s1 + s2) with c = khat1.khat2.
+    """
+    c = g.cosangle
+    return g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2)
 
 
 def _span_rho(m: TwoModeMoments, g: ModeGeometry, t, s1, s2=0.0):
     """Density at time t and span coordinates (s1, s2), vectorized.
 
-    Traveling waves are evaluated at x = s1 khat1 + s2 khat2, so
-    k1.x = w1 (s1 + c s2) and k2.x = w2 (c s1 + s2) with c = khat1.khat2;
-    standing waves at the cavity coordinate s1 (``s2`` is unused).
+    Traveling waves are evaluated at x = s1 khat1 + s2 khat2, standing waves
+    at the cavity coordinate s1 (``s2`` is unused).
     """
     if g.kind == "standing":
         return _standing_rho(m, g, s1, t)
-    c = g.cosangle
-    return _traveling_rho(m, g, g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2), t)
+    return _traveling_rho(m, g, *_phases(g, s1, s2), t)
 
 
 def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
@@ -174,23 +217,27 @@ def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
     return np.multiply.outer(s1, _KHAT1) + np.multiply.outer(s2, _khat2(g))
 
 
-def _scan(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
-    """The scan axis over [0, window] and the density on the grid it spans.
+def _span_axes(g: ModeGeometry) -> int:
+    """Spatial scan axes: skew traveling modes (|khat1.khat2| != 1) span a plane, the rest a line."""
+    return 2 if g.kind == "traveling" and abs(abs(g.cosangle) - 1.0) >= 1e-12 else 1
 
-    The grid has axes (t, s1[, s2]): skew traveling modes
-    (|khat1.khat2| != 1) span a plane and get two spatial axes; parallel and
-    standing modes need one.  The spatial axes come from a sparse meshgrid
-    and the density is filled one t slab at a time, so only the density
-    itself has the full grid's size.
+
+def _slabs(m: TwoModeMoments, g: ModeGeometry, axis: np.ndarray) -> Iterator[np.ndarray]:
+    """The density at each t in ``axis``, one flat slab over the spatial grid at a time.
+
+    The spatial grid takes ``axis`` along each span coordinate, in C order.
+    Its t-independent parts (the cavity coordinate of standing modes, the
+    phases k1.x and k2.x of traveling ones) are computed once; a slab is
+    grid_n**axes values and no array of the full grid's size is made.
     """
-    axis = np.linspace(0.0, window, grid_n)
-    skew = g.kind == "traveling" and abs(abs(g.cosangle) - 1.0) >= 1e-12
-    dims = 3 if skew else 2
-    t, *space = np.meshgrid(*[axis] * dims, indexing="ij", sparse=True)
-    vals = np.empty((grid_n,) * dims)
-    for i in range(grid_n):
-        vals[i] = _span_rho(m, g, t[i : i + 1], *space)[0]
-    return axis, vals
+    space = np.meshgrid(*[axis] * _span_axes(g), indexing="ij", sparse=True)
+    rho = _standing_rho if g.kind == "standing" else _traveling_rho
+    with np.errstate(all="ignore"):
+        spatial = space if g.kind == "standing" else _phases(g, *space)
+    for t in axis:
+        with np.errstate(all="ignore"):  # a non-finite slab is the scan's to refuse
+            slab = rho(m, g, *spatial, t).ravel()
+        yield slab
 
 
 def rho_two_mode(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float:
@@ -217,7 +264,13 @@ def _moments_finite(m: TwoModeMoments) -> bool:
 
 
 def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
-    """The scan axis, the density grid and the polished minimum (point, value)."""
+    """The scan axis and the polished minimum (point, value).
+
+    The scan walks the t slabs once, refusing the first that is not finite,
+    and keeps the first minimum in C order (the smallest t, then the
+    smallest span coordinates): the first within a slab by ``argmin``, and a
+    later slab only by a strictly smaller value.
+    """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if window <= 0:
@@ -225,13 +278,15 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
     if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
-    with np.errstate(all="ignore"):
-        axis, vals = _scan(m, g, window, grid_n)
-    if not np.isfinite(vals).all():
-        raise FloatingPointError("density is not finite on the scan grid")
-    # The first minimum in C order: the smallest t, then the smallest span coordinates.
-    i = np.unravel_index(np.argmin(vals), vals.shape)
-    best, best_val = axis[list(i)], float(vals[i])
+    axis = np.linspace(0.0, window, grid_n)
+    best_val, best = math.inf, None
+    for i, slab in enumerate(_slabs(m, g, axis)):
+        if not np.isfinite(slab).all():
+            raise FloatingPointError("density is not finite on the scan grid")
+        j = int(np.argmin(slab))
+        if slab[j] < best_val:
+            best_val, best = float(slab[j]), (i, *np.unravel_index(j, (grid_n,) * _span_axes(g)))
+    best = axis[list(best)]
 
     def objective(q) -> float:
         # Trial points past the window can overflow: a non-finite value
@@ -249,7 +304,7 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
     x = _span_x(g, *best[1:])
-    return axis, vals, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
+    return axis, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
 
 
 def rho_min_two_mode_numeric(
@@ -262,20 +317,21 @@ def rho_min_two_mode_numeric(
     polish; the polished value is kept only if it improves on the best
     sample, so the result is always <= every sampled value.
     """
-    return _scan_and_polish(m, g, window, grid_n)[2]
+    return _scan_and_polish(m, g, window, grid_n)[1]
 
 
 def density_profile(
     m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
 ) -> DensityProfile:
-    """The density on the scan grid plus the refined minimum, for data export.
+    """The scan grid plus the refined minimum, for data export.
 
-    The grid is the minimizer's own scan, so the minimum is <= every grid
-    value exactly.
+    The grid is the minimizer's own scan, checked finite there, and the
+    profile's slabs recompute its values bit for bit, so the minimum is
+    <= every grid value exactly.
     """
-    axis, vals, min_found = _scan_and_polish(m, g, window, grid_n)
-    space = _span_x(g, *np.meshgrid(*[axis] * (vals.ndim - 1), indexing="ij")).reshape(-1, 3)
-    return DensityProfile(t=axis, space=space, rho=vals.reshape(grid_n, -1), min_found=min_found)
+    axis, min_found = _scan_and_polish(m, g, window, grid_n)
+    space = _span_x(g, *np.meshgrid(*[axis] * _span_axes(g), indexing="ij")).reshape(-1, 3)
+    return DensityProfile(t=axis, space=space, min_found=min_found, moments=m, geometry=g)
 
 
 def rho_min_br_closed(r: float, omega1: float, omega2: float) -> float:

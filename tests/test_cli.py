@@ -655,6 +655,28 @@ class TestDensity:
         assert quiet_stderr() == "subvacuum density: numeric failure: density is not finite on the scan grid\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every channel is empty: the overflowing phases enter no term
+            ["--family", "vacuum", "--window", "1e308"],
+            # sqrt(w1 w2) overflows, but only in the empty cross channels
+            ["--family", "squeezed-vacuum", "--geometry", "traveling:1e200:1e200:1"],
+        ],
+        ids=["vacuum", "one-mode"],
+    )
+    def test_overflow_in_empty_channels_is_no_failure(self, tmp_path, argv):
+        out = tmp_path / "density.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["density", *argv, "--grid-n", "16", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 16**2 + 1
+        rho = [float(row[-1]) for row in rows]
+        assert all(map(math.isfinite, rho))
+        if argv[1] == "vacuum":
+            assert set(rho) == {0.0}
+
     @pytest.mark.parametrize("grid_n", [17, 24])
     @pytest.mark.parametrize(
         "geometry", ["standing:1:2:1", "traveling:1:2:1", "traveling:1:2:0", "traveling:1:1:0.3", "traveling:1:2:-0.5"]
@@ -677,15 +699,25 @@ class TestDensity:
         assert out.read_bytes() == expected.encode("utf-8")
 
     def test_3d_export_traced_peak_is_bounded(self, tmp_path):
-        # The only full-grid array is rho itself (2 MiB at 64^3): the scan
-        # fills it one t slab at a time and the export formats it per t.
-        # The peak is 3.1 MB traced; full-grid coordinate arrays plus the
-        # (N, 5) sample table peaked at 25.2 MB.
+        # The scan and the export each work one t slab at a time.  The peak
+        # is 1.1 MB traced; a full-grid rho (2 MiB at 64^3) peaked at
+        # 3.1 MB, and full-grid coordinate arrays plus the (N, 5) sample
+        # table at 25.2 MB.
         out = tmp_path / "density.csv"
         argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0", "--grid-n", "64"]
         peak = traced_peak([*argv, "--out", str(out)])
         assert out.stat().st_size > 64**3 * 30
         assert peak <= 2 * 64**3 * 8
+
+    def test_3d_export_traced_peak_grows_with_the_spatial_block(self, tmp_path):
+        # From grid_n 40 to 80 the peak grows by ~217 B per spatial point
+        # (a t block's text and its floats), 1.04 MB in all.  A full-grid
+        # array would add (80^3 - 40^3) * 8 B = 3.6 MB on its own.
+        argv = ["density", "--family", "barnett-radmore", "--geometry", "traveling:1:2:0"]
+        small, large = (
+            traced_peak([*argv, "--grid-n", str(n), "--out", str(tmp_path / f"density-{n}.csv")]) for n in (40, 80)
+        )
+        assert large - small <= 300 * (80**2 - 40**2)
 
     def test_aligned_json_export_traced_peak_is_bounded(self, tmp_path):
         # JSON rows are formatted per t block, never as one dict per row

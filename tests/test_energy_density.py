@@ -7,7 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from subvacuum import energy_density as ed
 from subvacuum.state_families import (
+    REGISTRY,
+    SCALAR,
     BarnettRadmore,
     TwoModeMoments,
     ZhangReal,
@@ -548,3 +551,139 @@ class TestSpacetimeAverage:
         m = zhang_moments(ZhangReal(r=0.02, theta=0.9 * math.pi))
         assert spacetime_average(m, g) >= 0.0
         assert spacetime_average(ZERO_MOMENTS, g) == 0.0
+
+
+# Every registry family with moments, at its defaults and at one seeded draw
+# over its verification ranges, on aligned, antiparallel and skew traveling
+# modes and on standing modes.
+def _family_records():
+    rng = np.random.default_rng(22)
+    for name, family in REGISTRY.items():
+        if family.layout is SCALAR:
+            continue
+        yield f"{name}-defaults", family.moments(family.record(family.defaults))
+        if family.draws:
+            drawn = {key: float(rng.uniform(0.0, upper)) for key, upper in family.draws.items()}
+            yield f"{name}-drawn", family.moments(family.record(drawn))
+
+
+FAMILY_RECORDS = dict(_family_records())
+GEOMETRY_KINDS = {
+    "aligned": ModeGeometry("traveling", 1.0, 2.0),
+    "antiparallel": ModeGeometry("traveling", 1.5, 1.0, -1.0),
+    "skew": ModeGeometry("traveling", 1.0, 2.0, 0.3),
+    "standing": ModeGeometry("standing", 1.0, 1.5),
+}
+
+
+def six_term_traveling(m, g, k1x, k2x, t):
+    """The traveling formula with every channel's term summed, empty or not."""
+    w1, w2 = g.omega1, g.omega2
+    geom = math.sqrt(w1 * w2) * (1.0 + g.cosangle)
+    return (
+        m.n1 * w1
+        + m.n2 * w2
+        + m.R1 * w1 * np.cos(2.0 * (k1x - w1 * t) + m.gamma1)
+        + m.R2 * w2 * np.cos(2.0 * (k2x - w2 * t) + m.gamma2)
+        + m.R3 * geom * np.cos((k2x - k1x) - (w2 - w1) * t + m.gamma3)
+        + m.R4 * geom * np.cos((k2x + k1x) - (w2 + w1) * t + m.gamma4)
+    )
+
+
+def six_term_standing(m, g, x, t):
+    """The standing formula with every channel's term summed, empty or not."""
+    w1, w2 = g.omega1, g.omega2
+    cross = 2.0 * math.sqrt(w1 * w2)
+    return (
+        m.n1 * w1
+        + m.n2 * w2
+        + m.R1 * w1 * np.cos(2.0 * w1 * x) * np.cos(2.0 * w1 * t - m.gamma1)
+        + m.R2 * w2 * np.cos(2.0 * w2 * x) * np.cos(2.0 * w2 * t - m.gamma2)
+        + m.R3 * cross * np.cos((w2 - w1) * x) * np.cos((w2 - w1) * t - m.gamma3)
+        + m.R4 * cross * np.cos((w1 + w2) * x) * np.cos((w1 + w2) * t - m.gamma4)
+    )
+
+
+def six_term_span(m, g, t, s1, s2=0.0):
+    if g.kind == "standing":
+        return six_term_standing(m, g, s1, t)
+    c = g.cosangle
+    return six_term_traveling(m, g, g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2), t)
+
+
+def six_term_point(m, g, p):
+    if g.kind == "standing":
+        return float(six_term_standing(m, g, p.x[0], p.t))
+    c = g.cosangle
+    x = np.asarray(p.x, dtype=float)
+    k1x = float((g.omega1 * np.asarray((0.0, 0.0, 1.0))) @ x)
+    k2x = float((g.omega2 * np.asarray((math.sqrt(max(0.0, 1.0 - c * c)), 0.0, c))) @ x)
+    return float(six_term_traveling(m, g, k1x, k2x, p.t))
+
+
+def _points(rng, count):
+    for _ in range(count):
+        yield SpacetimePoint(x=tuple(float(v) for v in rng.uniform(-4.0, 4.0, 3)), t=float(rng.uniform(-4.0, 4.0)))
+
+
+@pytest.mark.parametrize("kind", sorted(GEOMETRY_KINDS))
+@pytest.mark.parametrize("record", sorted(FAMILY_RECORDS))
+def test_skipped_channels_change_no_bit(record, kind, monkeypatch):
+    # The scan, the point evaluator and the polish objective skip every
+    # channel whose magnitude is exactly 0; each must still give the
+    # six-term sum bit for bit.
+    m, g = FAMILY_RECORDS[record], GEOMETRY_KINDS[kind]
+    objectives, minimize = [], ed.minimize
+    monkeypatch.setattr(ed, "minimize", lambda fun, x0, **kw: objectives.append(fun) or minimize(fun, x0, **kw))
+    grid_n, window = 16, 6.0
+    prof = density_profile(m, g, window, grid_n)
+    axes = 3 if kind == "skew" else 2
+    axis = np.linspace(0.0, window, grid_n)
+    grid = np.meshgrid(*[axis] * axes, indexing="ij")
+    assert prof.rho.tobytes() == six_term_span(m, g, *grid).reshape(grid_n, -1).tobytes()
+
+    (objective,) = objectives
+    rng = np.random.default_rng(23)
+    for p in _points(rng, 40):
+        assert rho_two_mode(m, g, p) == six_term_point(m, g, p)
+        q = rng.uniform(-4.0, 4.0, axes)
+        assert objective(q) == float(six_term_span(m, g, *q))
+
+
+def mode_sum_rho(m, g, p):
+    """rho = sum_mu [Re(u^T M u) + u^dag N u] with u_j = d_mu f_j, from explicit mode functions.
+
+    N_ij = <a_i^dag a_j> and M_ij = <a_i a_j> come from the record's stored
+    complex channels.  Traveling modes are f_j = i e^{i(k_j.x - w_j t)} / sqrt(2 w_j)
+    with k_j = w_j khat_j; standing modes are
+    f_j = sqrt(2) sin(w_j z) e^{-i w_j t} / sqrt(2 w_j) with z = x[0].
+    """
+    w = np.array([g.omega1, g.omega2])
+    N = np.array([[m.n1, m.adag_b], [np.conj(m.adag_b), m.n2]], dtype=complex)
+    M = np.array([[m.a2, m.ab], [m.ab, m.b2]], dtype=complex)
+    x = np.array(p.x)
+    if g.kind == "traveling":
+        c = g.cosangle
+        k = w[:, None] * np.array([[0.0, 0.0, 1.0], [math.sqrt(max(0.0, 1.0 - c * c)), 0.0, c]])
+        f = 1j * np.exp(1j * (k @ x - w * p.t)) / np.sqrt(2.0 * w)
+        u = np.vstack([-1j * w * f, (1j * k * f[:, None]).T])  # rows d_t, d_x, d_y, d_z
+    else:
+        z = x[0]
+        e = math.sqrt(2.0) * np.exp(-1j * w * p.t) / np.sqrt(2.0 * w)
+        u = np.vstack([-1j * w * np.sin(w * z) * e, w * np.cos(w * z) * e])  # rows d_t, d_z
+    return float(sum((v @ M @ v).real + (v.conj() @ N @ v).real for v in u))
+
+
+@pytest.mark.parametrize("kind", sorted(GEOMETRY_KINDS))
+@pytest.mark.parametrize("record", sorted(FAMILY_RECORDS))
+def test_density_is_the_mode_sum(record, kind):
+    # An independent route from moments to density: no R, gamma or trig
+    # identity of the formulas.  Rounding enters through the phases, so the
+    # bound scales with the terms' size and the largest phase.
+    m, g = FAMILY_RECORDS[record], GEOMETRY_KINDS[kind]
+    scale = m.n1 * g.omega1 + m.n2 * g.omega2 + abs(m.a2) * g.omega1 + abs(m.b2) * g.omega2
+    scale += 2.0 * math.sqrt(g.omega1 * g.omega2) * (abs(m.adag_b) + abs(m.ab))
+    for p in _points(np.random.default_rng(24), 40):
+        phase = 2.0 * max(g.omega1, g.omega2) * (max(map(abs, p.x)) * math.sqrt(3.0) + abs(p.t))
+        tol = np.finfo(float).eps * scale * (1.0 + phase)
+        assert abs(rho_two_mode(m, g, p) - mode_sum_rho(m, g, p)) <= tol

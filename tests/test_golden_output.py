@@ -7,7 +7,8 @@ JSON with a degenerate row), a short seeded search per search family, the
 64-start coherent-pair search that the benchmark times, the README
 standing-wave density case, three traveling-wave density cases (3-D,
 aligned JSON, skew CSV), a one-mode standing case, a one-mode superposition
-on a skew traveling grid and an antiparallel traveling case, all on 16-point
+on a skew traveling grid, an antiparallel traveling case and three skew
+traveling cases with two, four and no occupied channels, all on 16-point
 grids, a JSON sweep whose first row has denominator 0, and a two-draw
 verification.
 A refactor that keeps results must keep every digest; a change that alters
@@ -68,6 +69,14 @@ GOLDEN = [
      "772087dc51b265498048abe1d7c74c490783759a1490d20ed2bd34ae0b8a23bc"),
     ("density --family coherent-squeezed --geometry traveling:1:2:0 --grid-n 16",
      "733cb911f5f7e5b608120ec3e71dc98f1d1e1ac4fbfd295a7f92b712d281080d"),
+    # Occupied channels on a skew grid: zhang two (1, 2), entangled-coherent
+    # all four, vacuum none.
+    ("density --family zhang --geometry traveling:1:2:0.3 --grid-n 16",
+     "816220caccd32e21ca66c34ebdaf4bb87fca9512dadae9adb683cfff8252d351"),
+    ("density --family entangled-coherent --geometry traveling:1:2:0.3 --grid-n 16",
+     "6484b7e4c7f8fb5b3099ab6383b213becb0ecda4dea6b3a67e61b865dd191f30"),
+    ("density --family vacuum --geometry traveling:1:2:0.3 --grid-n 16",
+     "4d3bcc1ed394e0e5dea298a7e5ff21175fe71103a2e857c15142a4df8c730635"),
     # The cancellation-free denominator moves n and F in their last digits, nearer 50-digit values.
     ("sweep --family superposed-squeezed --set eta=-1 --sweep r=0:0.5:20 --format json",
      "dc9f5cb3c7182f2fe8285516cc58e3cf60824d3ed4f3d4486cfc31fde295f22d"),

@@ -881,7 +881,7 @@ def test_density_profile_derives_each_phase_once(name, derivations, monkeypatch)
     m = family.moments(family.record(params))
     assert calls == []
     ed.density_profile(m, ed.ModeGeometry("traveling", 1.0, 1.5, 0.3), 6.0, 16)
-    assert len(evaluations) > 100  # the scan's t slabs, then every polish evaluation
+    assert len(evaluations) > 100  # every polish evaluation
     assert len(calls) == derivations
 
 
