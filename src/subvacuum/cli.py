@@ -27,8 +27,10 @@ import functools
 import json
 import math
 import os
+import shutil
 import stat
 import sys
+import tempfile
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -167,8 +169,8 @@ def _json_rows(head: str, blocks: Iterable[str]) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
-#: Rows per sweep block: one closed-form batch and one "%" format each.
-#: Smaller blocks lower a sweep's peak memory, but each batch has a fixed
+#: Rows per sweep block: one closed-form batch, finiteness check and "%"
+#: format each.  Smaller blocks hold less memory, but each batch has a fixed
 #: cost (up to ~0.15 ms) that blocks of 1,024 rows already make visible.
 SWEEP_BLOCK = 2048
 
@@ -185,21 +187,23 @@ def _row_templates(header: Sequence[str]) -> tuple[str, str]:
 
 @contextlib.contextmanager
 def _sink(path: str | None) -> Iterator[IO[str]]:
-    """Stdout, flushed before the command returns, or the ``--out`` file.
+    """The file a command writes to, whose text reaches stdout or ``--out`` once complete.
 
-    A new or regular file (the one a symlink names) is written to a temporary
-    file beside it that replaces it, with its permission bits, once complete,
-    so a failed write leaves neither file behind.  A device, pipe or
-    directory is opened in place.
+    A new or regular ``--out`` file (the one a symlink names) is written to a
+    temporary file beside it that replaces it, with its permission bits, once
+    complete.  Stdout, or a device or pipe given as ``--out``, is sent the
+    text of an anonymous temporary file once complete.  A command that fails
+    midway, or a failed write, thus leaves no partial output and no file.
     """
-    if path is None:
-        yield sys.stdout
-        sys.stdout.flush()
-        return
-    mode = os.stat(path).st_mode if os.path.exists(path) else None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+    mode = os.stat(path).st_mode if path is not None and os.path.exists(path) else None
+    if path is None or (mode is not None and not stat.S_ISREG(mode)):
+        with contextlib.ExitStack() as stack:
+            out = sys.stdout if path is None else stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
+            out.flush()
         return
     real = os.path.realpath(path)
     tmp = f"{real}.{os.getpid()}.tmp"
@@ -221,16 +225,16 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Seque
            json_blocks: Iterable[str] | None = None, **body: object) -> None:
     """Emit CSV, or one JSON document (``body`` defaults to the rows).
 
-    Output goes to ``--out`` or stdout as it is formatted.  CSV is the
+    Output is written to :func:`_sink` as it is formatted.  CSV is the
     command's ``blocks`` of row text if it gives them, else ``rows`` cell by
     cell through :func:`_fmt`.  JSON is likewise the command's
     ``json_blocks`` if it gives them: runs of "rows" objects in
     ``json.dumps(..., indent=2)`` layout, joined here by ",\\n" after the
     command, seed and config; else the whole document goes through
     ``json.dumps``.  JSON writes a non-finite number (a NaN deviation of a
-    failed check, say) as null; CSV prints it as ``nan``.  Every number is
-    computed before this call, so a numeric failure leaves no ``--out``
-    file, and :func:`_sink` keeps a failed write from leaving one.
+    failed check, say) as null; CSV prints it as ``nan``.  ``blocks`` may
+    compute as they go: one that raises (a sweep's non-finite row) leaves
+    no output, as a failed write does.
     """
     doc = {"command": args.command, "seed": seed, "config": config}
     if args.format == "csv":
@@ -263,32 +267,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if any(item.partition("=")[0].strip() == key for item in args.set or []):
         raise UsageError(f"parameter {key} is both --set and swept")
     header = [key, *family.layout.columns]
-    width = len(header)
-    # The parameter values, this table of the other cells and the degenerate
-    # flags are the sweep's only full-length arrays: each block of rows is
-    # one closed-form batch (a row's moments do not depend on the batch it
-    # is evaluated in), formatted once every row is known to be finite.
-    table = np.empty((len(values), width - 1))
-    degenerate = np.empty(len(values), dtype=bool)
-    row_blocks = [slice(start, start + SWEEP_BLOCK) for start in range(0, len(values), SWEEP_BLOCK)]
-    for block in row_blocks:
-        m = family.moments(family.record({**params, key: values[block]}))
-        with np.errstate(all="ignore"):  # a cell derived from overflowing moments is caught below
-            for column, cell in enumerate(family.layout.cells(m)):
-                table[block, column] = cell
-        # The scalar figure of merit has no normalization, hence no degenerate rows.
-        degenerate[block] = getattr(m, "degenerate", False)
-        overflow = ~degenerate[block] & ~np.isfinite(table[block]).all(axis=1)
-        if overflow.any():
-            raise FloatingPointError(f"non-finite result at {key}={values[block][overflow.argmax()]:.9g}")
+
+    def tables():
+        # The parameter values are the sweep's only full-length array.  Each
+        # block of rows is one closed-form batch (a row's moments do not depend
+        # on the batch), checked finite; a scalar f has no degenerate rows.
+        for start in range(0, len(values), SWEEP_BLOCK):
+            block = values[start : start + SWEEP_BLOCK]
+            m = family.moments(family.record({**params, key: block}))
+            with np.errstate(all="ignore"):  # a cell derived from overflowing moments is caught below
+                table = np.column_stack(np.broadcast_arrays(block, *family.layout.cells(m)))
+            degenerate = np.broadcast_to(getattr(m, "degenerate", False), block.shape)
+            overflow = ~degenerate & ~np.isfinite(table[:, 1:]).all(axis=1)
+            if overflow.any():
+                raise FloatingPointError(f"non-finite result at {key}={block[overflow.argmax()]:.9g}")
+            yield degenerate, table
 
     def blocks(line: str, cell: str, blank: str, sep: str):
-        # A degenerate row prints its parameter value only: "%.0s" consumes
-        # each of its cells and prints nothing.
-        full, empty = line % ((cell,) * width), line % (cell, *[blank] * (width - 1))
-        for block in row_blocks:
-            text = sep.join([empty if flag else full for flag in degenerate[block].tolist()])
-            yield text % tuple(np.column_stack((values[block], table[block])).ravel().tolist())
+        # A degenerate row prints its parameter value only: "%.0s" consumes each cell.
+        full, empty = line % ((cell,) * len(header)), line % (cell, *[blank] * (len(header) - 1))
+        for degenerate, table in tables():
+            text = sep.join([empty if flag else full for flag in degenerate.tolist()])
+            yield text % tuple(table.ravel().tolist())
 
     csv_line, json_line = _row_templates(header)
     sweep = {"key": key, "lo": float(values[0]), "hi": float(values[-1]), "steps": len(values) - 1}
@@ -492,10 +492,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except OSError as exc:  # writing the output is the only I/O a command does
         if args.out is None:  # point the dead stdout at os.devnull, so the final flush raises nothing
-            with contextlib.suppress(AttributeError, ValueError, OSError):  # no file descriptor to point
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+            with contextlib.suppress(AttributeError, ValueError, OSError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())  # raises if stdout has no descriptor to point
         print(f"subvacuum {args.command}: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -315,9 +316,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_traced_peak_grows_by_the_table_per_row(self, tmp_path, monkeypatch, fmt):
-        # Per added row the traced peak grows by the row's parameter value,
-        # cells and degenerate flag (65 B for a two-mode family), not by
-        # whole-sweep temporaries: one batch of the whole sweep grew by
+        # Per added row the traced peak grows by at most a row's parameter
+        # value, cells and degenerate flag (65 B for a two-mode family), not
+        # by whole-sweep temporaries: one batch of the whole sweep grew by
         # ~250 B per row, and JSON built as one dict per row by ~2.1 KB.
         # At sigma = 0 (the vacuum) every row prints the same cells, so the
         # peak's per-block part is the same in both sweeps; 256-row blocks
@@ -331,6 +332,25 @@ class TestSweep:
         small, large = 512, 512 + 8192
         table_bytes_per_row = 8 * (1 + len(sf.TWO_MODE.columns))
         assert (peak(large) - peak(small)) / (large - small) <= 1.1 * table_bytes_per_row
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_traced_peak_is_bounded_in_the_sweep_length(self, tmp_path, monkeypatch, fmt):
+        # Each block is evaluated, checked and formatted in turn, so the
+        # parameter values (8 B per step) are the sweep's only full-length
+        # array.  A table of every row's cells and degenerate flag, held to
+        # check the whole sweep before any output, grew the peak by 65 B per
+        # step.  Blocks and sweeps are 1/8 of 2,048-row blocks over 20,000
+        # and 400,000 steps: the same blocks per sweep, so the same share of
+        # the growth comes from one block's text, at 1/8 of the traced cost.
+        monkeypatch.setattr("subvacuum.cli.SWEEP_BLOCK", 256)
+        out = tmp_path / f"sweep.{fmt}"
+
+        def peak(steps):
+            argv = ["sweep", "--family", "entangled-coherent", "--sweep", f"sigma=0:2:{steps}", "--format", fmt]
+            return traced_peak([*argv, "--out", str(out)])
+
+        small, large = 2_500, 50_000
+        assert (peak(large) - peak(small)) / (large - small) < 12.0
 
     def test_pi_suffix_reaches_the_sweep_axis(self, tmp_path):
         out = tmp_path / "axis.csv"
@@ -1090,6 +1110,37 @@ def test_out_keeps_the_mode_and_writes_through_a_symlink(tmp_path):
     assert target.read_text().splitlines()[0] == "sigma,f"
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "sweep.csv"]
+
+
+def test_numeric_failure_midway_sends_nothing_to_a_fifo(tmp_path, quiet_stderr):
+    # Row 3556 overflows in the fourth block, after three blocks are
+    # formatted; a pipe given as --out is sent the output only once complete.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # a reader that never blocks the writer's open
+    try:
+        argv = ["sweep", "--family", "barnett-radmore", "--sweep", "r=0:400:4000", "--out", str(fifo)]
+        assert main(argv) == 3
+        assert quiet_stderr() == "subvacuum sweep: numeric failure: non-finite result at r=355.6\n"
+        with pytest.raises(BlockingIOError):  # the FIFO is empty
+            os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "stderr.txt"]
+
+
+def test_stdout_without_a_temporary_directory_is_an_output_failure(tmp_path, monkeypatch, capsys):
+    # Stdout is sent the text of an anonymous temporary file once complete;
+    # with no usable temporary directory the command fails as an output
+    # that cannot be written does, prints nothing and leaves no descriptor
+    # open (capsys's stdout has none to point at os.devnull).
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+    assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3"]) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "subvacuum sweep: cannot write stdout: No such file or directory\n"
 
 
 def test_out_writes_into_a_fifo_in_place(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from subvacuum import energy_density as ed
+from subvacuum import fock_oracle, verification
 from subvacuum.state_families import (
     REGISTRY,
     SCALAR,
@@ -687,3 +688,41 @@ def test_density_is_the_mode_sum(record, kind):
         phase = 2.0 * max(g.omega1, g.omega2) * (max(map(abs, p.x)) * math.sqrt(3.0) + abs(p.t))
         tol = np.finfo(float).eps * scale * (1.0 + phase)
         assert abs(rho_two_mode(m, g, p) - mode_sum_rho(m, g, p)) <= tol
+
+
+def _oracle_record(name):
+    """The first draw of `verify --seed 7` for ``name``: its closed-form and oracle records and tolerance.
+
+    The oracle record is the moments of the number-basis state at the first
+    cutoff whose own tail mass meets verification's target, and the
+    tolerance is the one verification allows each moment of that draw.
+    """
+    family = REGISTRY[name]
+    (row,) = verification._draw(family, np.random.default_rng([7, verification.FAMILIES.index(name)]), 1)
+    record = family.record(dict(zip(family.draws, row.tolist())))
+    state = fock_oracle.fitted(lambda cutoff: family.oracle(record, cutoff), verification._TAIL_TARGET, 4096)
+    two_mode = isinstance(state, fock_oracle.TwoModeFockVector)
+    brute = fock_oracle.two_mode_moments(state) if two_mode else fock_oracle.one_mode_moments(state)
+    return family.moments(record), brute, max(1e-8, 10.0 * float(fock_oracle.tail_mass(state)))
+
+
+@pytest.mark.parametrize("kind", ["aligned", "skew", "standing"])
+@pytest.mark.parametrize("name", verification.FAMILIES)
+def test_oracle_state_density_is_the_closed_form_density(name, kind):
+    # From state to density with no closed-form step: the oracle's moments
+    # through the mode sum and through rho_two_mode.  rho is linear in n1,
+    # n2 and the four complex channels, with weights w1, w2, w1, w2 and up
+    # to 2 sqrt(w1 w2) twice, so moments each within tol of the closed
+    # forms' move it by at most tol times their sum, the density's size per
+    # unit moment; rounding is bounded as in test_density_is_the_mode_sum.
+    closed, brute, tol = _oracle_record(name)
+    g = GEOMETRY_KINDS[kind]
+    size = 2.0 * (g.omega1 + g.omega2) + 4.0 * math.sqrt(g.omega1 * g.omega2)
+    scale = closed.n1 * g.omega1 + closed.n2 * g.omega2 + abs(closed.a2) * g.omega1 + abs(closed.b2) * g.omega2
+    scale += 2.0 * math.sqrt(g.omega1 * g.omega2) * (abs(closed.adag_b) + abs(closed.ab))
+    for p in _points(np.random.default_rng(25), 20):
+        phase = 2.0 * max(g.omega1, g.omega2) * (max(map(abs, p.x)) * math.sqrt(3.0) + abs(p.t))
+        bound = tol * size + np.finfo(float).eps * scale * (1.0 + phase)
+        expected = rho_two_mode(closed, g, p)
+        assert abs(mode_sum_rho(brute, g, p) - expected) <= bound
+        assert abs(rho_two_mode(brute, g, p) - expected) <= bound
