@@ -129,23 +129,30 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     """
     p0 = view.clamp(np.asarray(start, dtype=float))
     lo, hi = view.lo, view.hi
+    rows = np.empty((view.dim + 1, view.dim))  # a point's stencil, filled per point
+    steps = np.zeros((view.dim, view.dim))  # its difference steps, on the diagonal
     evaluated: dict[bytes, tuple[float, np.ndarray | None]] = {}
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:
         # -F at x and its gradient, None where that is undefined; once per
         # point.  Row 0 of the batch is x; row i + 1 steps coordinate i by
-        # +_FD_STEP, flipped inward where it would leave the box.  These steps
+        # +_FD_STEP, flipped inward where it would pass the upper bound (x is
+        # in the box: L-BFGS-B evaluates no point outside it).  These steps
         # and quotients are scipy's own two-point gradient for L-BFGS-B, so
         # the runs match it.
         key = x.tobytes()
         if key not in evaluated:
-            h = np.where((x + _FD_STEP < lo) | (x + _FD_STEP > hi), -_FD_STEP, _FD_STEP)
-            rows = np.concatenate((x[None], x + np.diag(h)))  # off the diagonal x + 0.0, where -0.0 becomes 0.0
+            h = np.where(x + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
+            steps.flat[:: view.dim + 1] = h
+            rows[0] = x
+            np.add(x, steps, out=rows[1:])  # off the diagonal x + 0.0, where -0.0 becomes 0.0
             neg = -objective_F(view, view.clamp(rows))
             # A degenerate stencil row, or an angle so large that the step
-            # no longer changes it, leaves the quotient undefined.
-            step = rows[1:].diagonal() - x
-            grad = (neg[1:] - neg[0]) / step if np.isfinite(neg).all() and step.all() else None
+            # no longer changes it, leaves the quotient undefined.  Counting
+            # nonzeros is the cheapest all() over a few rows.
+            step = (x + h) - x
+            finite = np.count_nonzero(np.isfinite(neg)) == neg.size and np.count_nonzero(step) == step.size
+            grad = (neg[1:] - neg[0]) / step if finite else None
             evaluated[key] = neg[0], grad
         return evaluated[key]
 

@@ -130,11 +130,13 @@ def _shaped(shape, values) -> list:
     """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars.
 
     A value that already has the batch's rows is taken as it is, and so is a
-    plain float: one value for every row (an empty channel, a denominator of 1).
+    plain float: one value for every row (an empty channel, a denominator of 1),
+    and None (an excess the record derives).
     """
     rows = shape or (1,)
-    values = [v if type(v) is float or np.shape(v) == rows else np.broadcast_to(v, rows) for v in values]
-    return values if shape else [v if type(v) is float else v[0] for v in values]
+    plain = (float, type(None))
+    values = [v if type(v) in plain or getattr(v, "shape", ()) == rows else np.broadcast_to(v, rows) for v in values]
+    return values if shape else [v if type(v) in plain else v[0] for v in values]
 
 
 def _normalization(denom):
@@ -211,9 +213,7 @@ class TwoModeMoments:
 def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, denominator=1.0) -> TwoModeMoments:
     """The record of a batch of ``shape``; ``b2`` passed as ``a2`` itself stays one object."""
     same = b2 is a2
-    n1, n2, a2, b2, adag_b, ab, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, denominator))
-    if excess is not None:
-        (excess,) = _shaped(shape, (excess,))
+    n1, n2, a2, b2, adag_b, ab, excess, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, excess, denominator))
     return TwoModeMoments(n1, n2, a2, a2 if same else b2, adag_b, ab, excess, denominator)
 
 
@@ -605,8 +605,9 @@ class Family:
 
     def __post_init__(self) -> None:
         for view in self.searches.values():
-            object.__setattr__(view, "moments_of", lambda p, names=view.names: self.moments(
-                self.record({**self.defaults, **dict(zip(names, p.T))})))
+            fixed = {key: value for key, value in self.defaults.items() if key not in view.names}
+            object.__setattr__(view, "moments_of", lambda p, names=view.names, fixed=fixed: self.moments(
+                self.record({**fixed, **dict(zip(names, p.T))})))
 
 
 def _canonical_pair(p: np.ndarray) -> np.ndarray:

@@ -341,3 +341,23 @@ class TestMultiStart:
         assert top.members == 6
         m = coherent_plus_squeezed_moments(CoherentSqueezed(r=3.0, delta=0.0, alpha=0.0, eta=-1.0))
         assert top.F == m.excess
+
+
+def test_search_work_is_pinned(monkeypatch, capsys):
+    # The closed-form batches and evaluated rows of the 64-start search at
+    # seed 42, the work the search-ascent benchmark times.  A change that
+    # moves either count changes the runs themselves, not only their cost.
+    from subvacuum import optimizer
+    from subvacuum.cli import main
+
+    work = [0, 0]
+
+    def counted(space, params):
+        work[0] += 1
+        work[1] += len(np.atleast_2d(params))
+        return objective_F(space, params)
+
+    monkeypatch.setattr(optimizer, "objective_F", counted)
+    assert main(["search", "--family", "coherent-pair", "--starts", "64", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert work == [2508, 15048]
