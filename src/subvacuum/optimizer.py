@@ -129,8 +129,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     """
     p0 = view.clamp(np.asarray(start, dtype=float))
     lo, hi = view.lo, view.hi
-    rows = np.empty((view.dim + 1, view.dim))  # a point's stencil, filled per point
-    steps = np.zeros((view.dim, view.dim))  # its difference steps, on the diagonal
+    rows, steps = np.empty((view.dim + 1, view.dim)), np.zeros((view.dim, view.dim))  # a stencil, its steps
     evaluated: dict[bytes, tuple[float, np.ndarray | None]] = {}
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray | None]:

@@ -120,7 +120,7 @@ def _batch(params):
     """
     values = vars(params).values()
     shape = getattr(next(iter(values)), "shape", ())
-    if shape and all(type(v) is np.ndarray and v.shape == shape for v in values):
+    if shape and all([type(v) is np.ndarray and v.shape == shape for v in values]):
         return shape, params
     shape, *values = _rows(*values)
     return shape, type(params)(*values)
@@ -234,11 +234,7 @@ class CoherentPair:
 
 @dataclass(frozen=True)
 class SqueezedPair:
-    """Superposition of opposite squeezed vacua along the real axis.
-
-    The state is |r> + eta |-r| built from squeeze phases 0 and pi; ``r``
-    must be non-negative.
-    """
+    """Superposition |r> + eta |-r> of squeezed vacua with phases 0 and pi; ``r`` is non-negative."""
 
     r: float
     eta: complex
@@ -264,11 +260,7 @@ class BarnettRadmore:
 
 @dataclass(frozen=True)
 class ZhangReal:
-    """Phase superposition of doubly-squeezed vacua with relative phase theta.
-
-    Both modes carry the same real squeeze magnitude ``r``; the two branches
-    squeeze along opposite axes.
-    """
+    """Phase superposition, at relative phase theta, of vacua squeezed by ``r`` in both modes along opposite axes."""
 
     r: float
     theta: float
@@ -276,15 +268,47 @@ class ZhangReal:
 
 @dataclass(frozen=True)
 class EntangledCoherent:
-    """Entangled coherent state built from amplitudes sigma e^{i delta_k}.
-
-    The two branches carry opposite signs and a relative phase theta.
-    """
+    """Entangled coherent state of amplitudes sigma e^{i delta_k}, its branches of opposite sign at phase theta."""
 
     sigma: float
     theta: float
     delta1: float
     delta2: float
+
+
+def _superposition(shape, eta, L, own, rest_n, rest, pair=None, offsets=False) -> TwoModeMoments:
+    """Moments of N(|A> + eta |B>), L = log <A|B>, around branch A, whose own (n, <a^2>, F) are ``own``.
+
+    A moment X_AA + |eta|^2 X_BB + eta e^L x_AB + conj(eta e^L) x_BA, with
+    x_AB = <A|X|B> / <A|B>, is X_AA plus the rest (``rest_n`` of n, ``rest``
+    of <a^2>, ``pair`` their sum if the family groups it), over D =
+    _denominator(eta, L); with ``offsets`` it is X_AA plus the rest over D,
+    where the rest |eta|^2 (X_BB - X_AA) + eta e^L (x_AB - X_AA) + c.c.
+    vanishes as the branches coincide.  F is |pair| - n where that cannot
+    cancel (|pair| < n/2, or |pair| + n < |p_A|; with ``offsets``, wherever
+    it keeps all but six bits), else F_A + (|p_A + rest| - |p_A|) - rest_n,
+    the middle difference as (2 Re(conj(p_A) rest) + |rest|^2) / (|p_A + rest| + |p_A|).
+    """
+    denom = _denominator(eta, L)
+    norm2 = _normalization(denom)
+    n, sq, own_excess = own
+    if offsets:
+        rest_n, rest = norm2 * rest_n, norm2 * rest
+    n = n + rest_n
+    summed = sq + rest
+    sq_mag, summed_mag = np.abs(sq), np.abs(summed)
+    magnitude, pair = (summed_mag, summed) if pair is None else (np.abs(pair), pair)
+    excess = magnitude - n
+    near = magnitude < np.maximum(0.5 * n, sq_mag - n)
+    if offsets:
+        near |= 64.0 * np.abs(excess) >= magnitude + n
+    if np.count_nonzero(near) < near.size:  # some row needs the gain
+        total = summed_mag + sq_mag
+        gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
+        excess = np.where(near, excess, gain + own_excess - rest_n)
+    if not offsets:
+        n, pair, excess = norm2 * n, norm2 * pair, norm2 * excess
+    return _moments(shape, n, pair, excess=excess, denominator=denom)
 
 
 # --------------------------------------------------------------------------
@@ -294,22 +318,24 @@ class EntangledCoherent:
 
 @_quiet
 def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
-    """Moments of N(|alpha> + eta |beta>).
+    """Moments of N(|alpha> + eta |beta>), written around the |alpha> branch.
 
-    The overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)
-    weights every cross term.  Rows where the two branches cancel are
-    flagged degenerate.
+    With d = beta - alpha, L = log <alpha|beta> = i Im(conj(alpha) d) - |d|^2/2.
+    The offsets of n from |alpha|^2 are |eta d|^2 + 2 Re(g conj(alpha) d), and
+    of <a^2> from alpha^2 g d (beta + alpha), with g = eta [(1 + conj eta)
+    + expm1(L)]: they vanish at beta = alpha, where F is exactly 0, and keep
+    their digits as the branches cancel (eta -> -1), flagged degenerate where
+    they do.
     """
     shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
-    ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
-    denom = 1.0 + weight + 2.0 * (eta * ov).real  # n and the pair cancel too: _denominator alone gains no digit
-    norm2 = _normalization(denom)
-    n = norm2 * (alpha2 + np.abs(eta * beta) ** 2 + 2.0 * (eta * np.conj(alpha) * beta * ov).real)
-    alpha_sq, beta_sq = alpha**2, beta**2
-    pair = norm2 * (alpha_sq + weight * beta_sq + eta * beta_sq * ov + np.conj(eta) * alpha_sq * np.conj(ov))
-    return _moments(shape, n, pair, denominator=denom)
+    d = beta - alpha
+    cross, dd = np.conj(alpha) * d, np.abs(d) ** 2
+    L = 1j * cross.imag - 0.5 * dd
+    g = eta * ((1.0 + np.conj(eta)) + np.expm1(L))
+    rest_n = np.abs(eta) ** 2 * dd + 2.0 * (g * cross).real
+    return _superposition(shape, eta, L, (np.abs(alpha) ** 2, alpha**2, 0.0), rest_n, g * d * (beta + alpha),
+                          offsets=True)
 
 
 @_quiet
@@ -339,32 +365,13 @@ def superposed_squeezed_moments(params: SqueezedPair) -> TwoModeMoments:
     s, c = np.sinh(r), np.cosh(r)
     c2 = np.cosh(2.0 * r)
     weight = np.abs(eta) ** 2
-    denom = _denominator(eta, -0.5 * np.log1p(2.0 * s * s))
     cross_n = s * s / c2**1.5
     cross_pair = s * c / c2**1.5
     pair = (weight - 1.0) * s * c + 2j * eta.imag * cross_pair
     rest = weight * s * c + 2j * eta.imag * cross_pair
-    return _squeezed_superposition(shape, r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, pair, denom)
-
-
-def _squeezed_superposition(shape, r, sq, rest, rest_n, pair, denom):
-    """Moments of a squeezed vacuum superposed with another state, from their unnormalized sums.
-
-    The pair moment is ``pair`` = sq + rest, where sq = -sinh r cosh r
-    e^{i delta} is the squeezed vacuum's own, the occupation is
-    n = sinh^2 r + rest_n, and ``denom`` normalizes both.  F is |pair| - n
-    where that cannot cancel (|pair| < n/2, or |pair| + n < |sq|), else
-    (|sq + rest| - |sq|) + (sinh r cosh r - sinh^2 r) - rest_n: the first
-    difference as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|),
-    the second as -expm1(-2r)/2, neither cancelling.
-    """
-    norm2 = _normalization(denom)
-    n = np.sinh(r) ** 2 + rest_n
-    total = np.abs(sq + rest) + np.abs(sq)
-    gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
-    near = np.abs(pair) < np.maximum(0.5 * n, np.abs(sq) - n)
-    excess = norm2 * np.where(near, np.abs(pair) - n, gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
-    return _moments(shape, norm2 * n, norm2 * pair, excess=excess, denominator=denom)
+    own = (s * s, -s * c, -np.expm1(-2.0 * r) / 2.0)
+    return _superposition(shape, eta, -0.5 * np.log1p(2.0 * s * s), own, weight * s * s - 2.0 * eta.real * cross_n,
+                          rest, pair)
 
 
 @_quiet
@@ -383,11 +390,10 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     shape, params = _batch(params)
     r, alpha, eta = params.r, params.alpha, params.eta
     _check_magnitude(r)
-    s = np.sinh(r)
+    s, c = np.sinh(r), np.cosh(r)
     t, rotor = np.tanh(r), np.exp(1j * params.delta)
     L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * t)
     ov, em = np.exp(L), np.expm1(L)
-    denom = _denominator(eta, L)
     conj_eta, alpha_sq, turn = np.conj(eta), alpha**2, rotor * t
     twist = np.conj(alpha_sq * ov) * turn
     rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * twist).real
@@ -395,8 +401,8 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     rest = eta * alpha_sq * ((1.0 + conj_eta) + em)
     pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - twist))
     rest += conj_eta * turn * (twist - np.conj(ov))
-    del L, ov, em, twist, turn  # the working set: no more than the moments need from here
-    return _squeezed_superposition(shape, r, -s * np.cosh(r) * rotor, rest, rest_n, pair, denom)
+    del ov, em, twist, turn  # the working set: no more than the moments need from here
+    return _superposition(shape, eta, L, (s * s, -s * c * rotor, -np.expm1(-2.0 * r) / 2.0), rest_n, rest, pair)
 
 
 # --------------------------------------------------------------------------
@@ -520,10 +526,8 @@ class Layout:
 
 #: One-mode states occupy mode 1 and print its moments only.
 ONE_MODE = Layout(columns=("n", "R", "F"), cells=lambda m: (m.n1, m.R1, m.excess))
-TWO_MODE = Layout(
-    columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
-    cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.excess),
-)
+TWO_MODE = Layout(columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
+                  cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.excess))
 #: A scalar figure of merit: no moments, hence no spatial density.
 SCALAR = Layout(columns=("f",), cells=lambda m: (m,))
 
@@ -641,9 +645,8 @@ def _zhang_state(p: ZhangReal, cut: int) -> fock_oracle.TwoModeFockVector:
 def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> fock_oracle.TwoModeFockVector:
     a, b = _phased(p.sigma, p.delta1), _phased(p.sigma, p.delta2)
     coherent = fock_oracle.coherent_vector
-    return fock_oracle.superpose_two_mode(
-        [(1.0, coherent(a, cut), coherent(b, cut)), (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))]
-    )
+    return fock_oracle.superpose_two_mode([(1.0, coherent(a, cut), coherent(b, cut)),
+                                           (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))])
 
 
 #: Upper ends of the verification draws: squeeze magnitudes, coherent
@@ -655,9 +658,8 @@ REGISTRY: dict[str, Family] = {
     "coherent-pair": Family(
         defaults={"alpha": 0.8, "delta1": 0.0, "beta": 0.8, "delta2": math.pi, "eta": 1.0, "delta": 0.0},
         layout=ONE_MODE,
-        record=lambda p: CoherentPair(
-            _phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]), _phased(p["eta"], p["delta"])
-        ),
+        record=lambda p: CoherentPair(_phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]),
+                                      _phased(p["eta"], p["delta"])),
         moments=lambda params: coherent_superposition_moments(params),
         oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p.alpha, cut), p.eta,
                                     fock_oracle.coherent_vector(p.beta, cut)),
@@ -666,20 +668,12 @@ REGISTRY: dict[str, Family] = {
         searches={
             # A global phase rotation makes the first amplitude's phase
             # redundant: delta1 is not searched and stays at its default 0.
-            "coherent-pair": SearchView(
-                names=("alpha", "beta", "eta", "delta2", "delta"),
-                lower=(0.0, 0.0, 0.0, 0.0, 0.0),
-                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
-                angular=(False, False, False, True, True),
-                canonical=_canonical_pair,
-            ),
+            "coherent-pair": SearchView(("alpha", "beta", "eta", "delta2", "delta"), (0.0,) * 5,
+                                        (3.0, 3.0, 4.0, TWO_PI, TWO_PI), (False,) * 3 + (True,) * 2,
+                                        canonical=_canonical_pair),
             # Unpinned, so the flatness of that direction can be tested.
-            "coherent-pair-free": SearchView(
-                names=("alpha", "beta", "eta", "delta1", "delta2", "delta"),
-                lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
-                angular=(False, False, False, True, True, True),
-            ),
+            "coherent-pair-free": SearchView(("alpha", "beta", "eta", "delta1", "delta2", "delta"), (0.0,) * 6,
+                                             (3.0, 3.0, 4.0) + (TWO_PI,) * 3, (False,) * 3 + (True,) * 3),
         },
     ),
     "squeezed-vacuum": Family(
