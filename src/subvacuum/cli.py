@@ -202,8 +202,14 @@ def _sink(path: str | None) -> Iterator[IO[str]]:
             spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
             yield spool
             spool.seek(0)
-            shutil.copyfileobj(spool, out)
-            out.flush()
+            try:
+                shutil.copyfileobj(spool, out)
+                out.flush()
+            except OSError:
+                if path is None:  # point the dead stdout at os.devnull, so the final flush raises nothing
+                    with contextlib.suppress(AttributeError, ValueError, OSError), open(os.devnull, "wb") as null:
+                        os.dup2(null.fileno(), sys.stdout.fileno())  # raises if stdout has no descriptor to point
+                raise
         return
     real = os.path.realpath(path)
     tmp = f"{real}.{os.getpid()}.tmp"
@@ -403,10 +409,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="subvacuum",
-        description="Energy-density bounds of one- and two-mode scalar field states.",
-    )
+    parser = _Parser(prog="subvacuum", description="Energy-density bounds of one- and two-mode scalar field states.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p_sweep = sub.add_parser(
@@ -440,12 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_density.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p_density.add_argument("--set", action="append", metavar="KEY=VALUE", help="fix a parameter (repeatable)")
-    p_density.add_argument(
-        "--geometry",
-        default="traveling:1:1:1",
-        metavar="KIND:W1:W2:COSANGLE",
-        help="mode kind, frequencies and propagation angle (default traveling:1:1:1)",
-    )
+    p_density.add_argument("--geometry", default="traveling:1:1:1", metavar="KIND:W1:W2:COSANGLE",
+                           help="mode kind, frequencies and propagation angle (default traveling:1:1:1)")
     p_density.add_argument("--window", type=float, default=8.0, help="scan window in t and space")
     p_density.add_argument("--grid-n", type=int, default=64, dest="grid_n", help="grid points per axis")
     _add_io_flags(p_density)
@@ -457,9 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Randomized moment comparison per family plus fixed matrix-element identity "
         "checks; exits 2 if any required row fails.",
     )
-    p_verify.add_argument(
-        "--family", action="append", choices=verification.FAMILIES, help="restrict to a family (repeatable)"
-    )
+    p_verify.add_argument("--family", action="append", choices=verification.FAMILIES,
+                          help="restrict to a family (repeatable)")
     p_verify.add_argument("--draws", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--cutoff", type=int, default=4096, help="hard cap on the oracle truncation")
@@ -491,9 +489,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"subvacuum {args.command}: numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:  # writing the output is the only I/O a command does
-        if args.out is None:  # point the dead stdout at os.devnull, so the final flush raises nothing
-            with contextlib.suppress(AttributeError, ValueError, OSError), open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())  # raises if stdout has no descriptor to point
         print(f"subvacuum {args.command}: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 

@@ -1160,6 +1160,19 @@ def test_stdout_without_a_temporary_directory_is_an_output_failure(tmp_path, mon
     assert captured.err == "subvacuum sweep: cannot write stdout: No such file or directory\n"
 
 
+def test_a_failure_before_any_write_leaves_stdout_alive(tmp_path, monkeypatch, capfd):
+    # Only a failed write to stdout points it at os.devnull; a command that
+    # fails before it writes anything (here, for want of a temporary
+    # directory) leaves a stdout with a real descriptor open for later output.
+    with monkeypatch.context() as patch:  # capfd needs a temporary directory itself
+        patch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3"]) == 1
+    print("after", flush=True)
+    captured = capfd.readouterr()
+    assert captured.out == "after\n"
+    assert captured.err == "subvacuum sweep: cannot write stdout: No such file or directory\n"
+
+
 def test_out_writes_into_a_fifo_in_place(tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
