@@ -609,9 +609,8 @@ class Family:
 
     def __post_init__(self) -> None:
         for view in self.searches.values():
-            fixed = {key: value for key, value in self.defaults.items() if key not in view.names}
-            object.__setattr__(view, "moments_of", lambda p, names=view.names, fixed=fixed: self.moments(
-                self.record({**fixed, **dict(zip(names, p.T))})))
+            object.__setattr__(view, "moments_of", lambda p, names=view.names: self.moments(
+                self.record({**self.defaults, **dict(zip(names, p.T))})))
 
 
 def _canonical_pair(p: np.ndarray) -> np.ndarray:
@@ -634,19 +633,6 @@ def _canonical_pair(p: np.ndarray) -> np.ndarray:
 def _plus(first: fock_oracle.FockVector, eta, second: fock_oracle.FockVector) -> fock_oracle.FockVector:
     """N(first + eta second), row by row."""
     return fock_oracle.superpose([(1.0, first), (eta, second)])
-
-
-def _zhang_state(p: ZhangReal, cut: int) -> fock_oracle.TwoModeFockVector:
-    minus = fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
-    plus = fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
-    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
-
-
-def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> fock_oracle.TwoModeFockVector:
-    a, b = _phased(p.sigma, p.delta1), _phased(p.sigma, p.delta2)
-    coherent = fock_oracle.coherent_vector
-    return fock_oracle.superpose_two_mode([(1.0, coherent(a, cut), coherent(b, cut)),
-                                           (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))])
 
 
 #: Upper ends of the verification draws: squeeze magnitudes, coherent
@@ -735,7 +721,7 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: ZhangReal(**p),
         moments=lambda params: zhang_moments(params),
         domain={"r": 0.0},
-        oracle=_zhang_state,
+        oracle=lambda p, cut: fock_oracle.zhang_state(p.r, p.theta, cut),
         draws={"r": _R_DRAW, "theta": TWO_PI},
     ),
     "entangled-coherent": Family(
@@ -744,7 +730,7 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: EntangledCoherent(**p),
         moments=lambda params: entangled_coherent_moments(params),
         domain={"sigma": 0.0},
-        oracle=_entangled_coherent_state,
+        oracle=lambda p, cut: fock_oracle.entangled_coherent_state(p.sigma, p.theta, p.delta1, p.delta2, cut),
         draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
