@@ -285,9 +285,10 @@ def _superposition(shape, eta, L, own, rest_n, rest, pair=None, offsets=False) -
     _denominator(eta, L); with ``offsets`` it is X_AA plus the rest over D,
     where the rest |eta|^2 (X_BB - X_AA) + eta e^L (x_AB - X_AA) + c.c.
     vanishes as the branches coincide.  F is |pair| - n where that cannot
-    cancel (|pair| < n/2, or |pair| + n < |p_A|; with ``offsets``, wherever
-    it keeps all but six bits), else F_A + (|p_A + rest| - |p_A|) - rest_n,
-    the middle difference as (2 Re(conj(p_A) rest) + |rest|^2) / (|p_A + rest| + |p_A|).
+    cancel (|pair| < n/2, or |pair| + n < |p_A|), or with ``offsets``
+    wherever it keeps all but six bits; else F_A + (|p_A + rest| - |p_A|)
+    - rest_n, the middle difference as (2 Re(conj(p_A) rest) + |rest|^2)
+    / (|p_A + rest| + |p_A|).
     """
     denom = _denominator(eta, L)
     norm2 = _normalization(denom)
@@ -296,14 +297,15 @@ def _superposition(shape, eta, L, own, rest_n, rest, pair=None, offsets=False) -
         rest_n, rest = norm2 * rest_n, norm2 * rest
     n = n + rest_n
     summed = sq + rest
-    sq_mag, summed_mag = np.abs(sq), np.abs(summed)
+    summed_mag = np.abs(summed)
     magnitude, pair = (summed_mag, summed) if pair is None else (np.abs(pair), pair)
     excess = magnitude - n
-    near = magnitude < np.maximum(0.5 * n, sq_mag - n)
     if offsets:
-        near |= 64.0 * np.abs(excess) >= magnitude + n
+        near = 64.0 * np.abs(excess) >= magnitude + n
+    else:
+        near = magnitude < np.maximum(0.5 * n, np.abs(sq) - n)
     if np.count_nonzero(near) < near.size:  # some row needs the gain
-        total = summed_mag + sq_mag
+        total = summed_mag + np.abs(sq)
         gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
         excess = np.where(near, excess, gain + own_excess - rest_n)
     if not offsets:

@@ -360,4 +360,4 @@ def test_search_work_is_pinned(monkeypatch, capsys):
     monkeypatch.setattr(optimizer, "objective_F", counted)
     assert main(["search", "--family", "coherent-pair", "--starts", "64", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert work == [2635, 15810]
+    assert work == [2569, 15414]

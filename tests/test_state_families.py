@@ -551,9 +551,10 @@ def mp_entangled_coherent(sigma, theta):
 #: overlap still tends to 1.  The coherent pair's branches |alpha> and
 #: |beta> sit a distance k or x apart at |alpha| ~ 0.8; next to eta = +1
 #: F ~ k^2 is the difference of offsets of order k, so it keeps digits to
-#: ~1e-16 / k (measured 5.4e-9 relative), and at eta = -1 + ik to 4.9e-12.
-#: The closed form as it was written lost up to 4.8e-4 of F, and 0.4 at
-#: eta = -1 + ik, where n and |<a^2>| cancel in their last digits.
+#: ~1e-16 / k (measured 4.6e-9 relative), and at eta = -1 + ik to 4.9e-12.
+#: The closed form as it was written lost up to 3.9e-4 of F next to
+#: eta = -1, 0.4 at eta = -1 + ik and 4.5e-3 next to eta = +1, where n and
+#: |<a^2>| cancel in their last digits.
 _AT = cmath.rect(0.8, 0.7)
 DEGENERATE_SHELLS = {
     "superposed-squeezed-eta=-1+ik": (
@@ -604,9 +605,9 @@ DEGENERATE_SHELLS = {
 @pytest.mark.parametrize("shell", DEGENERATE_SHELLS)
 def test_moments_beside_a_degenerate_superposition_match_50_digits(shell):
     # Denominators down to ~1e-12.  Relative error of n1 and R1 measured at
-    # most 5.2e-16, and of F 1.3e-15 but for the two coherent-pair shells
+    # most 7.5e-16, and of F 9.8e-16 but for the two coherent-pair shells
     # named above; the hand-written denominators lost up to 5.9e-5, and the
-    # coherent pair's own up to 2.2e-4 of n1 and R1.
+    # coherent pair's own up to 2.0e-4 of n1 and R1.
     closed, reference, f_bound = DEGENERATE_SHELLS[shell]
     k, x = (grid.ravel() for grid in np.meshgrid(np.logspace(-6, -3, 7), np.logspace(-6, -2, 9)))
     m = closed(k, x)
