@@ -409,7 +409,10 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="subvacuum", description="Energy-density bounds of one- and two-mode scalar field states.")
+    parser = _Parser(
+        prog="subvacuum",
+        description="Energy-density bounds of one- and two-mode scalar field states.",
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p_sweep = sub.add_parser(
@@ -443,8 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_density.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p_density.add_argument("--set", action="append", metavar="KEY=VALUE", help="fix a parameter (repeatable)")
-    p_density.add_argument("--geometry", default="traveling:1:1:1", metavar="KIND:W1:W2:COSANGLE",
-                           help="mode kind, frequencies and propagation angle (default traveling:1:1:1)")
+    p_density.add_argument(
+        "--geometry",
+        default="traveling:1:1:1",
+        metavar="KIND:W1:W2:COSANGLE",
+        help="mode kind, frequencies and propagation angle (default traveling:1:1:1)",
+    )
     p_density.add_argument("--window", type=float, default=8.0, help="scan window in t and space")
     p_density.add_argument("--grid-n", type=int, default=64, dest="grid_n", help="grid points per axis")
     _add_io_flags(p_density)
@@ -456,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Randomized moment comparison per family plus fixed matrix-element identity "
         "checks; exits 2 if any required row fails.",
     )
-    p_verify.add_argument("--family", action="append", choices=verification.FAMILIES,
-                          help="restrict to a family (repeatable)")
+    p_verify.add_argument(
+        "--family", action="append", choices=verification.FAMILIES, help="restrict to a family (repeatable)"
+    )
     p_verify.add_argument("--draws", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--cutoff", type=int, default=4096, help="hard cap on the oracle truncation")

@@ -234,7 +234,11 @@ class CoherentPair:
 
 @dataclass(frozen=True)
 class SqueezedPair:
-    """Superposition |r> + eta |-r> of squeezed vacua with phases 0 and pi; ``r`` is non-negative."""
+    """Superposition of opposite squeezed vacua along the real axis.
+
+    The state is |r> + eta |-r| built from squeeze phases 0 and pi; ``r``
+    must be non-negative.
+    """
 
     r: float
     eta: complex
@@ -260,7 +264,11 @@ class BarnettRadmore:
 
 @dataclass(frozen=True)
 class ZhangReal:
-    """Phase superposition, at relative phase theta, of vacua squeezed by ``r`` in both modes along opposite axes."""
+    """Phase superposition of doubly-squeezed vacua with relative phase theta.
+
+    Both modes carry the same real squeeze magnitude ``r``; the two branches
+    squeeze along opposite axes.
+    """
 
     r: float
     theta: float
@@ -268,7 +276,10 @@ class ZhangReal:
 
 @dataclass(frozen=True)
 class EntangledCoherent:
-    """Entangled coherent state of amplitudes sigma e^{i delta_k}, its branches of opposite sign at phase theta."""
+    """Entangled coherent state built from amplitudes sigma e^{i delta_k}.
+
+    The two branches carry opposite signs and a relative phase theta.
+    """
 
     sigma: float
     theta: float
@@ -326,8 +337,7 @@ def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
     The offsets of n from |alpha|^2 are |eta d|^2 + 2 Re(g conj(alpha) d), and
     of <a^2> from alpha^2 g d (beta + alpha), with g = eta [(1 + conj eta)
     + expm1(L)]: they vanish at beta = alpha, where F is exactly 0, and keep
-    their digits as the branches cancel (eta -> -1), flagged degenerate where
-    they do.
+    their digits as the branches cancel (eta -> -1; a cancelled row is degenerate).
     """
     shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
@@ -528,8 +538,10 @@ class Layout:
 
 #: One-mode states occupy mode 1 and print its moments only.
 ONE_MODE = Layout(columns=("n", "R", "F"), cells=lambda m: (m.n1, m.R1, m.excess))
-TWO_MODE = Layout(columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
-                  cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.excess))
+TWO_MODE = Layout(
+    columns=("n1", "n2", "R1", "R2", "R3", "R4", "F"),
+    cells=lambda m: (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.excess),
+)
 #: A scalar figure of merit: no moments, hence no spatial density.
 SCALAR = Layout(columns=("f",), cells=lambda m: (m,))
 
@@ -646,8 +658,9 @@ REGISTRY: dict[str, Family] = {
     "coherent-pair": Family(
         defaults={"alpha": 0.8, "delta1": 0.0, "beta": 0.8, "delta2": math.pi, "eta": 1.0, "delta": 0.0},
         layout=ONE_MODE,
-        record=lambda p: CoherentPair(_phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]),
-                                      _phased(p["eta"], p["delta"])),
+        record=lambda p: CoherentPair(
+            _phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]), _phased(p["eta"], p["delta"])
+        ),
         moments=lambda params: coherent_superposition_moments(params),
         oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p.alpha, cut), p.eta,
                                     fock_oracle.coherent_vector(p.beta, cut)),
