@@ -49,8 +49,6 @@ __all__ = [
     "two_mode_squeezed_vector",
     "superpose",
     "superpose_two_mode",
-    "zhang_state",
-    "entangled_coherent_state",
     "inner",
     "mean_amplitude",
     "one_mode_moments",
@@ -314,20 +312,6 @@ def _form(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """sum_ij conj(w_i) w_j gram_ij per batch row: <X (x) Y> of a product sum
     when ``gram`` is <u_i|X|u_j> <v_i|Y|v_j>."""
     return (np.conj(w)[..., None, :] @ gram @ w[..., :, None])[..., 0, 0]
-
-
-def zhang_state(r, theta, cutoff: int) -> TwoModeFockVector:
-    """N(|-r>|-r> + e^{i theta} |r>|r>): both modes squeezed by ``r``, along opposite axes in the two branches."""
-    minus = squeezed_vacuum_vector(r, np.pi, cutoff)
-    plus = squeezed_vacuum_vector(r, 0.0, cutoff)
-    return superpose_two_mode([(1.0, minus, minus), (np.exp(1j * theta), plus, plus)])
-
-
-def entangled_coherent_state(sigma, theta, delta1, delta2, cutoff: int) -> TwoModeFockVector:
-    """N(|a>|b> + e^{i theta} |-a>|-b>) with amplitudes a = sigma e^{i delta1}, b = sigma e^{i delta2}."""
-    a, b = sigma * np.exp(1j * delta1), sigma * np.exp(1j * delta2)
-    return superpose_two_mode([(1.0, coherent_vector(a, cutoff), coherent_vector(b, cutoff)),
-                               (np.exp(1j * theta), coherent_vector(-a, cutoff), coherent_vector(-b, cutoff))])
 
 
 def inner(u: FockVector, v: FockVector, op: str = "1") -> complex:

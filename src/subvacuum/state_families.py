@@ -287,43 +287,6 @@ class EntangledCoherent:
     delta2: float
 
 
-def _superposition(shape, eta, L, own, rest_n, rest, pair=None, offsets=False) -> TwoModeMoments:
-    """Moments of N(|A> + eta |B>), L = log <A|B>, around branch A, whose own (n, <a^2>, F) are ``own``.
-
-    A moment X_AA + |eta|^2 X_BB + eta e^L x_AB + conj(eta e^L) x_BA, with
-    x_AB = <A|X|B> / <A|B>, is X_AA plus the rest (``rest_n`` of n, ``rest``
-    of <a^2>, ``pair`` their sum if the family groups it), over D =
-    _denominator(eta, L); with ``offsets`` it is X_AA plus the rest over D,
-    where the rest |eta|^2 (X_BB - X_AA) + eta e^L (x_AB - X_AA) + c.c.
-    vanishes as the branches coincide.  F is |pair| - n where that cannot
-    cancel (|pair| < n/2, or |pair| + n < |p_A|), or with ``offsets``
-    wherever it keeps all but six bits; else F_A + (|p_A + rest| - |p_A|)
-    - rest_n, the middle difference as (2 Re(conj(p_A) rest) + |rest|^2)
-    / (|p_A + rest| + |p_A|).
-    """
-    denom = _denominator(eta, L)
-    norm2 = _normalization(denom)
-    n, sq, own_excess = own
-    if offsets:
-        rest_n, rest = norm2 * rest_n, norm2 * rest
-    n = n + rest_n
-    summed = sq + rest
-    summed_mag = np.abs(summed)
-    magnitude, pair = (summed_mag, summed) if pair is None else (np.abs(pair), pair)
-    excess = magnitude - n
-    if offsets:
-        near = 64.0 * np.abs(excess) >= magnitude + n
-    else:
-        near = magnitude < np.maximum(0.5 * n, np.abs(sq) - n)
-    if np.count_nonzero(near) < near.size:  # some row needs the gain
-        total = summed_mag + np.abs(sq)
-        gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
-        excess = np.where(near, excess, gain + own_excess - rest_n)
-    if not offsets:
-        n, pair, excess = norm2 * n, norm2 * pair, norm2 * excess
-    return _moments(shape, n, pair, excess=excess, denominator=denom)
-
-
 # --------------------------------------------------------------------------
 # Single-mode families
 # --------------------------------------------------------------------------
@@ -331,23 +294,22 @@ def _superposition(shape, eta, L, own, rest_n, rest, pair=None, offsets=False) -
 
 @_quiet
 def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
-    """Moments of N(|alpha> + eta |beta>), written around the |alpha> branch.
+    """Moments of N(|alpha> + eta |beta>).
 
-    With d = beta - alpha, L = log <alpha|beta> = i Im(conj(alpha) d) - |d|^2/2.
-    The offsets of n from |alpha|^2 are |eta d|^2 + 2 Re(g conj(alpha) d), and
-    of <a^2> from alpha^2 g d (beta + alpha), with g = eta [(1 + conj eta)
-    + expm1(L)]: they vanish at beta = alpha, where F is exactly 0, and keep
-    their digits as the branches cancel (eta -> -1; a cancelled row is degenerate).
+    The overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)
+    weights every cross term.  Rows where the two branches cancel are
+    flagged degenerate.
     """
     shape, params = _batch(params)
     alpha, beta, eta = params.alpha, params.beta, params.eta
-    d = beta - alpha
-    cross, dd = np.conj(alpha) * d, np.abs(d) ** 2
-    L = 1j * cross.imag - 0.5 * dd
-    g = eta * ((1.0 + np.conj(eta)) + np.expm1(L))
-    rest_n = np.abs(eta) ** 2 * dd + 2.0 * (g * cross).real
-    return _superposition(shape, eta, L, (np.abs(alpha) ** 2, alpha**2, 0.0), rest_n, g * d * (beta + alpha),
-                          offsets=True)
+    alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
+    ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
+    denom = 1.0 + weight + 2.0 * (eta * ov).real  # n and the pair cancel too: _denominator alone gains no digit
+    norm2 = _normalization(denom)
+    n = norm2 * (alpha2 + np.abs(eta * beta) ** 2 + 2.0 * (eta * np.conj(alpha) * beta * ov).real)
+    alpha_sq, beta_sq = alpha**2, beta**2
+    pair = norm2 * (alpha_sq + weight * beta_sq + eta * beta_sq * ov + np.conj(eta) * alpha_sq * np.conj(ov))
+    return _moments(shape, n, pair, denominator=denom)
 
 
 @_quiet
@@ -377,13 +339,32 @@ def superposed_squeezed_moments(params: SqueezedPair) -> TwoModeMoments:
     s, c = np.sinh(r), np.cosh(r)
     c2 = np.cosh(2.0 * r)
     weight = np.abs(eta) ** 2
+    denom = _denominator(eta, -0.5 * np.log1p(2.0 * s * s))
     cross_n = s * s / c2**1.5
     cross_pair = s * c / c2**1.5
     pair = (weight - 1.0) * s * c + 2j * eta.imag * cross_pair
     rest = weight * s * c + 2j * eta.imag * cross_pair
-    own = (s * s, -s * c, -np.expm1(-2.0 * r) / 2.0)
-    return _superposition(shape, eta, -0.5 * np.log1p(2.0 * s * s), own, weight * s * s - 2.0 * eta.real * cross_n,
-                          rest, pair)
+    return _squeezed_superposition(shape, r, -s * c, rest, weight * s * s - 2.0 * eta.real * cross_n, pair, denom)
+
+
+def _squeezed_superposition(shape, r, sq, rest, rest_n, pair, denom):
+    """Moments of a squeezed vacuum superposed with another state, from their unnormalized sums.
+
+    The pair moment is ``pair`` = sq + rest, where sq = -sinh r cosh r
+    e^{i delta} is the squeezed vacuum's own, the occupation is
+    n = sinh^2 r + rest_n, and ``denom`` normalizes both.  F is |pair| - n
+    where that cannot cancel (|pair| < n/2, or |pair| + n < |sq|), else
+    (|sq + rest| - |sq|) + (sinh r cosh r - sinh^2 r) - rest_n: the first
+    difference as (2 Re(conj(sq) rest) + |rest|^2) / (|sq + rest| + |sq|),
+    the second as -expm1(-2r)/2, neither cancelling.
+    """
+    norm2 = _normalization(denom)
+    n = np.sinh(r) ** 2 + rest_n
+    total = np.abs(sq + rest) + np.abs(sq)
+    gain = np.where(total > 0, (2.0 * (np.conj(sq) * rest).real + np.abs(rest) ** 2) / total, 0.0)
+    near = np.abs(pair) < np.maximum(0.5 * n, np.abs(sq) - n)
+    excess = norm2 * np.where(near, np.abs(pair) - n, gain - np.expm1(-2.0 * r) / 2.0 - rest_n)
+    return _moments(shape, norm2 * n, norm2 * pair, excess=excess, denominator=denom)
 
 
 @_quiet
@@ -402,10 +383,11 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     shape, params = _batch(params)
     r, alpha, eta = params.r, params.alpha, params.eta
     _check_magnitude(r)
-    s, c = np.sinh(r), np.cosh(r)
+    s = np.sinh(r)
     t, rotor = np.tanh(r), np.exp(1j * params.delta)
     L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * t)
     ov, em = np.exp(L), np.expm1(L)
+    denom = _denominator(eta, L)
     conj_eta, alpha_sq, turn = np.conj(eta), alpha**2, rotor * t
     twist = np.conj(alpha_sq * ov) * turn
     rest_n = np.abs(eta * alpha) ** 2 - 2.0 * (conj_eta * twist).real
@@ -413,8 +395,8 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     rest = eta * alpha_sq * ((1.0 + conj_eta) + em)
     pair = rest - turn * ((1.0 + conj_eta) + s * s + conj_eta * (np.conj(em) - twist))
     rest += conj_eta * turn * (twist - np.conj(ov))
-    del ov, em, twist, turn  # the working set: no more than the moments need from here
-    return _superposition(shape, eta, L, (s * s, -s * c * rotor, -np.expm1(-2.0 * r) / 2.0), rest_n, rest, pair)
+    del L, ov, em, twist, turn  # the working set: no more than the moments need from here
+    return _squeezed_superposition(shape, r, -s * np.cosh(r) * rotor, rest, rest_n, pair, denom)
 
 
 # --------------------------------------------------------------------------
@@ -649,6 +631,20 @@ def _plus(first: fock_oracle.FockVector, eta, second: fock_oracle.FockVector) ->
     return fock_oracle.superpose([(1.0, first), (eta, second)])
 
 
+def _zhang_state(p: ZhangReal, cut: int) -> fock_oracle.TwoModeFockVector:
+    minus = fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
+    plus = fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
+    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
+
+
+def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> fock_oracle.TwoModeFockVector:
+    a, b = _phased(p.sigma, p.delta1), _phased(p.sigma, p.delta2)
+    coherent = fock_oracle.coherent_vector
+    return fock_oracle.superpose_two_mode(
+        [(1.0, coherent(a, cut), coherent(b, cut)), (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))]
+    )
+
+
 #: Upper ends of the verification draws: squeeze magnitudes, coherent
 #: amplitudes (and the entangled coherent sigma), superposition weights.
 #: Phases are drawn from [0, 2 pi).
@@ -669,12 +665,20 @@ REGISTRY: dict[str, Family] = {
         searches={
             # A global phase rotation makes the first amplitude's phase
             # redundant: delta1 is not searched and stays at its default 0.
-            "coherent-pair": SearchView(("alpha", "beta", "eta", "delta2", "delta"), (0.0,) * 5,
-                                        (3.0, 3.0, 4.0, TWO_PI, TWO_PI), (False,) * 3 + (True,) * 2,
-                                        canonical=_canonical_pair),
+            "coherent-pair": SearchView(
+                names=("alpha", "beta", "eta", "delta2", "delta"),
+                lower=(0.0, 0.0, 0.0, 0.0, 0.0),
+                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI),
+                angular=(False, False, False, True, True),
+                canonical=_canonical_pair,
+            ),
             # Unpinned, so the flatness of that direction can be tested.
-            "coherent-pair-free": SearchView(("alpha", "beta", "eta", "delta1", "delta2", "delta"), (0.0,) * 6,
-                                             (3.0, 3.0, 4.0) + (TWO_PI,) * 3, (False,) * 3 + (True,) * 3),
+            "coherent-pair-free": SearchView(
+                names=("alpha", "beta", "eta", "delta1", "delta2", "delta"),
+                lower=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                upper=(3.0, 3.0, 4.0, TWO_PI, TWO_PI, TWO_PI),
+                angular=(False, False, False, True, True, True),
+            ),
         },
     ),
     "squeezed-vacuum": Family(
@@ -736,7 +740,7 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: ZhangReal(**p),
         moments=lambda params: zhang_moments(params),
         domain={"r": 0.0},
-        oracle=lambda p, cut: fock_oracle.zhang_state(p.r, p.theta, cut),
+        oracle=_zhang_state,
         draws={"r": _R_DRAW, "theta": TWO_PI},
     ),
     "entangled-coherent": Family(
@@ -745,7 +749,7 @@ REGISTRY: dict[str, Family] = {
         record=lambda p: EntangledCoherent(**p),
         moments=lambda params: entangled_coherent_moments(params),
         domain={"sigma": 0.0},
-        oracle=lambda p, cut: fock_oracle.entangled_coherent_state(p.sigma, p.theta, p.delta1, p.delta2, cut),
+        oracle=_entangled_coherent_state,
         draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
     "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 #: Draw guard: draws whose normalization denominator is below this are
-#: redrawn.  The closed forms keep their digits there, but the oracle's
-#: ``superpose`` loses them as 1/denominator grows.
+#: redrawn.  The closed forms keep their digits there (all but the coherent
+#: pair's), but the oracle's ``superpose`` loses them as 1/denominator grows.
 _DENOM_GUARD = 1e-6
 
 #: Tail mass that each compared state must meet on its own (a two-mode tail

@@ -167,16 +167,9 @@ class TestSweep:
         "argv,expected",
         [
             # Beside the zero-norm state the limits are the two-photon state
-            # (n = 2), n1 = 1, sigma^2 coth 2 sigma^2 = 0.5 and, for
-            # |alpha> - |beta> with beta - alpha = -5e-7, D(alpha)|1> with
-            # n = |alpha|^2 + 1 and F = -1; the cells once printed 2.00026632,
-            # 1.00002212, 0.499997183 and 1.63975155 with F = -0.999556344.
+            # (n = 2), n1 = 1 and sigma^2 coth 2 sigma^2 = 0.5; the cells once
+            # printed 2.00026632, 1.00002212 and 0.499997183.
             (["--family", "superposed-squeezed", "--set", "eta=-1", "--sweep", "r=1e-6:1e-6:1"], {"n": "2", "F": "-2"}),
-            (
-                ["--family", "coherent-pair", "--set", "beta=0.8", "--set", "delta2=0", "--set", "eta=1", "--set",
-                 "delta=pi", "--sweep", "alpha=0.8000005:0.8000005:1"],
-                {"n": "1.6400004", "R": "0.6400004", "F": "-1"},
-            ),
             (["--family", "zhang", "--set", "theta=pi", "--sweep", "r=1e-6:1e-6:1"], {"n1": "1", "n2": "1", "F": "-1"}),
             (
                 ["--family", "entangled-coherent", "--set", "theta=pi", "--sweep", "sigma=1e-6:1e-6:1"],
@@ -190,16 +183,6 @@ class TestSweep:
         header, rows = read_csv(out)
         for cells in rows:
             assert {key: cells[header.index(key)] for key in expected} == expected
-
-    def test_equal_coherent_branches_print_an_excess_of_zero(self, tmp_path):
-        # beta = alpha is the coherent state |alpha> at every weight: F is 0,
-        # where the plain difference printed -2.2e-16, 5.6e-16, -1.1e-16 and
-        # 1.1e-16.  At eta = -1 the branches cancel and the row is empty.
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--family", "coherent-pair", "--set", "beta=0.8", "--set", "delta2=0", "--sweep", "delta=0:2pi:8"]
-        assert main([*argv, "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert [cells[1:] for cells in rows] == [["0.64", "0.64", "0"]] * 4 + [["", "", ""]] + [["0.64", "0.64", "0"]] * 4
 
     def test_entangled_coherent_excess_cells_are_its_closed_form(self, tmp_path):
         # 2 sigma^2 cos(theta) e^{-4 sigma^2} / (1 + cos(theta) e^{-4 sigma^2})

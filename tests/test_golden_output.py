@@ -47,17 +47,14 @@ GOLDEN = [
      "02b8421a4c005fddeb388d6d634f8e9b47124b4cdd3eacf53b6a5f49eef75944"),
     ("sweep --family vacuum-squeezed --set eta=-1 --sweep r=0:1:5000 --format json",
      "209707941f82dd1b90d8ebff13a439f728c1303c78bb411cf6b94cd243d80340"),
-    # The coherent pair's moments, written around its |alpha> branch, move
-    # every search run from its first rounding: other iterates and counts,
-    # and one free-view start ends at F = 6.4e-9 instead of W(1/e).
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
-     "55b1ccabb5c74185ebdd72ebabf8babaf15c38dfe6008e2b9ff646f574221615"),
+     "27d256a8871e6ea37a6fb95558bb59b39e0cf51b8bbd3cd520fa0d1062ffa94f"),
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
-     "5cbebb2bad9d18c5ba7d846853681d56039af8f86c3f98472d26b0a9e8cddd96"),
+     "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
      "20e331aee3a73d9d301040e7a3516e7acd27bc4bea48077f718addd1030c3f79"),
     ("search --family coherent-pair --starts 64 --seed 42 --format json",
-     "5a24ba81ffa7c5f4e014741d70eeed4e246801441ffe8553061ac621581f2467"),
+     "f13c92e8f449336c27565af658d8c99e756c189275037cc57665346f1684c077"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",

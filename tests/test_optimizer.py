@@ -230,7 +230,7 @@ class TestAscend:
         *stencils, last = batches
         assert last.shape == (space.dim,)
         assert all(b.shape == (space.dim + 1, space.dim) for b in stencils)
-        assert len({b.tobytes() for b in stencils}) == len(stencils) == 40
+        assert len({b.tobytes() for b in stencils}) == len(stencils) == 36
         assert stencils[0][0].tobytes() == space.clamp(start).tobytes()
 
 
@@ -302,17 +302,17 @@ class TestMultiStart:
         assert 2 * sum(e.converged for e in report.extrema) >= len(report.extrema)
 
     def test_vanishing_difference_step_ends_the_run_unconverged(self):
-        # Start 24 at seed 13: L-BFGS-B walks the unbounded delta to ~1e9,
-        # where (x + h) - x is 0 and the forward quotient would be 0/0.  The
-        # run ends at its last finite iterate, unconverged, like a degenerate
-        # one.
+        # Start 25 at seed 6 drifts to alpha ~ 0, where F is flat in both
+        # phases; L-BFGS-B then walks the unbounded delta to ~5e8, where
+        # (x + h) - x is 0 and the forward quotient would be 0/0.  The run
+        # ends at its last finite iterate, unconverged, like a degenerate one.
         space = view("coherent-pair")
-        cfg = SearchConfig(starts=64, seed=13)
+        cfg = SearchConfig(starts=64, seed=6)
         report = multi_start(space, cfg)
         assert report.failed_starts == 0
         assert sum(e.members for e in report.extrema) == 64
         lo, hi = np.array(space.lower), np.array(space.upper)
-        start = lo + (hi - lo) * np.random.default_rng([13, 24]).uniform(size=space.dim)
+        start = lo + (hi - lo) * np.random.default_rng([6, 25]).uniform(size=space.dim)
         ext = ascend(space, start, cfg)
         assert not ext.converged and ext.grad_norm is None
         assert all(math.isfinite(v) for v in ext.params)
@@ -360,4 +360,4 @@ def test_search_work_is_pinned(monkeypatch, capsys):
     monkeypatch.setattr(optimizer, "objective_F", counted)
     assert main(["search", "--family", "coherent-pair", "--starts", "64", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert work == [2569, 15414]
+    assert work == [2508, 15048]
