@@ -130,8 +130,7 @@ def _shaped(shape, values) -> list:
     """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars.
 
     A value that already has the batch's rows is taken as it is, and so is a
-    plain float: one value for every row (an empty channel, a denominator of 1),
-    and None (an excess the record derives).
+    plain float (one value for every row: an empty channel, a denominator of 1) or None.
     """
     rows = shape or (1,)
     plain = (float, type(None))
