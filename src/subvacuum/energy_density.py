@@ -258,6 +258,11 @@ def rho_two_mode(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float
     return rho
 
 
+def _moments_finite(m: TwoModeMoments) -> bool:
+    vals = (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.gamma1, m.gamma2, m.gamma3, m.gamma4)
+    return all(map(math.isfinite, vals))
+
+
 def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
     """The scan axis and the polished minimum (point, value).
 
@@ -270,7 +275,7 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
         raise ValueError("grid_n must be at least 16")
     if window <= 0:
         raise ValueError("window must be positive")
-    if not all(map(math.isfinite, (m.n1, m.n2, m.R1, m.R2, m.R3, m.R4, m.gamma1, m.gamma2, m.gamma3, m.gamma4))):
+    if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
     axis = np.linspace(0.0, window, grid_n)

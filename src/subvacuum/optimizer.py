@@ -147,7 +147,8 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
             np.add(x, steps, out=rows[1:])  # off the diagonal x + 0.0, where -0.0 becomes 0.0
             neg = -objective_F(view, view.clamp(rows))
             # A degenerate stencil row, or an angle so large that the step
-            # no longer changes it, leaves the quotient undefined.
+            # no longer changes it, leaves the quotient undefined.  Counting
+            # nonzeros is the cheapest all() over a few rows.
             step = (x + h) - x
             finite = np.count_nonzero(np.isfinite(neg)) == neg.size and np.count_nonzero(step) == step.size
             grad = (neg[1:] - neg[0]) / step if finite else None

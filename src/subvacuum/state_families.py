@@ -120,7 +120,7 @@ def _batch(params):
     """
     values = vars(params).values()
     shape = getattr(next(iter(values)), "shape", ())
-    if shape and all([type(v) is np.ndarray and v.shape == shape for v in values]):
+    if shape and all(type(v) is np.ndarray and v.shape == shape for v in values):
         return shape, params
     shape, *values = _rows(*values)
     return shape, type(params)(*values)
@@ -130,12 +130,11 @@ def _shaped(shape, values) -> list:
     """Each value broadcast to the batch ``shape``; a batch of one gives numpy scalars.
 
     A value that already has the batch's rows is taken as it is, and so is a
-    plain float (one value for every row: an empty channel, a denominator of 1) or None.
+    plain float: one value for every row (an empty channel, a denominator of 1).
     """
     rows = shape or (1,)
-    plain = (float, type(None))
-    values = [v if type(v) in plain or getattr(v, "shape", ()) == rows else np.broadcast_to(v, rows) for v in values]
-    return values if shape else [v if type(v) in plain else v[0] for v in values]
+    values = [v if type(v) is float or np.shape(v) == rows else np.broadcast_to(v, rows) for v in values]
+    return values if shape else [v if type(v) is float else v[0] for v in values]
 
 
 def _normalization(denom):
@@ -212,7 +211,9 @@ class TwoModeMoments:
 def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, denominator=1.0) -> TwoModeMoments:
     """The record of a batch of ``shape``; ``b2`` passed as ``a2`` itself stays one object."""
     same = b2 is a2
-    n1, n2, a2, b2, adag_b, ab, excess, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, excess, denominator))
+    n1, n2, a2, b2, adag_b, ab, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, denominator))
+    if excess is not None:
+        (excess,) = _shaped(shape, (excess,))
     return TwoModeMoments(n1, n2, a2, a2 if same else b2, adag_b, ab, excess, denominator)
 
 
