@@ -25,11 +25,11 @@ M_ij = <a_i a_j> and u_j = d_mu f_j, for the mode functions
 with z the coordinate along the cavity axis (x[0] of a point).  Each formula
 is written once, vectorized, and adds no term for a channel whose magnitude
 Rk is exactly 0.
-The numeric minimizer scans the span of the wave vectors (the density depends
-on x only through the k.x phases) plus time, one t slab at a time, then
-polishes with a Nelder-Mead refinement; the point evaluator ``rho_two_mode``
-and the sample export use the same formulas, and the export recomputes each
-t slab of the scan grid as it writes it.
+The one numeric minimizer, ``density_profile``, scans the wave-vector span
+(the density depends on x only through the k.x phases) and time one t slab
+at a time, then polishes with an unbounded Nelder-Mead refinement, and
+``rho_min_two_mode_numeric`` reads its minimum; ``rho_two_mode`` and the
+export, which recomputes each t slab as it writes it, use the same formulas.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """The scan grid of a density plus the refined minimum over the scan window.
+    """The scan grid of a density plus its polished minimum, which may lie off the grid.
 
     The grid is the product of the times ``t`` (grid_n,) and the spatial
     points ``space`` (M, 3), the Cartesian x of each spatial grid point in
@@ -125,16 +125,10 @@ class DensityProfile:
         return _slabs(self.moments, self.geometry, self.t)
 
     @property
-    def rho(self) -> np.ndarray:
-        """(grid_n, M) density at each (t, x) pair, stacked from :meth:`slabs`."""
-        return np.stack(list(self.slabs()))
-
-    @property
     def samples(self) -> np.ndarray:
-        """(N, 5) rows of x1, x2, x3, t, rho in (t, space...) lexicographic order."""
-        rho = self.rho
-        n, m = rho.shape
-        return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), rho.ravel()])
+        """(N, 5) rows of x1, x2, x3, t, rho in (t, space...) order: the one stacked view of the slabs."""
+        n, m = len(self.t), len(self.space)
+        return np.column_stack([np.tile(self.space, (n, 1)), np.repeat(self.t, m), np.concatenate(list(self.slabs()))])
 
 
 def rho_min_one_mode(m: TwoModeMoments, omega: float) -> float:
@@ -263,13 +257,29 @@ def _moments_finite(m: TwoModeMoments) -> bool:
     return all(map(math.isfinite, vals))
 
 
-def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int):
-    """The scan axis and the polished minimum (point, value).
+def rho_min_two_mode_numeric(
+    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
+) -> tuple[SpacetimePoint, float]:
+    """``density_profile(m, g, window, grid_n).min_found``: the density's numeric minimum.
 
-    The scan walks the t slabs once, refusing the first that is not finite,
-    and keeps the first minimum in C order (the smallest t, then the
+    The scan covers [0, window] in t and each span coordinate; the polish is
+    unbounded, so from a best sample on the window's edge it can end outside.
+    """
+    return density_profile(m, g, window, grid_n).min_found
+
+
+def density_profile(
+    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
+) -> DensityProfile:
+    """The one scan and polish: the scan grid plus the refined minimum, for data export.
+
+    The scan takes ``grid_n`` points on [0, window] along t and each span
+    coordinate, walks the t slabs once, refusing the first that is not
+    finite, and keeps the first minimum in C order (the smallest t, then the
     smallest span coordinates): the first within a slab by ``argmin``, and a
-    later slab only by a strictly smaller value.
+    later slab only by a strictly smaller value.  The unbounded Nelder-Mead
+    polish from there is kept only if it improves on the best sample, so the
+    minimum is <= every grid value, which the slabs recompute bit for bit.
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
@@ -304,34 +314,9 @@ def _scan_and_polish(m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: 
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
     x = _span_x(g, *best[1:])
-    return axis, (SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0])), best_val)
-
-
-def rho_min_two_mode_numeric(
-    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
-) -> tuple[SpacetimePoint, float]:
-    """Numeric minimum of the density over x in the wave-vector span, t in [0, window].
-
-    A dense grid scan (``grid_n`` points per axis, ties broken toward the
-    smallest t then the smallest spatial coordinates) seeds a Nelder-Mead
-    polish; the polished value is kept only if it improves on the best
-    sample, so the result is always <= every sampled value.
-    """
-    return _scan_and_polish(m, g, window, grid_n)[1]
-
-
-def density_profile(
-    m: TwoModeMoments, g: ModeGeometry, window: float, grid_n: int
-) -> DensityProfile:
-    """The scan grid plus the refined minimum, for data export.
-
-    The grid is the minimizer's own scan, checked finite there, and the
-    profile's slabs recompute its values bit for bit, so the minimum is
-    <= every grid value exactly.
-    """
-    axis, min_found = _scan_and_polish(m, g, window, grid_n)
+    point = SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0]))
     space = _span_x(g, *np.meshgrid(*[axis] * _span_axes(g), indexing="ij")).reshape(-1, 3)
-    return DensityProfile(t=axis, space=space, min_found=min_found, moments=m, geometry=g)
+    return DensityProfile(t=axis, space=space, min_found=(point, best_val), moments=m, geometry=g)
 
 
 def rho_min_br_closed(r: float, omega1: float, omega2: float) -> float:

@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 
 from subvacuum import energy_density as ed
 from subvacuum import fock_oracle, verification
@@ -331,7 +332,7 @@ class TestNumericMinimizer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             point, val = rho_min_two_mode_numeric(m, g, 1.5e308, 16)
-            rho = density_profile(m, g, 1.5e308, 16).rho
+            rho = np.stack(list(density_profile(m, g, 1.5e308, 16).slabs()))
         assert val == rho.min()
         assert point == SpacetimePoint(x=(0.0, 0.0, 1.5e308), t=1.5e308)
 
@@ -428,8 +429,9 @@ class TestSlabScan:
         axes = 3 if g.kind == "traveling" and abs(g.cosangle) != 1.0 else 2
         dense = _span_rho(m, g, *np.meshgrid(*[axis] * axes, indexing="ij"))
         prof = density_profile(m, g, window, grid_n)
-        assert prof.rho.shape == (grid_n, grid_n ** (axes - 1))
-        assert prof.rho.tobytes() == dense.reshape(grid_n, -1).tobytes()
+        rho = np.stack(list(prof.slabs()))
+        assert rho.shape == (grid_n, grid_n ** (axes - 1))
+        assert rho.tobytes() == dense.reshape(grid_n, -1).tobytes()
         assert prof.t.tobytes() == axis.tobytes()
         if name == "vacuum":  # every value ties: the first in (t, space) order is the origin
             assert prof.min_found == (SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0), 0.0)
@@ -451,6 +453,16 @@ class TestClosedForms:
             m = barnett_radmore_moments(BarnettRadmore(r=0.8, delta=delta))
             _, val = rho_min_two_mode_numeric(m, ModeGeometry("traveling", w1, w2), 8.0, 64)
             assert val == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize("r,delta", [(1.418482, 1.064526), (0.559655, 5.194237), (0.942314, 1.098423)])
+    def test_br_min_past_the_window_edge(self, r, delta):
+        # These draws' best samples sit on the window's edge and the closed
+        # depth lies just past it, at x3 = 8.0227, t = 8.0146 and
+        # x3 = 8.0116: only the unbounded polish reaches it.
+        m = barnett_radmore_moments(BarnettRadmore(r=r, delta=delta))
+        point, val = rho_min_two_mode_numeric(m, ModeGeometry("traveling", 1.0, 2.0), 8.0, 64)
+        assert max(point.t, point.x[2]) > 8.0
+        assert abs(val - rho_min_br_closed(r, 1.0, 2.0)) <= 1e-9
 
     def test_br_min_positive_when_frequencies_far_apart(self):
         # 2 sqrt(w1 w2) cosh r < (w1 + w2) sinh r for strongly mismatched
@@ -641,7 +653,7 @@ def test_skipped_channels_change_no_bit(record, kind, monkeypatch):
     axes = 3 if kind == "skew" else 2
     axis = np.linspace(0.0, window, grid_n)
     grid = np.meshgrid(*[axis] * axes, indexing="ij")
-    assert prof.rho.tobytes() == six_term_span(m, g, *grid).reshape(grid_n, -1).tobytes()
+    assert np.stack(list(prof.slabs())).tobytes() == six_term_span(m, g, *grid).reshape(grid_n, -1).tobytes()
 
     (objective,) = objectives
     rng = np.random.default_rng(23)
@@ -726,3 +738,55 @@ def test_oracle_state_density_is_the_closed_form_density(name, kind):
         expected = rho_two_mode(closed, g, p)
         assert abs(mode_sum_rho(brute, g, p) - expected) <= bound
         assert abs(rho_two_mode(brute, g, p) - expected) <= bound
+
+
+def torus_rho(m, g, th1, th2):
+    """The module docstring's traveling density in the phases th_j = k_j.x - w_j t."""
+    w1, w2 = g.omega1, g.omega2
+    geom = math.sqrt(w1 * w2) * (1.0 + g.cosangle)
+    return (
+        m.n1 * w1
+        + m.n2 * w2
+        + m.R1 * w1 * np.cos(2.0 * th1 + m.gamma1)
+        + m.R2 * w2 * np.cos(2.0 * th2 + m.gamma2)
+        + geom * (m.R3 * np.cos(th2 - th1 + m.gamma3) + m.R4 * np.cos(th2 + th1 + m.gamma4))
+    )
+
+
+def torus_min(m, g):
+    """Minimum of ``torus_rho`` over the 2-torus: a 512^2 grid, refined by Nelder-Mead."""
+    axis = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    grid = torus_rho(m, g, *np.meshgrid(axis, axis, indexing="ij"))
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    res = scipy.optimize.minimize(
+        lambda q: float(torus_rho(m, g, *q)),
+        [axis[i], axis[j]],
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000},
+    )
+    return float(res.fun)
+
+
+TORUS_GEOMETRIES = {
+    "1:2:0.3": ModeGeometry("traveling", 1.0, 2.0, 0.3),
+    "1:1:0": ModeGeometry("traveling", 1.0, 1.0, 0.0),
+    "1.5:1:-0.5": ModeGeometry("traveling", 1.5, 1.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(TORUS_GEOMETRIES))
+@pytest.mark.parametrize("record", sorted(r for r in FAMILY_RECORDS if r.endswith("-defaults")))
+def test_numeric_minimum_is_the_torus_minimum(record, geometry):
+    # Skew traveling modes see (t, x) only through th1 and th2, and every
+    # pair of phases is reached, so the density's infimum over spacetime is
+    # its minimum over the 2-torus.  The numeric minimum is a density value:
+    # it may undercut that minimum only by rounding, bounded as in
+    # test_density_is_the_mode_sum, and it should find it.
+    m, g = FAMILY_RECORDS[record], TORUS_GEOMETRIES[geometry]
+    scale = m.n1 * g.omega1 + m.n2 * g.omega2 + abs(m.a2) * g.omega1 + abs(m.b2) * g.omega2
+    scale += 2.0 * math.sqrt(g.omega1 * g.omega2) * (abs(m.adag_b) + abs(m.ab))
+    p, val = rho_min_two_mode_numeric(m, g, 8.0, 32)
+    phase = 2.0 * max(g.omega1, g.omega2) * (max(map(abs, p.x)) * math.sqrt(3.0) + abs(p.t))
+    expected = torus_min(m, g)
+    assert val >= expected - np.finfo(float).eps * scale * (1.0 + phase)
+    assert abs(val - expected) <= 1e-9 * scale
