@@ -288,7 +288,10 @@ def density_profile(
     if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
-    axis = np.linspace(0.0, window, grid_n)
+    # linspace's last product (grid_n - 1) * step can round past the largest
+    # float; linspace then sets that point to the window itself.
+    with np.errstate(over="ignore"):
+        axis = np.linspace(0.0, window, grid_n)
     best_val, best = math.inf, None
     for i, slab in enumerate(_slabs(m, g, axis)):
         if not np.isfinite(slab).all():
