@@ -15,7 +15,7 @@ failure (an array too large to allocate among them); an output that cannot
 be written (a closed pipe, a full disk, a bad ``--out`` path) is a usage
 error, its path or stream chosen like a flag.
 Output is CSV (default) or a single JSON document; identical flags and seeds
-give byte-identical output.
+give byte-identical output on one numpy build and SIMD dispatch target.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import energy_density as ed
 from . import state_families as sf
 from . import verification
-from .optimizer import AscentFailure, SearchConfig, multi_start
+from .optimizer import GRAD_TOL, SearchConfig, multi_start
 
 __all__ = ["main", "parse_real", "FAMILY_NAMES", "SEARCH_FAMILY_NAMES"]
 
@@ -316,7 +316,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     header = ["rank", *columns, *view.names]
     ranked = list(enumerate(report.extrema, start=1))
     rows = [[rank, *(getattr(ext, c) for c in columns), *ext.params] for rank, ext in ranked]
-    config = {"family": args.family, "starts": args.starts, "grad_tol": cfg.grad_tol, "max_iters": cfg.max_iters}
+    config = {"family": args.family, "starts": args.starts, "grad_tol": GRAD_TOL, "max_iters": cfg.max_iters}
     json_keys = ("F", "n", "R", "gamma", "grad_norm", "iterations", "converged", "members")
     extrema = [
         {"rank": rank, "params": dict(zip(view.names, ext.params)), **{k: getattr(ext, k) for k in json_keys}}
@@ -378,8 +378,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for rep in reports:
         worst = "; ".join(f"{k}={v:.9g}" for k, v in rep.worst_params.items())
-        tolerance = max(1e-8, 10.0 * rep.tail_bound)
-        rows.append(["family", rep.family, f"draws={rep.draws}", rep.max_abs_deviation, tolerance,
+        rows.append(["family", rep.family, f"draws={rep.draws}", rep.max_abs_deviation, rep.tolerance,
                      rep.tail_bound, rep.passed, worst])
         failed = failed or not rep.passed
     for row in identities:
@@ -490,7 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"subvacuum {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, AscentFailure, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         # ValueError covers truncation refusals and degenerate states;
         # ArithmeticError covers overflow, division by zero and non-finite rows;
         # MemoryError an array too large to allocate.

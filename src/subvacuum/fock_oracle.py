@@ -15,9 +15,12 @@ the constructors take parameter arrays, and the moments, overlaps and tail
 masses come back with the batch shape.  A single state is a batch of one
 (scalar parameters, numpy scalars out) and goes through the same loops, so a
 row's amplitudes and moments do not depend on the batch it was built in.
-The moments come back in the closed forms' one moments record, whose
-complex channels are stored as measured and whose R and gamma are derived on
-first read, (0, 0) below magnitude 1e-15.
+There are three readings -- :func:`inner`, :func:`two_mode_moments` and
+:func:`tail_mass` -- and the last two take a state in any of its storage
+forms.  The moments come back in the closed forms' one moments record, a
+single-mode state as its mode 1 with mode 2 empty, whose complex channels are
+stored as measured and whose R and gamma are derived on first read, (0, 0)
+below magnitude 1e-15.
 
 Amplitudes are running products (``np.cumprod``) of their successive ratios
 rather than factorial ratios or powers, which keeps the constructors accurate
@@ -50,8 +53,6 @@ __all__ = [
     "superpose",
     "superpose_two_mode",
     "inner",
-    "mean_amplitude",
-    "one_mode_moments",
     "two_mode_moments",
     "tail_mass",
     "fits",
@@ -102,9 +103,6 @@ class FockVector:
     def cutoff(self) -> int:
         """Largest retained photon number."""
         return self.amps.shape[-1] - 1
-
-    def norm(self):
-        return np.sqrt(_expect(self.amps, "1").real)[()]
 
     def rows(self, index) -> FockVector:
         """The states of the batch rows ``index`` (an index or mask on the first axis)."""
@@ -321,38 +319,23 @@ def inner(u: FockVector, v: FockVector, op: str = "1") -> complex:
     return _expect(u.amps, op, v.amps)[()]
 
 
-def mean_amplitude(v: FockVector) -> complex:
-    """First moments <a> of single-mode vectors, by index summation.
+def two_mode_moments(v: FockVector | TwoModeFockVector) -> TwoModeMoments:
+    """All quadratic ladder moments of one- or two-mode vectors by index summation.
 
-    Together with :func:`one_mode_moments` they give the centred moments
-    n - |<a>|^2 and <a^2> - <a>^2, which a displacement leaves unchanged.
-    """
-    return _expect(v.amps, "a")[()]
-
-
-def one_mode_moments(v: FockVector) -> TwoModeMoments:
-    """Occupation and pair moments of single-mode vectors, as mode 1 of the one moments record.
-
-    The occupation is accumulated as a complex expectation value and checked
-    to be real to machine precision before the real part is kept.
-    """
-    from .state_families import TwoModeMoments  # which imports this module
-
-    n_c = _expect(v.amps, "n")
-    if np.any(np.abs(n_c.imag) > 1e-12):
-        raise ValueError(f"occupation has imaginary residue {np.max(np.abs(n_c.imag)):.3e}")
-    zero = np.zeros(n_c.shape, dtype=complex)[()]
-    return TwoModeMoments(n_c.real[()], zero.real, _expect(v.amps, "a2")[()], zero, zero, zero)
-
-
-def two_mode_moments(v: TwoModeFockVector) -> TwoModeMoments:
-    """All quadratic ladder moments of two-mode vectors by index summation.
-
-    A Schmidt-diagonal state has n1 = n2 = sum_n |c_n|^2 n, <ab> =
+    A single-mode vector is mode 1 of the record, with mode 2 empty; its
+    occupation is accumulated as a complex expectation value and checked to
+    be real to machine precision before the real part is kept.  A
+    Schmidt-diagonal state has n1 = n2 = sum_n |c_n|^2 n, <ab> =
     sum_n conj(c_n) (n + 1) c_{n+1}, and no channel that changes n1 - n2.
     """
     from .state_families import TwoModeMoments  # which imports this module
 
+    if isinstance(v, FockVector):
+        n_c = _expect(v.amps, "n")
+        if np.any(np.abs(n_c.imag) > 1e-12):
+            raise ValueError(f"occupation has imaginary residue {np.max(np.abs(n_c.imag)):.3e}")
+        zero = np.zeros(n_c.shape, dtype=complex)[()]
+        return TwoModeMoments(n_c.real[()], zero.real, _expect(v.amps, "a2")[()], zero, zero, zero)
     if v.weights is None:
         c = v.amps
         n = _expect(c, "n").real[()]

@@ -52,6 +52,10 @@ CLUSTER_RADIUS = 0.02
 #: as an absolute step for its two-point gradient.
 _FD_STEP = 1e-8
 
+#: Bound on the projected gradient norm of a converged point.  The
+#: forward-difference gradient errs by about _FD_STEP |F''| / 2, just below it.
+GRAD_TOL = 1e-7
+
 #: L-BFGS-B's corrections kept, line-search steps and evaluation cap, at
 #: scipy's ``minimize`` defaults.
 _M, _MAXLS, _MAXFUN = 10, 20, 15_000
@@ -70,20 +74,16 @@ class AscentFailure(RuntimeError):
 class SearchConfig:
     """Search settings.
 
-    ``grad_tol`` bounds the projected gradient norm of a converged point;
     ``max_iters`` caps the L-BFGS-B iterations of one start.
     """
 
     starts: int = 64
     seed: int = 0
-    grad_tol: float = 1e-7
     max_iters: int = 500
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -158,8 +158,8 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
 
     The loop is scipy's ``_minimize_lbfgsb`` around ``setulb``, as
     ``minimize(method="L-BFGS-B")`` runs it with factr = 0 and pgtol =
-    grad_tol / sqrt(dim), which bounds the projected gradient's 2-norm by
-    grad_tol.  No point is evaluated twice in one run: F at the start is row
+    GRAD_TOL / sqrt(dim), which bounds the projected gradient's 2-norm by
+    GRAD_TOL.  No point is evaluated twice in one run: F at the start is row
     0 of its first stencil, and every stencil is kept by the exact bytes of
     its point, since L-BFGS-B revisits points on the box edges.
     """
@@ -183,7 +183,7 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
     bounds = np.where(low, lo, 0.0), np.where(up, hi, 0.0), np.array(nbd, np.int32)
     wa, dsave = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M), np.zeros(29)
     iwa, task, lsave, isave, ln_task = (np.zeros(size, np.int32) for size in (3 * n, 2, 4, 44, 2))
-    pgtol = cfg.grad_tol / math.sqrt(n)
+    pgtol = GRAD_TOL / math.sqrt(n)
 
     # scipy's ScalarFunction evaluates F and g at x0 and reuses the last
     # point's pair while x is array_equal to it; its loop starts from f = 0
@@ -213,7 +213,7 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
     else:
         p, f = view.clamp(x), -float(f)
         grad_norm = float(np.linalg.norm(np.where(((p <= lo) & (g > 0.0)) | ((p >= hi) & (g < 0.0)), 0.0, g)))
-    converged = fg[1] is not None and bool(task[0] == 4) and grad_norm <= cfg.grad_tol
+    converged = fg[1] is not None and bool(task[0] == 4) and grad_norm <= GRAD_TOL
     if f < f0:
         p, f, grad_norm, converged = p0, f0, None, False
     m = view.moments_of(p)
@@ -249,7 +249,7 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     """One L-BFGS-B run on -F from ``start``.
 
     ``converged`` needs both L-BFGS-B's success and a projected gradient norm
-    at most ``cfg.grad_tol`` at the returned point.  A run that asks for F at
+    at most ``GRAD_TOL`` at the returned point.  A run that asks for F at
     a degenerate state ends at its last finite iterate, unconverged, with an
     unknown (``None``) gradient norm; so does a run whose unbounded angle
     grew so large that the difference step no longer changes it (where F is

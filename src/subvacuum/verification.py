@@ -58,7 +58,9 @@ class VerifyReport:
     """Outcome of one family's randomized oracle comparison.
 
     ``worst_params`` is the draw with the largest deviation, by the family's
-    parameter keys (its ``--set`` keys on the command line).
+    parameter keys (its ``--set`` keys on the command line).  ``tolerance``
+    is the comparison tolerance at the largest tail, max(1e-8, 10 x
+    ``tail_bound``): the loosest any draw was held to.
     """
 
     family: str
@@ -66,6 +68,7 @@ class VerifyReport:
     max_abs_deviation: float
     worst_params: dict[str, float]
     tail_bound: float
+    tolerance: float
     passed: bool
 
 
@@ -135,8 +138,8 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
     ``_TAIL_TARGET``, and that measured tail is kept.  Single-mode states
     compare as mode 1 of a pair.  Per-draw tolerance is max(1e-8, 10 x tail
     mass), and a NaN deviation or tail fails it; the report carries the
-    largest deviation, the drawn parameters that produced it (by key), and
-    the largest tail mass encountered.
+    largest deviation, the drawn parameters that produced it (by key), the
+    largest tail mass encountered and the tolerance at that tail.
     """
     if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -149,18 +152,17 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
     fits = oracle.fits(lambda cutoff, rows: spec.oracle(_record(spec, drawn[rows]), cutoff), draws, _TAIL_TARGET,
                        cutoff_cap)
     for fit in fits:
-        state = fit.state
-        two_mode = isinstance(state, oracle.TwoModeFockVector)
-        om = oracle.two_mode_moments(state) if two_mode else oracle.one_mode_moments(state)
-        deviation[fit.rows] = _deviations(closed[fit.rows], om)
+        deviation[fit.rows] = _deviations(closed[fit.rows], oracle.two_mode_moments(fit.state))
         tail[fit.rows] = fit.tail
     worst = int(np.argmax(deviation)) if draws else None
+    tail_bound = float(tail.max(initial=0.0))
     return VerifyReport(
         family=family,
         draws=draws,
         max_abs_deviation=float(deviation.max(initial=0.0)),
         worst_params={} if worst is None else dict(zip(spec.draws, drawn[worst].tolist())),
-        tail_bound=float(tail.max(initial=0.0)),
+        tail_bound=tail_bound,
+        tolerance=max(1e-8, 10.0 * tail_bound),
         passed=bool(np.all(deviation <= np.maximum(1e-8, 10.0 * tail))),
     )
 
@@ -183,26 +185,23 @@ def verify_all(
 # --------------------------------------------------------------------------
 
 
-def appendix_identity_report(
-    r_values: Iterable[float] = (0.5, 1.0, 2.0),
-    alpha: float = 0.6,
-    cutoff_cap: int = 4096,
-) -> list[IdentityRow]:
-    """Check the hyperbolic matrix-element identities at fixed squeeze values.
+def appendix_identity_report(cutoff_cap: int = 4096) -> list[IdentityRow]:
+    """Check the hyperbolic matrix-element identities at squeeze r = 0.5, 1 and 2.
 
     Covers overlaps and ladder moments between opposite squeezed vacua and
-    between a squeezed vacuum and a coherent state.  The cross pair moment is
-    evaluated in both published denominator variants; only the tanh-squared
-    form is required to pass, the other row records the measured discrepancy.
+    between a squeezed vacuum and the coherent state of alpha = 0.6.  The
+    cross pair moment is evaluated in both published denominator variants;
+    only the tanh-squared form is required to pass, the other row records the
+    measured discrepancy.
     """
     rows: list[IdentityRow] = []
-    tol = 1e-10
+    tol, alpha = 1e-10, 0.6
 
     def check(name: str, value: complex, closed: float, required: bool = True, note: str = "") -> None:
         dev = float(abs(value - closed))
         rows.append(IdentityRow(name, r, dev, tol, dev <= tol, required, note))
 
-    for r in r_values:
+    for r in (0.5, 1.0, 2.0):
         # One cutoff for all three vectors: the first at which the product
         # |r> (x) |alpha>, whose tail sums both factors' tails, meets 1e-12.
         both = oracle.fitted(

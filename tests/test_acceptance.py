@@ -116,7 +116,7 @@ def vacuum_plus_squeezed_oracle(r: float, eta: complex) -> fock_oracle.FockVecto
 
 
 def oracle_excess(v: fock_oracle.FockVector) -> float:
-    m = fock_oracle.one_mode_moments(v)
+    m = fock_oracle.two_mode_moments(v)
     return abs(m.a2) - m.n1
 
 
@@ -154,8 +154,8 @@ def test_criterion_1_coherent_pair_search():
     elapsed = time.monotonic() - t0
 
     def centred(v):
-        mu = fock_oracle.mean_amplitude(v)
-        m = fock_oracle.one_mode_moments(v)
+        mu = fock_oracle.inner(v, v, "a")
+        m = fock_oracle.two_mode_moments(v)
         return m.n1 - abs(mu) ** 2, abs(m.a2 - mu**2)
 
     maxima = [e for e in result.extrema if abs(e.F - ridge_top) <= target_band]
@@ -175,7 +175,7 @@ def test_criterion_1_coherent_pair_search():
     def on_cluster(target):
         (amps, n_c, n_h) = target
         v = coherent_pair_oracle(*amps)
-        n = fock_oracle.one_mode_moments(v).n1
+        n = fock_oracle.two_mode_moments(v).n1
         tc = centred(v)
         near = any(max(abs(tc[0] - q[0]), abs(tc[1] - q[1])) <= match for q in points)
         return abs(n - n_c) <= n_h and abs(oracle_excess(v) - ridge_top) <= target_band and near

@@ -713,8 +713,7 @@ def _oracle_record(name):
     (row,) = verification._draw(family, np.random.default_rng([7, verification.FAMILIES.index(name)]), 1)
     record = family.record(dict(zip(family.draws, row.tolist())))
     state = fock_oracle.fitted(lambda cutoff: family.oracle(record, cutoff), verification._TAIL_TARGET, 4096)
-    two_mode = isinstance(state, fock_oracle.TwoModeFockVector)
-    brute = fock_oracle.two_mode_moments(state) if two_mode else fock_oracle.one_mode_moments(state)
+    brute = fock_oracle.two_mode_moments(state)
     return family.moments(record), brute, max(1e-8, 10.0 * float(fock_oracle.tail_mass(state)))
 
 

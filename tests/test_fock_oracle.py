@@ -8,6 +8,7 @@ assertions encode the worst deviation observed at the stated cutoff with a
 small safety factor.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,20 +31,21 @@ class TestCoherentVector:
 
     def test_small_amplitude_occupation(self):
         v = fo.coherent_vector(0.5, 40)
-        m = fo.one_mode_moments(v)
+        m = fo.two_mode_moments(v)
         assert m.n1 == pytest.approx(0.25, abs=1e-12)
         assert m.a2 == pytest.approx(0.25, abs=1e-12)
 
     def test_eigenstate_pair_moment(self):
         # <a^2> = alpha^2 for any coherent state, phases included.
         alpha = 0.8 * np.exp(0.3j)
-        m = fo.one_mode_moments(fo.coherent_vector(alpha, 48))
+        m = fo.two_mode_moments(fo.coherent_vector(alpha, 48))
         assert m.n1 == pytest.approx(0.64, abs=1e-11)
         assert m.a2 == pytest.approx(alpha**2, abs=1e-11)
 
     def test_mean_amplitude_is_the_eigenvalue(self):
         alpha = 0.8 * np.exp(0.3j)
-        assert fo.mean_amplitude(fo.coherent_vector(alpha, 48)) == pytest.approx(alpha, abs=1e-11)
+        v = fo.coherent_vector(alpha, 48)
+        assert fo.inner(v, v, "a") == pytest.approx(alpha, abs=1e-11)
 
     def test_displaced_cat_has_the_centred_cat_moments(self):
         # |c + a> + |c - a> is the even cat |a> + |-a> displaced by c, so
@@ -51,8 +53,8 @@ class TestCoherentVector:
         # a^2 tanh(a^2) and a^2.
         a, c = 0.8, 0.5
         v = fo.superpose([(1.0, fo.coherent_vector(c + a, 64)), (1.0, fo.coherent_vector(c - a, 64))])
-        mu = fo.mean_amplitude(v)
-        m = fo.one_mode_moments(v)
+        mu = fo.inner(v, v, "a")
+        m = fo.two_mode_moments(v)
         assert mu == pytest.approx(c, abs=1e-12)
         assert m.n1 - abs(mu) ** 2 == pytest.approx(a * a * math.tanh(a * a), abs=1e-12)
         assert m.a2 - mu**2 == pytest.approx(a * a, abs=1e-12)
@@ -83,13 +85,13 @@ class TestSqueezedVacuumVector:
     def test_occupation_matches_sinh_squared(self):
         # Bogoliubov consequence; measured cutoff-64 truncation error is
         # 1.6e-7, so 5e-7 is a tight but honest bound.
-        m = fo.one_mode_moments(fo.squeezed_vacuum_vector(1.0, 0.0, 64))
+        m = fo.two_mode_moments(fo.squeezed_vacuum_vector(1.0, 0.0, 64))
         assert abs(m.n1 - SINH1_SQ) < 5e-7
 
     def test_pair_moment_direction(self):
         # <a^2> = -e^{i delta} sinh r cosh r.
         delta = 0.7
-        m = fo.one_mode_moments(fo.squeezed_vacuum_vector(1.0, delta, 128))
+        m = fo.two_mode_moments(fo.squeezed_vacuum_vector(1.0, delta, 128))
         assert m.a2 == pytest.approx(-np.exp(1j * delta) * SC1, abs=1e-9)
 
     def test_heavy_tail_flag_and_strict_rejection(self):
@@ -230,7 +232,7 @@ class TestProductsAndSuperpositions:
         plus = fo.squeezed_vacuum_vector(1.0, 0.0, 128)
         minus = fo.squeezed_vacuum_vector(1.0, math.pi, 128)
         st = fo.superpose([(1.0, plus), (-1.0, minus)])
-        om = fo.one_mode_moments(st)
+        om = fo.two_mode_moments(st)
         cm = superposed_squeezed_moments(SqueezedPair(r=1.0, eta=-1.0))
         assert abs(om.n1 - cm.n1) < 1e-8
         assert abs(om.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-8
@@ -302,8 +304,8 @@ def test_oracle_moments_are_the_one_record_with_R_and_gamma_derived():
     states = [
         fo.two_mode_moments(fo.superpose_two_mode([(1.0, fo.coherent_vector(alpha, 48), fo.coherent_vector(beta, 48))])),
         fo.two_mode_moments(fo.two_mode_squeezed_vector(np.array([0.0, 0.8]), 2.9, 64)),
-        fo.one_mode_moments(fo.coherent_vector(np.array([alpha, beta, 0.0]), 48)),
-        fo.one_mode_moments(fo.squeezed_vacuum_vector(0.7, -1.2, 64)),
+        fo.two_mode_moments(fo.coherent_vector(np.array([alpha, beta, 0.0]), 48)),
+        fo.two_mode_moments(fo.squeezed_vacuum_vector(0.7, -1.2, 64)),
     ]
     for m in states:
         assert type(m) is TwoModeMoments
@@ -316,6 +318,30 @@ def test_oracle_moments_are_the_one_record_with_R_and_gamma_derived():
         assert m.denominator == 1.0 and not np.any(m.degenerate)
     assert states[0].R4 == pytest.approx(abs(alpha * beta), abs=1e-12)
     assert states[0].gamma3 == pytest.approx(wrap_angle(np.angle(np.conj(alpha) * beta)), abs=1e-12)
+
+
+_ONE_MODE_BATCHES = {
+    "coherent": fo.coherent_vector(np.array([0.0, 0.9 * np.exp(0.4j), -1.3j]), 48),
+    "squeezed-vacuum": fo.squeezed_vacuum_vector(np.array([0.0, 0.6, 1.1]), np.array([0.0, 2.1, -0.7]), 128),
+    "superposed": fo.superpose(
+        [
+            (1.0, fo.coherent_vector(np.array([0.5, -0.8, 1.2j]), 64)),
+            (np.array([1.0, 0.6j, -0.3]), fo.squeezed_vacuum_vector(0.7, 0.3, 64)),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_MODE_BATCHES)
+def test_one_mode_state_reads_as_mode_1_of_its_product_with_vacuum(name):
+    # Stored alone or as the product u (x) |0>, a one-mode state gives the
+    # same record: its moments in mode 1, and mode 2 empty.
+    u = _ONE_MODE_BATCHES[name]
+    alone = fo.two_mode_moments(u)
+    product = fo.two_mode_moments(fo.superpose_two_mode([(1.0, u, fo.coherent_vector(0.0, u.cutoff))]))
+    for channel in ("n1", "n2", "a2", "b2", "adag_b", "ab"):
+        assert np.shape(getattr(alone, channel)) == np.shape(getattr(product, channel)) == (3,), channel
+        assert np.max(np.abs(getattr(alone, channel) - getattr(product, channel))) <= 1e-12, channel
 
 
 def test_zhang_oracle_memory_at_the_verification_cutoff():
@@ -381,12 +407,12 @@ _SAMPLE_STATES = [
 
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
 def test_states_are_normalized(state):
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert fo.inner(state, state) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
 def test_occupation_real_and_nonnegative(state):
-    m = fo.one_mode_moments(state)
+    m = fo.two_mode_moments(state)
     assert m.n1 >= -1e-12
 
 
@@ -394,14 +420,14 @@ def test_occupation_real_and_nonnegative(state):
 def test_global_phase_invariance(state):
     chi = 1.234
     rotated = fo.FockVector(np.exp(1j * chi) * state.amps)
-    m0, m1 = fo.one_mode_moments(state), fo.one_mode_moments(rotated)
+    m0, m1 = fo.two_mode_moments(state), fo.two_mode_moments(rotated)
     assert m1.n1 == pytest.approx(m0.n1, abs=1e-12)
     assert m1.a2 == pytest.approx(m0.a2, abs=1e-12)
 
 
 @pytest.mark.parametrize("state", _SAMPLE_STATES)
 def test_cauchy_schwarz_pair_bound(state):
-    m = fo.one_mode_moments(state)
+    m = fo.two_mode_moments(state)
     assert abs(m.a2) <= math.sqrt(m.n1 * (m.n1 + 1.0)) + 1e-9
 
 
@@ -530,26 +556,25 @@ def squeezed_cat(r, eta, cutoff):
 
 
 _BATCH_FAMILIES = {
-    "superposed-squeezed": (lambda r, phase, cut: squeezed_cat(r, 0.8 * np.exp(1j * phase), cut), fo.one_mode_moments),
-    "zhang": (zhang_state, fo.two_mode_moments),
+    "superposed-squeezed": lambda r, phase, cut: squeezed_cat(r, 0.8 * np.exp(1j * phase), cut),
+    "zhang": zhang_state,
 }
 
 
 @pytest.mark.parametrize("family", _BATCH_FAMILIES)
 def test_batched_fits_match_batch_of_one_bit_for_bit(family):
-    build, moments = _BATCH_FAMILIES[family]
+    build = _BATCH_FAMILIES[family]
     found = list(fo.fits(lambda cut, rows: build(_R[rows], _PHASE[rows], cut), _R.size, 1e-12, 4096))
     assert sorted(np.concatenate([fit.rows for fit in found]).tolist()) == list(range(_R.size))
     assert {fit.state.cutoff for fit in found} == {32, 64, 128, 256, 512, 1024, 2048, 4096}
     for fit in found:
-        batch = moments(fit.state)
+        batch = fo.two_mode_moments(fit.state)
         for j, row in enumerate(fit.rows):
             one = fo.fitted(lambda cut: build(_R[row], _PHASE[row], cut), 1e-12, 4096)
             assert one.cutoff == fit.state.cutoff
-            assert np.array_equal(one.amps, fit.state.amps[j])
-            if isinstance(one, fo.TwoModeFockVector):
-                assert np.array_equal(one.weights, fit.state.weights[j])
-            single = moments(one)
+            for field in dataclasses.fields(one):  # the amplitudes, and a product sum's weights
+                assert np.array_equal(getattr(one, field.name), getattr(fit.state, field.name)[j]), field.name
+            single = fo.two_mode_moments(one)
             for name in ("n1", "n2", "a2", "b2", "adag_b", "ab"):
                 assert getattr(single, name) == np.asarray(getattr(batch, name))[j], name
             assert fo.tail_mass(one) == fit.tail[j]

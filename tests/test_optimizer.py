@@ -8,6 +8,7 @@ import pytest
 
 from subvacuum.optimizer import (
     CLUSTER_RADIUS,
+    GRAD_TOL,
     AscentFailure,
     Extremum,
     MultiStartReport,
@@ -109,7 +110,6 @@ class TestSearchConfig:
         "kwargs",
         [
             {"starts": 0},
-            {"grad_tol": 0.0},
             {"max_iters": 0},
         ],
     )
@@ -417,7 +417,7 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
     if not math.isfinite(f0):
         raise AscentFailure("objective undefined at the start point")
     iterates = [p0]
-    options = {"maxiter": cfg.max_iters, "gtol": cfg.grad_tol / math.sqrt(view.dim), "ftol": 0.0}
+    options = {"maxiter": cfg.max_iters, "gtol": GRAD_TOL / math.sqrt(view.dim), "ftol": 0.0}
     try:
         res = optimize.minimize(
             lambda x: defined(x)[0], p0, jac=lambda x: defined(x)[1], method="L-BFGS-B",
@@ -431,7 +431,7 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
         p, f, iterations = view.clamp(res.x), -float(res.fun), int(res.nit)
         g = np.where(((p <= lo) & (res.jac > 0.0)) | ((p >= hi) & (res.jac < 0.0)), 0.0, res.jac)
         grad_norm = float(np.linalg.norm(g))
-        converged = bool(res.success) and grad_norm <= cfg.grad_tol
+        converged = bool(res.success) and grad_norm <= GRAD_TOL
     if f < f0:
         p, f, grad_norm, converged = p0, f0, None, False
     m = view.moments_of(p)

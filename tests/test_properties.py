@@ -160,7 +160,7 @@ def test_spacetime_average_is_nonnegative(r, delta, w1, w2):
 def test_oracle_coherent_norm_and_occupation(alpha):
     vec = oracle.coherent_vector(alpha, 64)
     assert abs(oracle.inner(vec, vec) - 1.0) < 1e-12
-    m = oracle.one_mode_moments(vec)
+    m = oracle.two_mode_moments(vec)
     assert abs(m.n1 - abs(alpha) ** 2) < 1e-10
 
 
@@ -177,8 +177,8 @@ def test_oracle_moments_ignore_global_phase(alpha, beta, eta, phi):
         assume(False)
     twist = cmath.exp(1j * phi)
     rotated = oracle.superpose([(twist * c, v) for c, v in terms])
-    mp = oracle.one_mode_moments(plain)
-    mr = oracle.one_mode_moments(rotated)
+    mp = oracle.two_mode_moments(plain)
+    mr = oracle.two_mode_moments(rotated)
     assert abs(mp.n1 - mr.n1) < 1e-12
     assert abs(mp.a2 - mr.a2) < 1e-12
 
@@ -204,7 +204,7 @@ def test_oracle_one_mode_cauchy_schwarz(alpha, r):
         )
     except oracle.DegenerateSuperpositionError:
         assume(False)
-    m = oracle.one_mode_moments(state)
+    m = oracle.two_mode_moments(state)
     assert abs(m.a2) <= math.sqrt(m.n1 * (m.n1 + 1.0)) + 1e-9
 
 
@@ -222,7 +222,7 @@ def test_oracle_two_mode_pair_moment_saturates_cauchy_schwarz(r, delta):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.2), phase)
 def test_oracle_matches_closed_form_under_hypothesis_driving(r, delta):
-    m = oracle.one_mode_moments(oracle.fitted(lambda cut: oracle.squeezed_vacuum_vector(r, delta, cut), 1e-12, 512))
+    m = oracle.two_mode_moments(oracle.fitted(lambda cut: oracle.squeezed_vacuum_vector(r, delta, cut), 1e-12, 512))
     cm = squeezed_vacuum_moments(r, delta)
     assert abs(m.n1 - cm.n1) < 1e-9
     assert abs(m.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-9

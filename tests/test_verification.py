@@ -101,7 +101,8 @@ class TestVerifyFamily:
     def test_deviation_bounded_by_reported_tolerance(self):
         report = verify_family("superposed-squeezed", draws=10, seed=3)
         assert report.passed
-        assert report.max_abs_deviation <= max(1e-8, 10.0 * report.tail_bound)
+        assert report.tolerance == max(1e-8, 10.0 * report.tail_bound)
+        assert report.max_abs_deviation <= report.tolerance
 
     def test_zero_draws_trivially_pass(self):
         report = verify_family("zhang", draws=0, seed=0)
