@@ -8,8 +8,8 @@ run (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16 (1995) 1190) on -F,
 driven by reverse communication through scipy's ``setulb`` as scipy's own
 ``minimize(method="L-BFGS-B")`` drives it, so a run is bit for bit that
 ``minimize`` run.  Its gradient is scipy's two-point forward difference,
-evaluated as a stencil: the point and its forward steps.  The starts run a
-few at a time in lockstep: each round advances every live run to the next
+evaluated as a stencil: the point and its forward steps.  The starts run up
+to 64 at a time in lockstep: each round advances every live run to the next
 point it needs, and one closed-form call evaluates all their stencils.
 Non-angular coordinates take the box as bounds; angular ones are unbounded
 and wrapped by ``SearchView.clamp``.  Starts are seeded uniform draws,
@@ -60,10 +60,11 @@ GRAD_TOL = 1e-7
 #: scipy's ``minimize`` defaults.
 _M, _MAXLS, _MAXFUN = 10, 20, 15_000
 
-#: Runs in lockstep at once.  Each holds a 10 KB L-BFGS-B workspace and its
-#: memo, while a few long runs set the number of rounds: at seed 42, four at
-#: once take 843 rounds and all 64 take 526, with ~0.9 MB more heap at peak.
-_WIDTH = 4
+#: Runs in lockstep at once, the default number of starts.  Each holds a
+#: 10 KB L-BFGS-B workspace and its memo, while a few long runs set the
+#: number of rounds: at seed 42, all 64 at once take 526 rounds (four at once
+#: 843) and the search's heap peaks 1.2 MB above its start (0.3 MB).
+_WIDTH = 64
 
 
 class AscentFailure(RuntimeError):
@@ -132,22 +133,22 @@ def _stencils(view: SearchView, points: Sequence[np.ndarray]) -> list[tuple[floa
     inward where it would pass the upper bound (the point is in the box):
     scipy's own two-point gradient for L-BFGS-B.  A degenerate row, or an
     angle so large that the step no longer changes it, leaves it undefined.
+    The stencils of all points are built, evaluated and differenced as whole
+    arrays, each point's entries exactly what its own stencil would give.
     """
-    dim = view.dim
-    rows, steps = np.empty((len(points), dim + 1, dim)), np.zeros((dim, dim))
-    hs = [np.where(x + _FD_STEP > view.hi, -_FD_STEP, _FD_STEP) for x in points]
-    for x, h, stencil in zip(points, hs, rows):
-        steps.flat[:: dim + 1] = h
-        stencil[0] = x
-        np.add(x, steps, out=stencil[1:])  # off the diagonal x + 0.0, where -0.0 becomes 0.0
-    negs = -objective_F(view, view.clamp(rows.reshape(-1, dim))).reshape(len(points), dim + 1)
-    out = []
-    for x, h, neg in zip(points, hs, negs):
-        step = (x + h) - x
-        # Counting nonzeros is the cheapest all() over a few rows.
-        finite = np.count_nonzero(np.isfinite(neg)) == neg.size and np.count_nonzero(step) == step.size
-        out.append((neg[0], (neg[1:] - neg[0]) / step if finite else None))
-    return out
+    x = np.array(points)
+    count, dim = x.shape
+    h = np.where(x + _FD_STEP > view.hi, -_FD_STEP, _FD_STEP)
+    rows, steps = np.empty((count, dim + 1, dim)), np.zeros((count, dim, dim))
+    steps.reshape(count, -1)[:, :: dim + 1] = h
+    rows[:, 0] = x
+    np.add(x[:, None], steps, out=rows[:, 1:])  # off the diagonal x + 0.0, where -0.0 becomes 0.0
+    negs = -objective_F(view, view.clamp(rows.reshape(-1, dim))).reshape(count, dim + 1)
+    step = (x + h) - x
+    finite = (np.isfinite(negs).all(axis=1) & (step != 0.0).all(axis=1)).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grads = (negs[:, 1:] - negs[:, :1]) / step
+    return [(f, grad if ok else None) for f, grad, ok in zip(negs[:, 0].tolist(), grads, finite)]
 
 
 def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
@@ -195,7 +196,7 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
         g = g.astype(np.float64)
         _lbfgsb.setulb(_M, x, *bounds, f, g, 0.0, pgtol, wa, iwa, task, lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == 3:  # F and g at x
-            if not np.array_equal(x, seen):
+            if not (x == seen).all():
                 seen, fg = x.copy(), (yield from evaluate(x))
                 nfev += 1
             f, g = fg
@@ -261,11 +262,6 @@ def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extre
     return outcome
 
 
-def _wrapped_distance(view: SearchView, a: np.ndarray, b: np.ndarray) -> float:
-    diff = np.abs(a - b)
-    return float(np.max(np.where(view.wraps, np.minimum(diff, TWO_PI - diff), diff)))
-
-
 def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:
     """Seeded multi-start ascent with symmetry-aware dedup.
 
@@ -281,17 +277,19 @@ def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:
     results = sorted((ext for ext in outcomes if isinstance(ext, Extremum)), key=lambda ext: -ext.F)
 
     canonical = view.canonical or (lambda v: v)
-    reps: list[tuple[np.ndarray, Extremum]] = []
+    # The representatives' canonical points, and the candidate's in the next row.
+    cps, reps = np.empty((len(results), view.dim)), []
     for ext in results:
-        cp = canonical(view.clamp(np.array(ext.params)))
-        for idx, (rep_cp, rep) in enumerate(reps):
-            if _wrapped_distance(view, cp, rep_cp) <= CLUSTER_RADIUS:
-                reps[idx] = (rep_cp, replace(rep, members=rep.members + 1))
-                break
+        cps[len(reps)] = canonical(view.clamp(np.array(ext.params)))
+        diff = np.abs(cps[: len(reps)] - cps[len(reps)])
+        near = np.flatnonzero(np.where(view.wraps, np.minimum(diff, TWO_PI - diff), diff).max(axis=1) <= CLUSTER_RADIUS)
+        if near.size:  # the first representative within the radius takes it
+            i = near[0]
+            reps[i] = replace(reps[i], members=reps[i].members + 1)
         else:
-            reps.append((cp, ext))
+            reps.append(ext)
     return MultiStartReport(
-        extrema=tuple(rep for _, rep in reps),
+        extrema=tuple(reps),
         failed_starts=cfg.starts - len(results),
         starts=cfg.starts,
         seed=cfg.seed,

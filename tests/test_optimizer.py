@@ -280,11 +280,11 @@ class TestMultiStart:
         assert all(not e.converged for e in report.extrema)
 
     def test_evaluation_budget_and_ridge_hits(self):
-        # 64 starts at seed 42 evaluate 15,112 points in 907 batches (each
-        # round is one batch of every pending point and its 5-point stencil,
-        # no point is evaluated twice in a run, and each start's result is
-        # one more batch of one) and put 55 starts within 1e-9 of W(1/e); the
-        # bounds leave room for changes in scipy's line search.
+        # 64 starts at seed 42 evaluate 15,112 points in 590 batches (each of
+        # 526 rounds is one batch of every pending point and its 5-point
+        # stencil, no point is evaluated twice in a run, and each start's
+        # result is one more batch of one) and put 55 starts within 1e-9 of
+        # W(1/e); the bounds leave room for changes in scipy's line search.
         points = batches = 0
         base = view("coherent-pair")
 
@@ -347,11 +347,12 @@ class TestMultiStart:
 
 def test_search_work_is_pinned(monkeypatch, capsys):
     # The closed-form batches and evaluated rows of the 64-start search at
-    # seed 42, the work the search-ascent benchmark times.  Four starts at a
-    # time run in lockstep, so a batch is one round's stencils: 843 rounds
-    # evaluate the 2,508 stencils of 6 rows that the starts would evaluate one
-    # by one.  A change that moves either count changes the runs themselves,
-    # or how they are batched, not only their cost.
+    # seed 42, the work the search-ascent benchmark times.  All 64 starts run
+    # in one lockstep, so a batch is one round's stencils: 526 rounds, as many
+    # as the longest run needs, evaluate the 2,508 stencils of 6 rows that the
+    # starts would evaluate one by one.  A change that moves either count
+    # changes the runs themselves, or how they are batched, not only their
+    # cost.
     from subvacuum import optimizer
     from subvacuum.cli import main
 
@@ -365,7 +366,7 @@ def test_search_work_is_pinned(monkeypatch, capsys):
     monkeypatch.setattr(optimizer, "objective_F", counted)
     assert main(["search", "--family", "coherent-pair", "--starts", "64", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert work == [843, 15048]
+    assert work == [526, 15048]
 
 
 def test_setulb_keeps_its_argument_list():
@@ -376,6 +377,31 @@ def test_setulb_keeps_its_argument_list():
 
     signature = _lbfgsb.setulb.__doc__.splitlines()[0].replace(" ", "")
     assert signature == "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+
+
+def start_draws(view: SearchView, cfg: SearchConfig) -> list:
+    """The search's start points: start k is a uniform draw over the box from
+    ``default_rng([seed, k])``."""
+    lo, hi = np.array(view.lower), np.array(view.upper)
+    return [lo + (hi - lo) * np.random.default_rng([cfg.seed, k]).uniform(size=view.dim) for k in range(cfg.starts)]
+
+
+def point_stencil(view: SearchView, x: np.ndarray):
+    """-F at ``x`` and its forward-difference gradient, None where that is
+    undefined, from one closed-form call over ``x``'s own stencil: the point
+    and its steps of 1e-8, each flipped inward past the upper bound, with
+    x + 0.0 off the diagonal.  The per-point reference for the search's
+    whole-array rounds."""
+    dim = view.dim
+    h = np.where(x + 1e-8 > view.hi, -1e-8, 1e-8)
+    rows, steps = np.empty((dim + 1, dim)), np.zeros((dim, dim))
+    steps.flat[:: dim + 1] = h
+    rows[0] = x
+    np.add(x, steps, out=rows[1:])
+    neg = -objective_F(view, view.clamp(rows))
+    step = (x + h) - x
+    finite = np.count_nonzero(np.isfinite(neg)) == neg.size and np.count_nonzero(step) == step.size
+    return neg[0], (neg[1:] - neg[0]) / step if finite else None
 
 
 class _Ended(Exception):
@@ -390,21 +416,12 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
 
     p0 = view.clamp(np.asarray(start, dtype=float))
     lo, hi = view.lo, view.hi
-    rows, steps = np.empty((view.dim + 1, view.dim)), np.zeros((view.dim, view.dim))
     evaluated = {}
 
     def evaluate(x):
         key = x.tobytes()
         if key not in evaluated:
-            h = np.where(x + 1e-8 > hi, -1e-8, 1e-8)
-            steps.flat[:: view.dim + 1] = h
-            rows[0] = x
-            np.add(x, steps, out=rows[1:])
-            neg = -objective_F(view, view.clamp(rows))
-            step = (x + h) - x
-            finite = np.count_nonzero(np.isfinite(neg)) == neg.size and np.count_nonzero(step) == step.size
-            grad = (neg[1:] - neg[0]) / step if finite else None
-            evaluated[key] = neg[0], grad
+            evaluated[key] = point_stencil(view, x)
         return evaluated[key]
 
     def defined(x):
@@ -442,10 +459,8 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
 def reference_multi_start(view: SearchView, cfg: SearchConfig) -> tuple[MultiStartReport, list]:
     """The report of per-start ``minimize`` runs, with each start's own outcome
     (its Extremum, or None where its start is undefined)."""
-    lo, hi = np.array(view.lower), np.array(view.upper)
     outcomes = []
-    for k in range(cfg.starts):
-        p0 = lo + (hi - lo) * np.random.default_rng([cfg.seed, k]).uniform(size=view.dim)
+    for p0 in start_draws(view, cfg):
         try:
             outcomes.append(reference_ascend(view, p0, cfg))
         except AscentFailure:
@@ -475,10 +490,7 @@ class TestLockstepMatchesMinimize:
         from subvacuum.optimizer import _lockstep
 
         report, expected = reference_multi_start(space, cfg)
-        lo, hi = np.array(space.lower), np.array(space.upper)
-        draws = [lo + (hi - lo) * np.random.default_rng([cfg.seed, k]).uniform(size=space.dim)
-                 for k in range(cfg.starts)]
-        outcomes = [None if isinstance(o, AscentFailure) else o for o in _lockstep(space, draws, cfg)]
+        outcomes = [None if isinstance(o, AscentFailure) else o for o in _lockstep(space, start_draws(space, cfg), cfg)]
         assert [repr(o) for o in outcomes] == [repr(e) for e in expected]
         assert repr(multi_start(space, cfg)) == repr(report)
         return expected
@@ -498,3 +510,46 @@ class TestLockstepMatchesMinimize:
     def test_degenerate_draws(self):
         expected = self.check(half_degenerate_view(), SearchConfig(starts=16, seed=5))
         assert 0 < expected.count(None) < 16
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("coherent-pair", 42), ("coherent-pair", 6), ("half-degenerate", 5)]
+)
+def test_lockstep_width_changes_no_result(monkeypatch, name, seed):
+    # How many runs share a round changes only how the stencils are batched:
+    # one at a time, four, and all 64 at once give the same outcomes, start
+    # 25's vanishing step at seed 6 and the degenerate draws at seed 5 among
+    # them.
+    from subvacuum import optimizer
+
+    space = half_degenerate_view() if name == "half-degenerate" else view(name)
+    cfg = SearchConfig(seed=seed)
+    runs = []
+    for width in (1, 4, 64):
+        monkeypatch.setattr(optimizer, "_WIDTH", width)
+        runs.append([repr(o) for o in optimizer._lockstep(space, start_draws(space, cfg), cfg)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_one_round_of_stencils_matches_each_point_alone():
+    # One whole-array round gives, point for point and bit for bit, what each
+    # point's own stencil gives, from the same rows of the closed form.
+    from subvacuum.optimizer import _stencils
+
+    base, batches = view("coherent-pair"), []
+    space = dataclasses.replace(base, moments_of=lambda p: batches.append(p.copy()) or base.moments_of(p))
+    points = [
+        np.array([0.7, 1.1, 0.9, 2.0, 4.0]),  # interior
+        np.array([0.7, 3.0 - 5e-9, 0.9, 2.0, 4.0]),  # beta's step passes its bound and flips inward
+        np.array([-0.0, 1.1, 0.9, -0.0, 4.0]),  # -0.0 becomes 0.0 off the diagonal
+        np.array([1.0, 1.0, 1.0, 0.0, PI]),  # |1> - |1>: a degenerate row
+        np.array([0.7, 1.1, 0.9, 2.0, 5e8 + 0.25]),  # (x + h) - x is 0 for delta
+    ]
+    got = _stencils(space, points)
+    expected = [point_stencil(space, x) for x in points]
+    whole, *each = batches
+    assert whole.tobytes() == np.concatenate(each).tobytes()
+    assert [g is None for _, g in expected] == [False, False, False, True, True]
+    assert [g is None for _, g in got] == [g is None for _, g in expected]
+    assert [np.float64(f).tobytes() for f, _ in got] == [np.float64(f).tobytes() for f, _ in expected]
+    assert [g.tobytes() for _, g in got if g is not None] == [g.tobytes() for _, g in expected if g is not None]
