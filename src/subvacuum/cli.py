@@ -38,7 +38,7 @@ import numpy as np
 from . import energy_density as ed
 from . import state_families as sf
 from . import verification
-from .optimizer import GRAD_TOL, SearchConfig, multi_start
+from .optimizer import GRAD_TOL, MAX_ITERS, multi_start
 
 __all__ = ["main", "parse_real", "FAMILY_NAMES", "SEARCH_FAMILY_NAMES"]
 
@@ -309,14 +309,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     _, view = sf.SEARCHES[args.family]
-    cfg = SearchConfig(starts=args.starts, seed=args.seed)
-    report = multi_start(view, cfg)
+    report = multi_start(view, args.starts, args.seed)
 
     columns = ["members", "iterations", "converged", "grad_norm", "F", "n", "R", "gamma"]
     header = ["rank", *columns, *view.names]
     ranked = list(enumerate(report.extrema, start=1))
     rows = [[rank, *(getattr(ext, c) for c in columns), *ext.params] for rank, ext in ranked]
-    config = {"family": args.family, "starts": args.starts, "grad_tol": GRAD_TOL, "max_iters": cfg.max_iters}
+    config = {"family": args.family, "starts": args.starts, "grad_tol": GRAD_TOL, "max_iters": MAX_ITERS}
     json_keys = ("F", "n", "R", "gamma", "grad_norm", "iterations", "converged", "members")
     extrema = [
         {"rank": rank, "params": dict(zip(view.names, ext.params)), **{k: getattr(ext, k) for k in json_keys}}
@@ -370,7 +369,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--cutoff must be >= 1")
     # a repeated --family is verified once, where it first appears
     families = tuple(dict.fromkeys(args.family)) if args.family else verification.FAMILIES
-    reports = verification.verify_all(families, draws=args.draws, seed=args.seed, cutoff_cap=args.cutoff)
+    reports = [verification.verify_family(f, args.draws, args.seed, args.cutoff) for f in families]
     identities = verification.appendix_identity_report(cutoff_cap=args.cutoff) if args.draws > 0 else []
 
     header = ["kind", "name", "detail", "deviation", "tolerance", "tail_bound", "passed", "note"]

@@ -10,12 +10,12 @@ driven by reverse communication through scipy's ``setulb`` as scipy's own
 ``minimize`` run.  Its gradient is scipy's two-point forward difference,
 evaluated as a stencil: the point and its forward steps.  The starts run up
 to 64 at a time in lockstep: each round advances every live run to the next
-point it needs, and one closed-form call evaluates all their stencils.
-Non-angular coordinates take the box as bounds; angular ones are unbounded
-and wrapped by ``SearchView.clamp``.  Starts are seeded uniform draws,
-deduplicated by clustering.  Every start draws from its own RNG stream keyed
-by (seed, start index), and no run sees another's, so results do not depend
-on how the starts are scheduled.
+point it needs, and one closed-form call evaluates all their stencils; one
+more reads the moments at every end point.  Non-angular coordinates take the
+box as bounds; angular ones are unbounded and wrapped by ``SearchView.clamp``.
+Starts are seeded uniform draws, deduplicated by clustering.  Every start
+draws from its own RNG stream keyed by (seed, start index), and no run sees
+another's, so results do not depend on how the starts are scheduled.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from .state_families import TWO_PI, SearchView
 # module, such as the rebinding checks in perfbench/tests.
 from .state_families import coherent_superposition_moments  # noqa: F401
 
-__all__ = [
-    "AscentFailure",
-    "SearchConfig",
-    "Extremum",
-    "MultiStartReport",
-    "objective_F",
-    "ascend",
-    "multi_start",
-]
+__all__ = ["Extremum", "MultiStartReport", "objective_F", "multi_start"]
 
 #: Cluster radius (wrapped max-norm on canonicalized parameters) for dedup.
 CLUSTER_RADIUS = 0.02
@@ -56,6 +48,9 @@ _FD_STEP = 1e-8
 #: forward-difference gradient errs by about _FD_STEP |F''| / 2, just below it.
 GRAD_TOL = 1e-7
 
+#: Cap on the L-BFGS-B iterations of one start.
+MAX_ITERS = 500
+
 #: L-BFGS-B's corrections kept, line-search steps and evaluation cap, at
 #: scipy's ``minimize`` defaults.
 _M, _MAXLS, _MAXFUN = 10, 20, 15_000
@@ -67,34 +62,17 @@ _M, _MAXLS, _MAXFUN = 10, 20, 15_000
 _WIDTH = 64
 
 
-class AscentFailure(RuntimeError):
-    """Raised when no objective value can be computed for a start."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Search settings.
-
-    ``max_iters`` caps the L-BFGS-B iterations of one start.
-    """
-
-    starts: int = 64
-    seed: int = 0
-    max_iters: int = 500
-
-    def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
 @dataclass(frozen=True)
 class Extremum:
-    """Where one start's run ended, with its moments.
+    """Where one start's L-BFGS-B run on -F ended, with its moments.
 
-    ``grad_norm`` is the projected gradient norm there, or ``None`` when the
-    run stopped where its gradient is undefined or fell back to its start.
+    ``converged`` needs both L-BFGS-B's success and a projected gradient norm
+    ``grad_norm`` of at most ``GRAD_TOL`` there.  A run that asks for F at a
+    degenerate state ends at its last finite iterate, unconverged, with an
+    unknown (``None``) gradient norm; so does a run whose unbounded angle
+    grew so large that the difference step no longer changes it (where F is
+    flat in that phase).  The result is never below the start: a run that
+    ends lower falls back to its start, also with ``grad_norm`` None.
     """
 
     params: tuple[float, ...]
@@ -110,12 +88,11 @@ class Extremum:
 
 @dataclass(frozen=True)
 class MultiStartReport:
-    """Deduplicated extrema, sorted by descending F, plus bookkeeping."""
+    """Deduplicated extrema, sorted by descending F, and the number of starts
+    where F is undefined."""
 
     extrema: tuple[Extremum, ...]
     failed_starts: int
-    starts: int
-    seed: int
 
 
 def objective_F(view: SearchView, params: np.ndarray):
@@ -151,10 +128,11 @@ def _stencils(view: SearchView, points: Sequence[np.ndarray]) -> list[tuple[floa
     return [(f, grad if ok else None) for f, grad, ok in zip(negs[:, 0].tolist(), grads, finite)]
 
 
-def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
-    """:func:`ascend` as a generator: it yields each point whose stencil it
-    needs, is sent that point's entry of :func:`_stencils`, and returns the
-    :class:`Extremum`, or an :class:`AscentFailure` where F at the start is
+def _ascent(view: SearchView, start: Sequence[float]):
+    """One start's L-BFGS-B run on -F as a generator: it yields each point
+    whose stencil it needs, is sent that point's entry of :func:`_stencils`,
+    and returns the :class:`Extremum`'s end point, F, ``grad_norm``,
+    ``iterations`` and ``converged``, or None where F at the start is
     undefined.
 
     The loop is scipy's ``_minimize_lbfgsb`` around ``setulb``, as
@@ -175,7 +153,7 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
     p0 = view.clamp(np.asarray(start, dtype=float))
     f0 = -(yield from evaluate(p0))[0]
     if not math.isfinite(f0):
-        return AscentFailure("objective undefined at the start point")
+        return None
 
     lo, hi, n = view.lo, view.hi, view.dim
     x = np.clip(p0, lo, hi)  # minimize's x0
@@ -202,7 +180,7 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
             f, g = fg
         elif task[0] == 1:  # a new iterate
             last, iterations = x.copy(), iterations + 1
-            if iterations >= cfg.max_iters:
+            if iterations >= MAX_ITERS:
                 task[:] = 5, 504
             elif nfev > _MAXFUN:
                 task[:] = 5, 502
@@ -217,64 +195,58 @@ def _ascent(view: SearchView, start: Sequence[float], cfg: SearchConfig):
     converged = fg[1] is not None and bool(task[0] == 4) and grad_norm <= GRAD_TOL
     if f < f0:
         p, f, grad_norm, converged = p0, f0, None, False
-    m = view.moments_of(p)
-    params = tuple(float(v) for v in p)
-    return Extremum(params, float(f), float(m.n1), float(m.R1), float(m.gamma1), grad_norm, iterations, converged)
+    return p, f, grad_norm, iterations, converged
 
 
-def _lockstep(view: SearchView, starts: Sequence[Sequence[float]], cfg: SearchConfig) -> list:
+def _lockstep(view: SearchView, starts: Sequence[Sequence[float]]) -> list[Extremum | None]:
     """Every start's :func:`_ascent`, up to ``_WIDTH`` of them at a time in
     lockstep: each round advances every live run to its next unevaluated
     point, and one closed-form call evaluates all their stencils.  A finished
-    run's place goes to the next start in the following round.  Returns each
-    start's Extremum or AscentFailure."""
-    outcomes: list = [None] * len(starts)
+    run's place goes to the next start in the following round.  One last
+    closed-form call reads the moments at every end point.  Returns each
+    start's Extremum, or None where F at its start is undefined."""
+    ends: list = [None] * len(starts)
     runs, sends = {}, {}  # the live runs, and what each is sent next
     queue = iter(range(len(starts)))
     while True:
         for k in itertools.islice(queue, _WIDTH - len(runs)):
-            runs[k], sends[k] = _ascent(view, starts[k], cfg), None
+            runs[k], sends[k] = _ascent(view, starts[k]), None
         if not runs:
-            return outcomes
+            break
         asks = {}
         for k, value in sends.items():
             try:
                 asks[k] = runs[k].send(value)
             except StopIteration as done:
-                outcomes[k] = done.value
+                ends[k] = done.value
                 del runs[k]
         sends = dict(zip(asks, _stencils(view, list(asks.values())))) if asks else {}
 
-
-def ascend(view: SearchView, start: Sequence[float], cfg: SearchConfig) -> Extremum:
-    """One L-BFGS-B run on -F from ``start``.
-
-    ``converged`` needs both L-BFGS-B's success and a projected gradient norm
-    at most ``GRAD_TOL`` at the returned point.  A run that asks for F at
-    a degenerate state ends at its last finite iterate, unconverged, with an
-    unknown (``None``) gradient norm; so does a run whose unbounded angle
-    grew so large that the difference step no longer changes it (where F is
-    flat in that phase).  The result is never below the start.
-    """
-    (outcome,) = _lockstep(view, [start], cfg)
-    if isinstance(outcome, AscentFailure):
-        raise outcome
-    return outcome
+    finished = [k for k, end in enumerate(ends) if end is not None]
+    if finished:
+        m = view.moments_of(np.array([ends[k][0] for k in finished]))
+        columns = (np.broadcast_to(v, len(finished)).tolist() for v in (m.n1, m.R1, m.gamma1))
+        for k, n, R, gamma in zip(finished, *columns):
+            p, f, grad_norm, iterations, converged = ends[k]
+            ends[k] = Extremum(tuple(p.tolist()), f, n, R, gamma, grad_norm, iterations, converged)
+    return ends
 
 
-def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:
+def multi_start(view: SearchView, starts: int, seed: int) -> MultiStartReport:
     """Seeded multi-start ascent with symmetry-aware dedup.
 
-    Start k draws its initial point from ``default_rng([seed, k])``; results
-    are sorted by descending F (start index breaks ties) and clustered with
-    radius ``CLUSTER_RADIUS`` after canonicalization, keeping the best member
-    of each cluster as the representative.
+    Start k of ``starts`` draws its initial point from
+    ``default_rng([seed, k])``; results are sorted by descending F (start
+    index breaks ties) and clustered with radius ``CLUSTER_RADIUS`` after
+    canonicalization, keeping the best member of each cluster as the
+    representative.
     """
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     lo, hi = np.array(view.lower), np.array(view.upper)
-    draws = [lo + (hi - lo) * np.random.default_rng([cfg.seed, k]).uniform(size=view.dim) for k in range(cfg.starts)]
-    outcomes = _lockstep(view, draws, cfg)
+    draws = [lo + (hi - lo) * np.random.default_rng([seed, k]).uniform(size=view.dim) for k in range(starts)]
     # A stable sort: the start index breaks ties.
-    results = sorted((ext for ext in outcomes if isinstance(ext, Extremum)), key=lambda ext: -ext.F)
+    results = sorted((ext for ext in _lockstep(view, draws) if ext is not None), key=lambda ext: -ext.F)
 
     canonical = view.canonical or (lambda v: v)
     # The representatives' canonical points, and the candidate's in the next row.
@@ -288,9 +260,4 @@ def multi_start(view: SearchView, cfg: SearchConfig) -> MultiStartReport:
             reps[i] = replace(reps[i], members=reps[i].members + 1)
         else:
             reps.append(ext)
-    return MultiStartReport(
-        extrema=tuple(reps),
-        failed_starts=cfg.starts - len(results),
-        starts=cfg.starts,
-        seed=cfg.seed,
-    )
+    return MultiStartReport(extrema=tuple(reps), failed_starts=starts - len(results))

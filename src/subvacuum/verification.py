@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "IdentityRow",
     "FAMILIES",
     "verify_family",
-    "verify_all",
     "appendix_identity_report",
 ]
 
@@ -165,19 +163,6 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         tolerance=max(1e-8, 10.0 * tail_bound),
         passed=bool(np.all(deviation <= np.maximum(1e-8, 10.0 * tail))),
     )
-
-
-def verify_all(
-    families: Iterable[str] | None = None,
-    draws: int = 100,
-    seed: int = 7,
-    cutoff_cap: int = 4096,
-) -> list[VerifyReport]:
-    """Run verify_family over the requested families (all by default)."""
-    return [
-        verify_family(f, draws, seed, cutoff_cap)
-        for f in (FAMILIES if families is None else tuple(families))
-    ]
 
 
 # --------------------------------------------------------------------------

@@ -77,8 +77,8 @@ from subvacuum.energy_density import (
     rho_two_mode,
     spacetime_average,
 )
-from subvacuum.optimizer import SearchConfig, multi_start
-from subvacuum.verification import appendix_identity_report, verify_all
+from subvacuum.optimizer import multi_start
+from subvacuum.verification import FAMILIES, appendix_identity_report, verify_family
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,7 +150,7 @@ def test_criterion_1_coherent_pair_search():
         ((0.0, 1.61, 1.0), 1.0, 0.05),
     ]
     t0 = time.monotonic()
-    result = multi_start(SEARCHES["coherent-pair"][1], SearchConfig(starts=64, seed=42))
+    result = multi_start(SEARCHES["coherent-pair"][1], 64, 42)
     elapsed = time.monotonic() - t0
 
     def centred(v):
@@ -433,7 +433,7 @@ def test_criterion_6_entangled_coherent_figures():
 
 def test_criterion_7_oracle_equivalence():
     t0 = time.monotonic()
-    reports = verify_all(draws=100, seed=7)
+    reports = [verify_family(f, 100, 7) for f in FAMILIES]
     identities = appendix_identity_report()
     elapsed = time.monotonic() - t0
 

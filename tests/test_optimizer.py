@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from subvacuum import optimizer
 from subvacuum.optimizer import (
     CLUSTER_RADIUS,
     GRAD_TOL,
-    AscentFailure,
     Extremum,
     MultiStartReport,
-    SearchConfig,
-    ascend,
+    _lockstep,
     multi_start,
     objective_F,
 )
@@ -103,19 +102,12 @@ class TestSearchView:
 
 class TestSearchConfig:
     def test_defaults_valid(self):
-        cfg = SearchConfig()
-        assert cfg.starts == 64 and cfg.max_iters == 500
+        assert optimizer.MAX_ITERS == 500 and optimizer.GRAD_TOL == 1e-7
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"starts": 0},
-            {"max_iters": 0},
-        ],
-    )
-    def test_rejects_bad_hyperparameters(self, kwargs):
-        with pytest.raises(ValueError):
-            SearchConfig(**kwargs)
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_rejects_bad_hyperparameters(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            multi_start(view("vacuum-squeezed"), starts, 0)
 
 
 class TestObjective:
@@ -159,7 +151,7 @@ class TestObjective:
 class TestAscend:
     def test_converges_to_interior_maximum(self):
         space = quadratic_view()
-        ext = ascend(space, [0.0, 0.0], SearchConfig(starts=1, seed=0))
+        ext = _lockstep(space, [[0.0, 0.0]])[0]
         assert ext.converged
         assert ext.grad_norm <= 1e-7
         assert ext.params[0] == pytest.approx(1.0, abs=1e-6)
@@ -168,26 +160,25 @@ class TestAscend:
 
     def test_start_at_maximum_terminates_immediately(self):
         space = quadratic_view()
-        ext = ascend(space, [1.0, -0.5], SearchConfig(starts=1, seed=0))
+        ext = _lockstep(space, [[1.0, -0.5]])[0]
         assert ext.converged
         assert ext.iterations == 0
         assert ext.F == pytest.approx(3.0)
 
     def test_pins_to_boundary_when_maximum_lies_outside(self):
         space = quadratic_view(lower=(-10.0, -10.0), upper=(0.5, 10.0))
-        ext = ascend(space, [-1.0, 0.0], SearchConfig(starts=1, seed=0))
+        ext = _lockstep(space, [[-1.0, 0.0]])[0]
         assert ext.converged
         assert ext.params[0] == pytest.approx(0.5, abs=1e-9)
         assert ext.params[1] == pytest.approx(-0.5, abs=1e-6)
 
-    def test_degenerate_start_raises(self):
+    def test_degenerate_start_fails(self):
         space = view("coherent-pair")
-        with pytest.raises(AscentFailure, match="undefined"):
-            ascend(space, [0.5, 0.5, 1.0, 0.0, PI], SearchConfig(starts=1, seed=0))
+        assert _lockstep(space, [[0.5, 0.5, 1.0, 0.0, PI]])[0] is None
 
-    def test_never_finishes_below_its_start(self):
+    def test_never_finishes_below_its_start(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 40)
         space = view("coherent-pair")
-        cfg = SearchConfig(starts=1, seed=0, max_iters=40)
         rng = np.random.default_rng(9)
         lo, hi = np.array(space.lower), np.array(space.upper)
         for _ in range(20):
@@ -195,13 +186,13 @@ class TestAscend:
             f0 = objective_F(space, p0)
             if not math.isfinite(f0):
                 continue
-            ext = ascend(space, p0, cfg)
+            ext = _lockstep(space, [p0])[0]
             assert ext.F >= f0 - 1e-12
 
     def test_degenerate_line_search_point_ends_at_last_finite_iterate(self):
         space = half_degenerate_view()
         f0 = objective_F(space, np.array([0.0]))
-        ext = ascend(space, [0.0], SearchConfig(starts=1, seed=0))
+        ext = _lockstep(space, [[0.0]])[0]
         assert not ext.converged and ext.grad_norm is None
         assert ext.iterations >= 1
         assert ext.params[0] <= 2.0
@@ -213,7 +204,7 @@ class TestAscend:
         # the degenerate region, so the gradient there is undefined.
         space = half_degenerate_view()
         start = 2.0 - 5e-9
-        ext = ascend(space, [start], SearchConfig(starts=1, seed=0))
+        ext = _lockstep(space, [[start]])[0]
         assert ext.params == (start,) and ext.iterations == 0
         assert not ext.converged and ext.grad_norm is None
         assert ext.F == objective_F(space, np.array([start]))
@@ -221,16 +212,16 @@ class TestAscend:
     def test_no_point_is_evaluated_twice(self):
         # Start 10 at seed 42 revisits a point on the box edge.  F at the
         # start is row 0 of the first gradient stencil, and a revisited point
-        # is not evaluated again: every batch but the last (the result's
-        # moments) is a distinct stencil.
+        # is not evaluated again: every batch but the last (the moments at
+        # the end points, here one) is a distinct stencil.
         base = view("coherent-pair")
         batches = []
         space = dataclasses.replace(base, moments_of=lambda p: batches.append(np.array(p)) or base.moments_of(p))
         lo, hi = np.array(space.lower), np.array(space.upper)
         start = lo + (hi - lo) * np.random.default_rng([42, 10]).uniform(size=space.dim)
-        ascend(space, start, SearchConfig())
+        _lockstep(space, [start])
         *stencils, last = batches
-        assert last.shape == (space.dim,)
+        assert last.shape == (1, space.dim)
         assert all(b.shape == (space.dim + 1, space.dim) for b in stencils)
         assert len({b.tobytes() for b in stencils}) == len(stencils) == 36
         assert stencils[0][0].tobytes() == space.clamp(start).tobytes()
@@ -239,16 +230,14 @@ class TestAscend:
 class TestMultiStart:
     def test_deterministic_and_fully_accounted(self):
         space = view("coherent-pair")
-        cfg = SearchConfig(starts=8, seed=42)
-        report = multi_start(space, cfg)
-        assert report == multi_start(space, cfg)
-        assert report.starts == 8 and report.seed == 42
+        report = multi_start(space, 8, 42)
+        assert report == multi_start(space, 8, 42)
         assert report.failed_starts == 0
         assert sum(e.members for e in report.extrema) == 8
 
     def test_sorted_descending_and_near_ridge_top(self):
         space = view("coherent-pair")
-        report = multi_start(space, SearchConfig(starts=8, seed=42))
+        report = multi_start(space, 8, 42)
         values = [e.F for e in report.extrema]
         assert values == sorted(values, reverse=True)
         # 8 starts already get within ~3e-7 of the ridge value but cannot
@@ -261,7 +250,7 @@ class TestMultiStart:
         # lie within the cluster radius of each other there, and every start
         # is a member of exactly one cluster.
         space = view("coherent-pair")
-        report = multi_start(space, SearchConfig(starts=8, seed=42))
+        report = multi_start(space, 8, 42)
         reps = [space.canonical(np.array(e.params)) for e in report.extrema]
         angular = np.array(space.angular)
         for i, a in enumerate(reps):
@@ -269,21 +258,21 @@ class TestMultiStart:
                 diff = np.abs(a - b)
                 diff = np.where(angular, np.minimum(diff, 2.0 * PI - diff), diff)
                 assert diff.max() > CLUSTER_RADIUS
-        assert sum(e.members for e in report.extrema) == report.starts
+        assert sum(e.members for e in report.extrema) == 8
 
     def test_degenerate_draws_fail_and_the_rest_are_clustered(self):
         space = half_degenerate_view()
-        report = multi_start(space, SearchConfig(starts=16, seed=5))
+        report = multi_start(space, 16, 5)
         drawn = [-10.0 + 20.0 * np.random.default_rng([5, k]).uniform(size=1)[0] for k in range(16)]
         assert report.failed_starts == sum(d > 2.0 for d in drawn) > 0
         assert sum(e.members for e in report.extrema) == sum(d <= 2.0 for d in drawn)
         assert all(not e.converged for e in report.extrema)
 
     def test_evaluation_budget_and_ridge_hits(self):
-        # 64 starts at seed 42 evaluate 15,112 points in 590 batches (each of
+        # 64 starts at seed 42 evaluate 15,112 points in 527 batches (each of
         # 526 rounds is one batch of every pending point and its 5-point
-        # stencil, no point is evaluated twice in a run, and each start's
-        # result is one more batch of one) and put 55 starts within 1e-9 of
+        # stencil, no point is evaluated twice in a run, and the 64 end
+        # points' moments are one more batch) and put 55 starts within 1e-9 of
         # W(1/e); the bounds leave room for changes in scipy's line search.
         points = batches = 0
         base = view("coherent-pair")
@@ -295,7 +284,7 @@ class TestMultiStart:
             return base.moments_of(p)
 
         space = dataclasses.replace(base, moments_of=counted)
-        report = multi_start(space, SearchConfig(starts=64, seed=42))
+        report = multi_start(space, 64, 42)
         assert points <= 20_000
         assert batches <= points / 5
         assert sum(e.members for e in report.extrema if abs(e.F - F_RIDGE) <= 1e-9) >= 48
@@ -309,13 +298,12 @@ class TestMultiStart:
         # (x + h) - x is 0 and the forward quotient would be 0/0.  The run
         # ends at its last finite iterate, unconverged, like a degenerate one.
         space = view("coherent-pair")
-        cfg = SearchConfig(starts=64, seed=6)
-        report = multi_start(space, cfg)
+        report = multi_start(space, 64, 6)
         assert report.failed_starts == 0
         assert sum(e.members for e in report.extrema) == 64
         lo, hi = np.array(space.lower), np.array(space.upper)
         start = lo + (hi - lo) * np.random.default_rng([6, 25]).uniform(size=space.dim)
-        ext = ascend(space, start, cfg)
+        ext = _lockstep(space, [start])[0]
         assert not ext.converged and ext.grad_norm is None
         assert all(math.isfinite(v) for v in ext.params)
         assert ext.F == objective_F(space, np.array(ext.params))
@@ -335,7 +323,7 @@ class TestMultiStart:
 
     def test_vacuum_squeezed_slice_pins_to_upper_bound(self):
         space = view("vacuum-squeezed")
-        report = multi_start(space, SearchConfig(starts=6, seed=3))
+        report = multi_start(space, 6, 3)
         assert len(report.extrema) == 1
         top = report.extrema[0]
         assert top.params == (3.0,)
@@ -353,7 +341,6 @@ def test_search_work_is_pinned(monkeypatch, capsys):
     # starts would evaluate one by one.  A change that moves either count
     # changes the runs themselves, or how they are batched, not only their
     # cost.
-    from subvacuum import optimizer
     from subvacuum.cli import main
 
     work = [0, 0]
@@ -379,11 +366,11 @@ def test_setulb_keeps_its_argument_list():
     assert signature == "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
-def start_draws(view: SearchView, cfg: SearchConfig) -> list:
+def start_draws(view: SearchView, starts: int, seed: int) -> list:
     """The search's start points: start k is a uniform draw over the box from
     ``default_rng([seed, k])``."""
     lo, hi = np.array(view.lower), np.array(view.upper)
-    return [lo + (hi - lo) * np.random.default_rng([cfg.seed, k]).uniform(size=view.dim) for k in range(cfg.starts)]
+    return [lo + (hi - lo) * np.random.default_rng([seed, k]).uniform(size=view.dim) for k in range(starts)]
 
 
 def point_stencil(view: SearchView, x: np.ndarray):
@@ -408,10 +395,10 @@ class _Ended(Exception):
     """Stops a reference run where its gradient is undefined."""
 
 
-def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
+def reference_ascend(view: SearchView, start) -> Extremum | None:
     """One start as one ``scipy.optimize.minimize`` L-BFGS-B run: the
     per-start ascent the lockstep search replaces, kept here as its
-    reference."""
+    reference.  None where F at the start is undefined."""
     from scipy import optimize
 
     p0 = view.clamp(np.asarray(start, dtype=float))
@@ -432,9 +419,9 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
 
     f0 = -evaluate(p0)[0]
     if not math.isfinite(f0):
-        raise AscentFailure("objective undefined at the start point")
+        return None
     iterates = [p0]
-    options = {"maxiter": cfg.max_iters, "gtol": GRAD_TOL / math.sqrt(view.dim), "ftol": 0.0}
+    options = {"maxiter": optimizer.MAX_ITERS, "gtol": GRAD_TOL / math.sqrt(view.dim), "ftol": 0.0}
     try:
         res = optimize.minimize(
             lambda x: defined(x)[0], p0, jac=lambda x: defined(x)[1], method="L-BFGS-B",
@@ -456,15 +443,10 @@ def reference_ascend(view: SearchView, start, cfg: SearchConfig) -> Extremum:
                     grad_norm, iterations, converged)
 
 
-def reference_multi_start(view: SearchView, cfg: SearchConfig) -> tuple[MultiStartReport, list]:
+def reference_multi_start(view: SearchView, starts: int, seed: int) -> tuple[MultiStartReport, list]:
     """The report of per-start ``minimize`` runs, with each start's own outcome
     (its Extremum, or None where its start is undefined)."""
-    outcomes = []
-    for p0 in start_draws(view, cfg):
-        try:
-            outcomes.append(reference_ascend(view, p0, cfg))
-        except AscentFailure:
-            outcomes.append(None)
+    outcomes = [reference_ascend(view, p0) for p0 in start_draws(view, starts, seed)]
     results = sorted(((-e.F, k, e) for k, e in enumerate(outcomes) if e is not None), key=lambda item: item[:2])
     canonical = view.canonical or (lambda v: v)
     reps = []
@@ -477,7 +459,7 @@ def reference_multi_start(view: SearchView, cfg: SearchConfig) -> tuple[MultiSta
                 break
         else:
             reps.append((cp, ext))
-    report = MultiStartReport(tuple(rep for _, rep in reps), cfg.starts - len(results), cfg.starts, cfg.seed)
+    report = MultiStartReport(tuple(rep for _, rep in reps), starts - len(results))
     return report, outcomes
 
 
@@ -486,29 +468,28 @@ class TestLockstepMatchesMinimize:
     ``scipy.optimize.minimize`` run per start gives on the installed scipy."""
 
     @staticmethod
-    def check(space: SearchView, cfg: SearchConfig) -> list:
-        from subvacuum.optimizer import _lockstep
-
-        report, expected = reference_multi_start(space, cfg)
-        outcomes = [None if isinstance(o, AscentFailure) else o for o in _lockstep(space, start_draws(space, cfg), cfg)]
+    def check(space: SearchView, starts: int, seed: int) -> list:
+        report, expected = reference_multi_start(space, starts, seed)
+        outcomes = _lockstep(space, start_draws(space, starts, seed))
         assert [repr(o) for o in outcomes] == [repr(e) for e in expected]
-        assert repr(multi_start(space, cfg)) == repr(report)
+        assert repr(multi_start(space, starts, seed)) == repr(report)
         return expected
 
     @pytest.mark.parametrize("seed", [42, 7, 6])
     @pytest.mark.parametrize("name", ["coherent-pair", "coherent-pair-free", "vacuum-squeezed"])
     def test_every_start_matches(self, name, seed):
-        expected = self.check(view(name), SearchConfig(seed=seed))
+        expected = self.check(view(name), 64, seed)
         if (name, seed) == ("coherent-pair", 6):
             # Start 25 ends where its unbounded phase outgrew the step.
             assert expected[25].grad_norm is None and expected[25].iterations > 0
 
-    def test_iteration_cap_ends_the_runs(self):
-        expected = self.check(view("coherent-pair"), SearchConfig(seed=42, max_iters=3))
+    def test_iteration_cap_ends_the_runs(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 3)
+        expected = self.check(view("coherent-pair"), 64, 42)
         assert sum(e.iterations == 3 and not e.converged for e in expected) > 32
 
     def test_degenerate_draws(self):
-        expected = self.check(half_degenerate_view(), SearchConfig(starts=16, seed=5))
+        expected = self.check(half_degenerate_view(), 16, 5)
         assert 0 < expected.count(None) < 16
 
 
@@ -520,15 +501,38 @@ def test_lockstep_width_changes_no_result(monkeypatch, name, seed):
     # one at a time, four, and all 64 at once give the same outcomes, start
     # 25's vanishing step at seed 6 and the degenerate draws at seed 5 among
     # them.
-    from subvacuum import optimizer
-
     space = half_degenerate_view() if name == "half-degenerate" else view(name)
-    cfg = SearchConfig(seed=seed)
     runs = []
     for width in (1, 4, 64):
         monkeypatch.setattr(optimizer, "_WIDTH", width)
-        runs.append([repr(o) for o in optimizer._lockstep(space, start_draws(space, cfg), cfg)])
+        runs.append([repr(o) for o in _lockstep(space, start_draws(space, 64, seed))])
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1, 6])
+@pytest.mark.parametrize("name", ["coherent-pair", "coherent-pair-free", "vacuum-squeezed"])
+def test_end_point_moments_are_one_call(monkeypatch, name, seed):
+    # Outside the stencils, the driver makes one closed-form call, over every
+    # finished start's end point, and each extremum's n, R and gamma are bit
+    # for bit what its own point's call gives.
+    base, batches, inside = view(name), [], []
+
+    def stencil_objective(space, params):
+        inside.append(True)
+        try:
+            return objective_F(space, params)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(optimizer, "objective_F", stencil_objective)
+    space = dataclasses.replace(base, moments_of=lambda p: batches.append((bool(inside), p.shape)) or base.moments_of(p))
+    finished = [e for e in _lockstep(space, start_draws(space, 64, seed)) if e is not None]
+    assert [shape for stencil, shape in batches if not stencil] == [(len(finished), space.dim)]
+    for ext in finished:
+        m = base.moments_of(np.array(ext.params))
+        assert [np.float64(v).tobytes() for v in (ext.n, ext.R, ext.gamma)] == [
+            np.float64(v).tobytes() for v in (m.n1, m.R1, m.gamma1)
+        ]
 
 
 def test_one_round_of_stencils_matches_each_point_alone():

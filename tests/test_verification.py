@@ -1,6 +1,7 @@
 """Randomized oracle cross-checks and the matrix-element identity report."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from subvacuum.verification import (
     FAMILIES,
     IdentityRow,
     appendix_identity_report,
-    verify_all,
     verify_family,
 )
 
@@ -135,15 +135,24 @@ class TestVerifyFamily:
             verify_family("zhang", draws=1, seed=7, cutoff_cap=8)
 
 
-class TestVerifyAll:
-    def test_respects_requested_subset_and_order(self):
-        reports = verify_all(families=["zhang", "vacuum-squeezed"], draws=2, seed=5)
-        assert [r.family for r in reports] == ["zhang", "vacuum-squeezed"]
+class TestVerifyCommand:
+    """The ``verify`` command runs verify_family once per requested family."""
 
-    def test_default_covers_every_family(self):
-        reports = verify_all(draws=1, seed=5)
-        assert [r.family for r in reports] == list(ALL_FAMILIES)
-        assert all(r.passed for r in reports)
+    @staticmethod
+    def family_rows(capsys, *argv) -> list:
+        from subvacuum.cli import main
+
+        assert main(["verify", *argv, "--format", "json"]) == 0
+        return [row for row in json.loads(capsys.readouterr().out)["rows"] if row["kind"] == "family"]
+
+    def test_respects_requested_subset_and_order(self, capsys):
+        rows = self.family_rows(capsys, "--family", "zhang", "--family", "vacuum-squeezed", "--draws", "2", "--seed", "5")
+        assert [row["name"] for row in rows] == ["zhang", "vacuum-squeezed"]
+
+    def test_default_covers_every_family(self, capsys):
+        rows = self.family_rows(capsys, "--draws", "1", "--seed", "5")
+        assert [row["name"] for row in rows] == list(ALL_FAMILIES)
+        assert all(row["passed"] for row in rows)
 
 
 class TestIdentityReport:
