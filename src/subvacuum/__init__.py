@@ -23,13 +23,12 @@ everything else is imported from its module.
 """
 
 from .energy_density import ModeGeometry, rho_min_br_closed, rho_min_two_mode_numeric
-from .state_families import BarnettRadmore, barnett_radmore_moments, squeezed_vacuum_moments
+from .state_families import barnett_radmore_moments, squeezed_vacuum_moments
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BarnettRadmore",
     "barnett_radmore_moments",
     "squeezed_vacuum_moments",
     "ModeGeometry",

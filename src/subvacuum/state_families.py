@@ -1,13 +1,14 @@
 """Closed-form quadratic moments for the quantum states under study.
 
-Each family maps a small parameter record to the moments that fix the modes'
-energy density: the occupation numbers together with every quadratic ladder
-expectation as a complex moment, the excess F = R1 - n1 and the
-normalization denominator.  Every family produces :class:`TwoModeMoments`,
-which derives each moment's magnitude R and phase gamma on first read; a
-one-mode state occupies mode 1 and leaves mode 2 empty.
+Each family maps a small number of parameters, the keyword arguments of its
+closed form, to the moments that fix the modes' energy density: the
+occupation numbers together with every quadratic ladder expectation as a
+complex moment, the excess F = R1 - n1 and the normalization denominator.
+Every family produces :class:`TwoModeMoments`, which derives each moment's
+magnitude R and phase gamma on first read; a one-mode state occupies mode 1
+and leaves mode 2 empty.
 
-Every closed form is written once, over numpy arrays.  Record fields may be
+Every closed form is written once, over numpy arrays.  Its arguments may be
 arrays that broadcast to one batch shape, and every moment comes back with
 that shape; a scalar call is a batch of one and returns numpy scalars.  A
 batch never raises for one bad row: a row whose normalization vanishes is
@@ -22,7 +23,8 @@ that cross-check, the moments shipped here are the oracle-confirmed variant
 (see the verification report for the side-by-side residuals).
 
 :data:`REGISTRY` describes every family once, by its command-line name:
-parameter keys, defaults and domain, the closed-form call, the sweep columns,
+parameter keys, defaults and domain, the record that maps those keys to the
+closed form's keyword arguments, the closed-form call, the sweep columns,
 the boxes the search may explore, and, for the families that verification
 checks, the number-basis oracle state and the uniform ranges its parameters
 are drawn from.  The command line, the optimizer and verification all read it.
@@ -42,12 +44,6 @@ from . import fock_oracle
 __all__ = [
     "DegenerateStateError",
     "TwoModeMoments",
-    "CoherentPair",
-    "SqueezedPair",
-    "CoherentSqueezed",
-    "BarnettRadmore",
-    "ZhangReal",
-    "EntangledCoherent",
     "wrap_angle",
     "regular",
     "coherent_superposition_moments",
@@ -107,23 +103,13 @@ def _rows(*values):
 
     A scalar call is thereby a batch of one: its values go through the same
     numpy ufunc loops as the rows of a longer batch, so a row's moments do
-    not depend on the batch they are evaluated in.
+    not depend on the batch they are evaluated in.  Values that already are
+    arrays of one shape (a search stencil) are returned as they are.
     """
-    return (np.broadcast_shapes(*map(np.shape, values)), *(np.atleast_1d(v) for v in values))
-
-
-def _batch(params):
-    """The batch shape of a parameter record, and the record with array fields.
-
-    A record whose fields are already arrays of one shape (a search stencil)
-    is returned as it is.
-    """
-    values = vars(params).values()
-    shape = getattr(next(iter(values)), "shape", ())
+    shape = getattr(values[0], "shape", ())
     if shape and all(type(v) is np.ndarray and v.shape == shape for v in values):
-        return shape, params
-    shape, *values = _rows(*values)
-    return shape, type(params)(*values)
+        return (shape, *values)
+    return (np.broadcast_shapes(*map(np.shape, values)), *(np.atleast_1d(v) for v in values))
 
 
 def _shaped(shape, values) -> list:
@@ -218,90 +204,19 @@ def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, den
 
 
 # --------------------------------------------------------------------------
-# Parameter records.  One frozen dataclass per family: the closed-form
-# arguments that REGISTRY builds.  Fields may be arrays (one entry per row).
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoherentPair:
-    """Superposition of two coherent states, |alpha> + eta |beta>."""
-
-    alpha: complex
-    beta: complex
-    eta: complex
-
-
-@dataclass(frozen=True)
-class SqueezedPair:
-    """Superposition of opposite squeezed vacua along the real axis.
-
-    The state is |r> + eta |-r| built from squeeze phases 0 and pi; ``r``
-    must be non-negative.
-    """
-
-    r: float
-    eta: complex
-
-
-@dataclass(frozen=True)
-class CoherentSqueezed:
-    """Squeezed vacuum plus a coherent state: |r, delta> + eta |alpha>."""
-
-    r: float
-    delta: float
-    alpha: complex
-    eta: complex
-
-
-@dataclass(frozen=True)
-class BarnettRadmore:
-    """Two-mode squeezed vacuum with magnitude ``r`` and phase ``delta``."""
-
-    r: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class ZhangReal:
-    """Phase superposition of doubly-squeezed vacua with relative phase theta.
-
-    Both modes carry the same real squeeze magnitude ``r``; the two branches
-    squeeze along opposite axes.
-    """
-
-    r: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class EntangledCoherent:
-    """Entangled coherent state built from amplitudes sigma e^{i delta_k}.
-
-    The two branches carry opposite signs and a relative phase theta.
-    """
-
-    sigma: float
-    theta: float
-    delta1: float
-    delta2: float
-
-
-# --------------------------------------------------------------------------
 # Single-mode families
 # --------------------------------------------------------------------------
 
 
 @_quiet
-def coherent_superposition_moments(params: CoherentPair) -> TwoModeMoments:
+def coherent_superposition_moments(alpha, beta, eta) -> TwoModeMoments:
     """Moments of N(|alpha> + eta |beta>).
 
     The overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)
     weights every cross term.  Rows where the two branches cancel are
     flagged degenerate.
     """
-    shape, params = _batch(params)
-    alpha, beta, eta = params.alpha, params.beta, params.eta
+    shape, alpha, beta, eta = _rows(alpha, beta, eta)
     alpha2, weight = np.abs(alpha) ** 2, np.abs(eta) ** 2
     ov = np.exp(-(alpha2 + np.abs(beta) ** 2) / 2.0 + np.conj(alpha) * beta)
     denom = 1.0 + weight + 2.0 * (eta * ov).real  # n and the pair cancel too: _denominator alone gains no digit
@@ -326,15 +241,14 @@ def squeezed_vacuum_moments(r, delta) -> TwoModeMoments:
 
 
 @_quiet
-def superposed_squeezed_moments(params: SqueezedPair) -> TwoModeMoments:
-    """Moments of N(|r> + eta |-r>) for opposite real squeeze axes.
+def superposed_squeezed_moments(r, eta) -> TwoModeMoments:
+    """Moments of N(|r> + eta |-r>) for opposite real squeeze axes (phases 0 and pi), r >= 0.
 
     The branch overlap is 1/sqrt(cosh 2r); cross moments pick up the factor
     (sech 2r)^{3/2} relative to the diagonal ones.  The excess is written
     around the |r> branch's own squeezed vacuum, so it does not cancel.
     """
-    shape, params = _batch(params)
-    r, eta = params.r, params.eta
+    shape, r, eta = _rows(r, eta)
     _check_magnitude(r)
     s, c = np.sinh(r), np.cosh(r)
     c2 = np.cosh(2.0 * r)
@@ -368,7 +282,7 @@ def _squeezed_superposition(shape, r, sq, rest, rest_n, pair, denom):
 
 
 @_quiet
-def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
+def coherent_plus_squeezed_moments(r, delta, alpha, eta) -> TwoModeMoments:
     """Moments of N(|r, delta> + eta |alpha>), and of vacuum-squeezed |r> + eta |0> at alpha = delta = 0.
 
     The branch overlap is e^L = <r, delta|alpha> with L = -(|alpha|^2
@@ -380,11 +294,10 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
     - conj(alpha^2 e^L) e^{i delta} tanh r)], the coherent branch's and its
     cross term eta alpha^2 [(1 + conj eta) + expm1(L)].
     """
-    shape, params = _batch(params)
-    r, alpha, eta = params.r, params.alpha, params.eta
+    shape, r, delta, alpha, eta = _rows(r, delta, alpha, eta)
     _check_magnitude(r)
     s = np.sinh(r)
-    t, rotor = np.tanh(r), np.exp(1j * params.delta)
+    t, rotor = np.tanh(r), np.exp(1j * delta)
     L = -0.5 * (np.abs(alpha) ** 2 + np.log1p(2.0 * np.sinh(0.5 * r) ** 2) + alpha**2 * np.conj(rotor) * t)
     ov, em = np.exp(L), np.expm1(L)
     denom = _denominator(eta, L)
@@ -405,23 +318,24 @@ def coherent_plus_squeezed_moments(params: CoherentSqueezed) -> TwoModeMoments:
 
 
 @_quiet
-def barnett_radmore_moments(params: BarnettRadmore) -> TwoModeMoments:
-    """Two-mode squeezed vacuum: equal occupations, pair-creation channel only."""
-    shape, params = _batch(params)
-    _check_magnitude(params.r)
-    s, c = np.sinh(params.r), np.cosh(params.r)
+def barnett_radmore_moments(r, delta) -> TwoModeMoments:
+    """Two-mode squeezed vacuum of magnitude r and phase delta: equal occupations, pair-creation channel only."""
+    shape, r, delta = _rows(r, delta)
+    _check_magnitude(r)
+    s, c = np.sinh(r), np.cosh(r)
     n = s * s
-    return _moments(shape, n, 0.0, n2=n, ab=-np.exp(1j * params.delta) * s * c)
+    return _moments(shape, n, 0.0, n2=n, ab=-np.exp(1j * delta) * s * c)
 
 
 @_quiet
-def zhang_moments(params: ZhangReal) -> TwoModeMoments:
+def zhang_moments(r, theta) -> TwoModeMoments:
     """Phase-superposed doubly-squeezed vacua; only the single-mode pairs survive.
 
-    Degenerate normalization (theta = pi at r = 0) flags the row.
+    Both modes carry the same real squeeze magnitude r; the two branches
+    squeeze along opposite axes, with relative phase theta.  Degenerate
+    normalization (theta = pi at r = 0) flags the row.
     """
-    shape, params = _batch(params)
-    r, theta = params.r, params.theta
+    shape, r, theta = _rows(r, theta)
     _check_magnitude(r)
     s = np.sinh(r)
     eta, L = np.exp(1j * theta), -np.log1p(2.0 * s * s)
@@ -462,7 +376,7 @@ def zhang_small_r_asymptotics(theta: float) -> tuple[float, float]:
 
 
 @_quiet
-def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
+def entangled_coherent_moments(sigma, theta, delta1, delta2) -> TwoModeMoments:
     """Moments of N(|alpha, beta> + e^{i theta} |-alpha, -beta>).
 
     Amplitudes are alpha = sigma e^{i delta1}, beta = sigma e^{i delta2}.
@@ -472,11 +386,10 @@ def entangled_coherent_moments(params: EntangledCoherent) -> TwoModeMoments:
     e^L = e^{-4 sigma^2}.  F = sigma^2 - n1 is 4 sigma^2 cos(theta) e^L over
     the denominator.  sigma = 0 with theta = pi is degenerate.
     """
-    shape, params = _batch(params)
-    sigma, theta = params.sigma, params.theta
+    shape, sigma, theta, delta1, delta2 = _rows(sigma, theta, delta1, delta2)
     _check_magnitude(sigma, "coherent")
-    alpha = sigma * np.exp(1j * params.delta1)
-    beta = sigma * np.exp(1j * params.delta2)
+    alpha = sigma * np.exp(1j * delta1)
+    beta = sigma * np.exp(1j * delta2)
     eta, L = np.exp(1j * theta), -4.0 * sigma**2
     denom = _denominator(eta, L)
     norm2 = _normalization(denom)
@@ -580,14 +493,16 @@ class Family:
 
     ``defaults`` holds the parameter keys in order; ``domain`` maps bounded
     keys to their inclusive lower bound.  ``record`` turns parameters (numbers,
-    or arrays with one entry per row) into the argument of ``moments``, the
-    closed-form call, which looks its closed form up by module-level name on
-    every call so that rebinding that name reaches every caller.
+    or arrays with one entry per row) into the closed form's keyword
+    arguments; its default, the identity, serves the families whose keys
+    already are those arguments.  ``moments`` is the closed-form call on
+    them, which looks its closed form up by module-level name on every call
+    so that rebinding that name reaches every caller.
     ``searches`` names the boxes the optimizer may explore over the family's
     keys; each view's ``moments_of`` is bound here to ``record`` at its keys,
     every other key at its default, as ``sweep`` keeps its unswept keys.
     ``oracle(record, cutoff)`` (verified families only) builds the same states
-    in the truncated number basis, one per row of ``record``, from
+    from the same keywords in the truncated number basis, one per row, from
     :mod:`subvacuum.fock_oracle` constructors alone, so that it stays
     independent of the closed forms.  ``draws`` maps every parameter key, in
     ``defaults`` order, to the upper end of the uniform range [0, upper) that
@@ -596,11 +511,11 @@ class Family:
 
     defaults: Mapping[str, float]
     layout: Layout
-    moments: Callable[[Any], Any]
-    record: Callable[[Mapping[str, float]], Any] = lambda params: params
+    moments: Callable[[Mapping[str, Any]], Any]
+    record: Callable[[Mapping[str, Any]], Mapping[str, Any]] = lambda params: params
     domain: Mapping[str, float] = field(default_factory=dict)
     searches: Mapping[str, SearchView] = field(default_factory=dict)
-    oracle: Callable[[Any, int], fock_oracle.FockVector | fock_oracle.TwoModeFockVector] | None = None
+    oracle: Callable[[Mapping[str, Any], int], fock_oracle.FockVector | fock_oracle.TwoModeFockVector] | None = None
     draws: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -631,17 +546,22 @@ def _plus(first: fock_oracle.FockVector, eta, second: fock_oracle.FockVector) ->
     return fock_oracle.superpose([(1.0, first), (eta, second)])
 
 
-def _zhang_state(p: ZhangReal, cut: int) -> fock_oracle.TwoModeFockVector:
-    minus = fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)
-    plus = fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut)
-    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p.theta), plus, plus)])
+def _coherent_squeezed_state(p: Mapping[str, Any], cut: int) -> fock_oracle.FockVector:
+    return _plus(fock_oracle.squeezed_vacuum_vector(p["r"], p["delta"], cut), p["eta"],
+                 fock_oracle.coherent_vector(p["alpha"], cut))
 
 
-def _entangled_coherent_state(p: EntangledCoherent, cut: int) -> fock_oracle.TwoModeFockVector:
-    a, b = _phased(p.sigma, p.delta1), _phased(p.sigma, p.delta2)
+def _zhang_state(p: Mapping[str, Any], cut: int) -> fock_oracle.TwoModeFockVector:
+    minus = fock_oracle.squeezed_vacuum_vector(p["r"], math.pi, cut)
+    plus = fock_oracle.squeezed_vacuum_vector(p["r"], 0.0, cut)
+    return fock_oracle.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * p["theta"]), plus, plus)])
+
+
+def _entangled_coherent_state(p: Mapping[str, Any], cut: int) -> fock_oracle.TwoModeFockVector:
+    a, b = _phased(p["sigma"], p["delta1"]), _phased(p["sigma"], p["delta2"])
     coherent = fock_oracle.coherent_vector
     return fock_oracle.superpose_two_mode(
-        [(1.0, coherent(a, cut), coherent(b, cut)), (np.exp(1j * p.theta), coherent(-a, cut), coherent(-b, cut))]
+        [(1.0, coherent(a, cut), coherent(b, cut)), (np.exp(1j * p["theta"]), coherent(-a, cut), coherent(-b, cut))]
     )
 
 
@@ -654,12 +574,11 @@ REGISTRY: dict[str, Family] = {
     "coherent-pair": Family(
         defaults={"alpha": 0.8, "delta1": 0.0, "beta": 0.8, "delta2": math.pi, "eta": 1.0, "delta": 0.0},
         layout=ONE_MODE,
-        record=lambda p: CoherentPair(
-            _phased(p["alpha"], p["delta1"]), _phased(p["beta"], p["delta2"]), _phased(p["eta"], p["delta"])
-        ),
-        moments=lambda params: coherent_superposition_moments(params),
-        oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p.alpha, cut), p.eta,
-                                    fock_oracle.coherent_vector(p.beta, cut)),
+        record=lambda p: {"alpha": _phased(p["alpha"], p["delta1"]), "beta": _phased(p["beta"], p["delta2"]),
+                          "eta": _phased(p["eta"], p["delta"])},
+        moments=lambda p: coherent_superposition_moments(**p),
+        oracle=lambda p, cut: _plus(fock_oracle.coherent_vector(p["alpha"], cut), p["eta"],
+                                    fock_oracle.coherent_vector(p["beta"], cut)),
         draws={"alpha": _AMPLITUDE_DRAW, "delta1": TWO_PI, "beta": _AMPLITUDE_DRAW, "delta2": TWO_PI,
                "eta": _WEIGHT_DRAW, "delta": TWO_PI},
         searches={
@@ -684,29 +603,27 @@ REGISTRY: dict[str, Family] = {
     "squeezed-vacuum": Family(
         defaults={"r": 1.0, "delta": 0.0},
         layout=ONE_MODE,
-        moments=lambda p: squeezed_vacuum_moments(p["r"], p["delta"]),
+        moments=lambda p: squeezed_vacuum_moments(**p),
         domain={"r": 0.0},
     ),
     "superposed-squeezed": Family(
         defaults={"r": 1.0, "eta": 0.0, "eta_phase": 0.0},
         layout=ONE_MODE,
-        record=lambda p: SqueezedPair(r=p["r"], eta=_phased(p["eta"], p["eta_phase"])),
-        moments=lambda params: superposed_squeezed_moments(params),
+        record=lambda p: {"r": p["r"], "eta": _phased(p["eta"], p["eta_phase"])},
+        moments=lambda p: superposed_squeezed_moments(**p),
         domain={"r": 0.0},
-        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
-                                    fock_oracle.squeezed_vacuum_vector(p.r, math.pi, cut)),
+        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p["r"], 0.0, cut), p["eta"],
+                                    fock_oracle.squeezed_vacuum_vector(p["r"], math.pi, cut)),
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
     ),
     "coherent-squeezed": Family(
         defaults={"r": 1.0, "delta": 0.0, "alpha": 0.6, "alpha_phase": 0.0, "eta": 1.0, "eta_phase": 0.0},
         layout=ONE_MODE,
-        record=lambda p: CoherentSqueezed(
-            p["r"], p["delta"], _phased(p["alpha"], p["alpha_phase"]), _phased(p["eta"], p["eta_phase"])
-        ),
-        moments=lambda params: coherent_plus_squeezed_moments(params),
+        record=lambda p: {"r": p["r"], "delta": p["delta"], "alpha": _phased(p["alpha"], p["alpha_phase"]),
+                          "eta": _phased(p["eta"], p["eta_phase"])},
+        moments=lambda p: coherent_plus_squeezed_moments(**p),
         domain={"r": 0.0},
-        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, p.delta, cut), p.eta,
-                                    fock_oracle.coherent_vector(p.alpha, cut)),
+        oracle=_coherent_squeezed_state,
         draws={"r": _R_DRAW, "delta": TWO_PI, "alpha": _AMPLITUDE_DRAW, "alpha_phase": TWO_PI,
                "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
     ),
@@ -714,11 +631,10 @@ REGISTRY: dict[str, Family] = {
         defaults={"r": 1.0, "eta": -1.0, "eta_phase": 0.0},
         layout=ONE_MODE,
         # coherent-squeezed at alpha = 0, delta = 0
-        record=lambda p: CoherentSqueezed(p["r"], 0.0, 0.0, _phased(p["eta"], p["eta_phase"])),
-        moments=lambda params: coherent_plus_squeezed_moments(params),
+        record=lambda p: {"r": p["r"], "delta": 0.0, "alpha": 0.0, "eta": _phased(p["eta"], p["eta_phase"])},
+        moments=lambda p: coherent_plus_squeezed_moments(**p),
         domain={"r": 0.0},
-        oracle=lambda p, cut: _plus(fock_oracle.squeezed_vacuum_vector(p.r, 0.0, cut), p.eta,
-                                    fock_oracle.coherent_vector(0.0, cut)),
+        oracle=_coherent_squeezed_state,
         draws={"r": _R_DRAW, "eta": _WEIGHT_DRAW, "eta_phase": TWO_PI},
         searches={
             # the r axis at the default eta = -1
@@ -728,17 +644,15 @@ REGISTRY: dict[str, Family] = {
     "barnett-radmore": Family(
         defaults={"r": 1.0, "delta": 0.0},
         layout=TWO_MODE,
-        record=lambda p: BarnettRadmore(**p),
-        moments=lambda params: barnett_radmore_moments(params),
+        moments=lambda p: barnett_radmore_moments(**p),
         domain={"r": 0.0},
-        oracle=lambda p, cut: fock_oracle.two_mode_squeezed_vector(p.r, p.delta, cut),
+        oracle=lambda p, cut: fock_oracle.two_mode_squeezed_vector(p["r"], p["delta"], cut),
         draws={"r": _R_DRAW, "delta": TWO_PI},
     ),
     "zhang": Family(
         defaults={"r": 0.007, "theta": 0.99 * math.pi},
         layout=TWO_MODE,
-        record=lambda p: ZhangReal(**p),
-        moments=lambda params: zhang_moments(params),
+        moments=lambda p: zhang_moments(**p),
         domain={"r": 0.0},
         oracle=_zhang_state,
         draws={"r": _R_DRAW, "theta": TWO_PI},
@@ -746,13 +660,12 @@ REGISTRY: dict[str, Family] = {
     "entangled-coherent": Family(
         defaults={"sigma": 0.7, "theta": 0.0, "delta1": 0.0, "delta2": 0.0},
         layout=TWO_MODE,
-        record=lambda p: EntangledCoherent(**p),
-        moments=lambda params: entangled_coherent_moments(params),
+        moments=lambda p: entangled_coherent_moments(**p),
         domain={"sigma": 0.0},
         oracle=_entangled_coherent_state,
         draws={"sigma": _AMPLITUDE_DRAW, "theta": TWO_PI, "delta1": TWO_PI, "delta2": TWO_PI},
     ),
-    "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(p["sigma"])),
+    "ecs-f": Family(defaults={"sigma": 0.7}, layout=SCALAR, moments=lambda p: f_sigma(**p)),
     "vacuum": Family(defaults={}, layout=TWO_MODE, moments=lambda p: TwoModeMoments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
 }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock_oracle as oracle
-from .state_families import REGISTRY, Family, TwoModeMoments, regular
+from .state_families import REGISTRY, Family, TwoModeMoments
 
 __all__ = [
     "VerifyReport",
@@ -102,7 +102,7 @@ FAMILIES: tuple[str, ...] = tuple(name for name, family in REGISTRY.items() if f
 
 
 def _record(family: Family, rows: np.ndarray):
-    """The family's parameter record of draws in key space, one per row of ``rows``."""
+    """The family's record (its closed form's keyword arguments) of draws in key space, a row per row of ``rows``."""
     return family.record(dict(zip(family.draws, rows.T)))
 
 
@@ -145,7 +145,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
         raise ValueError("draws must be non-negative")
     spec = REGISTRY[family]
     drawn = _draw(spec, np.random.default_rng([seed, FAMILIES.index(family)]), draws)
-    closed = _channels(regular(spec.moments(_record(spec, drawn))))
+    closed = _channels(spec.moments(_record(spec, drawn)))
     deviation, tail = np.zeros(draws), np.zeros(draws)
     fits = oracle.fits(lambda cutoff, rows: spec.oracle(_record(spec, drawn[rows]), cutoff), draws, _TAIL_TARGET,
                        cutoff_cap)

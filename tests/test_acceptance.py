@@ -48,13 +48,8 @@ from scipy.special import lambertw
 from subvacuum import fock_oracle
 from subvacuum.state_families import (
     SEARCHES,
-    BarnettRadmore,
-    CoherentSqueezed,
     DegenerateStateError,
-    EntangledCoherent,
-    SqueezedPair,
     TwoModeMoments,
-    ZhangReal,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
     coherent_superposition_moments,
@@ -66,7 +61,6 @@ from subvacuum.state_families import (
     zhang_moments,
     zhang_small_r_asymptotics,
 )
-from subvacuum.state_families import CoherentPair
 from subvacuum.energy_density import (
     ModeGeometry,
     SpacetimePoint,
@@ -274,7 +268,7 @@ def _vacuum_squeezed_curve_clauses(excess, eta: float, oracle_r: float | None = 
 
 def test_criterion_3_vacuum_plus_squeezed_argmax():
     def excess(r: float) -> float:
-        m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=-1.0))
+        m = coherent_plus_squeezed_moments(r=r, delta=0.0, alpha=0.0, eta=-1.0)
         return m.R1 - m.n1
 
     # The eta = -1 reference rises monotonically, so its argmax is the grid
@@ -296,9 +290,7 @@ def test_criterion_3_vacuum_plus_squeezed_argmax():
 
 def test_criterion_4_coherent_plus_squeezed_curves():
     def excess(r: float, alpha: float) -> float:
-        m = coherent_plus_squeezed_moments(
-            CoherentSqueezed(r=r, delta=0.0, alpha=alpha, eta=1.0)
-        )
+        m = coherent_plus_squeezed_moments(r=r, delta=0.0, alpha=alpha, eta=1.0)
         return m.R1 - m.n1
 
     # alpha = 0 turns the coherent branch into the vacuum: the eta = +1 curve.
@@ -352,13 +344,13 @@ def zhang_oracle(r: float, theta: float) -> fock_oracle.TwoModeFockVector:
 def test_criterion_5_zhang_peak_and_asymptotics():
     def peak(theta: float) -> tuple[float, float]:
         rs = np.linspace(1e-4, 0.2, 20000)
-        m = zhang_moments(ZhangReal(r=rs, theta=theta))
+        m = zhang_moments(r=rs, theta=theta)
         vals = m.R1 - m.n1
         i = int(np.argmax(vals))
         return float(rs[i]), float(vals[i])
 
     r99, v99 = peak(0.99 * math.pi)
-    n99 = zhang_moments(ZhangReal(r=r99, theta=0.99 * math.pi)).n1
+    n99 = zhang_moments(r=r99, theta=0.99 * math.pi).n1
     r95, _ = peak(0.95 * math.pi)
 
     # Two-level limit: mode 1 holds |0> and |2> with amplitude ratio
@@ -383,7 +375,7 @@ def test_criterion_5_zhang_peak_and_asymptotics():
     worst_rel = 0.0
     for theta in (0.99 * math.pi, 0.95 * math.pi, 0.9 * math.pi):
         cn, cr = zhang_small_r_asymptotics(theta)
-        m = zhang_moments(ZhangReal(r=1e-4, theta=theta))
+        m = zhang_moments(r=1e-4, theta=theta)
         worst_rel = max(
             worst_rel,
             abs(cn * 1e-8 - m.n1) / m.n1,
@@ -479,42 +471,34 @@ def _draw_one_mode_states(rng, count=40):
             elif pick == 1:
                 states.append(
                     coherent_superposition_moments(
-                        CoherentPair(
-                            alpha=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                            beta=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                            eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                        )
+                        alpha=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
+                        beta=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
+                        eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
                     )
                 )
             elif pick == 2:
                 states.append(
                     superposed_squeezed_moments(
-                        SqueezedPair(
-                            r=rng.uniform(0, 2),
-                            eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                        )
+                        r=rng.uniform(0, 2),
+                        eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
                     )
                 )
             elif pick == 3:
                 states.append(
                     coherent_plus_squeezed_moments(
-                        CoherentSqueezed(
-                            r=rng.uniform(0, 2),
-                            delta=rng.uniform(0, TWO_PI),
-                            alpha=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                            eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                        )
+                        r=rng.uniform(0, 2),
+                        delta=rng.uniform(0, TWO_PI),
+                        alpha=rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, TWO_PI)),
+                        eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
                     )
                 )
             else:
                 states.append(  # vacuum plus squeezed: alpha = 0, delta = 0
                     coherent_plus_squeezed_moments(
-                        CoherentSqueezed(
-                            r=rng.uniform(0, 2),
-                            delta=0.0,
-                            alpha=0.0,
-                            eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
-                        )
+                        r=rng.uniform(0, 2),
+                        delta=0.0,
+                        alpha=0.0,
+                        eta=rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, TWO_PI)),
                     )
                 )
             regular(states[-1])
@@ -531,25 +515,19 @@ def _draw_two_mode_states(rng, count=30):
         try:
             if pick == 0:
                 states.append(
-                    barnett_radmore_moments(
-                        BarnettRadmore(r=rng.uniform(0, 2.5), delta=rng.uniform(0, TWO_PI))
-                    )
+                    barnett_radmore_moments(r=rng.uniform(0, 2.5), delta=rng.uniform(0, TWO_PI))
                 )
             elif pick == 1:
                 states.append(
-                    zhang_moments(
-                        ZhangReal(r=rng.uniform(0.01, 2), theta=rng.uniform(0, TWO_PI))
-                    )
+                    zhang_moments(r=rng.uniform(0.01, 2), theta=rng.uniform(0, TWO_PI))
                 )
             else:
                 states.append(
                     entangled_coherent_moments(
-                        EntangledCoherent(
-                            sigma=rng.uniform(0, 2.5),
-                            theta=rng.uniform(0, TWO_PI),
-                            delta1=rng.uniform(0, TWO_PI),
-                            delta2=rng.uniform(0, TWO_PI),
-                        )
+                        sigma=rng.uniform(0, 2.5),
+                        theta=rng.uniform(0, TWO_PI),
+                        delta1=rng.uniform(0, TWO_PI),
+                        delta2=rng.uniform(0, TWO_PI),
                     )
                 )
             regular(states[-1])
@@ -635,14 +613,14 @@ def test_criterion_9_minimizer_vs_closed_forms():
     ratios = [(1.0, 1.0), (1.0, 2.0), (1.0, 1.5)]
     worst = 0.0
 
-    m_br = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
+    m_br = barnett_radmore_moments(r=1.0, delta=0.0)
     for w1, w2 in ratios:
         g = ModeGeometry("traveling", w1, w2)
         _, val = rho_min_two_mode_numeric(m_br, g, 8.0, 64)
         closed = rho_min_br_closed(1.0, w1, w2)
         worst = max(worst, abs(val - closed) / abs(closed))
 
-    m_z = zhang_moments(ZhangReal(r=0.007, theta=0.99 * math.pi))
+    m_z = zhang_moments(r=0.007, theta=0.99 * math.pi)
     for w1, w2 in ratios:
         g = ModeGeometry("traveling", w1, w2, 0.0)
         _, val = rho_min_two_mode_numeric(m_z, g, 8.0, 64)

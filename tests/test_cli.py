@@ -875,7 +875,7 @@ class TestVerify:
         # The vacuum in place of the drawn states: every oracle moment is 0.
         vacuum = dataclasses.replace(
             sf.REGISTRY["vacuum-squeezed"],
-            oracle=lambda p, cut: fock_oracle.coherent_vector(np.zeros(np.shape(p.r)), cut),
+            oracle=lambda p, cut: fock_oracle.coherent_vector(np.zeros(np.shape(p["r"])), cut),
         )
         monkeypatch.setitem(sf.REGISTRY, "vacuum-squeezed", vacuum)
         out = tmp_path / "broken.csv"
@@ -900,7 +900,7 @@ class TestVerify:
     def test_nan_oracle_state_fails_and_exits_2(self, tmp_path, monkeypatch):
         nan = dataclasses.replace(
             sf.REGISTRY["coherent-pair"],
-            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p.alpha), cut + 1), np.nan + 0j)),
+            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p["alpha"]), cut + 1), np.nan + 0j)),
         )
         monkeypatch.setitem(sf.REGISTRY, "coherent-pair", nan)
         out = tmp_path / "nan.csv"
@@ -915,7 +915,7 @@ class TestVerify:
     def test_nan_oracle_state_is_null_in_json(self, tmp_path, monkeypatch):
         nan = dataclasses.replace(
             sf.REGISTRY["coherent-pair"],
-            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p.alpha), cut + 1), np.nan + 0j)),
+            oracle=lambda p, cut: fock_oracle.FockVector(np.full((np.size(p["alpha"]), cut + 1), np.nan + 0j)),
         )
         monkeypatch.setitem(sf.REGISTRY, "coherent-pair", nan)
         out = tmp_path / "nan.json"

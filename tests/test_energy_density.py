@@ -13,9 +13,7 @@ from subvacuum import fock_oracle, verification
 from subvacuum.state_families import (
     REGISTRY,
     SCALAR,
-    BarnettRadmore,
     TwoModeMoments,
-    ZhangReal,
     barnett_radmore_moments,
     f_sigma,
     squeezed_vacuum_moments,
@@ -90,7 +88,7 @@ class TestModeGeometry:
     def test_directions_follow_cosangle(self, c):
         # khat1 = +z and khat2 = (sqrt(1 - c^2), 0, c); the cross channels
         # carry sqrt(w1 w2) (1 + c).
-        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        m = barnett_radmore_moments(r=0.7, delta=1.2)
         w1, w2 = 1.0, 2.0
         g = ModeGeometry("traveling", w1, w2, c)
         x, t = (0.4, -0.3, 1.1), 0.6
@@ -230,7 +228,7 @@ class TestTwoModePointEvaluator:
         # phase gamma4 = delta + pi, so rho = 2 sinh^2 r - 2 sinh r cosh r
         # for omega1 = omega2 = 1 and delta = 0.
         r = 1.0
-        m = barnett_radmore_moments(BarnettRadmore(r=r, delta=0.0))
+        m = barnett_radmore_moments(r=r, delta=0.0)
         g = ModeGeometry("traveling", 1.0, 1.0)
         p = SpacetimePoint(x=(0.0, 0.0, 0.0), t=0.0)
         s, c = math.sinh(r), math.cosh(r)
@@ -241,7 +239,7 @@ class TestTwoModePointEvaluator:
     def test_geometric_factor_suppresses_cross_terms_when_antiparallel(self):
         # khat1 . khat2 = -1 kills the (1 + cos) cross weight entirely, so
         # only the single-mode channels remain.
-        m = barnett_radmore_moments(BarnettRadmore(r=0.9, delta=0.3))
+        m = barnett_radmore_moments(r=0.9, delta=0.3)
         g = ModeGeometry("traveling", 1.0, 1.0, -1.0)
         rng = np.random.default_rng(17)
         base = m.n1 * 1.0 + m.n2 * 1.0  # R1 = R2 = 0 for this family
@@ -254,7 +252,7 @@ class TestTwoModePointEvaluator:
 
     def test_non_finite_value_raises_without_warning(self):
         # sqrt(w1 w2) overflows, so the cross channels are inf * cos = nan.
-        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
+        m = barnett_radmore_moments(r=1.0, delta=0.0)
         g = ModeGeometry("traveling", 1e200, 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -280,7 +278,7 @@ class TestNumericMinimizer:
 
     @pytest.mark.parametrize("w1,w2", sorted(BR_MIN_R1))
     def test_br_aligned_matches_closed_form(self, w1, w2):
-        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
+        m = barnett_radmore_moments(r=1.0, delta=0.0)
         g = ModeGeometry("traveling", w1, w2)
         _, val = rho_min_two_mode_numeric(m, g, 8.0, 64)
         closed = rho_min_br_closed(1.0, w1, w2)
@@ -292,7 +290,7 @@ class TestNumericMinimizer:
         # With R3 = R4 = 0 the cross channels drop out, and non-parallel
         # directions decouple the two propagation phases, so both cosines
         # reach -1 and the floor is -(w1 + w2)(R1 - n1).
-        m = zhang_moments(ZhangReal(r=0.007, theta=0.99 * math.pi))
+        m = zhang_moments(r=0.007, theta=0.99 * math.pi)
         g = ModeGeometry("traveling", w1, w2, 0.0)
         _, val = rho_min_two_mode_numeric(m, g, 8.0, 64)
         closed = -(w1 + w2) * (m.R1 - m.n1)
@@ -302,13 +300,13 @@ class TestNumericMinimizer:
         # Parallel ratio-2 modes share one propagation coordinate, so the
         # two Zhang cosines are locked to arguments in ratio 2 and the
         # decoupled floor is strictly unattainable.
-        m = zhang_moments(ZhangReal(r=0.007, theta=0.99 * math.pi))
+        m = zhang_moments(r=0.007, theta=0.99 * math.pi)
         g = ModeGeometry("traveling", 1.0, 2.0)
         _, val = rho_min_two_mode_numeric(m, g, 8.0, 64)
         assert val > -(3.0) * (m.R1 - m.n1) + 1e-3
 
     def test_min_point_tie_breaks_toward_origin(self):
-        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=0.0))
+        m = barnett_radmore_moments(r=1.0, delta=0.0)
         g = ModeGeometry("traveling", 1.0, 1.0)
         point, val = rho_min_two_mode_numeric(m, g, 8.0, 48)
         # The minimum lies on the ridge s = t; the scan order puts (0, 0)
@@ -327,7 +325,7 @@ class TestNumericMinimizer:
         # The scan minimum sits at the far corner t = s = window, so every
         # polish step outward overflows the simplex arithmetic and the
         # phases; those trials never displace the scan minimum.
-        m = barnett_radmore_moments(BarnettRadmore(r=1.0, delta=1.0))
+        m = barnett_radmore_moments(r=1.0, delta=1.0)
         g = ModeGeometry("traveling", 1e-10, 2e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -349,7 +347,7 @@ PROFILE_GEOMETRIES = {
 class TestDensityProfile:
     @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
     def test_min_not_above_any_sample(self, name):
-        m = zhang_moments(ZhangReal(r=0.01, theta=0.95 * math.pi))
+        m = zhang_moments(r=0.01, theta=0.95 * math.pi)
         g = PROFILE_GEOMETRIES[name]
         prof = density_profile(m, g, 8.0, 24)
         _, val = prof.min_found
@@ -357,7 +355,7 @@ class TestDensityProfile:
         assert all(val <= rho for *_, rho in prof.samples.tolist())
 
     def test_sample_count_by_geometry(self):
-        m = barnett_radmore_moments(BarnettRadmore(r=0.3, delta=0.0))
+        m = barnett_radmore_moments(r=0.3, delta=0.0)
         aligned = density_profile(m, ModeGeometry("traveling", 1.0, 2.0), 4.0, 16)
         assert aligned.samples.shape == (16 * 16, 5)
         # Aligned modes along z: rows run over t, then x3, on the scan axis.
@@ -381,7 +379,7 @@ class TestDensityProfile:
     )
     def test_every_t_block_repeats_the_spatial_columns(self, g):
         # The CLI formats the spatial columns once and reuses them for every t.
-        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        m = barnett_radmore_moments(r=0.7, delta=1.2)
         samples = density_profile(m, g, 8.0, 17).samples
         blocks = samples.view(np.uint64).reshape(17, -1, 5)
         assert (blocks[:, :, :3] == blocks[:1, :, :3]).all()
@@ -390,7 +388,7 @@ class TestDensityProfile:
     @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
     def test_min_found_is_the_numeric_minimum(self, name):
         # One scan serves both the samples and the polished minimum.
-        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        m = barnett_radmore_moments(r=0.7, delta=1.2)
         g = PROFILE_GEOMETRIES[name]
         assert density_profile(m, g, 8.0, 17).min_found == rho_min_two_mode_numeric(m, g, 8.0, 17)
 
@@ -399,7 +397,7 @@ class TestDensityProfile:
         # Samples are the scan's values at span coordinates; the point
         # evaluator recomputes the phases from the exported Cartesian x.  For
         # skew modes those phases round differently, within a few ulps.
-        m = barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2))
+        m = barnett_radmore_moments(r=0.7, delta=1.2)
         g = PROFILE_GEOMETRIES[name]
         prof = density_profile(m, g, 6.0, 16)
         tol = 1e-13 if name == "skew" else 0.0
@@ -411,10 +409,10 @@ class TestDensityProfile:
 # traveling modes, standing modes, a one-mode state in mode 1, and
 # the vacuum, where every value ties.
 SCAN_CASES = {
-    "skew": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0, 0.3)),
-    "aligned": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("traveling", 1.0, 2.0)),
-    "antiparallel": (zhang_moments(ZhangReal(r=0.01, theta=0.95 * math.pi)), ModeGeometry("traveling", 1.0, 2.0, -1.0)),
-    "standing": (barnett_radmore_moments(BarnettRadmore(r=0.7, delta=1.2)), ModeGeometry("standing", 1.0, 2.0)),
+    "skew": (barnett_radmore_moments(r=0.7, delta=1.2), ModeGeometry("traveling", 1.0, 2.0, 0.3)),
+    "aligned": (barnett_radmore_moments(r=0.7, delta=1.2), ModeGeometry("traveling", 1.0, 2.0)),
+    "antiparallel": (zhang_moments(r=0.01, theta=0.95 * math.pi), ModeGeometry("traveling", 1.0, 2.0, -1.0)),
+    "standing": (barnett_radmore_moments(r=0.7, delta=1.2), ModeGeometry("standing", 1.0, 2.0)),
     "one-mode": (squeezed_vacuum_moments(0.8, 0.4), ModeGeometry("traveling", 1.5, 1.0, -0.5)),
     "vacuum": (ZERO_MOMENTS, ModeGeometry("traveling", 1.0, 2.0, 0.0)),
 }
@@ -450,7 +448,7 @@ class TestClosedForms:
         # minimizer finds the closed depth at every delta.
         closed = rho_min_br_closed(0.8, w1, w2)
         for delta in (0.0, 0.4, -2.0, math.pi):
-            m = barnett_radmore_moments(BarnettRadmore(r=0.8, delta=delta))
+            m = barnett_radmore_moments(r=0.8, delta=delta)
             _, val = rho_min_two_mode_numeric(m, ModeGeometry("traveling", w1, w2), 8.0, 64)
             assert val == pytest.approx(closed, rel=1e-6)
 
@@ -459,7 +457,7 @@ class TestClosedForms:
         # These draws' best samples sit on the window's edge and the closed
         # depth lies just past it, at x3 = 8.0227, t = 8.0146 and
         # x3 = 8.0116: only the unbounded polish reaches it.
-        m = barnett_radmore_moments(BarnettRadmore(r=r, delta=delta))
+        m = barnett_radmore_moments(r=r, delta=delta)
         point, val = rho_min_two_mode_numeric(m, ModeGeometry("traveling", 1.0, 2.0), 8.0, 64)
         assert max(point.t, point.x[2]) > 8.0
         assert abs(val - rho_min_br_closed(r, 1.0, 2.0)) <= 1e-9
@@ -536,7 +534,7 @@ class TestClosedForms:
 
 class TestSpacetimeAverage:
     def test_equals_population_weighted_frequencies(self):
-        m = barnett_radmore_moments(BarnettRadmore(r=0.8, delta=1.1))
+        m = barnett_radmore_moments(r=0.8, delta=1.1)
         g = ModeGeometry("traveling", 1.0, 2.0)
         s = math.sinh(0.8)
         assert spacetime_average(m, g) == pytest.approx(3.0 * s * s, rel=1e-14)
@@ -545,7 +543,7 @@ class TestSpacetimeAverage:
         # Over the common period 2 pi (ratio-2 frequencies) every oscillatory
         # channel is a pure harmonic of order < 64, which a 64-point
         # equally spaced Riemann sum annihilates exactly.
-        m = barnett_radmore_moments(BarnettRadmore(r=0.8, delta=1.1))
+        m = barnett_radmore_moments(r=0.8, delta=1.1)
         g = ModeGeometry("traveling", 1.0, 2.0)
         x = (0.3, -0.2, 0.7)
         ts = np.arange(64) * (2.0 * math.pi / 64)
@@ -561,7 +559,7 @@ class TestSpacetimeAverage:
 
     def test_never_negative(self):
         g = ModeGeometry("standing", 0.5, 3.0)
-        m = zhang_moments(ZhangReal(r=0.02, theta=0.9 * math.pi))
+        m = zhang_moments(r=0.02, theta=0.9 * math.pi)
         assert spacetime_average(m, g) >= 0.0
         assert spacetime_average(ZERO_MOMENTS, g) == 0.0
 

@@ -227,25 +227,25 @@ class TestProductsAndSuperpositions:
         # N(|r> - |-r>) at r=1: closed forms from the two-branch overlap
         # algebra.  Cutoff 128 brings the truncation error to ~1e-14 (at 64
         # the occupation still differs by 4e-7).
-        from subvacuum.state_families import SqueezedPair, superposed_squeezed_moments
+        from subvacuum.state_families import superposed_squeezed_moments
 
         plus = fo.squeezed_vacuum_vector(1.0, 0.0, 128)
         minus = fo.squeezed_vacuum_vector(1.0, math.pi, 128)
         st = fo.superpose([(1.0, plus), (-1.0, minus)])
         om = fo.two_mode_moments(st)
-        cm = superposed_squeezed_moments(SqueezedPair(r=1.0, eta=-1.0))
+        cm = superposed_squeezed_moments(r=1.0, eta=-1.0)
         assert abs(om.n1 - cm.n1) < 1e-8
         assert abs(om.a2 - cm.R1 * np.exp(1j * cm.gamma1)) < 1e-8
 
     def test_phase_superposed_double_squeeze(self):
         # Two-branch two-mode state at theta = pi/2: the cross term drops out
         # of the occupation, which must then equal sinh^2 r.
-        from subvacuum.state_families import ZhangReal, zhang_moments
+        from subvacuum.state_families import zhang_moments
 
         r, theta = 0.5, math.pi / 2
         st = fo.fitted(lambda cut: zhang_state(r, theta, cut), 1e-12, 4096)
         m = fo.two_mode_moments(st)
-        cm = zhang_moments(ZhangReal(r=r, theta=theta))
+        cm = zhang_moments(r=r, theta=theta)
         assert abs(m.n1 - cm.n1) < 1e-8
         assert m.n1 == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
 

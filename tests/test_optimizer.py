@@ -18,7 +18,6 @@ from subvacuum.optimizer import (
 )
 from subvacuum.state_families import (
     SEARCHES,
-    CoherentSqueezed,
     SearchView,
     TwoModeMoments,
     coherent_plus_squeezed_moments,
@@ -329,7 +328,7 @@ class TestMultiStart:
         assert top.params == (3.0,)
         assert top.converged and top.grad_norm == 0.0
         assert top.members == 6
-        m = coherent_plus_squeezed_moments(CoherentSqueezed(r=3.0, delta=0.0, alpha=0.0, eta=-1.0))
+        m = coherent_plus_squeezed_moments(r=3.0, delta=0.0, alpha=0.0, eta=-1.0)
         assert top.F == m.excess
 
 

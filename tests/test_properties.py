@@ -14,11 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subvacuum import fock_oracle as oracle
 from subvacuum.state_families import (
-    CoherentPair,
-    CoherentSqueezed,
-    EntangledCoherent,
-    SqueezedPair,
-    ZhangReal,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
     coherent_superposition_moments,
@@ -75,53 +70,47 @@ def test_squeezed_vacuum_bounds(r):
 
 @given(complex_polar(amplitude), complex_polar(amplitude), complex_polar(weight))
 def test_coherent_pair_bounds(alpha, beta, eta):
-    m = coherent_superposition_moments(CoherentPair(alpha=alpha, beta=beta, eta=eta))
+    m = coherent_superposition_moments(alpha=alpha, beta=beta, eta=eta)
     assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, complex_polar(weight))
 def test_superposed_squeezed_bounds(r, eta):
-    m = superposed_squeezed_moments(SqueezedPair(r=r, eta=eta))
+    m = superposed_squeezed_moments(r=r, eta=eta)
     assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, phase, complex_polar(amplitude), complex_polar(weight))
 def test_coherent_plus_squeezed_bounds(r, delta, alpha, eta):
-    m = coherent_plus_squeezed_moments(
-        CoherentSqueezed(r=r, delta=delta, alpha=alpha, eta=eta)
-    )
+    m = coherent_plus_squeezed_moments(r=r, delta=delta, alpha=alpha, eta=eta)
     assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, complex_polar(weight))
 def test_vacuum_plus_squeezed_bounds(r, eta):
-    m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=eta))
+    m = coherent_plus_squeezed_moments(r=r, delta=0.0, alpha=0.0, eta=eta)
     assume(not m.degenerate)
     assert_one_mode_bounds(m)
 
 
 @given(squeeze, phase)
 def test_barnett_radmore_bounds(r, delta):
-    from subvacuum.state_families import BarnettRadmore
-
-    assert_two_mode_bounds(barnett_radmore_moments(BarnettRadmore(r=r, delta=delta)))
+    assert_two_mode_bounds(barnett_radmore_moments(r=r, delta=delta))
 
 
 @given(st.floats(min_value=1e-3, max_value=1.5), phase)
 def test_zhang_bounds(r, theta):
-    m = zhang_moments(ZhangReal(r=r, theta=theta))
+    m = zhang_moments(r=r, theta=theta)
     assume(not m.degenerate)
     assert_two_mode_bounds(m)
 
 
 @given(amplitude, phase, phase, phase)
 def test_entangled_coherent_bounds(sigma, theta, d1, d2):
-    m = entangled_coherent_moments(
-        EntangledCoherent(sigma=sigma, theta=theta, delta1=d1, delta2=d2)
-    )
+    m = entangled_coherent_moments(sigma=sigma, theta=theta, delta1=d1, delta2=d2)
     assume(not m.degenerate)
     assert_two_mode_bounds(m)
 
@@ -129,7 +118,7 @@ def test_entangled_coherent_bounds(sigma, theta, d1, d2):
 @given(squeeze, complex_polar(weight), st.floats(min_value=0.1, max_value=5.0))
 def test_one_mode_floor_never_beats_the_universal_bound(r, eta, omega):
     # F < 1/2 for every state, so no single mode can dip below -omega/2.
-    m = coherent_plus_squeezed_moments(CoherentSqueezed(r=r, delta=0.0, alpha=0.0, eta=eta))
+    m = coherent_plus_squeezed_moments(r=r, delta=0.0, alpha=0.0, eta=eta)
     assume(not m.degenerate)
     assert rho_min_one_mode(m, omega) >= -omega * (0.5 + CS_SLACK)
 
@@ -141,9 +130,7 @@ def test_one_mode_floor_never_beats_the_universal_bound(r, eta, omega):
     st.floats(min_value=0.1, max_value=4.0),
 )
 def test_spacetime_average_is_nonnegative(r, delta, w1, w2):
-    from subvacuum.state_families import BarnettRadmore
-
-    m = barnett_radmore_moments(BarnettRadmore(r=r, delta=delta))
+    m = barnett_radmore_moments(r=r, delta=delta)
     g = ModeGeometry("traveling", w1, w2)
     avg = spacetime_average(m, g)
     assert avg >= 0.0

@@ -99,7 +99,7 @@ class TestSqueezedVacuum:
             assert got == pytest.approx(0.5 * (1.0 - math.exp(-2.0 * r)), abs=1e-12)
 
     def test_coherent_pair_excess_is_the_plain_difference(self):
-        m = sf.coherent_superposition_moments(sf.CoherentPair(A_STAR, -A_STAR, 1.0))
+        m = sf.coherent_superposition_moments(A_STAR, -A_STAR, 1.0)
         assert m.excess == m.R1 - m.n1
         assert sf.REGISTRY["coherent-pair"].layout.cells(m)[2] == one_mode_F(m)
 
@@ -116,21 +116,21 @@ class TestSqueezedVacuum:
 class TestCoherentPairMoments:
     def test_eta_zero_reduces_to_single_coherent(self):
         alpha = 1.1 * np.exp(0.7j)
-        m = sf.coherent_superposition_moments(sf.CoherentPair(alpha, 2.0, 0.0))
+        m = sf.coherent_superposition_moments(alpha, 2.0, 0.0)
         assert m.n1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
         assert m.R1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
         assert m.gamma1 == pytest.approx(sf.wrap_angle(2 * np.angle(alpha)), abs=1e-12)
 
     def test_identical_branches_recover_coherent_state(self):
-        m = sf.coherent_superposition_moments(sf.CoherentPair(0.9, 0.9, 1.0))
+        m = sf.coherent_superposition_moments(0.9, 0.9, 1.0)
         assert one_mode_F(m) == pytest.approx(0.0, abs=1e-12)
         assert m.n1 == pytest.approx(0.81, abs=1e-12)
 
     def test_branch_swap_symmetry(self):
         # N(|a> + eta |b>) and N(|b> + (1/eta) |a>) are the same ray.
         a, b, eta = 0.6 + 0.2j, 1.4 * np.exp(2.1j), 0.8 * np.exp(-0.5j)
-        m1 = sf.coherent_superposition_moments(sf.CoherentPair(a, b, eta))
-        m2 = sf.coherent_superposition_moments(sf.CoherentPair(b, a, 1.0 / eta))
+        m1 = sf.coherent_superposition_moments(a, b, eta)
+        m2 = sf.coherent_superposition_moments(b, a, 1.0 / eta)
         assert m1.n1 == pytest.approx(m2.n1, abs=1e-10)
         assert m1.R1 == pytest.approx(m2.R1, abs=1e-10)
         assert m1.gamma1 == pytest.approx(m2.gamma1, abs=1e-10)
@@ -138,10 +138,8 @@ class TestCoherentPairMoments:
     def test_mode_phase_rotation_shifts_gamma_only(self):
         a, b, eta = 0.7, 1.2 * np.exp(0.4j), 1.3 * np.exp(1.9j)
         phi = 0.81
-        m0 = sf.coherent_superposition_moments(sf.CoherentPair(a, b, eta))
-        m1 = sf.coherent_superposition_moments(
-            sf.CoherentPair(a * np.exp(1j * phi), b * np.exp(1j * phi), eta)
-        )
+        m0 = sf.coherent_superposition_moments(a, b, eta)
+        m1 = sf.coherent_superposition_moments(a * np.exp(1j * phi), b * np.exp(1j * phi), eta)
         assert m1.n1 == pytest.approx(m0.n1, abs=1e-12)
         assert m1.R1 == pytest.approx(m0.R1, abs=1e-12)
         assert sf.wrap_angle(m1.gamma1 - m0.gamma1 - 2 * phi) == pytest.approx(
@@ -150,7 +148,7 @@ class TestCoherentPairMoments:
 
     def test_destructive_normalization_raises(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.regular(sf.coherent_superposition_moments(sf.CoherentPair(0.5, 0.5, -1.0)))
+            sf.regular(sf.coherent_superposition_moments(0.5, 0.5, -1.0))
 
     def test_flat_ridge_of_even_superpositions(self):
         """Real displacement of the even two-branch state never changes F.
@@ -159,12 +157,12 @@ class TestCoherentPairMoments:
         entire segment is one maximum of F at the Lambert-W level.
         """
         for c in (0.0, -0.3, 0.5, -A_STAR, 1.1):
-            m = sf.coherent_superposition_moments(sf.CoherentPair(c + A_STAR, c - A_STAR, 1.0))
+            m = sf.coherent_superposition_moments(c + A_STAR, c - A_STAR, 1.0)
             assert one_mode_F(m) == pytest.approx(F_RIDGE, abs=1e-12)
 
     def test_ridge_endpoint_occupations(self):
-        centered = sf.coherent_superposition_moments(sf.CoherentPair(A_STAR, -A_STAR, 1.0))
-        shifted = sf.coherent_superposition_moments(sf.CoherentPair(0.0, 2 * A_STAR, 1.0))
+        centered = sf.coherent_superposition_moments(A_STAR, -A_STAR, 1.0)
+        shifted = sf.coherent_superposition_moments(0.0, 2 * A_STAR, 1.0)
         assert centered.n1 == pytest.approx(0.3607677286194632, abs=1e-12)
         assert shifted.n1 == pytest.approx(1.0, abs=1e-12)
         assert one_mode_F(shifted) == pytest.approx(F_RIDGE, abs=1e-12)
@@ -177,7 +175,7 @@ class TestCoherentPairMoments:
 
 class TestSuperposedSqueezed:
     def test_eta_zero_reduction(self):
-        m = sf.superposed_squeezed_moments(sf.SqueezedPair(1.3, 0.0))
+        m = sf.superposed_squeezed_moments(1.3, 0.0)
         ref = sf.squeezed_vacuum_moments(1.3, 0.0)
         assert m.n1 == pytest.approx(ref.n1, abs=1e-12)
         assert m.R1 == pytest.approx(ref.R1, abs=1e-12)
@@ -185,18 +183,18 @@ class TestSuperposedSqueezed:
     def test_equal_weights_kill_the_pair_moment(self):
         # At eta = -1 the surviving pair contribution is purely the
         # imaginary cross term, which vanishes for real eta.
-        m = sf.superposed_squeezed_moments(sf.SqueezedPair(1.0, -1.0))
+        m = sf.superposed_squeezed_moments(1.0, -1.0)
         assert m.R1 == 0.0
         assert m.n1 == pytest.approx(3.2415980313088735, abs=1e-9)
 
     def test_occupation_exceeds_single_branch_at_eta_minus_one(self):
         for r in (0.5, 1.0, 2.0):
-            m = sf.superposed_squeezed_moments(sf.SqueezedPair(r, -1.0))
+            m = sf.superposed_squeezed_moments(r, -1.0)
             assert m.n1 > math.sinh(r) ** 2
 
     def test_degenerate_at_zero_squeeze(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.regular(sf.superposed_squeezed_moments(sf.SqueezedPair(0.0, -1.0)))
+            sf.regular(sf.superposed_squeezed_moments(0.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ class TestSuperposedSqueezed:
 
 def vacuum_plus_squeezed(r, eta) -> sf.TwoModeMoments:
     """N(|r> + eta |0>): the coherent-squeezed closed form at alpha = 0, delta = 0."""
-    return sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.0, 0.0, eta))
+    return sf.coherent_plus_squeezed_moments(r, 0.0, 0.0, eta)
 
 
 def mp_squeezed_plus_coherent(r, delta, alpha, eta):
@@ -228,7 +226,7 @@ def mp_squeezed_plus_coherent(r, delta, alpha, eta):
 
 class TestCoherentPlusSqueezed:
     def test_eta_zero_reduction(self):
-        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(0.9, 1.2, 0.5, 0.0))
+        m = sf.coherent_plus_squeezed_moments(0.9, 1.2, 0.5, 0.0)
         ref = sf.squeezed_vacuum_moments(0.9, 1.2)
         assert m.n1 == pytest.approx(ref.n1, abs=1e-12)
         assert m.R1 == pytest.approx(ref.R1, abs=1e-12)
@@ -237,7 +235,7 @@ class TestCoherentPlusSqueezed:
     def test_sign_alternation_along_r(self):
         # alpha = 0.6, eta = 1: F starts positive, dips negative, recovers.
         f = {
-            r: one_mode_F(sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.0, 0.6, 1.0)))
+            r: one_mode_F(sf.coherent_plus_squeezed_moments(r, 0.0, 0.6, 1.0))
             for r in (0.1, 0.4, 1.0)
         }
         assert f[0.1] == pytest.approx(0.04509562726489158, abs=1e-11)
@@ -245,7 +243,7 @@ class TestCoherentPlusSqueezed:
         assert f[1.0] == pytest.approx(0.04628319116999635, abs=1e-11)
 
     def test_vacuum_branch_value_at_deep_squeeze(self):
-        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(5.0, 0.0, 0.0, 1.0))
+        m = sf.coherent_plus_squeezed_moments(5.0, 0.0, 0.0, 1.0)
         assert one_mode_F(m) == pytest.approx(0.27598744783972506, abs=1e-11)
 
     @pytest.mark.parametrize("eta", [-1.0, -1.0 + 1e-3j, -1.0 - 1e-4j, -1.0 + 3e-5j])
@@ -262,7 +260,7 @@ class TestCoherentPlusSqueezed:
         # lost up to 2.7e-13.
         with mpmath.workdps(60):
             n, pair_mag, excess = mp_squeezed_plus_coherent(r, delta, alpha, eta)
-        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
+        m = sf.coherent_plus_squeezed_moments(r, delta, alpha, eta)
         assert not m.degenerate
         for got, ref, scale in ((m.n1, n, n), (m.R1, pair_mag, pair_mag), (m.excess, excess, max(abs(excess), n))):
             assert abs(got - ref) <= 1e-14 * scale
@@ -365,8 +363,8 @@ class TestSqueezedSuperpositionExcess:
     @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
     def test_excess_is_r_minus_n_where_nothing_cancels(self, r):
         vs = vacuum_plus_squeezed(r, 0.5 - 0.2j)
-        cs = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, 0.7, 0.6 + 0.3j, 1.0))
-        ss = sf.superposed_squeezed_moments(sf.SqueezedPair(r, 0.5 - 0.2j))
+        cs = sf.coherent_plus_squeezed_moments(r, 0.7, 0.6 + 0.3j, 1.0)
+        ss = sf.superposed_squeezed_moments(r, 0.5 - 0.2j)
         for m in (vs, cs, ss):
             assert m.excess == pytest.approx(m.R1 - m.n1, abs=1e-14)
 
@@ -408,7 +406,7 @@ def coherent_squeezed_excesses(rng):
         eta = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
         alpha = complex(rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, TAU)))
         delta = float(rng.uniform(0.0, TAU))
-        m = sf.coherent_plus_squeezed_moments(sf.CoherentSqueezed(r, delta, alpha, eta))
+        m = sf.coherent_plus_squeezed_moments(r, delta, alpha, eta)
         yield m.excess, mp_coherent_plus_squeezed_F(r, delta, alpha, eta)
 
 
@@ -418,7 +416,7 @@ def superposed_squeezed_excesses(rng):
     for _ in range(200):
         r = float(rng.uniform(0.5, 20.0))
         eta = complex(10.0 ** rng.uniform(-9.0, math.log10(4.0)) * np.exp(1j * rng.uniform(0.0, TAU)))
-        yield sf.superposed_squeezed_moments(sf.SqueezedPair(r, eta)).excess, mp_superposed_squeezed(r, eta)[2]
+        yield sf.superposed_squeezed_moments(r, eta).excess, mp_superposed_squeezed(r, eta)[2]
 
 
 def coherent_pair_excesses(name):
@@ -534,20 +532,20 @@ def mp_entangled_coherent(sigma, theta):
 #: At theta = 0 the branches add, but their overlap still tends to 1.
 DEGENERATE_SHELLS = {
     "superposed-squeezed-eta=-1+ik": (
-        lambda k, x: sf.superposed_squeezed_moments(sf.SqueezedPair(x, -1.0 + 1j * k)),
+        lambda k, x: sf.superposed_squeezed_moments(x, -1.0 + 1j * k),
         lambda k, x: mp_superposed_squeezed(x, mpmath.mpc(-1, k)),
     ),
     "zhang-theta=pi-k": (
-        lambda k, x: sf.zhang_moments(sf.ZhangReal(x, math.pi - k)),
+        lambda k, x: sf.zhang_moments(x, math.pi - k),
         lambda k, x: mp_zhang(x, math.pi - k),
     ),
-    "zhang-theta=0": (lambda k, x: sf.zhang_moments(sf.ZhangReal(x, 0.0)), lambda k, x: mp_zhang(x, 0.0)),
+    "zhang-theta=0": (lambda k, x: sf.zhang_moments(x, 0.0), lambda k, x: mp_zhang(x, 0.0)),
     "entangled-coherent-theta=pi-k": (
-        lambda k, x: sf.entangled_coherent_moments(sf.EntangledCoherent(x, math.pi - k, 0.0, 0.0)),
+        lambda k, x: sf.entangled_coherent_moments(x, math.pi - k, 0.0, 0.0),
         lambda k, x: mp_entangled_coherent(x, math.pi - k),
     ),
     "entangled-coherent-theta=0": (
-        lambda k, x: sf.entangled_coherent_moments(sf.EntangledCoherent(x, 0.0, 0.0, 0.0)),
+        lambda k, x: sf.entangled_coherent_moments(x, 0.0, 0.0, 0.0),
         lambda k, x: mp_entangled_coherent(x, 0.0),
     ),
 }
@@ -574,7 +572,7 @@ def test_moments_beside_a_degenerate_superposition_match_50_digits(shell):
 
 class TestBarnettRadmore:
     def test_channel_structure(self):
-        m = sf.barnett_radmore_moments(sf.BarnettRadmore(1.0, 0.0))
+        m = sf.barnett_radmore_moments(1.0, 0.0)
         assert m.n1 == pytest.approx(math.sinh(1.0) ** 2, abs=1e-14)
         assert m.n2 == m.n1
         assert m.R1 == m.R2 == m.R3 == 0.0
@@ -582,14 +580,14 @@ class TestBarnettRadmore:
         assert m.gamma4 == pytest.approx(math.pi, abs=1e-12)
 
     def test_pair_phase_tracks_squeeze_phase(self):
-        m = sf.barnett_radmore_moments(sf.BarnettRadmore(0.7, 5.0))
+        m = sf.barnett_radmore_moments(0.7, 5.0)
         assert m.gamma4 == pytest.approx(sf.wrap_angle(5.0 + math.pi), abs=1e-12)
 
 
 class TestZhang:
     def test_cross_term_free_angle(self):
         # theta = pi/2 removes the interference term from the occupation.
-        m = sf.zhang_moments(sf.ZhangReal(0.5, math.pi / 2))
+        m = sf.zhang_moments(0.5, math.pi / 2)
         assert m.n1 == pytest.approx(math.sinh(0.5) ** 2, abs=1e-12)
         assert m.n2 == m.n1
         assert m.R1 == pytest.approx(0.24677717378228653, abs=1e-12)
@@ -602,14 +600,14 @@ class TestZhang:
         # normalization cancels one (1 + sech 2r) factor, and sin(0) kills
         # the pair channel entirely.
         r = 0.8
-        m = sf.zhang_moments(sf.ZhangReal(r, 0.0))
+        m = sf.zhang_moments(r, 0.0)
         expected = math.sinh(r) ** 2 * (1.0 - 1.0 / math.cosh(2 * r))
         assert m.n1 == pytest.approx(expected, abs=1e-12)
         assert m.R1 == 0.0
 
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.regular(sf.zhang_moments(sf.ZhangReal(0.0, math.pi)))
+            sf.regular(sf.zhang_moments(0.0, math.pi))
 
     def test_small_r_asymptotics(self):
         theta = 0.99 * math.pi
@@ -617,7 +615,7 @@ class TestZhang:
         assert c_n == pytest.approx((1 - math.cos(theta)) / (1 + math.cos(theta)), rel=1e-12)
         assert c_r == pytest.approx(abs(math.sin(theta)) / (1 + math.cos(theta)), rel=1e-12)
         r = 1e-4
-        m = sf.zhang_moments(sf.ZhangReal(r, theta))
+        m = sf.zhang_moments(r, theta)
         assert m.n1 == pytest.approx(c_n * r * r, rel=1e-2)
         assert m.R1 == pytest.approx(c_r * r, rel=1e-2)
 
@@ -639,7 +637,7 @@ class TestZhang:
 
 class TestEntangledCoherent:
     def test_aligned_zero_phase_values(self):
-        m = sf.entangled_coherent_moments(sf.EntangledCoherent(0.7, 0.0, 0.0, 0.0))
+        m = sf.entangled_coherent_moments(0.7, 0.0, 0.0, 0.0)
         assert m.n1 == pytest.approx(0.36900229338608037, abs=1e-12)
         assert m.n2 == m.n1
         assert m.R1 == pytest.approx(0.49, abs=1e-12)
@@ -649,14 +647,14 @@ class TestEntangledCoherent:
 
     def test_branch_amplitude_phases_carry_into_channels(self):
         d1, d2 = 0.8, -1.1
-        m = sf.entangled_coherent_moments(sf.EntangledCoherent(0.5, 1.0, d1, d2))
+        m = sf.entangled_coherent_moments(0.5, 1.0, d1, d2)
         assert m.gamma1 == pytest.approx(sf.wrap_angle(2 * d1), abs=1e-12)
         assert m.gamma2 == pytest.approx(sf.wrap_angle(2 * d2), abs=1e-12)
         assert m.gamma4 == pytest.approx(sf.wrap_angle(d1 + d2), abs=1e-12)
 
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
-            sf.regular(sf.entangled_coherent_moments(sf.EntangledCoherent(0.0, math.pi, 0.0, 0.0)))
+            sf.regular(sf.entangled_coherent_moments(0.0, math.pi, 0.0, 0.0))
 
 
 def test_f_sigma_peak_region():
@@ -748,13 +746,36 @@ def test_every_family_returns_the_one_record(name, fixed, key, values):
 
 
 def test_scalar_call_returns_numpy_scalars_and_batch_returns_rows():
-    m = sf.coherent_superposition_moments(sf.CoherentPair(0.8, -0.8, 1.0))
+    m = sf.coherent_superposition_moments(0.8, -0.8, 1.0)
     assert all(isinstance(v, np.float64) for v in (m.n1, m.R1, m.gamma1, m.excess))
     assert not m.degenerate
-    m = sf.coherent_superposition_moments(sf.CoherentPair(np.array([0.8, 0.5]), np.array([-0.8, 0.5]), -1.0))
+    m = sf.coherent_superposition_moments(np.array([0.8, 0.5]), np.array([-0.8, 0.5]), -1.0)
     assert m.n1.shape == m.degenerate.shape == (2,)
     assert m.degenerate.tolist() == [False, True]
     assert np.isnan(m.n1[1]) and np.isfinite(m.n1[0])
+
+
+def test_closed_form_arguments_that_share_one_shape_skip_the_broadcast(monkeypatch):
+    # A search stencil: arrays of one shape come back as the same objects,
+    # without a call to numpy's broadcast.
+    stencil = np.linspace(0.0, 1.0, 12).reshape(2, 6)
+    values = (stencil, stencil + 1.0, 2.0j * stencil)
+
+    def unexpected(*args):
+        raise AssertionError("arrays of one shape went through the broadcast")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "broadcast_shapes", unexpected)
+        patch.setattr(np, "atleast_1d", unexpected)
+        shape, *rows = sf._rows(*values)
+    assert shape == (2, 6)
+    assert all(row is value for row, value in zip(rows, values))
+    # Anything else is broadcast to one batch shape, each value an array of at least one row.
+    shape, *rows = sf._rows(0.5, np.array([0.1, 0.2, 0.3]), np.zeros((2, 1)), np.float64(2.0))
+    assert shape == (2, 3)
+    assert [row.shape for row in rows] == [(1,), (3,), (2, 1), (1,)]
+    shape, *rows = sf._rows(0.5, 1j)
+    assert shape == () and [row.shape for row in rows] == [(1,), (1,)]
 
 
 def test_polar_keeps_the_phase_cut_and_the_zero_convention():
@@ -844,7 +865,7 @@ def test_an_empty_channel_derives_the_float_zero():
 
 def test_derived_fields_of_a_scalar_call_are_numpy_scalars_and_of_a_batch_keep_its_shape():
     def record(sigma, theta):
-        return sf.entangled_coherent_moments(sf.EntangledCoherent(sigma, theta, 0.4, 1.3))
+        return sf.entangled_coherent_moments(sigma, theta, 0.4, 1.3)
 
     derived = ("R1", "R2", "R3", "R4", "gamma1", "gamma2", "gamma3", "gamma4")
     one = record(0.9, 0.7)
@@ -864,7 +885,7 @@ def test_a_channel_stored_as_another_is_derived_once(monkeypatch):
     monkeypatch.setattr(sf, "wrap_angle", lambda x: calls.append(1) or wrap(x))
     for r in (0.3, np.linspace(0.1, 0.5, 4)):  # a scalar call and a batch
         calls.clear()
-        m = sf.zhang_moments(sf.ZhangReal(r, 2.0))
+        m = sf.zhang_moments(r, 2.0)
         assert m.b2 is m.a2
         assert m.gamma2 is m.gamma1 and m.R2 is m.R1
         assert len(calls) == 1
@@ -886,7 +907,7 @@ def test_only_a_read_of_a_phase_derives_it(monkeypatch, capsys):
             assert main(["sweep", "--family", name, "--sweep", f"{key}=0.1:1:8"]) == 0, name
     capsys.readouterr()
     with pytest.raises(AssertionError, match="phase"):
-        sf.coherent_superposition_moments(sf.CoherentPair(0.8, -0.8, 1.0)).gamma1
+        sf.coherent_superposition_moments(0.8, -0.8, 1.0).gamma1
 
 
 @pytest.mark.parametrize("name,derivations", [("entangled-coherent", 4), ("zhang", 1), ("coherent-pair", 1)])

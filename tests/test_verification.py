@@ -44,7 +44,9 @@ def test_draw_stream_is_key_by_key_then_row_by_row():
                            ("delta2", 2.0 * math.pi), ("eta", 4.0), ("delta", 2.0 * math.pi)):
             keys[key] = rng.uniform(0.0, upper)
         expected = family.record(keys)
-        assert (drawn.alpha[row], drawn.beta[row], drawn.eta[row]) == (expected.alpha, expected.beta, expected.eta)
+        assert (drawn["alpha"][row], drawn["beta"][row], drawn["eta"][row]) == (
+            expected["alpha"], expected["beta"], expected["eta"]
+        )
 
 
 def test_draw_drops_exactly_the_candidates_below_the_guard(monkeypatch):
@@ -71,7 +73,7 @@ def test_draw_drops_exactly_the_candidates_below_the_guard(monkeypatch):
 def test_nan_closed_form_moment_fails(monkeypatch):
     # A NaN occupation compares as a NaN deviation while every tail stays finite.
     broken = dataclasses.replace(
-        REGISTRY["coherent-pair"], moments=lambda p: dataclasses.replace(coherent_superposition_moments(p), n1=np.nan)
+        REGISTRY["coherent-pair"], moments=lambda p: dataclasses.replace(coherent_superposition_moments(**p), n1=np.nan)
     )
     monkeypatch.setitem(REGISTRY, "coherent-pair", broken)
     report = verify_family("coherent-pair", draws=3, seed=7)
