@@ -31,7 +31,7 @@ import shutil
 import stat
 import sys
 import tempfile
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,36 +153,17 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
-def _dumps(doc: Mapping[str, object]) -> str:
-    """``doc`` as JSON text in indent=2 layout, every non-finite number written as null."""
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:  # JSON has no NaN or infinity: such a number is written as null
-        return json.dumps(_finite_or_null(doc), indent=2)
-
-
-def _json_rows(head: str, blocks: Iterable[str]) -> Iterator[str]:
-    """The JSON object ``head`` (indent=2 layout) with a "rows" array of the ``blocks`` appended."""
-    yield head[: -len("\n}")] + ',\n  "rows": [\n'
-    for i, block in enumerate(blocks):
-        yield ",\n" + block if i else block
-    yield "\n  ]\n}\n"
-
-
 #: Rows per sweep block: one closed-form batch, finiteness check and "%"
 #: format each.  Smaller blocks hold less memory, but each batch has a fixed
 #: cost (up to ~0.15 ms) that blocks of 1,024 rows already make visible.
 SWEEP_BLOCK = 2048
 
 
-def _row_templates(header: Sequence[str]) -> tuple[str, str]:
-    """A CSV and a JSON row template with one "%s" per column of ``header``.
-
-    The JSON row is in ``json.dumps(..., indent=2)`` layout, where a finite
-    float prints as its repr.
-    """
-    json_line = "    {\n" + ",\n".join(f'      "{key}": %s' for key in header) + "\n    }"
-    return ",".join(["%s"] * len(header)) + "\n", json_line
+#: How a streamed row writes a number, a text cell and an empty cell (one
+#: that consumes its value), and what goes between two rows, per format.  A
+#: JSON row is in ``json.dumps(..., indent=2)`` layout, where a finite float
+#: prints as its repr.
+_CELLS = {"csv": ("%.9g", "%s", "%.0s", ""), "json": ("%r", '"%s"', "null%.0s", ",\n")}
 
 
 @contextlib.contextmanager
@@ -227,38 +208,45 @@ def _sink(path: str | None) -> Iterator[IO[str]]:
 
 
 def _write(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence[object]],
-           seed: int | None, config: Mapping[str, object], blocks: Iterable[str] | None = None,
-           json_blocks: Iterable[str] | None = None, **body: object) -> None:
+           seed: int | None, config: Mapping[str, object], blocks: Callable[..., Iterable[str]] | None = None,
+           **body: object) -> None:
     """Emit CSV, or one JSON document (``body`` defaults to the rows).
 
-    Output is written to :func:`_sink` as it is formatted.  CSV is the
-    command's ``blocks`` of row text if it gives them, else ``rows`` cell by
-    cell through :func:`_fmt`.  JSON is likewise the command's
-    ``json_blocks`` if it gives them: runs of "rows" objects in
-    ``json.dumps(..., indent=2)`` layout, joined here by ",\\n" after the
-    command, seed and config; else the whole document goes through
-    ``json.dumps``.  JSON writes a non-finite number (a NaN deviation of a
-    failed check, say) as null; CSV prints it as ``nan``.  ``blocks`` may
-    compute as they go: one that raises (a sweep's non-finite row) leaves
-    no output, as a failed write does.
+    Output is written to :func:`_sink` as it is formatted.  A streaming
+    command gives ``blocks(line, number, text, empty, sep)``: runs of rows,
+    each row ``line`` (one "%s" per column of ``header``) filled with the
+    format's cells from :data:`_CELLS` and its values, rows and runs joined by
+    ``sep``; JSON puts them in the "rows" array after the command, seed and
+    config.  Else CSV is ``rows`` cell by cell through :func:`_fmt`, and JSON
+    the whole document through ``json.dumps``.  JSON writes a non-finite
+    number (a NaN deviation of a failed check, say) as null; CSV prints it as
+    ``nan``.  ``blocks`` may compute as they go: one that raises (a sweep's
+    non-finite row) leaves no output, as a failed write does.
     """
-    doc = {"command": args.command, "seed": seed, "config": config}
-    if args.format == "csv":
-        chunks = None
-    elif json_blocks is None:
-        chunks = [_dumps({**doc, **(body or {"rows": [dict(zip(header, row)) for row in rows]})}) + "\n"]
-    else:
-        chunks = _json_rows(_dumps(doc), json_blocks)
     with _sink(args.out) as fh:
-        if chunks is not None:
-            fh.writelines(chunks)
-            return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if blocks is None:
-            writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        if args.format == "json":
+            if blocks is None and not body:
+                body = {"rows": [dict(zip(header, row)) for row in rows]}
+            doc = json.dumps(_finite_or_null({"command": args.command, "seed": seed, "config": config, **body}),
+                             indent=2)
+            if blocks is None:
+                fh.write(doc + "\n")
+                return
+            fh.write(doc[: -len("\n}")] + ',\n  "rows": [\n')
+            line, end = "    {\n" + ",\n".join(f'      "{key}": %s' for key in header) + "\n    }", "\n  ]\n}\n"
         else:
-            fh.writelines(blocks)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            if blocks is None:
+                writer.writerows([_fmt(cell) for cell in row] for row in rows)
+                return
+            line, end = ",".join(["%s"] * len(header)) + "\n", ""
+        number, text, empty, sep = _CELLS[args.format]
+        for i, block in enumerate(blocks(line, number, text, empty, sep)):
+            if i:
+                fh.write(sep)
+            fh.write(block)
+        fh.write(end)
 
 
 # --------------------------------------------------------------------------
@@ -274,10 +262,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"parameter {key} is both --set and swept")
     header = [key, *family.layout.columns]
 
-    def tables():
+    def blocks(line: str, number: str, text: str, empty: str, sep: str):
         # The parameter values are the sweep's only full-length array.  Each
         # block of rows is one closed-form batch (a row's moments do not depend
-        # on the batch), checked finite; a scalar f has no degenerate rows.
+        # on the batch), checked finite; a scalar f has no degenerate rows.  A
+        # degenerate row prints its parameter value only.
+        full, bare = line % ((number,) * len(header)), line % (number, *[empty] * (len(header) - 1))
         for start in range(0, len(values), SWEEP_BLOCK):
             block = values[start : start + SWEEP_BLOCK]
             m = family.moments(family.record({**params, key: block}))
@@ -287,19 +277,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             overflow = ~degenerate & ~np.isfinite(table[:, 1:]).all(axis=1)
             if overflow.any():
                 raise FloatingPointError(f"non-finite result at {key}={block[overflow.argmax()]:.9g}")
-            yield degenerate, table
+            yield sep.join([bare if flag else full for flag in degenerate.tolist()]) % tuple(table.ravel().tolist())
 
-    def blocks(line: str, cell: str, blank: str, sep: str):
-        # A degenerate row prints its parameter value only: "%.0s" consumes each cell.
-        full, empty = line % ((cell,) * len(header)), line % (cell, *[blank] * (len(header) - 1))
-        for degenerate, table in tables():
-            text = sep.join([empty if flag else full for flag in degenerate.tolist()])
-            yield text % tuple(table.ravel().tolist())
-
-    csv_line, json_line = _row_templates(header)
     sweep = {"key": key, "lo": float(values[0]), "hi": float(values[-1]), "steps": len(values) - 1}
-    _write(args, header, (), None, {"family": args.family, "sweep": sweep, "params": params},
-           blocks(csv_line, "%.9g", "%.0s", ""), blocks(json_line, "%r", "null%.0s", ",\n"))
+    _write(args, header, (), None, {"family": args.family, "sweep": sweep, "params": params}, blocks)
     return 0
 
 
@@ -342,23 +323,21 @@ def _cmd_density(args: argparse.Namespace) -> int:
     header = ["kind", "x1", "x2", "x3", "t", "rho"]
     pmin, vmin = profile.min_found
 
-    def blocks(line: str, kind: str, cell: str, sep: str):
+    def blocks(line: str, number: str, text: str, empty: str, sep: str):
         # One block of row text per t, then the min row.  Every t block
         # repeats the spatial points: their cells are formatted once, "\0"
         # standing for t.
-        sample = line % (kind % "sample", cell, cell, cell, "\0", "%" + cell)
+        sample = line % (text % "sample", number, number, number, "\0", "%" + number)
         spatial = sep.join([sample] * len(profile.space)) % tuple(profile.space.ravel().tolist())
         for t, rho in zip(profile.t.tolist(), profile.slabs()):
-            yield spatial.replace("\0", cell % t) % tuple(rho.tolist())
-        yield line % (kind % "min", *[cell] * 5) % (*pmin.x, pmin.t, vmin)
+            yield spatial.replace("\0", number % t) % tuple(rho.tolist())
+        yield line % (text % "min", *[number] * 5) % (*pmin.x, pmin.t, vmin)
 
-    csv_line, json_line = _row_templates(header)
     geo = {"kind": geometry.kind, "omega1": geometry.omega1, "omega2": geometry.omega2,
            "cosangle": geometry.cosangle + 0.0}  # + 0.0 prints -0 as 0
     config = {"family": args.family, "params": params, "geometry": geo,
               "window": args.window, "grid_n": args.grid_n}
-    _write(args, header, (), None, config, blocks(csv_line, "%s", "%.9g", ""),
-           blocks(json_line, '"%s"', "%r", ",\n"))
+    _write(args, header, (), None, config, blocks)
     return 0
 
 
@@ -406,7 +385,9 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing leaves no state in it."""
     parser = _Parser(
         prog="subvacuum",
         description="Energy-density bounds of one- and two-mode scalar field states.",
@@ -466,19 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--draws", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--cutoff", type=int, default=4096, help="hard cap on the oracle truncation")
+    p_verify.add_argument("--cutoff", type=int, default=verification.CUTOFF_CAP,
+                          help="hard cap on the oracle truncation")
     _add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
 
 
-#: The parser :func:`main` uses, built once per process: parsing leaves no state in it.
-_parser = functools.cache(build_parser)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -71,8 +71,9 @@ class Extremum:
     degenerate state ends at its last finite iterate, unconverged, with an
     unknown (``None``) gradient norm; so does a run whose unbounded angle
     grew so large that the difference step no longer changes it (where F is
-    flat in that phase).  The result is never below the start: a run that
-    ends lower falls back to its start, also with ``grad_norm`` None.
+    flat in that phase).  The result is never below the start: each iterate
+    L-BFGS-B accepts has F at least that of the one before, and a run ends at
+    its start or at one of them.
     """
 
     params: tuple[float, ...]
@@ -135,12 +136,13 @@ def _ascent(view: SearchView, start: Sequence[float]):
     ``iterations`` and ``converged``, or None where F at the start is
     undefined.
 
-    The loop is scipy's ``_minimize_lbfgsb`` around ``setulb``, as
+    The loop is scipy 1.17.1's ``_minimize_lbfgsb`` around ``setulb``, as
     ``minimize(method="L-BFGS-B")`` runs it with factr = 0 and pgtol =
     GRAD_TOL / sqrt(dim), which bounds the projected gradient's 2-norm by
-    GRAD_TOL.  No point is evaluated twice in one run: F at the start is row
-    0 of its first stencil, and every stencil is kept by the exact bytes of
-    its point, since L-BFGS-B revisits points on the box edges.
+    GRAD_TOL, except that F is read at the returned point.  No point is
+    evaluated twice in one run: F at the start is row 0 of its first
+    stencil, and every stencil is kept by the exact bytes of its point,
+    since L-BFGS-B revisits points on the box edges.
     """
     evaluated: dict[bytes, tuple[float, np.ndarray | None]] = {}
 
@@ -189,12 +191,10 @@ def _ascent(view: SearchView, start: Sequence[float]):
 
     if fg[1] is None:  # the gradient is undefined: end at the last iterate, evaluated already
         p, f, grad_norm = last if last is p0 else view.clamp(last), -(yield from evaluate(last))[0], None
-    else:
-        p, f = view.clamp(x), -float(f)
+    else:  # F read at x: setulb restores x and g after a failed line search, but not f
+        p, f = view.clamp(x), -(yield from evaluate(x))[0]
         grad_norm = float(np.linalg.norm(np.where(((p <= lo) & (g > 0.0)) | ((p >= hi) & (g < 0.0)), 0.0, g)))
     converged = fg[1] is not None and bool(task[0] == 4) and grad_norm <= GRAD_TOL
-    if f < f0:
-        p, f, grad_norm, converged = p0, f0, None, False
     return p, f, grad_norm, iterations, converged
 
 

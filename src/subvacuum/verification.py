@@ -33,6 +33,7 @@ __all__ = [
     "VerifyReport",
     "IdentityRow",
     "FAMILIES",
+    "CUTOFF_CAP",
     "verify_family",
     "appendix_identity_report",
 ]
@@ -49,6 +50,10 @@ _DENOM_GUARD = 1e-6
 #: tolerance to hold at its floor.  1e-12 keeps the worst case near 4e-9 even
 #: at the largest squeeze drawn, whose states need M = 4096.
 _TAIL_TARGET = 1e-12
+
+#: Default hard cap on the oracle truncation (``verify --cutoff``): the
+#: largest squeeze drawn needs 4096 to meet ``_TAIL_TARGET``.
+CUTOFF_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def _draw(family: Family, rng: np.random.Generator, draws: int) -> np.ndarray:
     return accepted
 
 
-def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) -> VerifyReport:
+def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = CUTOFF_CAP) -> VerifyReport:
     """Randomized oracle comparison for one family.
 
     The closed form is evaluated once over all draws, and the oracle states
@@ -170,7 +175,7 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = 4096) ->
 # --------------------------------------------------------------------------
 
 
-def appendix_identity_report(cutoff_cap: int = 4096) -> list[IdentityRow]:
+def appendix_identity_report(cutoff_cap: int = CUTOFF_CAP) -> list[IdentityRow]:
     """Check the hyperbolic matrix-element identities at squeeze r = 0.5, 1 and 2.
 
     Covers overlaps and ladder moments between opposite squeezed vacua and

@@ -53,8 +53,10 @@ GOLDEN = [
      "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
      "20e331aee3a73d9d301040e7a3516e7acd27bc4bea48077f718addd1030c3f79"),
+    # Rank 21's F is read at its returned point, after a failed line search:
+    # 1.0864637189911264e-08, not the last trial's 1.0864635413554424e-08.
     ("search --family coherent-pair --starts 64 --seed 42 --format json",
-     "f13c92e8f449336c27565af658d8c99e756c189275037cc57665346f1684c077"),
+     "cff483a58ba9aa501cf27f05b4220ec1890a62ba190ce93820230dbce42f2436"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",

@@ -186,7 +186,7 @@ class TestAscend:
             if not math.isfinite(f0):
                 continue
             ext = _lockstep(space, [p0])[0]
-            assert ext.F >= f0 - 1e-12
+            assert ext.F >= f0
 
     def test_degenerate_line_search_point_ends_at_last_finite_iterate(self):
         space = half_degenerate_view()
@@ -420,7 +420,8 @@ def reference_ascend(view: SearchView, start) -> Extremum | None:
     if not math.isfinite(f0):
         return None
     iterates = [p0]
-    options = {"maxiter": optimizer.MAX_ITERS, "gtol": GRAD_TOL / math.sqrt(view.dim), "ftol": 0.0}
+    options = {"maxiter": optimizer.MAX_ITERS, "maxfun": optimizer._MAXFUN, "gtol": GRAD_TOL / math.sqrt(view.dim),
+               "ftol": 0.0}
     try:
         res = optimize.minimize(
             lambda x: defined(x)[0], p0, jac=lambda x: defined(x)[1], method="L-BFGS-B",
@@ -431,12 +432,13 @@ def reference_ascend(view: SearchView, start) -> Extremum | None:
         p, f = last if last is p0 else view.clamp(last), -evaluate(last)[0]
         iterations, grad_norm, converged = len(iterates) - 1, None, False
     else:
-        p, f, iterations = view.clamp(res.x), -float(res.fun), int(res.nit)
+        # F is read at res.x, not taken from res.fun: after a line search
+        # that ends abnormally, setulb restores x and g but not f, so res.fun
+        # is the last trial's F.
+        p, f, iterations = view.clamp(res.x), -evaluate(res.x)[0], int(res.nit)
         g = np.where(((p <= lo) & (res.jac > 0.0)) | ((p >= hi) & (res.jac < 0.0)), 0.0, res.jac)
         grad_norm = float(np.linalg.norm(g))
         converged = bool(res.success) and grad_norm <= GRAD_TOL
-    if f < f0:
-        p, f, grad_norm, converged = p0, f0, None, False
     m = view.moments_of(p)
     return Extremum(tuple(float(v) for v in p), float(f), float(m.n1), float(m.R1), float(m.gamma1),
                     grad_norm, iterations, converged)
@@ -487,9 +489,27 @@ class TestLockstepMatchesMinimize:
         expected = self.check(view("coherent-pair"), 64, 42)
         assert sum(e.iterations == 3 and not e.converged for e in expected) > 32
 
+    @pytest.mark.parametrize("maxfun", [5, 12, 30])
+    def test_evaluation_cap_ends_the_runs(self, monkeypatch, maxfun):
+        # The reference runs minimize with options["maxfun"] at the same cap.
+        monkeypatch.setattr(optimizer, "_MAXFUN", maxfun)
+        expected = self.check(view("coherent-pair"), 16, 42)
+        assert any(not e.converged and e.grad_norm is not None for e in expected)
+        assert max(e.iterations for e in expected) <= maxfun
+
     def test_degenerate_draws(self):
         expected = self.check(half_degenerate_view(), 16, 5)
         assert 0 < expected.count(None) < 16
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+@pytest.mark.parametrize("name", ["coherent-pair", "coherent-pair-free"])
+def test_extremum_F_is_read_at_its_point(name, seed):
+    # A line search that ends abnormally leaves setulb's f at its last trial
+    # while x returns to the last iterate; each extremum's F is F at its point.
+    space = view(name)
+    for ext in multi_start(space, 64, seed).extrema:
+        assert ext.F == objective_F(space, np.array(ext.params))
 
 
 @pytest.mark.parametrize(
