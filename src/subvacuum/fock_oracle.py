@@ -4,11 +4,12 @@ This module is the independent cross-check for every closed-form moment in
 :mod:`subvacuum.state_families`.  States are stored as amplitude arrays in
 the harmonic-oscillator number basis, truncated at a finite photon number: a
 two-mode state as a product sum sum_i w_i |u_i> (x) |v_i> of single-mode
-factors, or as its Schmidt coefficients c_n on |n, n>.  Every expectation
-value comes from one primitive, the matrix elements <u_i|X|v_j> of a ladder
-operator between single-mode vectors by direct index summation -- no
-operator matrices, no matrix exponentials -- so the only approximation
-anywhere is the truncation itself, measurable through :func:`tail_mass`.
+factors on a mode axis (of length 1 when every u_i is v_i), or as its
+Schmidt coefficients c_n on |n, n>.  Every expectation value comes from one
+primitive, the matrix elements <u_i|X|v_j> of a ladder operator between
+single-mode vectors by direct index summation -- no operator matrices, no
+matrix exponentials -- so the only approximation anywhere is the truncation
+itself, measurable through :func:`tail_mass`.
 
 Every state object holds a batch of states, one per row, all at one cutoff:
 the constructors take parameter arrays, and the moments, overlaps and tail
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TruncationError",
-    "DegenerateSuperpositionError",
+    "DegenerateStateError",
     "FockVector",
     "TwoModeFockVector",
     "Fit",
@@ -73,8 +74,8 @@ class TruncationError(ValueError):
     """Raised when a requested cutoff retains too little of the state."""
 
 
-class DegenerateSuperpositionError(ValueError):
-    """Raised when superposed amplitudes cancel to (numerically) zero."""
+class DegenerateStateError(ValueError):
+    """The requested superposition has (numerically) zero norm."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -115,8 +116,8 @@ class TwoModeFockVector:
 
     A product sum sum_i weights[..., i] |u_i> (x) |v_i> stacks its factors in
     ``amps`` of shape (..., 2, k, M+1): ``amps[..., 0, i, :]`` is u_i and
-    ``amps[..., 1, i, :]`` is v_i.  When every u_i is v_i the factors are
-    stored once and broadcast over the mode axis (``shared``).  A Schmidt-diagonal state
+    ``amps[..., -1, i, :]`` is v_i, so when every u_i is v_i the factors are
+    stored once, on a mode axis of length 1.  A Schmidt-diagonal state
     sum_n amps[..., n] |n, n> keeps its coefficients as ``amps`` of shape
     (..., M+1) and has ``weights`` None.  The leading axes are the batch.
     """
@@ -128,27 +129,19 @@ class TwoModeFockVector:
         object.__setattr__(self, "amps", _readonly(self.amps))
         if self.weights is not None:
             object.__setattr__(self, "weights", _readonly(self.weights))
-        size = self.amps.shape[-1]
-        shape = self.amps.shape[:-1] if self.weights is None else (*self.weights.shape[:-1], 2, self.weights.shape[-1])
-        if self.amps.shape != (*shape, size) or size < 2:
-            raise ValueError("two-mode amplitudes must have shape (..., M+1) or (..., 2, k, M+1), M >= 1")
+        w = self.weights
+        layouts = [self.amps.shape[:-1]] if w is None else [(*w.shape[:-1], modes, w.shape[-1]) for modes in (1, 2)]
+        if self.amps.shape[:-1] not in layouts or self.amps.shape[-1] < 2:
+            raise ValueError("two-mode amplitudes must have shape (..., M+1) or (..., 1 or 2, k, M+1), M >= 1")
 
     @property
     def cutoff(self) -> int:
         """Largest retained photon number in either mode."""
         return self.amps.shape[-1] - 1
 
-    @property
-    def shared(self) -> bool:
-        """Whether both modes hold the same factors, stored once."""
-        return self.weights is not None and self.amps.strides[-3] == 0
-
     def rows(self, index) -> TwoModeFockVector:
         """The states of the batch rows ``index`` (an index or mask on the first axis)."""
-        if self.weights is None:
-            return TwoModeFockVector(self.amps[index])
-        amps = (self.amps[..., :1, :, :] if self.shared else self.amps)[index]
-        return TwoModeFockVector(np.broadcast_to(amps, (*amps.shape[:-3], 2, *amps.shape[-2:])), self.weights[index])
+        return TwoModeFockVector(self.amps[index], None if self.weights is None else self.weights[index])
 
 
 def _running(seed, steps: np.ndarray) -> np.ndarray:
@@ -212,24 +205,31 @@ def two_mode_squeezed_vector(r, delta, cutoff: int) -> TwoModeFockVector:
     return TwoModeFockVector(_running(1.0 / np.cosh(r), steps))
 
 
+def _terms(terms: Sequence[tuple]) -> tuple[int, tuple[int, ...]]:
+    """The amplitude length and batch shape of superposition terms (w_i, factor, ...), checked."""
+    if not terms:
+        raise ValueError("superposition needs at least one term")
+    factors = [f for t in terms for f in t[1:]]
+    if len({f.amps.shape[-1] for f in factors}) > 1:
+        raise ValueError("superposition factors must share a cutoff")
+    batch = np.broadcast_shapes(*(np.shape(t[0]) for t in terms), *(f.amps.shape[:-1] for f in factors))
+    return factors[0].amps.shape[-1], batch
+
+
 def superpose(terms: Sequence[tuple[complex, FockVector]]) -> FockVector:
     """Normalized linear combinations sum_i w_i v_i of single-mode vectors.
 
     Weights and vectors broadcast over the batch, and all terms share a
     cutoff.  Cancellation below ``DEGENERATE_NORM`` in any row raises
-    :class:`DegenerateSuperpositionError`.
+    :class:`DegenerateStateError`.
     """
-    if not terms:
-        raise ValueError("superposition needs at least one term")
-    if len({v.amps.shape[-1] for _, v in terms}) > 1:
-        raise ValueError("superposition terms must share a cutoff")
-    batch = np.broadcast_shapes(*(np.shape(w) for w, _ in terms), *(v.amps.shape[:-1] for _, v in terms))
-    total = np.zeros((*batch, terms[0][1].amps.shape[-1]), dtype=complex)
+    size, batch = _terms(terms)
+    total = np.zeros((*batch, size), dtype=complex)
     for w, v in terms:
         total += np.asarray(w)[..., None] * v.amps
     nrm = np.sqrt(_expect(total, "1").real)
     if np.any(nrm < DEGENERATE_NORM):
-        raise DegenerateSuperpositionError(f"superposed amplitudes cancel: residual norm {np.min(nrm):.3e}")
+        raise DegenerateStateError(f"superposed amplitudes cancel: residual norm {np.min(nrm):.3e}")
     total /= nrm[..., None]
     return FockVector(total)
 
@@ -239,29 +239,23 @@ def superpose_two_mode(terms: Sequence[tuple[complex, FockVector, FockVector]]) 
 
     A single triple (1, u, v) is the product state.  Weights and factors
     broadcast over the batch, and all factors share a cutoff; triples whose
-    u is v (the same object) in every term store their factors once.  The
-    norm^2 is a Gram sum with rounding error ~1e-16 (sum_i |w_i|)^2, so
-    cancellation is judged on it against ``DEGENERATE_NORM2`` at that scale.
+    u is v (the same object) in every term store their factors once, on a
+    mode axis of length 1.  The norm^2 is a Gram sum with rounding error
+    ~1e-16 (sum_i |w_i|)^2, so cancellation is judged on it against
+    ``DEGENERATE_NORM2`` at that scale.
     """
-    if not terms:
-        raise ValueError("superposition needs at least one term")
-    if len({f.amps.shape[-1] for _, u, v in terms for f in (u, v)}) > 1:
-        raise ValueError("superposition factors must share a cutoff")
-    size = terms[0][1].amps.shape[-1]
-    batch = np.broadcast_shapes(*(np.shape(w) for w, _, _ in terms), *(f.amps.shape[:-1] for t in terms for f in t[1:]))
+    size, batch = _terms(terms)
     w = np.stack([np.broadcast_to(np.asarray(t[0], dtype=complex), batch) for t in terms], axis=-1)
-    shared = all(u is v for _, u, v in terms)
-    amps = np.empty((*batch, 1 if shared else 2, len(terms), size), dtype=complex)
-    for i, (_, u, v) in enumerate(terms):
-        amps[..., 0, i, :] = u.amps
-        if not shared:
-            amps[..., 1, i, :] = v.amps
-    raw = TwoModeFockVector(np.broadcast_to(amps, (*batch, 2, len(terms), size)), w)
-    a, b = _grams(raw, ("1",))
+    modes = 1 if all(u is v for _, u, v in terms) else 2
+    amps = np.empty((*batch, modes, len(terms), size), dtype=complex)
+    for i, (_, *factors) in enumerate(terms):
+        for mode in range(modes):
+            amps[..., mode, i, :] = factors[mode].amps
+    a, b = _grams(amps, ("1",))
     norm2 = _form(w, a["1"] * b["1"]).real
     if np.any(norm2 < DEGENERATE_NORM2 * np.sum(np.abs(w), axis=-1) ** 2):
-        raise DegenerateSuperpositionError(f"superposed products cancel: residual norm^2 {np.min(norm2):.3e}")
-    return TwoModeFockVector(raw.amps, w / np.sqrt(norm2)[..., None])
+        raise DegenerateStateError(f"superposed products cancel: residual norm^2 {np.min(norm2):.3e}")
+    return TwoModeFockVector(amps, w / np.sqrt(norm2)[..., None])
 
 
 #: Operators X by name as (shift s, weight w): <m|X|m + s> = w(m) is the only
@@ -295,15 +289,12 @@ def _expect(amps: np.ndarray, op: str, ket: np.ndarray | None = None) -> np.ndar
     return _ladder(amps[..., None, :], (amps if ket is None else ket)[..., None, :], op)[..., 0, 0]
 
 
-def _grams(v: TwoModeFockVector, ops: Sequence[str]) -> tuple[dict, dict]:
+def _grams(amps: np.ndarray, ops: Sequence[str]) -> tuple[dict, dict]:
     """The Gram matrices <u_i|X|u_j> and <v_i|X|v_j> of a product sum's two
-    modes, by operator name; shared factors are summed once."""
-    ua = v.amps[..., 0, :, :]
+    modes, by operator name; factors stored once (a mode axis of 1) are summed once."""
+    ua, ub = amps[..., 0, :, :], amps[..., -1, :, :]
     a = {op: _ladder(ua, ua, op) for op in ops}
-    if v.shared:
-        return a, a
-    ub = v.amps[..., 1, :, :]
-    return a, {op: _ladder(ub, ub, op) for op in ops}
+    return a, a if amps.shape[-3] == 1 else {op: _ladder(ub, ub, op) for op in ops}
 
 
 def _form(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -322,27 +313,25 @@ def inner(u: FockVector, v: FockVector, op: str = "1") -> complex:
 def two_mode_moments(v: FockVector | TwoModeFockVector) -> TwoModeMoments:
     """All quadratic ladder moments of one- or two-mode vectors by index summation.
 
-    A single-mode vector is mode 1 of the record, with mode 2 empty; its
-    occupation is accumulated as a complex expectation value and checked to
-    be real to machine precision before the real part is kept.  A
+    A single-mode vector is mode 1 of the record, with mode 2 empty.  Its
+    occupation, like a Schmidt-diagonal state's, is the real part of a
+    complex expectation value whose imaginary part is rounding alone.  A
     Schmidt-diagonal state has n1 = n2 = sum_n |c_n|^2 n, <ab> =
     sum_n conj(c_n) (n + 1) c_{n+1}, and no channel that changes n1 - n2.
     """
     from .state_families import TwoModeMoments  # which imports this module
 
     if isinstance(v, FockVector):
-        n_c = _expect(v.amps, "n")
-        if np.any(np.abs(n_c.imag) > 1e-12):
-            raise ValueError(f"occupation has imaginary residue {np.max(np.abs(n_c.imag)):.3e}")
-        zero = np.zeros(n_c.shape, dtype=complex)[()]
-        return TwoModeMoments(n_c.real[()], zero.real, _expect(v.amps, "a2")[()], zero, zero, zero)
+        n = _expect(v.amps, "n").real
+        zero = np.zeros(n.shape, dtype=complex)[()]
+        return TwoModeMoments(n[()], zero.real, _expect(v.amps, "a2")[()], zero, zero, zero)
     if v.weights is None:
         c = v.amps
         n = _expect(c, "n").real[()]
         ab = (np.conj(c[..., None, :-1]) * np.arange(1.0, c.shape[-1])) @ c[..., 1:, None]
         zero = np.zeros(np.shape(n), dtype=complex)[()]
         return TwoModeMoments(n, n, zero, zero, zero, ab[..., 0, 0][()])
-    a, b = _grams(v, ("1", "n", "a2", "a"))
+    a, b = _grams(v.amps, ("1", "n", "a2", "a"))
     w = v.weights
     adag = np.swapaxes(a["a"].conj(), -1, -2)  # <u|a^dag|u'> = conj <u'|a|u>
     return TwoModeMoments(
@@ -365,7 +354,7 @@ def tail_mass(v: FockVector | TwoModeFockVector):
         return _expect(v.amps, "tail").real[()]
     if v.weights is None:
         return (2.0 * _expect(v.amps, "tail").real)[()]
-    a, b = _grams(v, ("tail", "1"))
+    a, b = _grams(v.amps, ("tail", "1"))
     return (_form(v.weights, a["tail"] * b["1"]) + _form(v.weights, a["1"] * b["tail"])).real[()]
 
 

@@ -40,9 +40,9 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import fock_oracle
+from .fock_oracle import DegenerateStateError
 
 __all__ = [
-    "DegenerateStateError",
     "TwoModeMoments",
     "wrap_angle",
     "regular",
@@ -68,10 +68,6 @@ DEGENERATE_DENOMINATOR = 1e-13
 #: Every closed form runs under this: overflow and degenerate rows give
 #: non-finite values without numpy warnings, and callers check for them.
 _quiet = np.errstate(all="ignore")
-
-
-class DegenerateStateError(ValueError):
-    """The requested superposition has (numerically) zero norm."""
 
 
 def wrap_angle(x):

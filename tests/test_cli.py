@@ -405,26 +405,30 @@ class TestSweep:
         assert doc["rows"][1]["n1"] is not None
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1"],
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:0"],
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "q=0:1:4"],
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:x"],
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "bogus=1"],
-            ["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "delta"],
-            ["sweep", "--family", "coherent-pair", "--sweep", "alpha=0:nan:2"],
-            ["sweep", "--family", "zhang", "--set", "r=5", "--sweep", "r=0:1:1"],
-            ["search", "--family", "coherent-pair", "--starts", "1", "--seed", "-1"],
-            ["verify", "--draws", "-1"],
-            ["verify", "--seed", "-1"],
-            ["verify", "--cutoff", "0"],
-            ["verify", "--cutoff", "-1"],
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r0:1:4"], "--sweep expects key=lo:hi:steps"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1"], "--sweep range must be lo:hi:steps"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:0"], "sweep steps must be >= 1"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "q=0:1:4"], "unknown sweep parameter 'q'"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:x"], "sweep steps must be an integer"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "bogus=1"],
+             "unknown parameter 'bogus'"),
+            (["sweep", "--family", "squeezed-vacuum", "--sweep", "r=0:1:4", "--set", "delta"],
+             "--set expects key=value"),
+            (["sweep", "--family", "coherent-pair", "--sweep", "alpha=0:nan:2"], "number must be finite"),
+            (["sweep", "--family", "zhang", "--set", "r=5", "--sweep", "r=0:1:1"], "parameter r is both --set and swept"),
+            (["search", "--family", "coherent-pair", "--starts", "1", "--seed", "-1"], "--seed must be >= 0"),
+            (["verify", "--draws", "-1"], "--draws and --seed must be >= 0"),
+            (["verify", "--seed", "-1"], "--draws and --seed must be >= 0"),
+            (["verify", "--cutoff", "0"], "--cutoff must be >= 1"),
+            (["verify", "--cutoff", "-1"], "--cutoff must be >= 1"),
         ],
     )
-    def test_usage_errors_exit_1(self, argv, quiet_stderr):
+    def test_usage_errors_exit_1(self, argv, message, quiet_stderr):
+        # Each case is caught by its own check, which the message names.
         assert main(argv) == 1
-        assert "error" in quiet_stderr()
+        assert f"subvacuum {argv[0]}: error: {message}" in quiet_stderr()
 
     def test_key_both_set_and_swept_prints_one_line_and_no_output(self, capsys):
         # The config would report the --set value while the rows vary it.
@@ -1088,6 +1092,23 @@ class TestOutputFailures:
         assert sorted(p.name for p in root.iterdir()) == ["capped", "dir"]
         # the write failed midway through the temporary file: neither it nor x.csv remains
         assert list((root / "capped").iterdir()) == []
+
+
+def test_stdout_that_cannot_be_written_is_pointed_at_devnull(monkeypatch, quiet_stderr):
+    # In-process, the TestOutputFailures broken-pipe case: exit 1 with one
+    # line, and stdout's descriptor now refers to os.devnull, so the final
+    # flush at interpreter exit raises nothing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = io.TextIOWrapper(io.FileIO(write_end, "w"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["sweep", "--family", "ecs-f", "--sweep", "sigma=0:3:3"]) == 1
+        assert quiet_stderr() == "subvacuum sweep: cannot write stdout: Broken pipe\n"
+        now, null = os.fstat(write_end), os.stat(os.devnull)
+        assert (now.st_dev, now.st_ino, now.st_rdev) == (null.st_dev, null.st_ino, null.st_rdev)
+    finally:
+        stdout.close()
 
 
 def test_out_replaces_an_existing_file_and_leaves_no_temporary(tmp_path):

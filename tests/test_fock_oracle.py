@@ -71,6 +71,11 @@ class TestCoherentVector:
         with pytest.raises(ValueError):
             fo.coherent_vector(1.0, 0)
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (0,)])
+    def test_amplitudes_need_two_photon_numbers(self, shape):
+        with pytest.raises(ValueError, match="last axis of length >= 2"):
+            fo.FockVector(np.ones(shape, dtype=complex))
+
 
 class TestSqueezedVacuumVector:
     def test_zero_squeeze_is_vacuum(self):
@@ -130,7 +135,7 @@ def dense_grid(v: fo.TwoModeFockVector) -> np.ndarray:
     """The (M+1)^2 amplitude grid A[m, n] of |m, n>, as a reference."""
     if v.weights is None:
         return np.diag(v.amps)
-    return sum(w * np.outer(u, x) for w, u, x in zip(v.weights, *v.amps))
+    return sum(w * np.outer(u, x) for w, u, x in zip(v.weights, v.amps[0], v.amps[-1]))
 
 
 def dense_moments(v: fo.TwoModeFockVector) -> list[complex]:
@@ -184,6 +189,28 @@ class TestTwoModeSqueezedVector:
         m = fo.two_mode_moments(fo.two_mode_squeezed_vector(0.5, 1.1, 32))
         assert abs(m.ab) == pytest.approx(math.sinh(0.5) * math.cosh(0.5), abs=1e-9)
 
+    def test_cutoff_validation(self):
+        assert fo.two_mode_squeezed_vector(0.5, 0.0, 2).cutoff == 2
+        with pytest.raises(ValueError, match="cutoff must be at least 2"):
+            fo.two_mode_squeezed_vector(0.5, 0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "amps, weights",
+    [
+        ((1,), None),  # a Schmidt state needs two photon numbers
+        ((2, 1), np.ones(1)),  # a product sum needs a mode and a term axis
+        ((3, 1, 5), np.ones(1)),  # three modes
+        ((0, 1, 5), np.ones(1)),  # no mode
+        ((2, 2, 5), np.ones(1)),  # two factors per mode, one weight
+        ((4, 2, 1, 5), np.ones((3, 1))),  # four batch rows, three weight rows
+        ((2, 1, 1), np.ones(1)),  # one photon number
+    ],
+)
+def test_two_mode_amplitude_shapes_are_checked(amps, weights):
+    with pytest.raises(ValueError, match=r"\(\.\.\., 1 or 2, k, M\+1\)"):
+        fo.TwoModeFockVector(np.ones(amps, dtype=complex), weights)
+
 
 class TestProductsAndSuperpositions:
     def test_product_state_factorizes(self):
@@ -208,12 +235,21 @@ class TestProductsAndSuperpositions:
         assert np.allclose(w.amps, v.amps)
 
     def test_cancellation_raises(self):
+        # One error for a vanishing norm, whether the oracle or a closed form finds it.
+        from subvacuum import state_families
+
+        assert state_families.DegenerateStateError is fo.DegenerateStateError
         v = fo.squeezed_vacuum_vector(1.0, 0.0, 64)
-        with pytest.raises(fo.DegenerateSuperpositionError):
+        with pytest.raises(fo.DegenerateStateError):
             fo.superpose([(1.0, v), (-1.0, v)])
         u = fo.coherent_vector(0.5, 64)
-        with pytest.raises(fo.DegenerateSuperpositionError):
+        with pytest.raises(fo.DegenerateStateError):
             fo.superpose_two_mode([(1.0, u, v), (-1.0, u, v)])
+
+    @pytest.mark.parametrize("combine", [fo.superpose, fo.superpose_two_mode])
+    def test_empty_superposition_rejected(self, combine):
+        with pytest.raises(ValueError, match="at least one term"):
+            combine([])
 
     def test_mismatched_cutoffs_rejected(self):
         with pytest.raises(ValueError):
@@ -354,7 +390,7 @@ def test_zhang_oracle_memory_at_the_verification_cutoff():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert st.amps.shape == (2, 2, 4097)
+    assert st.amps.shape == (1, 2, 4097)
     assert peak < 32 * 2**20
 
 
@@ -613,8 +649,31 @@ def test_fits_raises_when_any_row_misses_the_target_under_the_cap():
 
 
 def test_shared_factors_are_stored_once():
+    # Factors that are the same object in both modes sit on a mode axis of
+    # length 1; equal factors that are distinct objects are stored twice.
     st = zhang_state(np.array([0.4, 1.1]), 0.7, 64)
-    assert st.shared and st.amps.shape == (2, 2, 2, 65) and st.amps.strides[-3] == 0
-    assert np.shares_memory(st.amps[:, 0], st.amps[:, 1])
-    assert st.rows(np.array([False, True])).shared
-    assert not fo.superpose_two_mode([(1.0, fo.coherent_vector(0.5, 16), fo.coherent_vector(0.5, 16))]).shared
+    assert st.amps.shape == (2, 1, 2, 65) and st.amps.base is None
+    assert st.rows(np.array([False, True])).amps.shape == (1, 1, 2, 65)
+    alpha = np.array([0.5, 0.8])
+    twice = fo.superpose_two_mode([(1.0, fo.coherent_vector(alpha, 16), fo.coherent_vector(alpha, 16))])
+    assert twice.amps.shape == (2, 2, 1, 17)
+    assert twice.rows(np.array([False, True])).amps.shape == (1, 2, 1, 17)
+
+
+def test_factors_stored_once_read_as_stored_twice():
+    # One zhang-like product sum, its factors stored once (u is v) and twice
+    # (equal copies): every reading, and every reading of its rows under a
+    # mask, is bit for bit the same.
+    r, theta = np.array([0.3, 0.9, 1.4, 2.0]), np.array([0.2, 1.1, 2.5, 3.0])
+    minus, plus = fo.squeezed_vacuum_vector(r, math.pi, 256), fo.squeezed_vacuum_vector(r, 0.0, 256)
+    copy = [fo.FockVector(f.amps.copy()) for f in (minus, plus)]
+    once = fo.superpose_two_mode([(1.0, minus, minus), (np.exp(1j * theta), plus, plus)])
+    twice = fo.superpose_two_mode([(1.0, minus, copy[0]), (np.exp(1j * theta), plus, copy[1])])
+    assert once.amps.shape == (4, 1, 2, 257) and twice.amps.shape == (4, 2, 2, 257)
+    mask = np.array([True, False, True, True])
+    for a, b in [(once, twice), (once.rows(mask), twice.rows(mask))]:
+        assert np.array_equal(a.weights, b.weights)
+        ma, mb = fo.two_mode_moments(a), fo.two_mode_moments(b)
+        for name in ("n1", "n2", "a2", "b2", "adag_b", "ab"):
+            assert np.array_equal(getattr(ma, name), getattr(mb, name)), name
+        assert np.array_equal(fo.tail_mass(a), fo.tail_mass(b))

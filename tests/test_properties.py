@@ -160,7 +160,7 @@ def test_oracle_moments_ignore_global_phase(alpha, beta, eta, phi):
     ]
     try:
         plain = oracle.superpose(terms)
-    except oracle.DegenerateSuperpositionError:
+    except oracle.DegenerateStateError:
         assume(False)
     twist = cmath.exp(1j * phi)
     rotated = oracle.superpose([(twist * c, v) for c, v in terms])
@@ -189,7 +189,7 @@ def test_oracle_one_mode_cauchy_schwarz(alpha, r):
                 (0.7, oracle.squeezed_vacuum_vector(r, 1.0, 96)),
             ]
         )
-    except oracle.DegenerateSuperpositionError:
+    except oracle.DegenerateStateError:
         assume(False)
     m = oracle.two_mode_moments(state)
     assert abs(m.a2) <= math.sqrt(m.n1 * (m.n1 + 1.0)) + 1e-9
