@@ -44,7 +44,6 @@ from .fock_oracle import DegenerateStateError
 
 __all__ = [
     "TwoModeMoments",
-    "wrap_angle",
     "regular",
     "coherent_superposition_moments",
     "squeezed_vacuum_moments",
@@ -70,26 +69,19 @@ DEGENERATE_DENOMINATOR = 1e-13
 _quiet = np.errstate(all="ignore")
 
 
-def wrap_angle(x):
-    """Reduce angles to the interval (-pi, pi]."""
-    y = np.remainder(np.add(x, np.pi), 2.0 * np.pi) - np.pi
-    return np.where(y <= -np.pi, np.pi, y)[()]
-
-
 def _derived(channel: str, phase: bool = False) -> cached_property:
     """``channel``'s magnitude, or its ``phase`` in (-pi, pi], derived on first read: (0, 0) below 1e-15.
 
-    The number 0.0 (an empty channel) gives itself; b2 stored as a2 itself reads a2's.
+    The phase is arctan2's own, with -pi read as pi.  The number 0.0 (an empty channel) gives itself.
     """
     def read(m):
         z = getattr(m, channel)
-        if channel != "a2" and z is m.a2:
-            return m.gamma1 if phase else m.R1
         if type(z) is float and z == 0.0:
             return z
         mag = np.abs(z)
-        # np.angle(z) is this arctan2, less its argument checks
-        return np.where(mag < 1e-15, 0.0, wrap_angle(np.arctan2(z.imag, z.real)) if phase else mag)[()]
+        # np.angle(z) is this arctan2, less its argument checks; it lies in [-pi, pi]
+        value = np.arctan2(z.imag, z.real) if phase else mag
+        return np.where(mag < 1e-15, 0.0, np.where(value <= -np.pi, np.pi, value) if phase else value)[()]
 
     return cached_property(read)
 
@@ -156,9 +148,10 @@ class TwoModeMoments:
     The one moments record, of the closed forms and the oracle alike.  Its
     channels are complex: ``a2`` = <a^2>, ``b2`` = <b^2>, ``adag_b`` =
     <a^dag b> and ``ab`` = <a b>.  Channel k's magnitude ``Rk`` and phase
-    ``gammak`` in (-pi, pi] are derived on first read and kept, (0, 0) below
-    magnitude 1e-15.  A one-mode state occupies mode 1: n2, b2, adag_b and
-    ab are 0.
+    ``gammak`` are derived on first read and kept, each channel by the same
+    rule: the phase is arctan2's, in (-pi, pi] with -pi read as pi, and
+    (0, 0) below magnitude 1e-15.  A one-mode state occupies mode 1: n2, b2,
+    adag_b and ab are 0.
 
     ``excess`` is F = R1 - n1, from a closed form of F itself wherever their
     float64 difference would cancel (under squeezing both grow like e^{2r}/4),
@@ -191,12 +184,11 @@ class TwoModeMoments:
 
 
 def _moments(shape, n1, a2, n2=0.0, b2=0.0, adag_b=0.0, ab=0.0, excess=None, denominator=1.0) -> TwoModeMoments:
-    """The record of a batch of ``shape``; ``b2`` passed as ``a2`` itself stays one object."""
-    same = b2 is a2
+    """The record of a batch of ``shape``, its values shaped by :func:`_shaped`."""
     n1, n2, a2, b2, adag_b, ab, denominator = _shaped(shape, (n1, n2, a2, b2, adag_b, ab, denominator))
     if excess is not None:
         (excess,) = _shaped(shape, (excess,))
-    return TwoModeMoments(n1, n2, a2, a2 if same else b2, adag_b, ab, excess, denominator)
+    return TwoModeMoments(n1, n2, a2, b2, adag_b, ab, excess, denominator)
 
 
 # --------------------------------------------------------------------------

@@ -158,15 +158,15 @@ def verify_family(family: str, draws: int, seed: int, cutoff_cap: int = CUTOFF_C
         deviation[fit.rows] = _deviations(closed[fit.rows], oracle.two_mode_moments(fit.state))
         tail[fit.rows] = fit.tail
     worst = int(np.argmax(deviation)) if draws else None
-    tail_bound = float(tail.max(initial=0.0))
+    limit = np.maximum(1e-8, 10.0 * tail)
     return VerifyReport(
         family=family,
         draws=draws,
         max_abs_deviation=float(deviation.max(initial=0.0)),
         worst_params={} if worst is None else dict(zip(spec.draws, drawn[worst].tolist())),
-        tail_bound=tail_bound,
-        tolerance=max(1e-8, 10.0 * tail_bound),
-        passed=bool(np.all(deviation <= np.maximum(1e-8, 10.0 * tail))),
+        tail_bound=float(tail.max(initial=0.0)),
+        tolerance=float(limit.max(initial=1e-8)),
+        passed=bool(np.all(deviation <= limit)),
     )
 
 
@@ -201,8 +201,8 @@ def appendix_identity_report(cutoff_cap: int = CUTOFF_CAP) -> list[IdentityRow]:
             _TAIL_TARGET,
             cutoff_cap,
         )
-        ket, coh = (oracle.FockVector(factor[0]) for factor in both.amps)
-        bra_minus = oracle.squeezed_vacuum_vector(r, math.pi, ket.cutoff)
+        ket, coh = oracle.squeezed_vacuum_vector(r, 0.0, both.cutoff), oracle.coherent_vector(alpha, both.cutoff)
+        bra_minus = oracle.squeezed_vacuum_vector(r, math.pi, both.cutoff)
         t, sech = math.tanh(r), 1.0 / math.cosh(r)
 
         check("overlap-opposite-squeezed", oracle.inner(bra_minus, ket), math.sqrt(1.0 / math.cosh(2 * r)))

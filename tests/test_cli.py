@@ -950,6 +950,31 @@ class TestVerify:
         )
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with PYTHONPATH led by the directory that holds the imported package.
+
+    pytest's ``pythonpath`` setting reaches the test process only; with this,
+    a ``python -m subvacuum`` child finds the same package from a checkout
+    with neither PYTHONPATH set nor an install.  Any PYTHONPATH set stays after it.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("pythonpath", [None, os.pathsep.join(["no-such-dir", "src"])], ids=["unset", "set"])
+def test_children_import_the_package_under_test(monkeypatch, pythonpath):
+    if pythonpath is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", pythonpath)
+    env = _child_env()
+    assert env["PYTHONPATH"].split(os.pathsep)[1:] == ([] if pythonpath is None else pythonpath.split(os.pathsep))
+    result = subprocess.run([sys.executable, "-c", "import subvacuum.state_families as sf; print(sf.__file__)"],
+                            capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert os.path.samefile(result.stdout.strip(), sf.__file__)
+
+
 def test_module_entry_point_runs_in_subprocess(tmp_path):
     result = subprocess.run(
         [
@@ -965,6 +990,7 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=_child_env(),
     )
     assert result.returncode == 0
     lines = result.stdout.strip().splitlines()
@@ -1051,8 +1077,10 @@ class TestOutputFailures:
             "dev-full": (self.SHORT, {"stdout": full}),
             "midway": ([*self.LONG, "--out", str(root / "capped" / "x.csv")], {"preexec_fn": _file_size_cap}),
         }
+        env = _child_env()
         procs = {
-            name: subprocess.Popen([sys.executable, "-m", "subvacuum", *argv], stderr=subprocess.PIPE, text=True, **kw)
+            name: subprocess.Popen([sys.executable, "-m", "subvacuum", *argv], stderr=subprocess.PIPE, text=True,
+                                   env=env, **kw)
             for name, (argv, kw) in cases.items()
         }
         first_line = procs["broken-pipe"].stdout.readline()

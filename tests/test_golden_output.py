@@ -47,16 +47,21 @@ GOLDEN = [
      "02b8421a4c005fddeb388d6d634f8e9b47124b4cdd3eacf53b6a5f49eef75944"),
     ("sweep --family vacuum-squeezed --set eta=-1 --sweep r=0:1:5000 --format json",
      "209707941f82dd1b90d8ebff13a439f728c1303c78bb411cf6b94cd243d80340"),
+    # gamma is arctan2's own, no longer shifted through (gamma + pi) mod 2 pi - pi,
+    # which rounded it to a multiple of 2^-51: only gamma cells move, three in
+    # the first search (2.909154326324881e-07 -> 2.9091543274916704e-07), one
+    # in the free search (1.7761350002738645 -> 1.7761350002738643), 24 in the
+    # 64-start one (rank 22: -5.114606516087861e-10 -> -5.114607509240847e-10).
     ("search --family coherent-pair --starts 4 --seed 42 --format json",
-     "27d256a8871e6ea37a6fb95558bb59b39e0cf51b8bbd3cd520fa0d1062ffa94f"),
+     "33c7c270ef8a463b6950e90288663f6005ac2feb21a4021100b2aed39957a785"),
     ("search --family coherent-pair-free --starts 4 --seed 42 --format json",
-     "e67c36213360b02bbc09595a2ee14ff00132e2a01d92d0fbface438315ceb8b8"),
+     "72c3689c2b8ed71341c06d3e030a5caae5926edd5c0269c73f7112b141e6ef2e"),
     ("search --family vacuum-squeezed --starts 4 --seed 42 --format json",
      "20e331aee3a73d9d301040e7a3516e7acd27bc4bea48077f718addd1030c3f79"),
     # Rank 21's F is read at its returned point, after a failed line search:
     # 1.0864637189911264e-08, not the last trial's 1.0864635413554424e-08.
     ("search --family coherent-pair --starts 64 --seed 42 --format json",
-     "cff483a58ba9aa501cf27f05b4220ec1890a62ba190ce93820230dbce42f2436"),
+     "e55b6d2b34b273da499cbcec15379e66c1506eb15b69c30a710d04028eccbccd"),
     ("density --family barnett-radmore --set r=1 --geometry standing:1:2:1 --window 8 --grid-n 16",
      "a99f745f0806c39f0c3df9b60187e5c62fac5a390bfef20a503dfa7c6ec91c68"),
     ("density --family barnett-radmore --set r=1 --geometry traveling:1:2:0 --window 8 --grid-n 16",

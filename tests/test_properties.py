@@ -10,24 +10,25 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subvacuum import fock_oracle as oracle
 from subvacuum.state_families import (
+    TwoModeMoments,
     barnett_radmore_moments,
     coherent_plus_squeezed_moments,
     coherent_superposition_moments,
     entangled_coherent_moments,
     squeezed_vacuum_moments,
     superposed_squeezed_moments,
-    wrap_angle,
     zhang_moments,
 )
 from subvacuum.energy_density import ModeGeometry, rho_min_one_mode, spacetime_average
 
 CS_SLACK = 1e-9
 
-finite_angle = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# Channel components: signed zeros, subnormals and magnitudes either side of 1e-15 included.
+component = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
 phase = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 squeeze = st.floats(min_value=0.0, max_value=1.5)
 amplitude = st.floats(min_value=0.0, max_value=1.5)
@@ -55,12 +56,20 @@ def assert_two_mode_bounds(m):
     assert m.R4 <= math.sqrt(m.n1 * (m.n2 + 1.0)) + CS_SLACK
 
 
-@given(finite_angle)
-def test_wrap_angle_lands_on_principal_branch(x):
-    w = wrap_angle(x)
-    assert -math.pi < w <= math.pi
-    # Same point on the circle, up to the rounding incurred by the shift.
-    assert abs(cmath.exp(1j * w) - cmath.exp(1j * x)) <= 1e-9 * max(1.0, abs(x))
+@given(component, component)
+@example(-2.0, 0.0)
+@example(-2.0, -0.0)  # arctan2 gives -pi: the cut
+@example(-0.0, -0.0)
+@example(-1e-15, -0.0)
+@example(-3.0, -5e-324)
+def test_phase_is_arctan2_on_the_principal_branch(re, im):
+    m = TwoModeMoments(0.0, 0.0, complex(re, im), 0.0, 0.0, 0.0)
+    assert -math.pi < m.gamma1 <= math.pi
+    if abs(complex(re, im)) < 1e-15:
+        assert (m.R1, m.gamma1) == (0.0, 0.0)
+    else:
+        expected = np.arctan2(im, re)
+        assert m.gamma1 == (math.pi if expected == -math.pi else expected)
 
 
 @given(squeeze)

@@ -31,26 +31,10 @@ def one_mode_F(m: sf.TwoModeMoments) -> float:
     return m.R1 - m.n1
 
 
-# ---------------------------------------------------------------------------
-# wrap_angle
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [
-        (0.0, 0.0),
-        (math.pi, math.pi),
-        (-math.pi, math.pi),
-        (3.0 * math.pi, math.pi),
-        (TAU + 0.25, 0.25),
-        (-0.25, -0.25),
-    ],
-)
-def test_wrap_angle_lands_in_half_open_interval(raw, expected):
-    w = sf.wrap_angle(raw)
-    assert -math.pi < w <= math.pi
-    assert w == pytest.approx(expected, abs=1e-12)
+def principal(x) -> float:
+    """The angle ``x`` reduced to (-pi, pi]: the expected phase of a channel at angle ``x``."""
+    y = math.remainder(x, TAU)
+    return math.pi if y <= -math.pi else y
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +51,7 @@ class TestSqueezedVacuum:
     def test_pair_phase_opposes_squeeze_axis(self):
         # <a^2> = -e^{i delta} sinh r cosh r, so gamma = delta + pi (wrapped).
         m = sf.squeezed_vacuum_moments(0.8, 0.4)
-        assert m.gamma1 == pytest.approx(sf.wrap_angle(0.4 + math.pi), abs=1e-12)
+        assert m.gamma1 == pytest.approx(principal(0.4 + math.pi), abs=1e-12)
         m5 = sf.squeezed_vacuum_moments(0.8, 5.0)
         assert m5.gamma1 == pytest.approx(5.0 + math.pi - TAU, abs=1e-12)
 
@@ -119,7 +103,7 @@ class TestCoherentPairMoments:
         m = sf.coherent_superposition_moments(alpha, 2.0, 0.0)
         assert m.n1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
         assert m.R1 == pytest.approx(abs(alpha) ** 2, abs=1e-12)
-        assert m.gamma1 == pytest.approx(sf.wrap_angle(2 * np.angle(alpha)), abs=1e-12)
+        assert m.gamma1 == pytest.approx(principal(2 * np.angle(alpha)), abs=1e-12)
 
     def test_identical_branches_recover_coherent_state(self):
         m = sf.coherent_superposition_moments(0.9, 0.9, 1.0)
@@ -142,7 +126,7 @@ class TestCoherentPairMoments:
         m1 = sf.coherent_superposition_moments(a * np.exp(1j * phi), b * np.exp(1j * phi), eta)
         assert m1.n1 == pytest.approx(m0.n1, abs=1e-12)
         assert m1.R1 == pytest.approx(m0.R1, abs=1e-12)
-        assert sf.wrap_angle(m1.gamma1 - m0.gamma1 - 2 * phi) == pytest.approx(
+        assert principal(m1.gamma1 - m0.gamma1 - 2 * phi) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -581,7 +565,7 @@ class TestBarnettRadmore:
 
     def test_pair_phase_tracks_squeeze_phase(self):
         m = sf.barnett_radmore_moments(0.7, 5.0)
-        assert m.gamma4 == pytest.approx(sf.wrap_angle(5.0 + math.pi), abs=1e-12)
+        assert m.gamma4 == pytest.approx(principal(5.0 + math.pi), abs=1e-12)
 
 
 class TestZhang:
@@ -608,6 +592,17 @@ class TestZhang:
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
             sf.regular(sf.zhang_moments(0.0, math.pi))
+
+    @pytest.mark.parametrize("r", [0.3, np.linspace(0.1, 0.5, 4)], ids=["scalar", "batch"])
+    def test_both_modes_derive_the_same_pair_moment_alike(self, r):
+        # b2 is derived from its own storage by the one rule, and both
+        # modes read the same R and gamma, bit for bit.
+        m = sf.zhang_moments(r, 2.0)
+        for mag, phase, z in ((m.R1, m.gamma1, m.a2), (m.R2, m.gamma2, m.b2)):
+            _assert_bits(mag, _reference_polar(z)[0], "R")
+            _assert_bits(phase, _reference_polar(z)[1], "gamma")
+        _assert_bits(m.R2, m.R1, "R2")
+        _assert_bits(m.gamma2, m.gamma1, "gamma2")
 
     def test_small_r_asymptotics(self):
         theta = 0.99 * math.pi
@@ -648,9 +643,9 @@ class TestEntangledCoherent:
     def test_branch_amplitude_phases_carry_into_channels(self):
         d1, d2 = 0.8, -1.1
         m = sf.entangled_coherent_moments(0.5, 1.0, d1, d2)
-        assert m.gamma1 == pytest.approx(sf.wrap_angle(2 * d1), abs=1e-12)
-        assert m.gamma2 == pytest.approx(sf.wrap_angle(2 * d2), abs=1e-12)
-        assert m.gamma4 == pytest.approx(sf.wrap_angle(d1 + d2), abs=1e-12)
+        assert m.gamma1 == pytest.approx(principal(2 * d1), abs=1e-12)
+        assert m.gamma2 == pytest.approx(principal(2 * d2), abs=1e-12)
+        assert m.gamma4 == pytest.approx(principal(d1 + d2), abs=1e-12)
 
     def test_degenerate_combination(self):
         with pytest.raises(sf.DegenerateStateError):
@@ -797,17 +792,12 @@ def test_polar_keeps_the_phase_cut_and_the_zero_convention():
 # ---------------------------------------------------------------------------
 
 
-def _reference_wrap_angle(x):
-    """A copy of ``wrap_angle``: the reference for the derived phases."""
-    y = np.remainder(np.add(x, np.pi), 2.0 * np.pi) - np.pi
-    return np.where(y <= -np.pi, np.pi, y)[()]
-
-
 def _reference_polar(z):
-    """Magnitude and wrapped phase, (0, 0) below magnitude 1e-15: the reference for R and gamma."""
+    """Magnitude and arctan2's phase with -pi read as pi, (0, 0) below magnitude 1e-15: the reference for R and gamma."""
     mag = np.abs(z)
     small = mag < 1e-15
-    return np.where(small, 0.0, mag), np.where(small, 0.0, _reference_wrap_angle(np.arctan2(z.imag, z.real)))
+    phase = np.arctan2(np.imag(z), np.real(z))
+    return np.where(small, 0.0, mag), np.where(small, 0.0, np.where(phase == -math.pi, math.pi, phase))
 
 
 _TINY = 1e-15
@@ -853,6 +843,51 @@ def test_derived_fields_equal_the_stored_polar_rule_bit_for_bit():
             _assert_bits(one.gamma1, phase, z)
 
 
+def _near_real_axis(rng, size):
+    """Channels within 1e-6 rad of the real axis, on either side of 0 and of the cut at pi."""
+    mag = 10.0 ** rng.uniform(-14.0, 6.0, size)
+    tilt = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320.0, -6.0, size)
+    real = rng.choice([-1.0, 1.0], size) * mag
+    return real + 1j * (np.abs(real) * tilt)
+
+
+def _random_components(rng, size):
+    """Channels with independent log-uniform real and imaginary parts of either sign.
+
+    Their phases lie off the 2^-50 grid of the angles ``_random_channels`` draws.
+    """
+    def part():
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12.0, 6.0, size)
+
+    return part() + 1j * part()
+
+
+_CHANNEL_SETS = {
+    "edge": lambda rng: _EDGE_CHANNELS,
+    "random": lambda rng: _random_channels(rng, 4000),
+    "random-components": lambda rng: _random_components(rng, 4000),
+    "near-real-axis": lambda rng: _near_real_axis(rng, 500),
+}
+
+
+@pytest.mark.parametrize("channels", list(_CHANNEL_SETS))
+def test_derived_phase_is_within_two_ulps_of_the_exact_phase(channels):
+    # The exact phase of the stored channel, by 50-digit mpmath; a phase
+    # near the cut may land on either side of it, so the gap is taken
+    # modulo 2 pi.  Magnitudes below 1e-15 read (0, 0) and are left out.
+    z = _CHANNEL_SETS[channels](np.random.default_rng(34))
+    z = z[np.abs(z) >= 1e-15]
+    gamma = sf.TwoModeMoments(np.ones(z.shape), 0.0, z, 0.0, 0.0, 0.0).gamma1
+    assert np.all((gamma > -math.pi) & (gamma <= math.pi))
+    with mpmath.workdps(50):
+        two_pi = 2 * mpmath.pi
+        for channel, got in zip(z.tolist(), gamma.tolist()):
+            exact = mpmath.arg(mpmath.mpc(channel.real, channel.imag))
+            gap = mpmath.mpf(got) - exact
+            gap -= two_pi * mpmath.nint(gap / two_pi)
+            assert float(abs(gap)) <= 2.0 * np.spacing(abs(float(exact))), (channel, got, exact)
+
+
 def test_an_empty_channel_derives_the_float_zero():
     mag, phase = _reference_polar(0.0)
     m = sf.TwoModeMoments(0.3, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -879,26 +914,15 @@ def test_derived_fields_of_a_scalar_call_are_numpy_scalars_and_of_a_batch_keep_i
             _assert_bits(getattr(batch, name)[i, j], getattr(record(sigma[i, j], theta[j]), name), (name, i, j))
 
 
-def test_a_channel_stored_as_another_is_derived_once(monkeypatch):
-    calls = []
-    wrap = sf.wrap_angle
-    monkeypatch.setattr(sf, "wrap_angle", lambda x: calls.append(1) or wrap(x))
-    for r in (0.3, np.linspace(0.1, 0.5, 4)):  # a scalar call and a batch
-        calls.clear()
-        m = sf.zhang_moments(r, 2.0)
-        assert m.b2 is m.a2
-        assert m.gamma2 is m.gamma1 and m.R2 is m.R1
-        assert len(calls) == 1
-
-
 def test_only_a_read_of_a_phase_derives_it(monkeypatch, capsys):
     from subvacuum.cli import main
     from subvacuum.optimizer import objective_F
 
-    def boom(x):
+    def boom(y, x):
         raise AssertionError("a phase was derived")
 
-    monkeypatch.setattr(sf, "wrap_angle", boom)
+    # _derived is the only caller of np.arctan2 in src/: a call to it is a derived phase.
+    monkeypatch.setattr(np, "arctan2", boom)
     view = sf.SEARCHES["coherent-pair"][1]
     assert np.all(np.isfinite(objective_F(view, _stencil(view, _stencil_points(view)[0]))))
     for name, family in sf.REGISTRY.items():
@@ -910,15 +934,16 @@ def test_only_a_read_of_a_phase_derives_it(monkeypatch, capsys):
         sf.coherent_superposition_moments(0.8, -0.8, 1.0).gamma1
 
 
-@pytest.mark.parametrize("name,derivations", [("entangled-coherent", 4), ("zhang", 1), ("coherent-pair", 1)])
+@pytest.mark.parametrize("name,derivations", [("entangled-coherent", 4), ("zhang", 2), ("coherent-pair", 1)])
 def test_density_profile_derives_each_phase_once(name, derivations, monkeypatch):
     from subvacuum import energy_density as ed
 
     family = sf.REGISTRY[name]
     params = {**family.defaults, "theta": 0.7} if "theta" in family.defaults else family.defaults
     calls, evaluations = [], []
-    wrap, span_rho = sf.wrap_angle, ed._span_rho
-    monkeypatch.setattr(sf, "wrap_angle", lambda x: calls.append(1) or wrap(x))
+    arctan2, span_rho = np.arctan2, ed._span_rho
+    # _derived is the only caller of np.arctan2 in src/: each call derives one channel's phase.
+    monkeypatch.setattr(np, "arctan2", lambda y, x: calls.append(1) or arctan2(y, x))
     monkeypatch.setattr(ed, "_span_rho", lambda *args: evaluations.append(1) or span_rho(*args))
     m = family.moments(family.record(params))
     assert calls == []
