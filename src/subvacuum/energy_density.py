@@ -24,12 +24,13 @@ M_ij = <a_i a_j> and u_j = d_mu f_j, for the mode functions
 
 with z the coordinate along the cavity axis (x[0] of a point).  Each formula
 is written once, vectorized, and adds no term for a channel whose magnitude
-Rk is exactly 0.
-The one numeric minimizer, ``density_profile``, scans the wave-vector span
-(the density depends on x only through the k.x phases) and time one t slab
-at a time, then polishes with an unbounded Nelder-Mead refinement, and
-``rho_min_two_mode_numeric`` reads its minimum; ``rho_two_mode`` and the
-export, which recomputes each t slab as it writes it, use the same formulas.
+Rk is exactly 0.  The one numeric minimizer, ``density_profile``, scans the
+wave-vector span (the density depends on x only through the k.x phases) and
+time one t slab at a time, then polishes with an unbounded Nelder-Mead
+refinement, and ``rho_min_two_mode_numeric`` reads its minimum.  Span
+coordinates become Cartesian points, and one map takes a point to its formula
+for the scan, polish, export and ``rho_two_mode``: each exported sample and
+the minimum are ``rho_two_mode`` at their printed point.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
 ]
 
 _KINDS = ("traveling", "standing")
-_KHAT1 = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class DensityProfile:
     lexicographic order of its span coordinates.  M is grid_n**2 for skew
     traveling modes and grid_n otherwise.  The density itself is not kept:
     :meth:`slabs` recomputes it one t at a time, bit for bit the values the
-    scan checked, from ``moments`` and ``geometry``.
+    scan checked, from ``moments`` and ``geometry`` at ``space``.
     """
 
     t: np.ndarray
@@ -122,7 +122,7 @@ class DensityProfile:
 
     def slabs(self) -> Iterator[np.ndarray]:
         """The density at each t in turn, over the (M,) spatial points."""
-        return _slabs(self.moments, self.geometry, self.t)
+        return _slabs(self.moments, self.geometry, self.t, self.space)
 
     @property
     def samples(self) -> np.ndarray:
@@ -183,32 +183,30 @@ def _standing_rho(m: TwoModeMoments, g: ModeGeometry, x, t):
     ))
 
 
-def _phases(g: ModeGeometry, s1, s2=0.0):
-    """The phases k1.x and k2.x of traveling modes at x = s1 khat1 + s2 khat2.
+def _formula(g: ModeGeometry, x):
+    """The mode kind's formula and its spatial arguments at Cartesian x = (x1, x2, x3), numbers or arrays.
 
-    k1.x = w1 (s1 + c s2) and k2.x = w2 (c s1 + s2) with c = khat1.khat2.
+    Standing waves read the cavity coordinate x1; traveling waves the phases
+    k1.x = w1 x3 and k2.x = w2 (sqrt(1 - c^2) x1 + c x3).
     """
-    c = g.cosangle
-    return g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2)
+    x1, _, x3 = x
+    if g.kind == "standing":
+        return _standing_rho, (x1,)
+    sx, _, c = _khat2(g)
+    return _traveling_rho, (g.omega1 * x3, g.omega2 * (sx * x1 + c * x3))
 
 
-def _span_rho(m: TwoModeMoments, g: ModeGeometry, t, s1, s2=0.0):
-    """Density at time t and span coordinates (s1, s2), vectorized.
+def _span_x(g: ModeGeometry, s1, s2=0.0):
+    """Cartesian (x1, x2, x3) of span coordinates (numbers or arrays): the one map from span to space.
 
-    Traveling waves are evaluated at x = s1 khat1 + s2 khat2, standing waves
-    at the cavity coordinate s1 (``s2`` is unused).
+    Traveling waves sit at x = s1 khat1 + s2 khat2, summed component by
+    component with the zero products kept, so signed zeros come out as that
+    sum gives them; standing waves at the cavity coordinate x1 = s1.
     """
     if g.kind == "standing":
-        return _standing_rho(m, g, s1, t)
-    return _traveling_rho(m, g, *_phases(g, s1, s2), t)
-
-
-def _span_x(g: ModeGeometry, s1, s2=0.0) -> np.ndarray:
-    """Cartesian x of span coordinates, on a trailing axis of length 3."""
-    if g.kind == "standing":
-        s1 = np.asarray(s1, dtype=float)
-        return np.stack([s1, np.zeros_like(s1), np.zeros_like(s1)], axis=-1)
-    return np.multiply.outer(s1, _KHAT1) + np.multiply.outer(s2, _khat2(g))
+        return s1, 0.0 * s1 + 0.0, 0.0 * s1 + 0.0
+    sx, _, c = _khat2(g)
+    return s1 * 0.0 + s2 * sx, s1 * 0.0 + s2 * 0.0, s1 + s2 * c
 
 
 def _span_axes(g: ModeGeometry) -> int:
@@ -216,21 +214,13 @@ def _span_axes(g: ModeGeometry) -> int:
     return 2 if g.kind == "traveling" and abs(abs(g.cosangle) - 1.0) >= 1e-12 else 1
 
 
-def _slabs(m: TwoModeMoments, g: ModeGeometry, axis: np.ndarray) -> Iterator[np.ndarray]:
-    """The density at each t in ``axis``, one flat slab over the spatial grid at a time.
-
-    The spatial grid takes ``axis`` along each span coordinate, in C order.
-    Its t-independent parts (the cavity coordinate of standing modes, the
-    phases k1.x and k2.x of traveling ones) are computed once; a slab is
-    grid_n**axes values and no array of the full grid's size is made.
-    """
-    space = np.meshgrid(*[axis] * _span_axes(g), indexing="ij", sparse=True)
-    rho = _standing_rho if g.kind == "standing" else _traveling_rho
+def _slabs(m: TwoModeMoments, g: ModeGeometry, axis: np.ndarray, space: np.ndarray) -> Iterator[np.ndarray]:
+    """The density at each t in ``axis`` over the (M, 3) points ``space``, one (M,) slab at a time."""
     with np.errstate(all="ignore"):
-        spatial = space if g.kind == "standing" else _phases(g, *space)
+        formula, spatial = _formula(g, space.T)
     for t in axis:
         with np.errstate(all="ignore"):  # a non-finite slab is the scan's to refuse
-            slab = rho(m, g, *spatial, t).ravel()
+            slab = formula(m, g, *spatial, t)
         yield slab
 
 
@@ -240,13 +230,8 @@ def rho_two_mode(m: TwoModeMoments, g: ModeGeometry, p: SpacetimePoint) -> float
     Raises ``FloatingPointError`` when the density there is not finite.
     """
     with np.errstate(all="ignore"):
-        if g.kind == "standing":
-            rho = float(_standing_rho(m, g, p.x[0], p.t))
-        else:
-            x = np.asarray(p.x, dtype=float)
-            k1x = float((g.omega1 * np.asarray(_KHAT1, dtype=float)) @ x)
-            k2x = float((g.omega2 * np.asarray(_khat2(g), dtype=float)) @ x)
-            rho = float(_traveling_rho(m, g, k1x, k2x, p.t))
+        formula, spatial = _formula(g, p.x)
+        rho = float(formula(m, g, *spatial, p.t))
     if not math.isfinite(rho):
         raise FloatingPointError("density is not finite at this point")
     return rho
@@ -288,12 +273,13 @@ def density_profile(
     if not _moments_finite(m):
         raise ValueError("non-finite moments")
 
-    # linspace's last product (grid_n - 1) * step can round past the largest
-    # float; linspace then sets that point to the window itself.
+    # Overflow is expected here: linspace sets a last point past the largest
+    # float to the window itself, and a skew point's x3 = s1 + c s2 becomes inf.
     with np.errstate(over="ignore"):
         axis = np.linspace(0.0, window, grid_n)
+        space = np.stack(_span_x(g, *np.meshgrid(*[axis] * _span_axes(g), indexing="ij")), axis=-1).reshape(-1, 3)
     best_val, best = math.inf, None
-    for i, slab in enumerate(_slabs(m, g, axis)):
+    for i, slab in enumerate(_slabs(m, g, axis, space)):
         if not np.isfinite(slab).all():
             raise FloatingPointError("density is not finite on the scan grid")
         j = int(np.argmin(slab))
@@ -304,7 +290,8 @@ def density_profile(
     def objective(q) -> float:
         # Trial points past the window can overflow: a non-finite value
         # counts as +inf, so it never displaces the scan minimum.
-        value = float(_span_rho(m, g, *q))
+        formula, spatial = _formula(g, _span_x(g, *q[1:]))
+        value = float(formula(m, g, *spatial, q[0]))
         return value if math.isfinite(value) else math.inf
 
     with np.errstate(all="ignore"):
@@ -316,9 +303,7 @@ def density_profile(
         )
     if res.fun < best_val:
         best, best_val = np.asarray(res.x, dtype=float), float(res.fun)
-    x = _span_x(g, *best[1:])
-    point = SpacetimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=float(best[0]))
-    space = _span_x(g, *np.meshgrid(*[axis] * _span_axes(g), indexing="ij")).reshape(-1, 3)
+    point = SpacetimePoint(x=tuple(map(float, _span_x(g, *best[1:]))), t=float(best[0]))
     return DensityProfile(t=axis, space=space, min_found=(point, best_val), moments=m, geometry=g)
 
 

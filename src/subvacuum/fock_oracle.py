@@ -265,6 +265,8 @@ _LADDER = {
     "n": (0, lambda m: m),
     "a": (1, lambda m: np.sqrt(m + 1.0)),
     "a2": (2, lambda m: np.sqrt((m + 1.0) * (m + 2.0))),
+    # ab on Schmidt coefficients c_n of |n, n>: <n, n|ab|n+1, n+1> = n + 1.
+    "ab": (1, lambda m: m + 1.0),
     "tail": (0, lambda m: (m >= m.size - max(1, m.size // 10)).astype(float)),
 }
 
@@ -328,9 +330,8 @@ def two_mode_moments(v: FockVector | TwoModeFockVector) -> TwoModeMoments:
     if v.weights is None:
         c = v.amps
         n = _expect(c, "n").real[()]
-        ab = (np.conj(c[..., None, :-1]) * np.arange(1.0, c.shape[-1])) @ c[..., 1:, None]
         zero = np.zeros(np.shape(n), dtype=complex)[()]
-        return TwoModeMoments(n, n, zero, zero, zero, ab[..., 0, 0][()])
+        return TwoModeMoments(n, n, zero, zero, zero, _expect(c, "ab")[()])
     a, b = _grams(v.amps, ("1", "n", "a2", "a"))
     w = v.weights
     adag = np.swapaxes(a["a"].conj(), -1, -2)  # <u|a^dag|u'> = conj <u'|a|u>

@@ -36,7 +36,7 @@ from subvacuum.cli import (
     main,
     parse_real,
 )
-from subvacuum.energy_density import density_profile
+from subvacuum.energy_density import SpacetimePoint, density_profile, rho_two_mode
 from subvacuum.state_families import squeezed_vacuum_moments
 
 F_RIDGE = 0.2784645427610738
@@ -669,6 +669,8 @@ class TestDensity:
             ["--family", "barnett-radmore", "--geometry", "traveling:1e200:1e200:1"],
             # the phases overflow, and their cosines are nan
             ["--family", "squeezed-vacuum", "--window", "1e308"],
+            # a skew point's x3 = s1 + c s2 overflows before its phases do
+            ["--family", "barnett-radmore", "--geometry", "traveling:1:1:0.3", "--window", "1.5e308"],
         ],
     )
     def test_non_finite_scan_exits_3_without_output(self, tmp_path, quiet_stderr, argv):
@@ -788,6 +790,24 @@ class TestDensity:
         doc["rows"] = [dict(zip(header, row)) for row in rows]
         assert text == json.dumps(doc, indent=2) + "\n"
         assert ("-0.0," in text) == negate_space
+
+    @pytest.mark.parametrize("geometry", ["traveling:1:1:0.3", "traveling:1.5:1:0.7"])
+    @pytest.mark.parametrize("family", ["barnett-radmore", "zhang", "entangled-coherent"])
+    def test_json_rows_are_the_point_evaluator_at_their_point(self, tmp_path, family, geometry):
+        # Skew modes: every sample row and the min row print the value
+        # rho_two_mode gives at the (x1, x2, x3, t) printed beside it.
+        out = tmp_path / "density.json"
+        argv = ["density", "--family", family, "--geometry", geometry, "--grid-n", "16", "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == 0
+        doc = strict_json(out.read_text(encoding="utf-8"))
+        spec = sf.REGISTRY[family]
+        moments = sf.regular(spec.moments(spec.record(doc["config"]["params"])))
+        g = _parse_geometry(geometry)
+        rows = doc["rows"]
+        assert len(rows) == 16**3 + 1 and rows[-1]["kind"] == "min"
+        for row in rows:
+            point = SpacetimePoint(x=(row["x1"], row["x2"], row["x3"]), t=row["t"])
+            assert row["rho"] == rho_two_mode(moments, g, point), row
 
     @pytest.mark.parametrize(
         "argv",

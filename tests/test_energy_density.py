@@ -20,7 +20,6 @@ from subvacuum.state_families import (
     zhang_moments,
 )
 from subvacuum.energy_density import (
-    _span_rho,
     ModeGeometry,
     SpacetimePoint,
     br_vs_2sq_gap,
@@ -394,15 +393,16 @@ class TestDensityProfile:
 
     @pytest.mark.parametrize("name", sorted(PROFILE_GEOMETRIES))
     def test_samples_reproduce_point_evaluator(self, name):
-        # Samples are the scan's values at span coordinates; the point
-        # evaluator recomputes the phases from the exported Cartesian x.  For
-        # skew modes those phases round differently, within a few ulps.
+        # The scan maps span coordinates to the exported Cartesian x first
+        # and takes its phases from x, as the point evaluator does: every
+        # sample and the minimum are rho_two_mode at their point, bit for bit.
         m = barnett_radmore_moments(r=0.7, delta=1.2)
         g = PROFILE_GEOMETRIES[name]
         prof = density_profile(m, g, 6.0, 16)
-        tol = 1e-13 if name == "skew" else 0.0
         for x1, x2, x3, t, rho in prof.samples.tolist():
-            assert abs(rho - rho_two_mode(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))) <= tol
+            assert rho == rho_two_mode(m, g, SpacetimePoint(x=(x1, x2, x3), t=t))
+        point, value = prof.min_found
+        assert value == rho_two_mode(m, g, point)
 
 
 # The slab scan against a dense meshgrid: skew, aligned and antiparallel
@@ -425,7 +425,7 @@ class TestSlabScan:
         grid_n, window = 19, 7.0
         axis = np.linspace(0.0, window, grid_n)
         axes = 3 if g.kind == "traveling" and abs(g.cosangle) != 1.0 else 2
-        dense = _span_rho(m, g, *np.meshgrid(*[axis] * axes, indexing="ij"))
+        dense = six_term_span(m, g, *np.meshgrid(*[axis] * axes, indexing="ij"))
         prof = density_profile(m, g, window, grid_n)
         rho = np.stack(list(prof.slabs()))
         assert rho.shape == (grid_n, grid_n ** (axes - 1))
@@ -615,21 +615,26 @@ def six_term_standing(m, g, x, t):
     )
 
 
-def six_term_span(m, g, t, s1, s2=0.0):
+def six_term_at(m, g, x, t):
+    """The six-term sum at Cartesian x = (x1, x2, x3).
+
+    Standing waves read x1; traveling waves the phases k1.x = w1 x3 and
+    k2.x = w2 (sqrt(1 - c^2) x1 + c x3).
+    """
+    x1, _, x3 = x
     if g.kind == "standing":
-        return six_term_standing(m, g, s1, t)
+        return six_term_standing(m, g, x1, t)
     c = g.cosangle
-    return six_term_traveling(m, g, g.omega1 * (s1 + c * s2), g.omega2 * (c * s1 + s2), t)
+    k2x = g.omega2 * (math.sqrt(max(0.0, 1.0 - c * c)) * x1 + c * x3)
+    return six_term_traveling(m, g, g.omega1 * x3, k2x, t)
+
+
+def six_term_span(m, g, t, s1, s2=0.0):
+    return six_term_at(m, g, ed._span_x(g, s1, s2), t)
 
 
 def six_term_point(m, g, p):
-    if g.kind == "standing":
-        return float(six_term_standing(m, g, p.x[0], p.t))
-    c = g.cosangle
-    x = np.asarray(p.x, dtype=float)
-    k1x = float((g.omega1 * np.asarray((0.0, 0.0, 1.0))) @ x)
-    k2x = float((g.omega2 * np.asarray((math.sqrt(max(0.0, 1.0 - c * c)), 0.0, c))) @ x)
-    return float(six_term_traveling(m, g, k1x, k2x, p.t))
+    return float(six_term_at(m, g, p.x, p.t))
 
 
 def _points(rng, count):

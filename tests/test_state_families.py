@@ -941,10 +941,10 @@ def test_density_profile_derives_each_phase_once(name, derivations, monkeypatch)
     family = sf.REGISTRY[name]
     params = {**family.defaults, "theta": 0.7} if "theta" in family.defaults else family.defaults
     calls, evaluations = [], []
-    arctan2, span_rho = np.arctan2, ed._span_rho
+    arctan2, formula = np.arctan2, ed._formula
     # _derived is the only caller of np.arctan2 in src/: each call derives one channel's phase.
     monkeypatch.setattr(np, "arctan2", lambda y, x: calls.append(1) or arctan2(y, x))
-    monkeypatch.setattr(ed, "_span_rho", lambda *args: evaluations.append(1) or span_rho(*args))
+    monkeypatch.setattr(ed, "_formula", lambda *args: evaluations.append(1) or formula(*args))
     m = family.moments(family.record(params))
     assert calls == []
     ed.density_profile(m, ed.ModeGeometry("traveling", 1.0, 1.5, 0.3), 6.0, 16)

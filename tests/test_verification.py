@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from subvacuum import verification
+from subvacuum import fock_oracle, verification
 from subvacuum.fock_oracle import TruncationError
 from subvacuum.state_families import REGISTRY, coherent_superposition_moments
 from subvacuum.verification import (
@@ -195,6 +195,26 @@ class TestIdentityReport:
         assert rows[0.5].deviation == pytest.approx(0.07474839332555475, abs=1e-12)
         assert rows[1.0].deviation == pytest.approx(0.037412937085231746, abs=1e-12)
         assert rows[2.0].deviation == pytest.approx(0.0025212017987101265, abs=1e-12)
+
+    def test_squeezed_vacuum_alone_picks_the_product_cutoff(self):
+        # The report fits |r> alone and builds |alpha = 0.6> at its cutoff:
+        # the coherent state's tail is negligible from the first cutoff on.
+        assert fock_oracle.tail_mass(fock_oracle.coherent_vector(0.6, 32)) < 1e-40
+        cutoffs = []
+        for r in (0.5, 1.0, 2.0):
+            alone = fock_oracle.fitted(
+                lambda c: fock_oracle.squeezed_vacuum_vector(r, 0.0, c), verification._TAIL_TARGET, 4096
+            )
+            product = fock_oracle.fitted(
+                lambda c: fock_oracle.superpose_two_mode(
+                    [(1.0, fock_oracle.squeezed_vacuum_vector(r, 0.0, c), fock_oracle.coherent_vector(0.6, c))]
+                ),
+                verification._TAIL_TARGET,
+                4096,
+            )
+            assert alone.cutoff == product.cutoff
+            cutoffs.append(alone.cutoff)
+        assert cutoffs == [64, 128, 1024]
 
     def test_row_dataclass_defaults(self):
         row = IdentityRow(name="x", r=1.0, deviation=0.0, tolerance=1e-10, passed=True)
